@@ -13,12 +13,14 @@ int32 holds all intermediates (|a - f*piv| < p^2 < 10^6).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import free_positions
+from .polynomials import gaussian_binomial
 
 
 @lru_cache(maxsize=None)
@@ -75,19 +77,38 @@ def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
     return rank
 
 
+def free_positions(n: int, pattern: Sequence[int]) -> list[tuple[int, int]]:
+    """Row-major free entry slots of an RREF matrix with the given pivots."""
+    pivots = set(pattern)
+    out = []
+    for i, piv in enumerate(pattern):
+        for j in range(piv + 1, n):
+            if j not in pivots:
+                out.append((i, j))
+    return out
+
+
 def pattern_matrices(
     n: int, k: int, p: int, pattern: tuple[int, ...], lo: int, hi: int
 ) -> np.ndarray:
-    """RREF matrices with the given pivot pattern for free-entry codes [lo, hi)."""
-    slots = free_positions(n, pattern)
+    """RREF matrices with the given pivot pattern for free-entry codes [lo, hi).
+
+    The free entries are the base-p digits of the code, first slot most
+    significant.  This and ``iter_chunks`` fix the enumeration order of
+    Gr_k(F_p^n) for the whole package.
+    """
     base = np.zeros((k, n), dtype=np.int32)
     for i, piv in enumerate(pattern):
         base[i, piv] = 1
-    codes = np.arange(lo, hi, dtype=np.int64)
-    mats = np.broadcast_to(base, (len(codes), k, n)).copy()
-    nslots = len(slots)
-    for s, (r, c) in enumerate(slots):
-        mats[:, r, c] = (codes // p ** (nslots - 1 - s)) % p
+    mats = np.broadcast_to(base, (hi - lo, k, n)).copy()
+    # Codes can pass 2^63 in budget-free walks, so each code lo + j is kept
+    # as high + low[j]: a Python int shared by the chunk plus a small int64
+    # offset.  Digits are peeled from the last slot by divmod with p, which
+    # keeps low[j] below j + p.
+    high, low = lo, np.arange(hi - lo, dtype=np.int64)
+    for r, c in reversed(free_positions(n, pattern)):
+        high, rem = divmod(high, p)
+        low, mats[:, r, c] = np.divmod(low + rem, p)
     return mats
 
 
@@ -166,11 +187,9 @@ def classify_counts(
     """Count subspaces of Gr_k(F_p^n) by multilabel.
 
     Returns a dict keyed by ((k_1, r_1), ..., (k_m, r_m)) where r_i is an
-    int or one of the component tags "0p"/"0pp".  The index slice mirrors
-    enumerate_subspaces, so chunked calls merge by summing counts.
+    int or one of the component tags "0p"/"0pp".  The index slice is the
+    one enumerate_subspaces walks, so chunked calls merge by summing counts.
     """
-    from .polynomials import gaussian_binomial
-
     if stop is None:
         stop = gaussian_binomial(n, k)(p)
     m = len(dims)
@@ -179,8 +198,11 @@ def classify_counts(
     wit32 = tuple(
         None if w is None else np.asarray(w, dtype=np.int32) for w in witness_rows
     )
-    # per-factor code = k_i * 33 + rcode_i packed base 33^2
-    weights = (33 * 33) ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    # per-factor code k_i * (n_i + 3) + rcode_i, with k_i <= n_i and
+    # rcode_i <= n_i + 2, packed mixed-radix with the first factor most
+    # significant; the radix product is at most 8^n <= 8^16, far inside int64
+    radix = [(d + 1) * (d + 3) for d in dims]
+    weights = [math.prod(radix[i + 1 :]) for i in range(m)]
     raw: dict[int, int] = {}
     for pattern, lo, hi in iter_chunks(n, k, p, start, stop, chunk):
         mats = pattern_matrices(n, k, p, pattern, lo, hi)
@@ -205,7 +227,7 @@ def classify_counts(
                     prime_side = (inter % 2) == (k_i % 2)
                     rcode = np.where(need & prime_side, 0, rcode)
                     rcode = np.where(need & ~prime_side, 1, rcode)
-            packed += (k_i * 33 + rcode) * weights[i]
+            packed += (k_i * (dims[i] + 3) + rcode) * weights[i]
         uniq, cnt = np.unique(packed, return_counts=True)
         for code, c in zip(uniq, cnt):
             raw[int(code)] = raw.get(int(code), 0) + int(c)
@@ -213,8 +235,8 @@ def classify_counts(
     for code, c in raw.items():
         key = []
         for i in range(m):
-            part = (code // int(weights[i])) % (33 * 33)
-            key.append((part // 33, _decode_r(part % 33)))
+            k_i, rcode = divmod(code // weights[i] % radix[i], dims[i] + 3)
+            key.append((k_i, _decode_r(rcode)))
         counts[tuple(key)] = c
     return counts
 

@@ -472,6 +472,8 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise CliError(f"--workers must be >= 1, got {args.workers}")
         if args.command == "labels":
             report = cmd_labels(
                 args.space, args.k, _parse_primes(args.primes), args.budget, args.workers

@@ -10,11 +10,11 @@ index range so consumers can partition work into disjoint chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import _batch
 from .polynomials import gaussian_binomial
 
 DEFAULT_BUDGET = 10**8
@@ -189,11 +189,6 @@ def left_kernel(mat: np.ndarray, p: int) -> np.ndarray:
     return rref(ker, p)
 
 
-def right_kernel(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis (as rows) of {v : mat @ v == 0 mod p}."""
-    return left_kernel(np.asarray(mat).T, p)
-
-
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     a._check_compatible(b)
     if a.dim == 0 or b.dim == 0:
@@ -254,17 +249,6 @@ def complement_rows(inner: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:
 # Enumeration of Gr_k(F_p^n)
 # ---------------------------------------------------------------------------
 
-def free_positions(n: int, pattern: Sequence[int]) -> list[tuple[int, int]]:
-    """Row-major free entry slots of an RREF matrix with the given pivots."""
-    pivots = set(pattern)
-    out = []
-    for i, piv in enumerate(pattern):
-        for j in range(piv + 1, n):
-            if j not in pivots:
-                out.append((i, j))
-    return out
-
-
 def subspace_total(n: int, k: int, p: int) -> int:
     return gaussian_binomial(n, k)(p)
 
@@ -280,7 +264,8 @@ def enumerate_subspaces(
     """Yield every k-dimensional subspace of F_p^n exactly once.
 
     Order: pivot patterns lexicographically, then free entries as base-p
-    digits (first slot most significant).  ``start``/``stop`` select a slice
+    digits (first slot most significant), as laid out by ``_batch``, whose
+    bulk classifier walks the same order.  ``start``/``stop`` select a slice
     of the global index range, so disjoint chunks can run in parallel and be
     combined by any commutative reduction.
     """
@@ -292,30 +277,9 @@ def enumerate_subspaces(
         raise BudgetExceeded(total, budget)
     if stop is None:
         stop = total
-    idx = 0
-    for pattern in combinations(range(n), k):
-        slots = free_positions(n, pattern)
-        block = p ** len(slots)
-        if idx + block <= start:
-            idx += block
-            continue
-        if idx >= stop:
-            return
-        base = np.zeros((k, n), dtype=np.int64)
-        for i, piv in enumerate(pattern):
-            base[i, piv] = 1
-        lo = max(start - idx, 0)
-        hi = min(stop - idx, block)
-        for code in range(lo, hi):
-            mat = base.copy()
-            rem = code
-            for slot in range(len(slots) - 1, -1, -1):
-                rem, digit = divmod(rem, p)
-                mat[slots[slot]] = digit
-            yield Subspace(mat, n, p)
-        idx += block
-        if idx >= stop:
-            return
+    for pattern, lo, hi in _batch.iter_chunks(n, k, p, start, stop, 1 << 14):
+        for mat in _batch.pattern_matrices(n, k, p, pattern, lo, hi):
+            yield Subspace(mat, n, p)  # pattern matrices are already RREF
 
 
 def intersect_prefix(h: Subspace, c: int) -> Subspace:

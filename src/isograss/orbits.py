@@ -61,13 +61,6 @@ class SingleLabel:
         return f"(k={self.k}, r={format_rank(self.r)})"
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    label: SingleLabel
-    dim: int
-    component_group_order: int
-
-
 def is_valid_label(form_type: str, n: int, k: int, r: RankSymbol) -> bool:
     if not 0 <= k <= n:
         return False
@@ -143,13 +136,6 @@ def component_group_order(label: SingleLabel) -> int:
     if label.r in (PRIME0, DOUBLEPRIME0):
         return 1
     return 2 if max(0, 2 * label.k - label.n) < int(label.r) else 1
-
-
-def catalog(form_type: str, n: int, k: int) -> list[OrbitRecord]:
-    return [
-        OrbitRecord(lab, orbit_dim(lab), component_group_order(lab))
-        for lab in valid_labels(form_type, n, k)
-    ]
 
 
 def stratum_points(

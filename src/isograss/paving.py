@@ -26,9 +26,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _batch
 from .bilinear import SKEW, BilinearSpace, QuotientMap, pairing, perp, standard_space
 from .linalg import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     RowSolver,
     Subspace,
     complement_rows,
@@ -36,10 +38,10 @@ from .linalg import (
     left_kernel,
     span,
     subspace_intersect,
+    subspace_total,
     zero_subspace,
 )
-from .polynomials import IntPolynomial, monomial
-from .orbits import PRIME0, DOUBLEPRIME0
+from .polynomials import IntPolynomial, gaussian_binomial, monomial
 
 
 @dataclass(frozen=True)
@@ -134,18 +136,6 @@ class _Node:
         return span(coords[:, 1:], w_dim, p) if w_dim else zero_subspace(0, p)
 
 
-def _find_isotropic_line(space: BilinearSpace) -> np.ndarray | None:
-    if space.form_type == SKEW and space.n:
-        row = np.zeros(space.n, dtype=np.int64)
-        row[0] = 1
-        return row
-    for line in enumerate_subspaces(space.n, 1, space.p, budget=None):
-        v = line.basis
-        if not (v @ space.gram @ v.T % space.p).any():
-            return v[0].copy()
-    return None
-
-
 def _choose_line(space: BilinearSpace, flag) -> np.ndarray | None:
     rad_rows = left_kernel(space.gram, space.p)
     if rad_rows.shape[0]:
@@ -158,7 +148,8 @@ def _choose_line(space: BilinearSpace, flag) -> np.ndarray | None:
     for m in flag:
         if m.dim:
             return m.basis[0].copy()
-    return _find_isotropic_line(space)
+    line = next(isotropic_subspaces(space, 1, budget=None), None)
+    return None if line is None else line.basis[0].copy()
 
 
 def _build_node(space: BilinearSpace, k: int, flag) -> _Node:
@@ -258,25 +249,17 @@ def space_iso_count(space: BilinearSpace, k: int) -> IntPolynomial:
     return build_paving(space, k).count_polynomial()
 
 
-def component_iso_count(space: BilinearSpace, k: int, tag) -> IntPolynomial:
-    """Count polynomial of one family of maximal isotropics (n = 2k)."""
-    if tag not in (PRIME0, DOUBLEPRIME0):
-        raise ValueError("component tag expected")
-    return space_iso_count(space, k).exact_div(2)
-
-
-def isotropic_subspaces(space: BilinearSpace, k: int, budget: int = DEFAULT_BUDGET):
+def isotropic_subspaces(
+    space: BilinearSpace, k: int, budget: int | None = DEFAULT_BUDGET
+):
     """All isotropic k-subspaces, in enumeration order.
 
     The isotropy test runs on batches of candidate bases; only the
     survivors are materialized as Subspace objects.
     """
-    from . import _batch
-    from .linalg import BudgetExceeded, subspace_total
-
     n, p = space.n, space.p
     total = subspace_total(n, k, p)
-    if total > budget:
+    if budget is not None and total > budget:
         raise BudgetExceeded(total, budget)
     gram = np.asarray(space.gram)
     for pattern, lo, hi in _batch.iter_chunks(n, k, p, 0, total, 1 << 14):
@@ -356,13 +339,16 @@ def fibered_partition_counts(
     out = []
     if ref_pieces is None:
         return out
-    from .polynomials import gaussian_binomial
-
     base_count = gaussian_binomial(base.dim, r)(p)
-    assert base_count == n_base
+    if base_count != n_base:
+        raise AssertionError(f"base has {n_base} points, expected {base_count}")
     for idx, pc in enumerate(ref_pieces):
         total = sum(t[idx] for t in per_r)
-        assert total == base_count * p**pc.affine_dim
+        if total != base_count * p**pc.affine_dim:
+            raise AssertionError(
+                f"piece {pc.piece_id} has {total} pairs, "
+                f"expected {base_count} * p^{pc.affine_dim}"
+            )
         out.append(
             FiberedPieceCount(
                 pc.piece_id, pc.affine_dim, pc.invariants, total, pc.affine_dim

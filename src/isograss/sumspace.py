@@ -10,6 +10,7 @@ per-factor single labels.
 
 from __future__ import annotations
 
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .linalg import (
     BudgetExceeded,
     Subspace,
     as_prime,
-    intersect_prefix,
+    block_project,
     span,
     subspace_total,
     zero_subspace,
@@ -127,33 +128,7 @@ class SumSpace:
 
     def project_factor(self, h: Subspace, i: int) -> Subspace:
         """pr_i h = (h cap B_{<=i}) / (h cap B_{<i}), in B_i coordinates."""
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        upto = intersect_prefix(h, hi)
-        return span(upto.basis[:, lo:hi], self.dims[i], self.p)
-
-    # -- serialization for worker processes ----------------------------------
-    def to_descriptor(self) -> dict:
-        return {
-            "p": self.p,
-            "dims": self.dims,
-            "forms": tuple(f.form_type for f in self.factors),
-            "grams": tuple(np.asarray(f.gram).tolist() for f in self.factors),
-            "witnesses": tuple(
-                None if f.witness is None else np.asarray(f.witness.basis).tolist()
-                for f in self.factors
-            ),
-            "spec": self.spec,
-        }
-
-    @staticmethod
-    def from_descriptor(d: dict) -> "SumSpace":
-        factors = []
-        for dim, form, gram, wit in zip(d["dims"], d["forms"], d["grams"], d["witnesses"]):
-            witness = None
-            if wit is not None:
-                witness = span(np.array(wit, dtype=np.int64).reshape(-1, dim), dim, d["p"])
-            factors.append(BilinearSpace(dim, d["p"], form, np.array(gram), witness))
-        return SumSpace(factors, spec=d.get("spec"))
+        return block_project(h, self.dims, i)
 
     def __repr__(self):
         if self.spec:
@@ -294,10 +269,6 @@ def component_group_order_multi(space: SumSpace, label: MultiLabel) -> int:
     return out
 
 
-def component_exponent(space: SumSpace, label: MultiLabel) -> int:
-    return component_group_order_multi(space, label).bit_length() - 1
-
-
 # ---------------------------------------------------------------------------
 # Slice weights
 # ---------------------------------------------------------------------------
@@ -375,7 +346,9 @@ def orbit_point_counts(
 
     This is the definitional count: each subspace is labelled by its graded
     pieces.  Work is split over disjoint index ranges when workers > 1 and
-    merged by summation.  Full-range results are memoized per space.
+    merged by summation; ``workers`` is capped at the CPU count, so the pool
+    starts at most one process per CPU and per range.  Full-range results
+    are memoized per space.
     """
     total = subspace_total(space.n, k, space.p)
     if total > budget:
@@ -386,18 +359,15 @@ def orbit_point_counts(
     cache_key = (space._cache_key, k)
     if full_range and cache_key in _COUNTS_CACHE:
         return dict(_COUNTS_CACHE[cache_key])
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or stop - start < 1 << 17:
         raw = _count_range(space, k, start, stop)
     else:
         bounds = np.linspace(start, stop, workers + 1, dtype=np.int64)
-        desc = space.to_descriptor()
+        ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
         raw: dict = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_count_range_desc, desc, k, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if a < b
-            ]
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+            futs = [pool.submit(_count_range, space, k, a, b) for a, b in ranges]
             for fut in futs:
                 for key, c in fut.result().items():
                     raw[key] = raw.get(key, 0) + c
@@ -426,10 +396,6 @@ def _count_range(space: SumSpace, k: int, start: int, stop: int) -> dict:
         start=start,
         stop=stop,
     )
-
-
-def _count_range_desc(desc: dict, k: int, start: int, stop: int) -> dict:
-    return _count_range(SumSpace.from_descriptor(desc), k, start, stop)
 
 
 def orbit_points_multi(

@@ -398,15 +398,23 @@ def cover_points(
     space: SumSpace, label: MultiLabel, budget: int = DEFAULT_BUDGET
 ) -> list[CoverDatum]:
     """Exhaustive enumeration of the covering tower."""
-    out = []
     factors = cover_factors(space, label)
-    for datum in tower_points(space, label, budget=budget):
-        choice_lists = [list(_cover_choices(space, label, datum, i, budget)) for i in factors]
-        for combo in product(*choice_lists):
-            qtildes = {i: qt for i, (qt, _) in zip(factors, combo)}
-            qs = {i: q for i, (_, q) in zip(factors, combo)}
-            out.append(CoverDatum(datum, qtildes, qs))
-    return out
+    return [
+        pt
+        for datum in tower_points(space, label, budget=budget)
+        for pt in _cover_over(space, label, datum, factors, budget)
+    ]
+
+
+def _cover_over(
+    space: SumSpace, label: MultiLabel, datum: FlagDatum, factors: list[int], budget: int
+):
+    """Cover points over one tower point: every product of per-factor choices."""
+    choice_lists = [list(_cover_choices(space, label, datum, i, budget)) for i in factors]
+    for combo in product(*choice_lists):
+        qtildes = {i: qt for i, (qt, _) in zip(factors, combo)}
+        qs = {i: q for i, (_, q) in zip(factors, combo)}
+        yield CoverDatum(datum, qtildes, qs)
 
 
 def cover_fiber(
@@ -425,15 +433,9 @@ def cover_fiber(
     """
     base = tower_fiber(space, label, target, budget=budget)
     factors = cover_factors(space, label)
-    points = []
-    for fp in base.points:
-        choice_lists = [
-            list(_cover_choices(space, label, fp.datum, i, budget)) for i in factors
-        ]
-        for combo in product(*choice_lists):
-            qtildes = {i: qt for i, (qt, _) in zip(factors, combo)}
-            qs = {i: q for i, (_, q) in zip(factors, combo)}
-            points.append(CoverDatum(fp.datum, qtildes, qs))
+    points = [
+        pt for fp in base.points for pt in _cover_over(space, label, fp.datum, factors, budget)
+    ]
 
     refs: dict[int, Subspace] = {}
     colorings = set()

@@ -54,6 +54,16 @@ def test_classify_rejects_dependent_rows():
         cmd_classify("Sp4", "1,0,0", 3)
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error(capsys, workers):
+    for argv in (
+        ["count", "--space", "O2", "--k", "1", "--primes", "3"],
+        ["verify", "--space", "Sp2", "--suite", "towers"],
+    ):
+        assert main(argv + ["--workers", workers]) == EXIT_USAGE
+        assert "--workers" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["labels", "--space", "Sp4", "--k", "2"]) == EXIT_OK
     capsys.readouterr()

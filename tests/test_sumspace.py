@@ -1,13 +1,19 @@
-import pytest
+import os
+from collections import Counter
+from concurrent.futures import Future
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isograss import _batch, sumspace
 from isograss.bilinear import SKEW, SYMMETRIC
-from isograss.linalg import enumerate_subspaces, span, zero_subspace
+from isograss.linalg import _SMALL_PRIMES, enumerate_subspaces, span, subspace_total, zero_subspace
 from isograss.orbits import DOUBLEPRIME0, PRIME0
 from isograss.polynomials import gaussian_binomial, interpolate_counts
 from isograss.sumspace import (
     MultiLabel,
     SpecParseError,
-    SumSpace,
     build_sum_space,
     canonical_representative,
     component_group_order_multi,
@@ -36,9 +42,6 @@ def test_sum_space_layout():
     b = build_sum_space("Sp2+O2", 3)
     assert b.n == 4 and b.dims == (2, 2) and b.offsets == (0, 2, 4)
     assert (b.gram[:2, 2:] == 0).all()
-    rt = SumSpace.from_descriptor(b.to_descriptor())
-    assert rt.dims == b.dims and (rt.gram == b.gram).all()
-    assert rt.factors[1].witness == b.factors[1].witness
 
 
 def test_enumerate_multilabels_examples():
@@ -221,6 +224,93 @@ def test_workers_match_serial():
     _COUNTS_CACHE.clear()
     parallel = orbit_point_counts(b, 2, workers=2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_many_factor_counts(m):
+    # a line of O1+...+O1 lies in B_{<=j} but not B_{<j} for its last nonzero
+    # coordinate j, which leaves 3^j choices for the coordinates before it
+    b = build_sum_space("+".join(["O1"] * m), 3)
+    counts = orbit_point_counts(b, 1)
+    assert set(counts) == set(enumerate_multilabels(b, 1))
+    assert sum(counts.values()) == gaussian_binomial(m, 1)(3)
+    for lab, c in counts.items():
+        assert c == 3 ** lab.ks.index(1)
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs jobs inline."""
+
+    seen: list = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("cpus,workers,pool", [(2, 64, 2), (8, 3, 3), (1, 4, None)])
+def test_pool_size_capped(monkeypatch, cpus, workers, pool):
+    monkeypatch.setattr(sumspace, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InlineExecutor, "seen", [])
+    b = build_sum_space("O2+O3", 7)
+    stop = 1 << 17  # the shortest slice that takes the pool path
+    got = orbit_point_counts(b, 2, workers=workers, stop=stop)
+    assert _InlineExecutor.seen == ([] if pool is None else [pool])
+    assert sum(got.values()) == stop
+
+
+@st.composite
+def _batch_cases(draw):
+    specs, room = [], 8
+    for _ in range(draw(st.integers(1, 8))):
+        fits = [f for f in ("Sp2", "O1", "O2", "O3") if int(f[-1]) <= room]
+        if not fits:
+            break
+        specs.append(draw(st.sampled_from(fits)))
+        room -= int(specs[-1][-1])
+    p = draw(st.sampled_from(sorted(_SMALL_PRIMES)))
+    space = build_sum_space("+".join(specs), p)
+    k = draw(st.integers(0, space.n))
+    total = subspace_total(space.n, k, p)
+    start = draw(st.integers(0, total - 1))
+    stop = min(total, start + draw(st.integers(1, 200)))
+    chunk = draw(st.integers(1, 256))
+    return space, k, start, stop, chunk
+
+
+@settings(max_examples=25, deadline=None)
+@given(_batch_cases())
+def test_batch_matches_scalar(case):
+    space, k, start, stop, chunk = case
+    batch = _batch.classify_counts(
+        space.n,
+        k,
+        space.p,
+        space.dims,
+        tuple(f.gram for f in space.factors),
+        tuple(f.form_type for f in space.factors),
+        tuple(None if f.witness is None else f.witness.basis for f in space.factors),
+        start=start,
+        stop=stop,
+        chunk=chunk,
+    )
+    scalar = Counter(
+        multilabel_of(space, h)
+        for h in enumerate_subspaces(space.n, k, space.p, start=start, stop=stop, budget=None)
+    )
+    assert {MultiLabel(tuple(ki for ki, _ in key), tuple(r for _, r in key)): c
+            for key, c in batch.items()} == scalar
 
 
 def test_canonical_representative_hits_every_label():
