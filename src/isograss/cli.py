@@ -4,26 +4,27 @@ and export to JSON / DOT / CSV.
 
 Reports are deterministic JSON documents: fixed field order, no
 timestamps.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage or
-input error, 3 enumeration budget refused.
+input error, 3 enumeration budget refused, 4 internal invariant failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
 
 import numpy as np
 
-from .linalg import DEFAULT_BUDGET, BudgetExceeded, span
+from .bilinear import radical
+from .linalg import DEFAULT_BUDGET, BudgetExceeded, span, subspace_intersect
 from .orbits import DOUBLEPRIME0, PRIME0
 from .paving import build_paving
 from .polynomials import IntPolynomial
 from .sumspace import (
     MultiLabel,
-    SpecParseError,
     build_sum_space,
     canonical_representative,
     component_group_order_multi,
@@ -33,7 +34,7 @@ from .sumspace import (
     orbit_point_counts,
 )
 from .towers import resolution_tower, tower_fiber, tower_points
-from .verify import SUITE_NAMES, closure_relation, run_suite
+from .verify import GRID_SPACES, SUITE_NAMES, closure_relation, run_suite
 
 SCHEMA_VERSION = 1
 
@@ -41,18 +42,15 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
-class CliError(Exception):
+class CliError(ValueError):
     pass
 
 
 def label_to_json(label: MultiLabel) -> dict:
     return {"k": list(label.ks), "r": list(label.rs)}
-
-
-def label_from_json(d: dict) -> MultiLabel:
-    return MultiLabel(tuple(d["k"]), tuple(d["r"]))
 
 
 def parse_label_arg(text: str) -> MultiLabel:
@@ -149,8 +147,6 @@ def cmd_classify(space_spec: str, rows_text: str, prime: int) -> dict:
     factors = []
     for i, f in enumerate(space.factors):
         pr = space.project_factor(h, i)
-        from .bilinear import radical
-
         rad = radical(f, pr)
         detail = {
             "factor": i + 1,
@@ -159,8 +155,6 @@ def cmd_classify(space_spec: str, rows_text: str, prime: int) -> dict:
             "radical_dim": rad.dim,
         }
         if label.rs[i] in (PRIME0, DOUBLEPRIME0):
-            from .linalg import subspace_intersect
-
             detail["witness_intersection"] = subspace_intersect(pr, f.witness).dim
         factors.append(detail)
     results = [
@@ -174,19 +168,15 @@ def cmd_classify(space_spec: str, rows_text: str, prime: int) -> dict:
     return bundle("classify", {"space": space_spec, "prime": prime, "rows": rows_text}, results, [])
 
 
-def cmd_count(space_spec: str, k: int, primes, budget=DEFAULT_BUDGET, workers=1) -> dict:
-    rows = []
+def cmd_count(space_spec: str, k: int, primes=(), budget=DEFAULT_BUDGET, workers=1) -> dict:
     ref = build_sum_space(space_spec, 3)
     labels = enumerate_multilabels(ref, k) if 0 <= k <= ref.n else []
-    for label in labels:
-        entry = {"label": label_to_json(label), "pretty": str(label), "counts": {}}
-        rows.append(entry)
+    rows = [{"label": label_to_json(lab), "pretty": str(lab), "counts": {}} for lab in labels]
     for p in primes if labels else ():
         space = build_sum_space(space_spec, p)
         counts = orbit_point_counts(space, k, budget=budget, workers=workers)
-        for entry in rows:
-            lab = label_from_json(entry["label"])
-            entry["counts"][str(p)] = counts.get(lab, 0)
+        for label, row in zip(labels, rows):
+            row["counts"][str(p)] = counts.get(label, 0)
     return bundle(
         "count", {"space": space_spec, "k": k, "primes": list(primes)}, rows, []
     )
@@ -304,9 +294,9 @@ def cmd_closure(space_spec: str, k: int, prime: int = 3, budget=DEFAULT_BUDGET) 
     return bundle("closure", {"space": space_spec, "k": k, "prime": prime}, results, [])
 
 
-def cmd_verify(space_spec, k, primes, suite: str, budget=DEFAULT_BUDGET, workers=1) -> dict:
-    from .verify import GRID_SPACES
-
+def cmd_verify(
+    space_spec=None, k=None, primes=(), suite: str = "all", budget=DEFAULT_BUDGET, workers=1
+) -> dict:
     specs = (space_spec,) if space_spec else GRID_SPACES
     results = run_suite(
         suite, specs, primes or None, budget=budget, workers=workers, only_k=k
@@ -326,6 +316,18 @@ def cmd_verify(space_spec, k, primes, suite: str, budget=DEFAULT_BUDGET, workers
         [],
         checks,
     )
+
+
+def _read_report(infile: str) -> dict:
+    """The JSON report that `export` re-renders."""
+    try:
+        with open(infile) as fh:
+            report = json.load(fh)
+    except OSError as e:
+        raise CliError(f"--in: {e}") from None
+    if not isinstance(report, dict):
+        raise CliError(f"{infile} holds no isograss report")
+    return report
 
 
 def cmd_export(report: dict, fmt: str) -> str:
@@ -394,137 +396,101 @@ def _parse_primes(text: str):
         raise CliError(f"bad prime list {text!r}") from None
 
 
+def _check_workers(workers: int) -> int:
+    if workers < 1:
+        raise CliError(f"--workers must be >= 1, got {workers}")
+    return workers
+
+
+# Every option, keyed by the parameter of the command functions it fills.  A
+# subcommand takes exactly its function's parameters; those without a default
+# are required, and an omitted option leaves the function's default in place.
+_OPTIONS = {
+    "space_spec": ("--space", {"metavar": "SPACE", "help": "factor list, e.g. Sp2+O3"}),
+    "k": ("--k", {"type": int}),
+    "primes": ("--primes", {"help": "comma-separated, e.g. 3,5"}),
+    "prime": ("--prime", {"type": int}),
+    "rows_text": ("--rows", {"metavar": "ROWS", "help": "rows split by ';', e.g. 1,0,1,0"}),
+    "label": ("--label", {"help": "per-factor k:r list, e.g. 1:0,1:0p"}),
+    "target_label": ("--target-label", {"help": "label of the fiber's base point"}),
+    "suite": ("--suite", {"choices": SUITE_NAMES + ("all",)}),
+    "budget": ("--budget", {"type": int, "help": "most subspaces one enumeration visits"}),
+    "workers": ("--workers", {"type": int, "help": "processes per counting pass"}),
+    "infile": ("--in", {"metavar": "PATH", "help": "a JSON report written by isograss"}),
+}
+
+# Conversions made inside main's error boundary, so a bad value exits 2.
+_CONVERT = {
+    "primes": _parse_primes,
+    "label": parse_label_arg,
+    "target_label": parse_label_arg,
+    "workers": _check_workers,
+}
+
+# (name, function, output formats with the default first, help)
+_COMMANDS = (
+    ("labels", cmd_labels, ("json", "csv"), "label catalog for Gr_k"),
+    ("classify", cmd_classify, ("json",), "label of a subspace given by basis rows"),
+    ("count", cmd_count, ("json", "csv"), "orbit point counts per prime"),
+    ("paving", cmd_paving, ("json",), "affine paving of the isotropic Grassmannian"),
+    ("resolve", cmd_resolve, ("json",), "resolution tower for a label"),
+    ("fibers", cmd_fibers, ("json",), "resolution fiber over a stratum representative"),
+    ("closure", cmd_closure, ("json", "dot"), "experimental closure poset"),
+    ("verify", cmd_verify, ("json",), "run a property suite"),
+    ("export", _read_report, ("json", "dot", "csv"), "re-render a JSON report"),
+)
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isograss",
         description="Orbit strata of Grassmannians over odd prime fields",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, space=True, k=False, primes=False):
-        if space:
-            sp.add_argument("--space", required=True, help="factor list, e.g. Sp2+O3")
-        if k:
-            sp.add_argument("--k", type=int, required=True)
-        if primes:
-            sp.add_argument("--primes", default="", help="comma-separated, e.g. 3,5")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        sp.add_argument("--workers", type=int, default=1)
-        sp.add_argument("--format", default="json", choices=("json", "dot", "csv"))
-        sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("labels", help="label catalog for Gr_k")
-    add_common(sp, k=True, primes=True)
-
-    sp = sub.add_parser("classify", help="label of a subspace given by basis rows")
-    add_common(sp)
-    sp.add_argument("--rows", required=True, help="semicolon-separated rows, e.g. 1,0,1,0")
-    sp.add_argument("--prime", type=int, required=True)
-
-    sp = sub.add_parser("count", help="orbit point counts per prime")
-    add_common(sp, k=True, primes=True)
-
-    sp = sub.add_parser("paving", help="affine paving of the isotropic Grassmannian")
-    add_common(sp, k=True)
-    sp.add_argument("--prime", type=int, default=3)
-
-    sp = sub.add_parser("resolve", help="resolution tower for a label")
-    add_common(sp)
-    sp.add_argument("--label", required=True, help="per-factor k:r list, e.g. 1:0,1:0p")
-    sp.add_argument("--prime", type=int, default=3)
-
-    sp = sub.add_parser("fibers", help="resolution fiber over a stratum representative")
-    add_common(sp, primes=True)
-    sp.add_argument("--label", required=True)
-    sp.add_argument("--target-label", default=None)
-
-    sp = sub.add_parser("closure", help="experimental closure poset")
-    add_common(sp, k=True)
-    sp.add_argument("--prime", type=int, default=3)
-
-    sp = sub.add_parser("verify", help="run a property suite")
-    sp.add_argument("--space", default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--primes", default="")
-    sp.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--format", default="json", choices=("json",))
-    sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("export", help="re-render a JSON report")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--format", default="json", choices=("json", "dot", "csv"))
-    sp.add_argument("--out", default=None)
+    for name, run, formats, help_text in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for param in inspect.signature(run).parameters.values():
+            flag, opts = _OPTIONS[param.name]
+            sp.add_argument(flag, dest=param.name, required=param.default is param.empty, **opts)
+        if len(formats) > 1:
+            sp.add_argument("--format", choices=formats, help=f"default {formats[0]}")
+        sp.add_argument("--out", help="write the output to this file, not stdout")
+        sp.set_defaults(run=run)
     return parser
 
 
-def _emit(report: dict, fmt: str, out: str | None) -> None:
-    text = cmd_export(report, fmt)
-    if out:
+def _emit(text: str, out: str | None) -> None:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise CliError(f"--out: {e}") from None
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    kwargs = vars(make_parser().parse_args(argv))
+    command, run = kwargs.pop("command"), kwargs.pop("run")
+    fmt, out = kwargs.pop("format", "json"), kwargs.pop("out", None)
     try:
-        if getattr(args, "workers", 1) < 1:
-            raise CliError(f"--workers must be >= 1, got {args.workers}")
-        if args.command == "labels":
-            report = cmd_labels(
-                args.space, args.k, _parse_primes(args.primes), args.budget, args.workers
-            )
-        elif args.command == "classify":
-            report = cmd_classify(args.space, args.rows, args.prime)
-        elif args.command == "count":
-            report = cmd_count(
-                args.space, args.k, _parse_primes(args.primes), args.budget, args.workers
-            )
-        elif args.command == "paving":
-            report = cmd_paving(args.space, args.k, args.prime)
-        elif args.command == "resolve":
-            report = cmd_resolve(
-                args.space, parse_label_arg(args.label), args.prime, args.budget
-            )
-        elif args.command == "fibers":
-            target = parse_label_arg(args.target_label) if args.target_label else None
-            report = cmd_fibers(
-                args.space,
-                parse_label_arg(args.label),
-                target,
-                _parse_primes(args.primes) or (3, 5),
-                args.budget,
-            )
-        elif args.command == "closure":
-            report = cmd_closure(args.space, args.k, args.prime, args.budget)
-        elif args.command == "verify":
-            report = cmd_verify(
-                args.space,
-                args.k,
-                _parse_primes(args.primes),
-                args.suite,
-                args.budget,
-                args.workers,
-            )
-        elif args.command == "export":
-            with open(args.infile) as fh:
-                report = json.load(fh)
-            _emit(report, args.format, args.out)
-            return EXIT_OK
-        else:  # pragma: no cover
-            raise CliError(f"unknown command {args.command}")
+        for name, convert in _CONVERT.items():
+            if name in kwargs:
+                kwargs[name] = convert(kwargs[name])
+        report = run(**kwargs)
+        _emit(cmd_export(report, fmt), out)
     except BudgetExceeded as e:
         print(f"budget refused: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (CliError, SpecParseError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-
-    _emit(report, args.format, args.out)
+    except AssertionError as e:
+        print(f"internal error: {e!r}", file=sys.stderr)
+        return EXIT_INTERNAL
+    if command == "export":  # re-rendering a report judges none of its checks
+        return EXIT_OK
     failed = [c for c in report.get("checks", []) if not c.get("passed", True)]
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 

@@ -21,7 +21,7 @@ DOUBLEPRIME0 = "0pp"
 RankSymbol = int | str
 
 
-class InvalidLabel(Exception):
+class InvalidLabel(ValueError):
     pass
 
 

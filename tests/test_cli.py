@@ -1,9 +1,13 @@
+import argparse
+import inspect
 import json
 
 import pytest
 
+from isograss import cli
 from isograss.cli import (
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     CliError,
@@ -13,6 +17,7 @@ from isograss.cli import (
     cmd_labels,
     cmd_resolve,
     main,
+    make_parser,
     parse_label_arg,
 )
 from isograss.orbits import PRIME0
@@ -146,3 +151,106 @@ def test_verify_cli_k_filter(capsys):
     assert code == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["checks"] and all(c["passed"] for c in report["checks"])
+
+
+# one valid invocation per subcommand
+VALID = {
+    "labels": ["labels", "--space", "Sp4", "--k", "2"],
+    "classify": ["classify", "--space", "Sp4", "--rows", "1,0,0,0", "--prime", "3"],
+    "count": ["count", "--space", "Sp4", "--k", "2", "--primes", "3"],
+    "paving": ["paving", "--space", "Sp4", "--k", "2"],
+    "resolve": ["resolve", "--space", "Sp4", "--label", "2:0"],
+    "fibers": ["fibers", "--space", "O4", "--label", "2:1", "--target-label", "2:0p"],
+    "closure": ["closure", "--space", "Sp4", "--k", "2"],
+    "verify": ["verify", "--space", "Sp2", "--suite", "partition", "--primes", "3"],
+}
+# --format exists only where there is a choice; every other command writes JSON
+FORMATS = {
+    "labels": {"json", "csv"},
+    "count": {"json", "csv"},
+    "closure": {"json", "dot"},
+    "export": {"json", "dot", "csv"},
+}
+
+
+def test_parser_options_are_command_parameters():
+    parser = make_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(VALID) | {"export"}
+    for name, sp in subs.choices.items():
+        options = {a.dest: a for a in sp._actions if a.option_strings and a.dest != "help"}
+        run = sp.get_default("run")
+        assert run is not None, name
+        assert set(options) - {"format", "out"} == set(inspect.signature(run).parameters), name
+        assert "out" in options, name
+        fmt = options.get("format")
+        assert (set(fmt.choices) if fmt else None) == FORMATS.get(name), name
+
+
+UNREAD = [
+    VALID[command] + option
+    for commands, option in (
+        (("classify", "paving"), ["--budget", "5"]),
+        (("classify", "paving", "resolve", "fibers", "closure"), ["--workers", "2"]),
+        (("classify", "paving", "resolve", "fibers", "verify"), ["--format", "json"]),
+        (("labels", "count"), ["--format", "dot"]),
+        (("closure",), ["--format", "csv"]),
+    )
+    for command in commands
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD, ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+def test_unread_options_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolve", "--space", "Sp4", "--label", "2:1"],
+        ["fibers", "--space", "O4", "--label", "2:5"],
+        ["resolve", "--space", "Sp4", "--label", "2-0"],
+        ["count", "--space", "O2", "--k", "1", "--primes", "3,x"],
+    ],
+)
+def test_bad_values_are_usage_errors(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_internal_assertion_exit_code(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise AssertionError("tower invariant")
+
+    monkeypatch.setattr(cli, "tower_points", broken)
+    assert main(VALID["resolve"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["internal error: AssertionError('tower invariant')"]
+
+
+def test_io_errors_are_usage_errors(tmp_path, capsys):
+    count_report = tmp_path / "count.json"
+    assert main(VALID["count"] + ["--out", str(count_report)]) == EXIT_OK
+    not_a_report = tmp_path / "list.json"
+    not_a_report.write_text("[]")
+    for argv in (
+        ["export", "--in", str(tmp_path / "missing.json")],
+        VALID["labels"] + ["--out", str(tmp_path / "missing" / "out.json")],
+        ["export", "--in", str(count_report), "--format", "dot"],
+        ["export", "--in", str(not_a_report)],
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_export_ignores_report_checks(tmp_path, capsys):
+    failed = {"name": "c", "passed": False, "details": "", "repro": ""}
+    report = cli.bundle("resolve", {}, [], [failed])
+    path = tmp_path / "failed.json"
+    path.write_text(json.dumps(report))
+    assert main(["export", "--in", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == report

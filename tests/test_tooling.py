@@ -1,9 +1,14 @@
 import ast
+import shlex
 from pathlib import Path
 
+import pytest
+
 import isograss
+from isograss.cli import make_parser
 
 SRC = Path(isograss.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_no_bare_asserts_in_package():
@@ -15,3 +20,16 @@ def test_no_bare_asserts_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_readme_cli_examples_parse():
+    # parse only: the README's CLI block must stay in step with the option table
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line for line in block.splitlines() if line.startswith("isograss ")]
+    assert examples
+    parser = make_parser()
+    for line in examples:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
