@@ -5,10 +5,18 @@ hot at the larger primes.  The routines here process RREF basis matrices in
 batches that share a pivot pattern, so ranks and intersection dimensions
 reduce to masked Gaussian elimination over a leading batch axis.  The
 per-subspace semantics are identical to the scalar path in linalg/orbits,
-which the test suite cross-checks on small grids.
+which the test suite cross-checks.
 
-Entries stay below p <= 997 and every elimination round reduces mod p, so
-int32 holds all intermediates (|a - f*piv| < p^2 < 10^6).
+``classify_counts`` labels a chunk in one pass: one elimination of the
+column-reversed bases gives every graded piece, then each factor's form
+rank is the rank of a k x k Gram matrix, in closed form for k <= 2.  As in
+FFLAS/FFPACK (Dumas-Giorgi-Pernet, ACM TOMS 2008), exact F_p work is done
+as a few large batched products, reduced mod p within proven int bounds.
+
+Entries stay below p <= 997, so int32 holds every intermediate: an
+elimination round reduces mod p (|a - f*piv| < p^2 < 10^6), each Gram
+matmul sums at most n <= 16 products and is reduced before the next one
+(16 * 996^2 < 2^31), and the 2 x 2 Gram determinant is taken in int64.
 """
 
 from __future__ import annotations
@@ -132,44 +140,21 @@ def iter_chunks(n: int, k: int, p: int, start: int, stop: int, chunk: int):
         idx += block
 
 
-def _restricted_form_rank(z: np.ndarray, gram_block: np.ndarray, tail: np.ndarray, p: int):
-    """Rank of a factor's form on the graded piece cut out by the filtration.
-
-    For basis stacks Z with block columns ``z`` and tail columns ``tail``,
-    the graded piece is {t Z : t @ tail == 0} projected to the block; its
-    form rank equals rank([[Z_i G Z_i^T, T], [T^T, 0]]) - 2 rank(T), valid
-    over any field.
-    """
-    n_items, k, _ = z.shape
-    tau = tail.shape[2]
-    # two-step contraction keeps int32 intermediates below n (p-1)^2
-    zg = (z @ gram_block) % p
-    m = np.einsum("nij,nlj->nil", zg, z) % p
-    t_rank = batch_rank(tail.copy(), p)
-    if tau == 0:
-        return batch_rank(m, p), t_rank
-    size = k + tau
-    border = np.zeros((n_items, size, size), dtype=np.int32)
-    border[:, :k, :k] = m
-    border[:, :k, k:] = tail
-    border[:, k:, :k] = tail.transpose(0, 2, 1)
-    return batch_rank(border, p) - 2 * t_rank, t_rank
+def _gram(z: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray:
+    """Gram matrices ``z G z^T mod p`` of a stack of row blocks, shape (N, k, k)."""
+    return (z @ gram % p) @ z.transpose(0, 2, 1) % p
 
 
-def _graded_plus_witness_dim(z, tail, witness, p, t_rank):
-    """dim of (graded piece + fixed witness) inside the block.
-
-    Equals rank([[Z_i, T], [W, 0]]) - rank(T): the tail columns peel off
-    rank(T), leaving the span of the projected kernel plus the witness.
-    """
-    n_items, k, width = z.shape
-    tau = tail.shape[2]
-    w = witness.shape[0]
-    stack = np.zeros((n_items, k + w, width + tau), dtype=np.int32)
-    stack[:, :k, :width] = z
-    stack[:, :k, width:] = tail
-    stack[:, k:, :width] = witness
-    return batch_rank(stack, p) - t_rank
+def _gram_rank(g: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of a stack of k x k Gram matrices; closed form for k <= 2."""
+    k = g.shape[1]
+    if k == 1:
+        return (g[:, 0, 0] != 0).astype(np.int64)
+    if k == 2:
+        g = g.astype(np.int64)
+        det = (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]) % p
+        return np.where(det != 0, 2, g.any(axis=(1, 2)))
+    return batch_rank(g, p)
 
 
 def classify_counts(
@@ -189,11 +174,20 @@ def classify_counts(
     Returns a dict keyed by ((k_1, r_1), ..., (k_m, r_m)) where r_i is an
     int or one of the component tags "0p"/"0pp".  The index slice is the
     one enumerate_subspaces walks, so chunked calls merge by summing counts.
+
+    One pass per chunk: Gauss-Jordan on the column-reversed bases makes
+    each row's pivot its last nonzero column, so the k_i rows ending in
+    block i span H cap B_{<=i} modulo H cap B_{<i} and their block-i columns
+    are a basis of the graded piece (one factor, or k = 0, needs no
+    elimination).  r_i is the rank of the k x k Gram of those rows with the
+    others zeroed; the witness rank that splits "0p" from "0pp" is taken
+    only on the rows with k_i = n_i / 2 and r_i = 0.
     """
     if stop is None:
         stop = gaussian_binomial(n, k)(p)
     m = len(dims)
     offsets = np.cumsum([0] + list(dims))
+    block_of = np.repeat(np.arange(m), dims)  # factor of each column
     grams32 = tuple(np.asarray(g, dtype=np.int32) for g in grams)
     wit32 = tuple(
         None if w is None else np.asarray(w, dtype=np.int32) for w in witness_rows
@@ -207,26 +201,29 @@ def classify_counts(
     for pattern, lo, hi in iter_chunks(n, k, p, start, stop, chunk):
         mats = pattern_matrices(n, k, p, pattern, lo, hi)
         n_items = mats.shape[0]
+        row_block = np.zeros((n_items, k), dtype=np.int64)
+        if m > 1 and k > 0:
+            rev = np.ascontiguousarray(mats[:, :, ::-1])
+            batch_rank(rev, p)
+            row_block = block_of[n - 1 - np.argmax(rev != 0, axis=2)]
+            mats = rev[:, :, ::-1]
         packed = np.zeros(n_items, dtype=np.int64)
-        prev_c = np.zeros(n_items, dtype=np.int64)
         for i in range(m):
-            lo_c, hi_c = offsets[i], offsets[i + 1]
-            z = mats[:, :, lo_c:hi_c]
-            tail = mats[:, :, hi_c:]
-            r_i, t_rank = _restricted_form_rank(z, grams32[i], tail, p)
-            c_i = k - t_rank
-            k_i = c_i - prev_c
-            prev_c = c_i
+            in_block = row_block == i
+            k_i = in_block.sum(axis=1)
+            z = np.where(in_block[:, :, None], mats[:, :, offsets[i] : offsets[i + 1]], 0)
+            r_i = _gram_rank(_gram(z, grams32[i], p), p)
             rcode = r_i + 2
             if forms[i] == "symmetric" and dims[i] % 2 == 0 and wit32[i] is not None:
                 half = dims[i] // 2
-                need = (k_i == half) & (r_i == 0)
-                if need.any():
-                    joined = _graded_plus_witness_dim(z, tail, wit32[i], p, t_rank)
-                    inter = k_i + half - joined
-                    prime_side = (inter % 2) == (k_i % 2)
-                    rcode = np.where(need & prime_side, 0, rcode)
-                    rcode = np.where(need & ~prime_side, 1, rcode)
+                need = np.flatnonzero((k_i == half) & (r_i == 0))
+                if need.size:
+                    # dim(graded cap W) = k_i + half - dim(graded + W)
+                    stack = np.zeros((need.size, k + half, dims[i]), dtype=np.int32)
+                    stack[:, :k] = z[need]
+                    stack[:, k:] = wit32[i]
+                    inter = 2 * half - batch_rank(stack, p)
+                    rcode[need] = np.where(inter % 2 == half % 2, 0, 1)
             packed += (k_i * (dims[i] + 3) + rcode) * weights[i]
         uniq, cnt = np.unique(packed, return_counts=True)
         for code, c in zip(uniq, cnt):
@@ -251,5 +248,4 @@ def _decode_r(code: int):
 
 def isotropic_filter(mats: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray:
     """Boolean mask of batch items whose row space is isotropic for gram."""
-    norms = np.einsum("nij,jk,nlk->nil", mats, np.asarray(gram, dtype=np.int64), mats) % p
-    return ~norms.any(axis=(1, 2))
+    return ~_gram(mats, np.asarray(gram, dtype=np.int32), p).any(axis=(1, 2))

@@ -334,11 +334,13 @@ def cmd_export(report: dict, fmt: str) -> str:
     """Render a report as json, dot (closure posets) or csv (catalogs)."""
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
-    if fmt == "dot":
-        return _to_dot(report)
-    if fmt == "csv":
-        return _to_csv(report)
-    raise CliError(f"unknown format {fmt!r}")
+    render = {"dot": _to_dot, "csv": _to_csv}.get(fmt)
+    if render is None:
+        raise CliError(f"unknown format {fmt!r}")
+    try:
+        return render(report)
+    except (AttributeError, KeyError, TypeError, IndexError) as e:
+        raise CliError(f"{fmt} export: the report has the wrong layout ({e!r})") from None
 
 
 def _pretty_label_json(d: dict) -> str:

@@ -237,14 +237,21 @@ def test_io_errors_are_usage_errors(tmp_path, capsys):
     assert main(VALID["count"] + ["--out", str(count_report)]) == EXIT_OK
     not_a_report = tmp_path / "list.json"
     not_a_report.write_text("[]")
+    bad_rows = tmp_path / "bad_rows.json"
+    bad_rows.write_text('{"results": [1]}')
+    bad_nodes = tmp_path / "bad_nodes.json"
+    bad_nodes.write_text('{"results": [{"nodes": [1]}]}')
     for argv in (
         ["export", "--in", str(tmp_path / "missing.json")],
         VALID["labels"] + ["--out", str(tmp_path / "missing" / "out.json")],
         ["export", "--in", str(count_report), "--format", "dot"],
         ["export", "--in", str(not_a_report)],
+        ["export", "--in", str(bad_rows), "--format", "csv"],
+        ["export", "--in", str(bad_nodes), "--format", "dot"],
     ):
         assert main(argv) == EXIT_USAGE, argv
-        assert capsys.readouterr().err.startswith("error: "), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
 
 
 def test_export_ignores_report_checks(tmp_path, capsys):

@@ -274,7 +274,7 @@ def test_pool_size_capped(monkeypatch, cpus, workers, pool):
 def _batch_cases(draw):
     specs, room = [], 8
     for _ in range(draw(st.integers(1, 8))):
-        fits = [f for f in ("Sp2", "O1", "O2", "O3") if int(f[-1]) <= room]
+        fits = [f for f in ("Sp2", "Sp4", "O1", "O2", "O3", "O4", "O6") if int(f[-1]) <= room]
         if not fits:
             break
         specs.append(draw(st.sampled_from(fits)))
@@ -289,11 +289,8 @@ def _batch_cases(draw):
     return space, k, start, stop, chunk
 
 
-@settings(max_examples=25, deadline=None)
-@given(_batch_cases())
-def test_batch_matches_scalar(case):
-    space, k, start, stop, chunk = case
-    batch = _batch.classify_counts(
+def _batch_labels(space, k, start, stop, chunk):
+    counts = _batch.classify_counts(
         space.n,
         k,
         space.p,
@@ -305,12 +302,37 @@ def test_batch_matches_scalar(case):
         stop=stop,
         chunk=chunk,
     )
-    scalar = Counter(
+    return {MultiLabel(tuple(ki for ki, _ in key), tuple(r for _, r in key)): c
+            for key, c in counts.items()}
+
+
+def _scalar_labels(space, k, start, stop):
+    return Counter(
         multilabel_of(space, h)
         for h in enumerate_subspaces(space.n, k, space.p, start=start, stop=stop, budget=None)
     )
-    assert {MultiLabel(tuple(ki for ki, _ in key), tuple(r for _, r in key)): c
-            for key, c in batch.items()} == scalar
+
+
+@settings(max_examples=25, deadline=None)
+@given(_batch_cases())
+def test_batch_matches_scalar(case):
+    space, k, start, stop, chunk = case
+    assert _batch_labels(space, k, start, stop, chunk) == _scalar_labels(space, k, start, stop)
+
+
+# Full walks through the split witness of O4: at chunk 1 no row or every
+# row of a chunk needs the witness rank, at 7 and 1 << 16 only some do.
+@pytest.mark.parametrize(
+    "spec,p,k",
+    [("O4", p, k) for p in (3, 5) for k in range(5)]
+    + [(spec, 3, k) for spec in ("O2+O4", "O4+O2") for k in (2, 3)],
+)
+def test_batch_matches_scalar_full_walk(spec, p, k):
+    space = build_sum_space(spec, p)
+    total = subspace_total(space.n, k, p)
+    scalar = _scalar_labels(space, k, 0, total)
+    for chunk in (1, 7, 1 << 16):
+        assert _batch_labels(space, k, 0, total, chunk) == scalar, chunk
 
 
 def test_canonical_representative_hits_every_label():

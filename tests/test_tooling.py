@@ -1,5 +1,8 @@
 import ast
+import functools
+import importlib.util
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,8 @@ import isograss
 from isograss.cli import make_parser
 
 SRC = Path(isograss.__file__).parent
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_no_bare_asserts_in_package():
@@ -33,3 +37,21 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+def test_traced_layers_exist(monkeypatch):
+    # perfbench/tracer.py wraps these by name: a renamed function must fail
+    # here, not silently drop out of a `--trace 1` run
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for layer in tracer.LAYERS:
+        module = importlib.import_module(f"isograss.{layer.module}")
+        try:
+            functools.reduce(getattr, layer.attr.split("."), module)
+        except AttributeError:
+            missing.append(f"{layer.module}.{layer.attr}")
+    assert tracer.LAYERS and missing == []
