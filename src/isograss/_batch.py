@@ -1,17 +1,19 @@
 """Vectorized mod-p kernels for bulk subspace classification.
 
 Counting an orbit means classifying every point of Gr_k(F_p^n), which gets
-hot at the larger primes.  The routines here process RREF basis matrices in
-batches that share a pivot pattern, so ranks and intersection dimensions
-reduce to masked Gaussian elimination over a leading batch axis.  The
-per-subspace semantics are identical to the scalar path in linalg/orbits,
-which the test suite cross-checks.
+hot at the larger primes.  The routines here process basis matrices in
+batches, so ranks and intersection dimensions reduce to masked Gaussian
+elimination over a leading batch axis.  The per-subspace semantics are
+identical to the scalar path in sumspace/orbits, which the test suite
+cross-checks.
 
-``classify_counts`` labels a chunk in one pass: one elimination of the
-column-reversed bases gives every graded piece, then each factor's form
-rank is the rank of a k x k Gram matrix, in closed form for k <= 2.  As in
-FFLAS/FFPACK (Dumas-Giorgi-Pernet, ACM TOMS 2008), exact F_p work is done
-as a few large batched products, reduced mod p within proven int bounds.
+``classify_batch`` is the one bulk classifier: it labels any stack of
+bases in one pass.  One elimination of the column-reversed bases gives
+every graded piece, then each factor's form rank is the rank of a k x k
+Gram matrix, in closed form for k <= 2.  ``classify_counts`` tallies its
+codes over a slice of the walk.  As in FFLAS/FFPACK (Dumas-Giorgi-Pernet,
+ACM TOMS 2008), exact F_p work is done as a few large batched products,
+reduced mod p within proven int bounds.
 
 Entries stay below p <= 997, so int32 holds every intermediate: an
 elimination round reduces mod p (|a - f*piv| < p^2 < 10^6), each Gram
@@ -21,7 +23,7 @@ matmul sums at most n <= 16 products and is reduced before the next one
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
@@ -157,93 +159,87 @@ def _gram_rank(g: np.ndarray, p: int) -> np.ndarray:
     return batch_rank(g, p)
 
 
-def classify_counts(
-    n: int,
-    k: int,
-    p: int,
-    dims: tuple[int, ...],
-    grams: tuple[np.ndarray, ...],
-    forms: tuple[str, ...],
-    witness_rows: tuple[np.ndarray | None, ...],
-    start: int = 0,
-    stop: int | None = None,
-    chunk: int = 1 << 16,
-) -> dict[tuple, int]:
-    """Count subspaces of Gr_k(F_p^n) by multilabel.
+def classify_batch(space, mats: np.ndarray) -> np.ndarray:
+    """Label codes of a stack of subspaces of B = B_1 + ... + B_m.
 
-    Returns a dict keyed by ((k_1, r_1), ..., (k_m, r_m)) where r_i is an
-    int or one of the component tags "0p"/"0pp".  The index slice is the
-    one enumerate_subspaces walks, so chunked calls merge by summing counts.
+    ``mats`` has shape (N, k, n): one full-rank basis per subspace, entries
+    reduced mod p, in any basis (they need not be RREF).  ``space`` is read
+    only through ``.p``, ``.dims`` and ``.factors`` (each with ``gram``,
+    ``form_type`` and ``witness``).  Returns one int64 code per subspace;
+    ``decode`` turns it into ((k_1, r_1), ..., (k_m, r_m)).
 
-    One pass per chunk: Gauss-Jordan on the column-reversed bases makes
-    each row's pivot its last nonzero column, so the k_i rows ending in
-    block i span H cap B_{<=i} modulo H cap B_{<i} and their block-i columns
-    are a basis of the graded piece (one factor, or k = 0, needs no
-    elimination).  r_i is the rank of the k x k Gram of those rows with the
-    others zeroed; the witness rank that splits "0p" from "0pp" is taken
-    only on the rows with k_i = n_i / 2 and r_i = 0.
+    Gauss-Jordan on the column-reversed bases makes each row's pivot its
+    last nonzero column, so the k_i rows ending in block i span H cap B_{<=i}
+    modulo H cap B_{<i} and their block-i columns are a basis of the graded
+    piece (one factor, or k = 0, needs no elimination).  r_i is the rank of
+    the k x k Gram of those rows with the others zeroed; the witness rank
+    that splits "0p" from "0pp" is taken only on the rows with k_i = n_i / 2
+    and r_i = 0.
     """
-    if stop is None:
-        stop = gaussian_binomial(n, k)(p)
-    m = len(dims)
-    offsets = np.cumsum([0] + list(dims))
-    block_of = np.repeat(np.arange(m), dims)  # factor of each column
-    grams32 = tuple(np.asarray(g, dtype=np.int32) for g in grams)
-    wit32 = tuple(
-        None if w is None else np.asarray(w, dtype=np.int32) for w in witness_rows
-    )
-    # per-factor code k_i * (n_i + 3) + rcode_i, with k_i <= n_i and
+    p, dims = space.p, tuple(space.dims)
+    n_items, k, n = mats.shape
+    offsets = np.cumsum((0,) + dims)
+    row_block = np.zeros((n_items, k), dtype=np.int64)
+    if len(dims) > 1 and k > 0:
+        rev = mats[:, :, ::-1].copy()
+        batch_rank(rev, p)
+        block_of = np.repeat(np.arange(len(dims)), dims)  # factor of each column
+        row_block = block_of[n - 1 - np.argmax(rev != 0, axis=2)]
+        mats = rev[:, :, ::-1]
+    # per-factor digit k_i * (n_i + 3) + rcode_i, with k_i <= n_i and
     # rcode_i <= n_i + 2, packed mixed-radix with the first factor most
     # significant; the radix product is at most 8^n <= 8^16, far inside int64
-    radix = [(d + 1) * (d + 3) for d in dims]
-    weights = [math.prod(radix[i + 1 :]) for i in range(m)]
-    raw: dict[int, int] = {}
+    packed = np.zeros(n_items, dtype=np.int64)
+    for i, (d, f) in enumerate(zip(dims, space.factors)):
+        in_block = row_block == i
+        k_i = in_block.sum(axis=1)
+        z = np.where(in_block[:, :, None], mats[:, :, offsets[i] : offsets[i + 1]], 0)
+        r_i = _gram_rank(_gram(z, np.asarray(f.gram, dtype=np.int32), p), p)
+        rcode = r_i + 2
+        if f.form_type == "symmetric" and d % 2 == 0 and f.witness is not None:
+            half = d // 2
+            need = np.flatnonzero((k_i == half) & (r_i == 0))
+            if need.size:
+                # dim(graded cap W) = k_i + half - dim(graded + W)
+                stack = np.zeros((need.size, k + half, d), dtype=np.int32)
+                stack[:, :k] = z[need]
+                stack[:, k:] = f.witness.basis
+                inter = 2 * half - batch_rank(stack, p)
+                rcode[need] = np.where(inter % 2 == half % 2, 0, 1)
+        packed = packed * ((d + 1) * (d + 3)) + k_i * (d + 3) + rcode
+    return packed
+
+
+def decode(dims: Sequence[int], code) -> tuple[tuple[int, int | str], ...]:
+    """The label ((k_1, r_1), ..., (k_m, r_m)) behind a ``classify_batch``
+    code; r_i is an int or one of the component tags "0p"/"0pp"."""
+    code = int(code)
+    out = []
+    for d in reversed(dims):
+        code, digit = divmod(code, (d + 1) * (d + 3))
+        k_i, rcode = divmod(digit, d + 3)
+        out.append((k_i, "0p" if rcode == 0 else "0pp" if rcode == 1 else rcode - 2))
+    return tuple(reversed(out))
+
+
+def classify_counts(
+    space, k: int, start: int = 0, stop: int | None = None, chunk: int = 1 << 16
+) -> dict[tuple, int]:
+    """Count subspaces of Gr_k(B) by label, over the index slice [start, stop).
+
+    Returns a dict keyed by ``decode`` labels.  The slice is the one
+    enumerate_subspaces walks, so chunked calls merge by summing counts.
+    The tally stays ``np.unique``: a bincount cannot span the 8^16 key space.
+    """
+    p, n = space.p, sum(space.dims)
+    if stop is None:
+        stop = gaussian_binomial(n, k)(p)
+    raw: Counter = Counter()
     for pattern, lo, hi in iter_chunks(n, k, p, start, stop, chunk):
-        mats = pattern_matrices(n, k, p, pattern, lo, hi)
-        n_items = mats.shape[0]
-        row_block = np.zeros((n_items, k), dtype=np.int64)
-        if m > 1 and k > 0:
-            rev = np.ascontiguousarray(mats[:, :, ::-1])
-            batch_rank(rev, p)
-            row_block = block_of[n - 1 - np.argmax(rev != 0, axis=2)]
-            mats = rev[:, :, ::-1]
-        packed = np.zeros(n_items, dtype=np.int64)
-        for i in range(m):
-            in_block = row_block == i
-            k_i = in_block.sum(axis=1)
-            z = np.where(in_block[:, :, None], mats[:, :, offsets[i] : offsets[i + 1]], 0)
-            r_i = _gram_rank(_gram(z, grams32[i], p), p)
-            rcode = r_i + 2
-            if forms[i] == "symmetric" and dims[i] % 2 == 0 and wit32[i] is not None:
-                half = dims[i] // 2
-                need = np.flatnonzero((k_i == half) & (r_i == 0))
-                if need.size:
-                    # dim(graded cap W) = k_i + half - dim(graded + W)
-                    stack = np.zeros((need.size, k + half, dims[i]), dtype=np.int32)
-                    stack[:, :k] = z[need]
-                    stack[:, k:] = wit32[i]
-                    inter = 2 * half - batch_rank(stack, p)
-                    rcode[need] = np.where(inter % 2 == half % 2, 0, 1)
-            packed += (k_i * (dims[i] + 3) + rcode) * weights[i]
-        uniq, cnt = np.unique(packed, return_counts=True)
-        for code, c in zip(uniq, cnt):
-            raw[int(code)] = raw.get(int(code), 0) + int(c)
-    counts: dict[tuple, int] = {}
-    for code, c in raw.items():
-        key = []
-        for i in range(m):
-            k_i, rcode = divmod(code // weights[i] % radix[i], dims[i] + 3)
-            key.append((k_i, _decode_r(rcode)))
-        counts[tuple(key)] = c
-    return counts
-
-
-def _decode_r(code: int):
-    if code == 0:
-        return "0p"
-    if code == 1:
-        return "0pp"
-    return code - 2
+        codes = classify_batch(space, pattern_matrices(n, k, p, pattern, lo, hi))
+        uniq, cnt = np.unique(codes, return_counts=True)
+        raw.update(dict(zip(uniq.tolist(), cnt.tolist())))
+    return {decode(space.dims, code): c for code, c in raw.items()}
 
 
 def isotropic_filter(mats: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray:

@@ -18,9 +18,8 @@ import sys
 
 import numpy as np
 
-from .bilinear import radical
 from .linalg import DEFAULT_BUDGET, BudgetExceeded, span, subspace_intersect
-from .orbits import DOUBLEPRIME0, PRIME0
+from .orbits import DOUBLEPRIME0, PRIME0, rank_numeric
 from .paving import build_paving
 from .polynomials import IntPolynomial
 from .sumspace import (
@@ -29,7 +28,7 @@ from .sumspace import (
     canonical_representative,
     component_group_order_multi,
     enumerate_multilabels,
-    multilabel_of,
+    multilabels_of,
     orbit_dim_multi,
     orbit_point_counts,
 )
@@ -143,18 +142,12 @@ def cmd_classify(space_spec: str, rows_text: str, prime: int) -> dict:
         raise CliError(
             f"rows are dependent: {rows.shape[0]} rows span a {h.dim}-dimensional space"
         )
-    label = multilabel_of(space, h)
+    label = multilabels_of(space, [h])[0]
     factors = []
-    for i, f in enumerate(space.factors):
-        pr = space.project_factor(h, i)
-        rad = radical(f, pr)
-        detail = {
-            "factor": i + 1,
-            "k": pr.dim,
-            "r": label.rs[i],
-            "radical_dim": rad.dim,
-        }
-        if label.rs[i] in (PRIME0, DOUBLEPRIME0):
+    for i, (f, k_i, r_i) in enumerate(zip(space.factors, label.ks, label.rs)):
+        detail = {"factor": i + 1, "k": k_i, "r": r_i, "radical_dim": k_i - rank_numeric(r_i)}
+        if r_i in (PRIME0, DOUBLEPRIME0):
+            pr = space.project_factor(h, i)
             detail["witness_intersection"] = subspace_intersect(pr, f.witness).dim
         factors.append(detail)
     results = [

@@ -236,6 +236,30 @@ def multilabel_of(space: SumSpace, h: Subspace) -> MultiLabel:
     return MultiLabel(tuple(ks), tuple(rs))
 
 
+def multilabels_of(space: SumSpace, subspaces) -> list[MultiLabel]:
+    """``multilabel_of`` of each subspace, in order, computed by the bulk
+    classifier: one ``_batch.classify_batch`` call per dimension present."""
+    subspaces = list(subspaces)
+    if any(h.n != space.n or h.p != space.p for h in subspaces):
+        raise ValueError("subspace lives in the wrong ambient space")
+    out: list = [None] * len(subspaces)
+    by_dim: dict[int, list[int]] = {}
+    for j, h in enumerate(subspaces):
+        by_dim.setdefault(h.dim, []).append(j)
+    for k, idx in by_dim.items():
+        mats = np.array([subspaces[j].basis for j in idx], dtype=np.int32)
+        codes = _batch.classify_batch(space, mats.reshape(len(idx), k, space.n))
+        for j, code in zip(idx, codes):
+            out[j] = _multilabel(_batch.decode(space.dims, code))
+    return out
+
+
+def _multilabel(key) -> MultiLabel:
+    """MultiLabel of a ``_batch`` label ((k_1, r_1), ..., (k_m, r_m))."""
+    ks, rs = zip(*key)
+    return MultiLabel(ks, rs)
+
+
 def validate_multilabel(space: SumSpace, label: MultiLabel, k: int | None = None):
     if len(label.ks) != space.m:
         raise InvalidLabel("wrong number of factors")
@@ -361,41 +385,20 @@ def orbit_point_counts(
         return dict(_COUNTS_CACHE[cache_key])
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or stop - start < 1 << 17:
-        raw = _count_range(space, k, start, stop)
+        raw = _batch.classify_counts(space, k, start, stop)
     else:
         bounds = np.linspace(start, stop, workers + 1, dtype=np.int64)
         ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
         raw: dict = {}
         with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            futs = [pool.submit(_count_range, space, k, a, b) for a, b in ranges]
+            futs = [pool.submit(_batch.classify_counts, space, k, a, b) for a, b in ranges]
             for fut in futs:
                 for key, c in fut.result().items():
                     raw[key] = raw.get(key, 0) + c
-    out = {MultiLabel(tuple(k_ for k_, _ in key), tuple(r for _, r in key)): c
-           for key, c in raw.items()}
+    out = {_multilabel(key): c for key, c in raw.items()}
     if full_range:
         _COUNTS_CACHE[cache_key] = dict(out)
     return out
-
-
-def _count_range(space: SumSpace, k: int, start: int, stop: int) -> dict:
-    witness_rows = []
-    for f in space.factors:
-        if f.form_type == SYMMETRIC and f.n % 2 == 0 and f.witness is not None:
-            witness_rows.append(np.asarray(f.witness.basis))
-        else:
-            witness_rows.append(None)
-    return _batch.classify_counts(
-        space.n,
-        k,
-        space.p,
-        space.dims,
-        tuple(np.asarray(f.gram) for f in space.factors),
-        tuple(f.form_type for f in space.factors),
-        tuple(witness_rows),
-        start=start,
-        stop=stop,
-    )
 
 
 def orbit_points_multi(

@@ -19,7 +19,7 @@ per such factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -35,23 +35,17 @@ from .linalg import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     Subspace,
+    enumerate_subspaces,
     span,
     subspace_intersect,
     subspace_sum,
-    subspace_total,
     subspaces_between,
     zero_subspace,
 )
-from .orbits import (
-    DOUBLEPRIME0,
-    PRIME0,
-    is_valid_label,
-    label_of,
-    rank_numeric,
-)
+from .orbits import DOUBLEPRIME0, PRIME0, is_valid_label, rank_numeric
 from .paving import isotropic_subspaces, space_iso_count
 from .polynomials import IntPolynomial, gaussian_binomial
-from .sumspace import MultiLabel, SumSpace, multilabel_of, validate_multilabel
+from .sumspace import MultiLabel, SumSpace, multilabels_of, validate_multilabel
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,9 @@ def _base_choices(space: SumSpace, label: MultiLabel, i: int):
     f = space.factors[i]
     ki, ri = label.ks[i], label.rs[i]
     if ri in (PRIME0, DOUBLEPRIME0):
-        for x in isotropic_subspaces(f, ki):
-            if label_of(f, x).r == ri:
+        xs = list(isotropic_subspaces(f, ki))
+        for x, lab in zip(xs, multilabels_of(SumSpace((f,)), xs)):
+            if lab.rs[0] == ri:
                 yield x
     else:
         yield from isotropic_subspaces(f, ki - ri)
@@ -246,7 +241,7 @@ def tower_fiber(
     if target.dim == label.k:
         step(0, [], [], [])
     report = FiberReport(tuple(points))
-    if multilabel_of(space, target) == label and len(report) != 1:
+    if multilabels_of(space, [target])[0] == label and len(report) != 1:
         raise AssertionError(
             f"fiber over an open-stratum point has {len(report)} points, expected 1"
         )
@@ -258,15 +253,8 @@ def closure_labels(
 ) -> set[MultiLabel]:
     """Labels of all targets swept by the resolution: the experimental
     closure of the stratum in label terms (finite-field evidence only)."""
-    seen: set[Subspace] = set()
-    out: set[MultiLabel] = set()
-    for datum in tower_points(space, label, budget=budget):
-        h = datum.target
-        if h in seen:
-            continue
-        seen.add(h)
-        out.add(multilabel_of(space, h))
-    return out
+    targets = dict.fromkeys(datum.target for datum in tower_points(space, label, budget=budget))
+    return set(multilabels_of(space, targets))
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +280,17 @@ def single_resolution(
     fiber_sizes: dict[Subspace, int] = {}
     for _, h in pairs:
         fiber_sizes[h] = fiber_sizes.get(h, 0) + 1
-    if subspace_total(space.n, k, space.p) > budget:
-        raise BudgetExceeded(subspace_total(space.n, k, space.p), budget)
-    from .linalg import enumerate_subspaces
-
-    for h in enumerate_subspaces(space.n, k, space.p, budget=budget):
-        raddim = radical(space, h).dim
-        in_image = raddim >= k - r
-        if in_image != (h in fiber_sizes):
-            raise AssertionError("image of the resolution is not the radical locus")
-        if raddim == k - r and fiber_sizes.get(h) != 1:
-            raise AssertionError("fiber over an open-stratum point is not a singleton")
+    # dim rad H = k - rank of the form on H, read off the bulk label
+    one = SumSpace((space,))
+    walk = enumerate_subspaces(space.n, k, space.p, budget=budget)
+    while hs := list(islice(walk, 1 << 14)):
+        for h, lab in zip(hs, multilabels_of(one, hs)):
+            raddim = k - rank_numeric(lab.rs[0])
+            in_image = raddim >= k - r
+            if in_image != (h in fiber_sizes):
+                raise AssertionError("image of the resolution is not the radical locus")
+            if raddim == k - r and fiber_sizes.get(h) != 1:
+                raise AssertionError("fiber over an open-stratum point is not a singleton")
     return pairs
 
 

@@ -8,6 +8,7 @@ callers can tell "wrong" from "too big".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ from .sumspace import (
     canonical_representative,
     component_group_order_multi,
     enumerate_multilabels,
-    multilabel_of,
+    multilabels_of,
     orbit_dim_multi,
     orbit_point_counts,
     slice_weights,
@@ -367,11 +368,9 @@ def _fiber_bijectivity(spec, p, budget, only_k=None):
     bad = []
     for k in _krange(space.n, only_k):
         for label in enumerate_multilabels(space, k):
-            hits: dict = {}
-            for datum in tower_points(space, label, budget=budget):
-                hits[datum.target] = hits.get(datum.target, 0) + 1
-            for target, c in hits.items():
-                if multilabel_of(space, target) == label and c != 1:
+            hits = Counter(datum.target for datum in tower_points(space, label, budget=budget))
+            for c, lab in zip(hits.values(), multilabels_of(space, hits)):
+                if lab == label and c != 1:
                     bad.append(f"{label}: target hit {c} times")
     return [_result(f"fibers bijectivity {spec} p={p}", not bad, "; ".join(bad[:4]))]
 
@@ -381,9 +380,7 @@ def _fiber_polynomiality(spec, primes, budget, only_k=None):
     ref = build_sum_space(spec, 3)
     bad = []
     for k in _krange(ref.n, only_k):
-        labels = enumerate_multilabels(ref, k)
-        for label in labels:
-            below = closure_labels(ref, label, budget=budget)
+        for label, below in closure_relation(spec, k, 3, budget).items():
             dim_x = resolution_tower(ref, label).count_polynomial().degree
             for sub in sorted(below, key=MultiLabel.sort_key):
                 bound = dim_x - orbit_dim_multi(ref, sub)

@@ -2,13 +2,22 @@ import os
 from collections import Counter
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isograss import _batch, sumspace
 from isograss.bilinear import SKEW, SYMMETRIC
-from isograss.linalg import _SMALL_PRIMES, enumerate_subspaces, span, subspace_total, zero_subspace
+from isograss.linalg import (
+    _SMALL_PRIMES,
+    enumerate_subspaces,
+    random_subspace,
+    rank_mod,
+    span,
+    subspace_total,
+    zero_subspace,
+)
 from isograss.orbits import DOUBLEPRIME0, PRIME0
 from isograss.polynomials import gaussian_binomial, interpolate_counts
 from isograss.sumspace import (
@@ -20,12 +29,14 @@ from isograss.sumspace import (
     enumerate_multilabels,
     format_space_spec,
     multilabel_of,
+    multilabels_of,
     orbit_dim_multi,
     orbit_point_counts,
     orbit_points_multi,
     parse_space_spec,
     slice_weights,
 )
+from isograss.towers import tower_points
 
 
 def test_parse_space_spec():
@@ -290,18 +301,7 @@ def _batch_cases(draw):
 
 
 def _batch_labels(space, k, start, stop, chunk):
-    counts = _batch.classify_counts(
-        space.n,
-        k,
-        space.p,
-        space.dims,
-        tuple(f.gram for f in space.factors),
-        tuple(f.form_type for f in space.factors),
-        tuple(None if f.witness is None else f.witness.basis for f in space.factors),
-        start=start,
-        stop=stop,
-        chunk=chunk,
-    )
+    counts = _batch.classify_counts(space, k, start=start, stop=stop, chunk=chunk)
     return {MultiLabel(tuple(ki for ki, _ in key), tuple(r for _, r in key)): c
             for key, c in counts.items()}
 
@@ -333,6 +333,55 @@ def test_batch_matches_scalar_full_walk(spec, p, k):
     scalar = _scalar_labels(space, k, 0, total)
     for chunk in (1, 7, 1 << 16):
         assert _batch_labels(space, k, 0, total, chunk) == scalar, chunk
+
+
+def test_multilabels_of_tower_targets():
+    b = build_sum_space("Sp2+O2", 3)
+    for k in range(b.n + 1):
+        for label in enumerate_multilabels(b, k):
+            targets = [datum.target for datum in tower_points(b, label)]
+            assert multilabels_of(b, targets) == [multilabel_of(b, h) for h in targets]
+
+
+def _invertible(k, p, rng):
+    while True:
+        g = rng.integers(0, p, size=(k, k))
+        if rank_mod(g, p) == k:
+            return g
+
+
+@pytest.mark.parametrize("spec,p", [("O4+Sp2+O3", 7), ("O2+O1+Sp4", 3), ("O6", 5)])
+def test_multilabels_of_random_subspaces(spec, p):
+    rng = np.random.default_rng(17)
+    b = build_sum_space(spec, p)
+    # mixed dimensions in one call, k = 0 and every label (the 0'/0'' ones too) included
+    hs = [random_subspace(b.n, int(rng.integers(0, b.n + 1)), p, rng) for _ in range(60)]
+    hs += [canonical_representative(b, lab)
+           for k in range(b.n + 1) for lab in enumerate_multilabels(b, k)]
+    assert multilabels_of(b, hs) == [multilabel_of(b, h) for h in hs]
+    # classify_batch needs full-rank bases, not RREF ones: g @ basis gives the same codes
+    for k in range(b.n + 1):
+        same_k = [h for h in hs if h.dim == k]
+        shape = (len(same_k), k, b.n)
+        rref_stack = np.array([h.basis for h in same_k], dtype=np.int32).reshape(shape)
+        moved = np.array([_invertible(k, p, rng) @ h.basis % p for h in same_k], dtype=np.int32)
+        codes = _batch.classify_batch(b, rref_stack)
+        assert (_batch.classify_batch(b, moved.reshape(shape)) == codes).all()
+        for h, code in zip(same_k, codes):
+            lab = multilabel_of(b, h)
+            assert _batch.decode(b.dims, code) == tuple(zip(lab.ks, lab.rs))
+
+
+def test_multilabels_of_edge_cases():
+    b = build_sum_space("Sp2+O2", 3)
+    assert multilabels_of(b, []) == []
+    assert multilabels_of(b, [zero_subspace(4, 3)]) == [MultiLabel((0, 0), (0, 0))]
+    codes = _batch.classify_batch(b, np.zeros((3, 0, 4), dtype=np.int32))
+    assert [_batch.decode(b.dims, c) for c in codes] == [((0, 0), (0, 0))] * 3
+    assert _batch.classify_batch(b, np.zeros((0, 2, 4), dtype=np.int32)).shape == (0,)
+    for wrong in (span([[1, 0, 0]], 3, 3), span([[1, 0, 0, 0]], 4, 5)):
+        with pytest.raises(ValueError, match="wrong ambient"):
+            multilabels_of(b, [span([[1, 0, 0, 0]], 4, 3), wrong])
 
 
 def test_canonical_representative_hits_every_label():

@@ -55,3 +55,23 @@ def test_traced_layers_exist(monkeypatch):
         except AttributeError:
             missing.append(f"{layer.module}.{layer.attr}")
     assert tracer.LAYERS and missing == []
+
+
+def test_batch_imports_only_polynomials():
+    # _batch reads the SumSpace it is given through its attributes; importing
+    # sumspace (or a module that imports it) from here would be a cycle
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "_batch.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative: _batch sits at the top of the package
+                module = "isograss" + ("." + module if module else "")
+            if module == "isograss":  # `from . import x`: x is a module
+                imported.update(f"isograss.{alias.name}" for alias in node.names)
+            else:
+                imported.add(module)
+    assert {name for name in imported if name.split(".")[0] == "isograss"} == {
+        "isograss.polynomials"
+    }
