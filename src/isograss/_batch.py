@@ -9,11 +9,16 @@ cross-checks.
 
 ``classify_batch`` is the one bulk classifier: it labels any stack of
 bases in one pass.  One elimination of the column-reversed bases gives
-every graded piece, then each factor's form rank is the rank of a k x k
-Gram matrix, in closed form for k <= 2.  ``classify_counts`` tallies its
-codes over a slice of the walk.  As in FFLAS/FFPACK (Dumas-Giorgi-Pernet,
-ACM TOMS 2008), exact F_p work is done as a few large batched products,
-reduced mod p within proven int bounds.
+every graded piece, then each factor's form rank is the rank of the Gram
+matrix of its piece, in closed form for pieces of dimension <= 2.
+``classify_counts`` tallies the same codes over a slice of the walk, but
+labels the column-reversed images of the walk's RREF matrices: those are
+already in reverse echelon form, so the pivot pattern fixes every graded
+piece and the walk needs no elimination.  Column reversal is a bijection
+of Gr_k(F_p^n), so full-range counts are unchanged.  Both share ``_pack``,
+which ranks the Grams, splits "0p"/"0pp" and packs the label codes.  As in
+FFLAS/FFPACK (Dumas-Giorgi-Pernet, ACM TOMS 2008), exact F_p work is done
+as a few large batched products, reduced mod p within proven int bounds.
 
 Entries stay below p <= 997, so int32 holds every intermediate: an
 elimination round reduces mod p (|a - f*piv| < p^2 < 10^6), each Gram
@@ -150,6 +155,8 @@ def _gram(z: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray:
 def _gram_rank(g: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a stack of k x k Gram matrices; closed form for k <= 2."""
     k = g.shape[1]
+    if k == 0:
+        return np.zeros(len(g), dtype=np.int64)
     if k == 1:
         return (g[:, 0, 0] != 0).astype(np.int64)
     if k == 2:
@@ -157,6 +164,41 @@ def _gram_rank(g: np.ndarray, p: int) -> np.ndarray:
         det = (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]) % p
         return np.where(det != 0, 2, g.any(axis=(1, 2)))
     return batch_rank(g, p)
+
+
+def _pack(space, blocks) -> np.ndarray:
+    """Label codes from each factor's graded piece.
+
+    ``blocks[i]`` is ``(k_i, z_i)``: the dimension of graded piece i (an int
+    shared by the stack, or one int per item) and a stack (N, rows, n_i) of
+    block-i rows spanning it, any other rows zero.  r_i is the rank of their
+    Gram matrix; the witness rank that splits "0p" from "0pp" is taken only
+    on the items with k_i = n_i / 2 and r_i = 0, and a factor that needs it
+    but has no witness is refused, as ``orbits.label_of`` refuses it.
+    """
+    p = space.p
+    # per-factor digit k_i * (n_i + 3) + rcode_i, with k_i <= n_i and
+    # rcode_i <= n_i + 2, packed mixed-radix with the first factor most
+    # significant; the radix product is at most 8^n <= 8^16, far inside int64
+    packed = 0
+    for (k_i, z), d, f in zip(blocks, space.dims, space.factors):
+        r_i = _gram_rank(_gram(z, np.asarray(f.gram, dtype=np.int32), p), p)
+        rcode = r_i + 2
+        if f.form_type == "symmetric" and d % 2 == 0:
+            half = d // 2
+            need = np.flatnonzero((k_i == half) & (r_i == 0))
+            if need.size:
+                if f.witness is None:
+                    raise ValueError("split witness required to separate the two components")
+                # dim(graded cap W) = k_i + half - dim(graded + W)
+                rows = z.shape[1]
+                stack = np.zeros((need.size, rows + half, d), dtype=np.int32)
+                stack[:, :rows] = z[need]
+                stack[:, rows:] = f.witness.basis
+                inter = 2 * half - batch_rank(stack, p)
+                rcode[need] = np.where(inter % 2 == half % 2, 0, 1)
+        packed = packed * ((d + 1) * (d + 3)) + k_i * (d + 3) + rcode
+    return packed
 
 
 def classify_batch(space, mats: np.ndarray) -> np.ndarray:
@@ -171,10 +213,8 @@ def classify_batch(space, mats: np.ndarray) -> np.ndarray:
     Gauss-Jordan on the column-reversed bases makes each row's pivot its
     last nonzero column, so the k_i rows ending in block i span H cap B_{<=i}
     modulo H cap B_{<i} and their block-i columns are a basis of the graded
-    piece (one factor, or k = 0, needs no elimination).  r_i is the rank of
-    the k x k Gram of those rows with the others zeroed; the witness rank
-    that splits "0p" from "0pp" is taken only on the rows with k_i = n_i / 2
-    and r_i = 0.
+    piece (one factor, or k = 0, needs no elimination).  ``_pack`` takes
+    each piece's rows with the others zeroed.
     """
     p, dims = space.p, tuple(space.dims)
     n_items, k, n = mats.shape
@@ -186,28 +226,12 @@ def classify_batch(space, mats: np.ndarray) -> np.ndarray:
         block_of = np.repeat(np.arange(len(dims)), dims)  # factor of each column
         row_block = block_of[n - 1 - np.argmax(rev != 0, axis=2)]
         mats = rev[:, :, ::-1]
-    # per-factor digit k_i * (n_i + 3) + rcode_i, with k_i <= n_i and
-    # rcode_i <= n_i + 2, packed mixed-radix with the first factor most
-    # significant; the radix product is at most 8^n <= 8^16, far inside int64
-    packed = np.zeros(n_items, dtype=np.int64)
-    for i, (d, f) in enumerate(zip(dims, space.factors)):
+    blocks = []
+    for i in range(len(dims)):
         in_block = row_block == i
-        k_i = in_block.sum(axis=1)
         z = np.where(in_block[:, :, None], mats[:, :, offsets[i] : offsets[i + 1]], 0)
-        r_i = _gram_rank(_gram(z, np.asarray(f.gram, dtype=np.int32), p), p)
-        rcode = r_i + 2
-        if f.form_type == "symmetric" and d % 2 == 0 and f.witness is not None:
-            half = d // 2
-            need = np.flatnonzero((k_i == half) & (r_i == 0))
-            if need.size:
-                # dim(graded cap W) = k_i + half - dim(graded + W)
-                stack = np.zeros((need.size, k + half, d), dtype=np.int32)
-                stack[:, :k] = z[need]
-                stack[:, k:] = f.witness.basis
-                inter = 2 * half - batch_rank(stack, p)
-                rcode[need] = np.where(inter % 2 == half % 2, 0, 1)
-        packed = packed * ((d + 1) * (d + 3)) + k_i * (d + 3) + rcode
-    return packed
+        blocks.append((in_block.sum(axis=1), z))
+    return _pack(space, blocks)
 
 
 def decode(dims: Sequence[int], code) -> tuple[tuple[int, int | str], ...]:
@@ -227,17 +251,38 @@ def classify_counts(
 ) -> dict[tuple, int]:
     """Count subspaces of Gr_k(B) by label, over the index slice [start, stop).
 
-    Returns a dict keyed by ``decode`` labels.  The slice is the one
-    enumerate_subspaces walks, so chunked calls merge by summing counts.
-    The tally stays ``np.unique``: a bincount cannot span the 8^16 key space.
+    Returns a dict keyed by ``decode`` labels.  The slice covers the
+    column-reversed images of the subspaces that enumerate_subspaces yields
+    for the same slice: column reversal is a bijection of Gr_k(F_p^n), so
+    full-range counts are the counts of Gr_k(B), and chunked calls merge by
+    summing counts.  The tally stays ``np.unique``: a bincount cannot span
+    the 8^16 key space.
+
+    A reversed RREF matrix is a reverse echelon basis whose row j ends in
+    column n - 1 - pattern[j], so the pivot pattern fixes every k_i for the
+    whole chunk and each graded piece is a plain slice of k_i rows: no
+    elimination is needed, and ``batch_rank`` runs only on witness stacks
+    and on Grams with k_i >= 3.
     """
-    p, n = space.p, sum(space.dims)
+    p, dims = space.p, tuple(space.dims)
+    n = sum(dims)
     if stop is None:
         stop = gaussian_binomial(n, k)(p)
+    offsets = np.cumsum((0,) + dims)
+    block_of = np.repeat(np.arange(len(dims)), dims)
     raw: Counter = Counter()
     for pattern, lo, hi in iter_chunks(n, k, p, start, stop, chunk):
-        codes = classify_batch(space, pattern_matrices(n, k, p, pattern, lo, hi))
-        uniq, cnt = np.unique(codes, return_counts=True)
+        mats = pattern_matrices(n, k, p, pattern, lo, hi)[:, :, ::-1]
+        # row j ends in block block_of[n - 1 - pattern[j]], which falls as j
+        # rises, so each graded piece is a run of rows, the last block first
+        ks = [0] * len(dims)
+        for c in pattern:
+            ks[block_of[n - 1 - c]] += 1
+        blocks, row = [None] * len(dims), 0
+        for i in reversed(range(len(dims))):
+            blocks[i] = (ks[i], mats[:, row : row + ks[i], offsets[i] : offsets[i + 1]])
+            row += ks[i]
+        uniq, cnt = np.unique(_pack(space, blocks), return_counts=True)
         raw.update(dict(zip(uniq.tolist(), cnt.tolist())))
     return {decode(space.dims, code): c for code, c in raw.items()}
 

@@ -265,9 +265,11 @@ def enumerate_subspaces(
 
     Order: pivot patterns lexicographically, then free entries as base-p
     digits (first slot most significant), as laid out by ``_batch``, whose
-    bulk classifier walks the same order.  ``start``/``stop`` select a slice
+    counting walk takes the same order.  ``start``/``stop`` select a slice
     of the global index range, so disjoint chunks can run in parallel and be
-    combined by any commutative reduction.
+    combined by any commutative reduction.  The same slice of
+    ``_batch.classify_counts`` counts the column-reversed images of these
+    subspaces; over the full range the two cover the same Gr_k(F_p^n).
     """
     p = as_prime(field_or_p)
     if not 0 <= k <= n:

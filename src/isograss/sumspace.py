@@ -371,8 +371,10 @@ def orbit_point_counts(
     This is the definitional count: each subspace is labelled by its graded
     pieces.  Work is split over disjoint index ranges when workers > 1 and
     merged by summation; ``workers`` is capped at the CPU count, so the pool
-    starts at most one process per CPU and per range.  Full-range results
-    are memoized per space.
+    starts at most one process per CPU and per range.  A partial slice
+    [start, stop) counts the column-reversed images of that slice of
+    ``enumerate_subspaces`` (see ``_batch.classify_counts``).  Full-range
+    results are memoized per space.
     """
     total = subspace_total(space.n, k, space.p)
     if total > budget:

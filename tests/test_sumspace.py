@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isograss import _batch, sumspace
-from isograss.bilinear import SKEW, SYMMETRIC
+from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace
 from isograss.linalg import (
     _SMALL_PRIMES,
     enumerate_subspaces,
@@ -23,6 +23,7 @@ from isograss.polynomials import gaussian_binomial, interpolate_counts
 from isograss.sumspace import (
     MultiLabel,
     SpecParseError,
+    SumSpace,
     build_sum_space,
     canonical_representative,
     component_group_order_multi,
@@ -307,8 +308,10 @@ def _batch_labels(space, k, start, stop, chunk):
 
 
 def _scalar_labels(space, k, start, stop):
+    # a slice of the counting walk covers the column-reversed images of the
+    # same slice of enumerate_subspaces
     return Counter(
-        multilabel_of(space, h)
+        multilabel_of(space, span(h.basis[:, ::-1], space.n, space.p))
         for h in enumerate_subspaces(space.n, k, space.p, start=start, stop=stop, budget=None)
     )
 
@@ -333,6 +336,52 @@ def test_batch_matches_scalar_full_walk(spec, p, k):
     scalar = _scalar_labels(space, k, 0, total)
     for chunk in (1, 7, 1 << 16):
         assert _batch_labels(space, k, 0, total, chunk) == scalar, chunk
+
+
+# k = 5, 6 of Sp2+Sp2+O3 reach the 3 x 3 Gram of O3; its k = 3, 4 walks are
+# the largest and add no case
+@pytest.mark.parametrize(
+    "spec,ks,chunk",
+    [("O4", range(5), 5), ("O2+O4", range(7), 61), ("Sp2+Sp2+O3", (0, 1, 2, 5, 6, 7), 1 << 12)],
+)
+def test_walk_matches_classify_batch_per_chunk(spec, ks, chunk):
+    # no oracle: each chunk of the elimination-free walk tallies the same
+    # codes as the general classifier on that chunk's reversed pattern stack
+    space = build_sum_space(spec, 3)
+    n = space.n
+    for k in ks:
+        pos = 0
+        for pattern, lo, hi in _batch.iter_chunks(n, k, 3, 0, subspace_total(n, k, 3), chunk):
+            rev = _batch.pattern_matrices(n, k, 3, pattern, lo, hi)[:, :, ::-1]
+            codes = _batch.classify_batch(space, rev)
+            want = Counter(_batch.decode(space.dims, c) for c in codes)
+            assert _batch.classify_counts(space, k, pos, pos + hi - lo) == want, (k, pattern, lo)
+            pos += hi - lo
+
+
+def test_walk_skips_elimination(monkeypatch):
+    # Sp2+O3 at k = 2 needs no witness rank and no Gram with k_i >= 3
+    def refuse(a, p):
+        raise AssertionError("batch_rank called")
+
+    monkeypatch.setattr(_batch, "batch_rank", refuse)
+    counts = _batch.classify_counts(build_sum_space("Sp2+O3", 5), 2)
+    assert sum(counts.values()) == gaussian_binomial(5, 2)(5)
+
+
+def test_missing_witness_refused():
+    # the isotropic lines of O2 are 0' or 0''; without a witness neither
+    # path may give them the invalid label (1, 0)
+    b = SumSpace((BilinearSpace(2, 3, SYMMETRIC, [[0, 1], [1, 0]]),))
+    with pytest.raises(ValueError, match="split witness required"):
+        orbit_point_counts(b, 1)
+    with pytest.raises(ValueError, match="split witness required"):
+        multilabels_of(b, [span([[1, 0]], 2, 3)])
+    with pytest.raises(ValueError, match="split witness required"):
+        multilabel_of(b, span([[1, 0]], 2, 3))
+    # an anisotropic line and the other dimensions need no witness
+    assert multilabels_of(b, [span([[1, 1]], 2, 3)]) == [MultiLabel((1,), (1,))]
+    assert sum(orbit_point_counts(b, 2).values()) == 1
 
 
 def test_multilabels_of_tower_targets():
