@@ -32,7 +32,7 @@ from .sumspace import (
     orbit_dim_multi,
     orbit_point_counts,
 )
-from .towers import resolution_tower, tower_fiber, tower_points
+from .towers import fiber_invariants, resolution_tower, tower_fiber, tower_points
 from .verify import GRID_SPACES, SUITE_NAMES, closure_relation, run_suite
 
 SCHEMA_VERSION = 1
@@ -247,7 +247,7 @@ def cmd_fibers(
                 "prime": p,
                 "target_label": label_to_json(sub),
                 "fiber_size": len(fiber),
-                "invariants": sorted({fp.invariants for fp in fiber.points}),
+                "invariants": sorted({fiber_invariants(space, datum) for datum in fiber}),
             }
         )
     return bundle(

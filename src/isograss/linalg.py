@@ -181,18 +181,23 @@ def left_kernel(mat: np.ndarray, p: int) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.int64)
     m = mat.shape[0]
     # Row-reduce [mat | I]; rows whose mat-part vanished span the kernel.
+    # They are the last rows of the RREF with their pivots in the identity
+    # part, so their identity part is already in RREF.
     aug = np.hstack([mat % p, np.eye(m, dtype=np.int64)])
     red = rref(aug, p)
     w = mat.shape[1]
     mask = ~red[:, :w].any(axis=1)
-    ker = red[mask][:, w:]
-    return rref(ker, p)
+    return red[mask][:, w:]
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     a._check_compatible(b)
     if a.dim == 0 or b.dim == 0:
         return zero_subspace(a.n, a.p)
+    if a.dim == a.n:
+        return b
+    if b.dim == b.n:
+        return a
     # Relations (x, y) with x @ A == y @ B are the left kernel of [A; -B].
     stacked = np.vstack([a.basis, -b.basis % a.p])
     ker = left_kernel(stacked, a.p)
@@ -236,12 +241,14 @@ def complement_rows(inner: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:
     width = outer.shape[-1]
     inner = np.asarray(inner, dtype=np.int64).reshape(-1, width)
     taken = inner % p
+    rank = rank_mod(taken, p)
     picked = []
     for row in outer.reshape(-1, width):
         trial = np.vstack([taken, row.reshape(1, -1)])
-        if rank_mod(trial, p) > rank_mod(taken, p):
+        trial_rank = rank_mod(trial, p)
+        if trial_rank > rank:
             picked.append(row % p)
-            taken = trial
+            taken, rank = trial, trial_rank
     return np.array(picked, dtype=np.int64).reshape(-1, width)
 
 

@@ -9,6 +9,10 @@ and dim H_i = k_1+..+k_i.  The last space H_m sweeps out the closure, and
 the tower structure (isotropic Grassmannian bases, Grassmannian fibers)
 gives the symbolic point count.
 
+One walk enumerates these points under a ceiling subspace that every H_i
+must lie in.  The whole resolution is the walk under all of B; the fiber
+over a target M is the walk under M itself, since H_i <= H_m = M.
+
 The covering tower adds, for every symmetric factor with
 max{0, 2k_i - n_i} < r_i, a middle isotropic Q~_i (inside B_i for even r_i,
 inside B_i + F for odd r_i, where F is an extra line of norm 1); over the
@@ -36,6 +40,7 @@ from .linalg import (
     BudgetExceeded,
     Subspace,
     enumerate_subspaces,
+    full_subspace,
     span,
     subspace_intersect,
     subspace_sum,
@@ -115,26 +120,58 @@ def resolution_tower(space: SumSpace, label: MultiLabel) -> TowerDescriptor:
     return TowerDescriptor(tuple(layers))
 
 
-def _base_choices(space: SumSpace, label: MultiLabel, i: int):
+def _base_choices(space: SumSpace, label: MultiLabel, i: int, budget: int):
     """P~_i candidates: isotropic of dim k_i - r_i, one ruling for tags."""
     f = space.factors[i]
     ki, ri = label.ks[i], label.rs[i]
     if ri in (PRIME0, DOUBLEPRIME0):
-        xs = list(isotropic_subspaces(f, ki))
+        xs = list(isotropic_subspaces(f, ki, budget=budget))
         for x, lab in zip(xs, multilabels_of(SumSpace((f,)), xs)):
             if lab.rs[0] == ri:
                 yield x
     else:
-        yield from isotropic_subspaces(f, ki - ri)
+        yield from isotropic_subspaces(f, ki - ri, budget=budget)
 
 
-def _upper_bounds(space: SumSpace, i: int, ptilde: Subspace):
-    """(B_{<i} + P~_i, B_{<i} + P~_i^perp) as subspaces of B."""
-    f = space.factors[i]
-    prefix = space.prefix_subspace(i)
-    up = subspace_sum(prefix, space.embed_factor(i, ptilde))
-    uh = subspace_sum(prefix, space.embed_factor(i, perp(f, ptilde)))
-    return up, uh
+def _walk(space: SumSpace, label: MultiLabel, ceiling: Subspace, budget: int):
+    """Resolution points whose H_j all lie in ``ceiling``, depth first.
+
+    Each level j keeps the triples (P~_j, up, uh) with up, uh the bounds
+    B_{<j} + P~_j and B_{<j} + P~_j^perp cut down to the ceiling (both lie
+    in B_{<=j}, so this is the cut to ceiling cap B_{<=j}); a P~_j whose cut
+    bounds are too small for P_j or H_j is dropped, and an empty level
+    empties the walk.
+    """
+    hdims = [int(x) for x in np.cumsum(label.ks)]
+    pdims = [h - rank_numeric(r) for h, r in zip(hdims, label.rs)]
+    levels = []
+    for j, f in enumerate(space.factors):
+        prefix = space.prefix_subspace(j)
+        level = []
+        for ptilde in _base_choices(space, label, j, budget):
+            up = subspace_sum(prefix, space.embed_factor(j, ptilde))
+            up = subspace_intersect(up, ceiling)
+            if up.dim < pdims[j]:
+                continue
+            uh = subspace_sum(prefix, space.embed_factor(j, perp(f, ptilde)))
+            uh = subspace_intersect(uh, ceiling)
+            if uh.dim >= hdims[j]:
+                level.append((ptilde, up, uh))
+        if not level:
+            return
+        levels.append(level)
+
+    def step(j: int, ptildes, ps, hs):
+        if j == space.m:
+            yield FlagDatum(ptildes, ps, hs)
+            return
+        h_prev = hs[-1] if hs else zero_subspace(space.n, space.p)
+        for ptilde, up, uh in levels[j]:
+            for pj in subspaces_between(h_prev, up, pdims[j], budget=budget):
+                for hj in subspaces_between(pj, uh, hdims[j], budget=budget):
+                    yield from step(j + 1, ptildes + (ptilde,), ps + (pj,), hs + (hj,))
+
+    yield from step(0, (), (), ())
 
 
 def tower_points(
@@ -145,47 +182,16 @@ def tower_points(
     symbolic = resolution_tower(space, label).count_polynomial()(space.p)
     if symbolic > budget:
         raise BudgetExceeded(symbolic, budget)
-    out: list[FlagDatum] = []
-    nsum = list(np.cumsum(label.ks))
-
-    def step(j: int, ptildes, ps, hs):
-        if j == space.m:
-            out.append(FlagDatum(tuple(ptildes), tuple(ps), tuple(hs)))
-            return
-        kj, rj = label.ks[j], rank_numeric(label.rs[j])
-        h_prev = hs[-1] if hs else zero_subspace(space.n, space.p)
-        for ptilde in _base_choices(space, label, j):
-            up, uh = _upper_bounds(space, j, ptilde)
-            for pj in subspaces_between(h_prev, up, nsum[j] - rj, budget=budget):
-                for hj in subspaces_between(pj, uh, nsum[j], budget=budget):
-                    step(j + 1, ptildes + [ptilde], ps + [pj], hs + [hj])
-
-    step(0, [], [], [])
-    return out
+    return list(_walk(space, label, full_subspace(space.n, space.p), budget))
 
 
-@dataclass(frozen=True)
-class FiberPoint:
-    datum: FlagDatum
-    invariants: tuple[tuple[int, int, int], ...]  # per factor
-
-
-@dataclass(frozen=True)
-class FiberReport:
-    points: tuple[FiberPoint, ...]
-
-    def __len__(self):
-        return len(self.points)
-
-
-def _fiber_invariants(space: SumSpace, datum: FlagDatum, target: Subspace):
-    """Per factor: dim P_i cap B_{<i}, dim H_i cap B_{<i},
-    dim P_i cap (rad pr_i M + B_{<i})."""
+def fiber_invariants(space: SumSpace, datum: FlagDatum) -> tuple[tuple[int, int, int], ...]:
+    """Per factor, with M the datum's target: dim P_i cap B_{<i},
+    dim H_i cap B_{<i}, dim P_i cap (rad pr_i M + B_{<i})."""
     out = []
     for i, f in enumerate(space.factors):
         prefix = space.prefix_subspace(i)
-        pr_m = space.project_factor(target, i)
-        rad_m = radical(f, pr_m)
+        rad_m = radical(f, space.project_factor(datum.target, i))
         enlarged = subspace_sum(prefix, space.embed_factor(i, rad_m))
         out.append(
             (
@@ -202,8 +208,10 @@ def tower_fiber(
     label: MultiLabel,
     target: Subspace,
     budget: int = DEFAULT_BUDGET,
-) -> FiberReport:
-    """All resolution points over a fixed target subspace.
+) -> list[FlagDatum]:
+    """All resolution points over a fixed target subspace: the walk of
+    ``tower_points`` under the ceiling ``target``, since every H_j of a
+    point lies in its last space H_m.
 
     When the target lies in the open stratum the fiber must be a single
     point (the resolution is bijective there); that is checked here.
@@ -211,41 +219,12 @@ def tower_fiber(
     validate_multilabel(space, label)
     if target.n != space.n or target.p != space.p:
         raise ValueError("target lives in the wrong space")
-    points: list[FiberPoint] = []
-    nsum = list(np.cumsum(label.ks))
-    prefixes = [subspace_intersect(target, space.prefix_subspace(i + 1)) for i in range(space.m)]
-
-    def step(j: int, ptildes, ps, hs):
-        kj, rj = label.ks[j], rank_numeric(label.rs[j])
-        h_prev = hs[-1] if hs else zero_subspace(space.n, space.p)
-        target_j = prefixes[j]
-        for ptilde in _base_choices(space, label, j):
-            up, uh = _upper_bounds(space, j, ptilde)
-            up_m = subspace_intersect(up, target_j)
-            if up_m.dim < nsum[j] - rj:
-                continue
-            for pj in subspaces_between(h_prev, up_m, nsum[j] - rj, budget=budget):
-                if j == space.m - 1:
-                    if uh.contains(target):
-                        datum = FlagDatum(
-                            tuple(ptildes + [ptilde]), tuple(ps + [pj]), tuple(hs + [target])
-                        )
-                        points.append(
-                            FiberPoint(datum, _fiber_invariants(space, datum, target))
-                        )
-                    continue
-                uh_m = subspace_intersect(uh, target_j)
-                for hj in subspaces_between(pj, uh_m, nsum[j], budget=budget):
-                    step(j + 1, ptildes + [ptilde], ps + [pj], hs + [hj])
-
-    if target.dim == label.k:
-        step(0, [], [], [])
-    report = FiberReport(tuple(points))
-    if multilabels_of(space, [target])[0] == label and len(report) != 1:
+    fiber = list(_walk(space, label, target, budget)) if target.dim == label.k else []
+    if multilabels_of(space, [target])[0] == label and len(fiber) != 1:
         raise AssertionError(
-            f"fiber over an open-stratum point has {len(report)} points, expected 1"
+            f"fiber over an open-stratum point has {len(fiber)} points, expected 1"
         )
-    return report
+    return fiber
 
 
 def closure_labels(
@@ -419,10 +398,11 @@ def cover_fiber(
     where two middle isotropics get the same color iff their intersection
     dimension has the parity of their own dimension.
     """
-    base = tower_fiber(space, label, target, budget=budget)
     factors = cover_factors(space, label)
     points = [
-        pt for fp in base.points for pt in _cover_over(space, label, fp.datum, factors, budget)
+        pt
+        for datum in tower_fiber(space, label, target, budget=budget)
+        for pt in _cover_over(space, label, datum, factors, budget)
     ]
 
     refs: dict[int, Subspace] = {}

@@ -260,25 +260,24 @@ def _single_below(a: MultiLabel, b: MultiLabel) -> bool:
 # paving
 # ---------------------------------------------------------------------------
 
-def _sample_flags(space: BilinearSpace, max_len=2):
+def _sample_flags(space: BilinearSpace, budget):
     flags = [()]
     lines = []
-    for h in isotropic_subspaces(space, 1):
+    for h in isotropic_subspaces(space, 1, budget=budget):
         lines.append(h)
         if len(lines) == 3:
             break
     for line in lines[:2]:
         flags.append((line,))
-    if max_len >= 2:
-        count = 0
-        for plane in isotropic_subspaces(space, 2):
-            for line in lines:
-                if plane.contains(line):
-                    flags.append((line, plane))
-                    count += 1
-                    break
-            if count == 2:
+    count = 0
+    for plane in isotropic_subspaces(space, 2, budget=budget):
+        for line in lines:
+            if plane.contains(line):
+                flags.append((line, plane))
+                count += 1
                 break
+        if count == 2:
+            break
     return flags
 
 
@@ -293,7 +292,7 @@ def suite_paving(forms_dims=None, primes=(3, 5), budget=DEFAULT_BUDGET):
         for p in primes:
             space = standard_space(form, n, p)
             bad = []
-            for flag in _sample_flags(space):
+            for flag in _sample_flags(space, budget):
                 for k in range(n // 2 + 1):
                     paving = build_paving(space, k, flag)
                     tallies = [0] * len(paving.pieces)

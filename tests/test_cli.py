@@ -86,6 +86,13 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_resolve_budget_bounds_base_choices(capsys):
+    # 40 tower points, but the P~ choices scan all 33,880 points of Gr_3(F_3^6)
+    argv = ["resolve", "--space", "O6", "--label", "3:0p", "--prime", "3"]
+    assert main(argv + ["--budget", "1000"]) == EXIT_BUDGET
+    assert "budget refused" in capsys.readouterr().err
+
+
 def test_json_determinism(capsys):
     main(["labels", "--space", "Sp2+O2", "--k", "1", "--primes", "3"])
     first = capsys.readouterr().out

@@ -10,7 +10,9 @@ from isograss.linalg import (
     full_subspace,
     intersect_prefix,
     left_kernel,
+    random_matrix,
     random_subspace,
+    rank_mod,
     rref,
     rref_canonicalize,
     span,
@@ -77,6 +79,7 @@ def test_sum_and_intersect_examples():
     s23 = span([[0, 1, 0], [0, 0, 1]], 3, 3)
     assert subspace_intersect(s12, s23) == span([[0, 1, 0]], 3, 3)
     assert subspace_intersect(s12, full_subspace(3, 3)) == s12
+    assert subspace_intersect(full_subspace(3, 3), s12) == s12
     assert subspace_intersect(e1, e2) == zero_subspace(2, p)
 
 
@@ -106,6 +109,21 @@ def test_left_kernel():
     k = left_kernel(m, 5)
     assert k.shape[0] == 2
     assert not (k @ m % 5).any()
+
+    # random, dependent and zero matrices: the kernel comes back in RREF
+    # with rows - rank rows, each killing the matrix
+    rng = np.random.default_rng(0)
+    cases = [(np.zeros((3, 2), dtype=np.int64), 3), (np.zeros((2, 5), dtype=np.int64), 7)]
+    for p in (3, 5, 7):
+        for rows, cols in ((1, 1), (2, 3), (3, 2), (4, 4), (5, 3), (3, 6)):
+            a = random_matrix(rows, cols, p, rng)
+            combos = random_matrix(2, rows, p, rng) @ a % p
+            cases += [(a, p), (np.vstack([a, combos]), p)]
+    for m, p in cases:
+        k = left_kernel(m, p)
+        assert np.array_equal(rref(k, p), k)
+        assert not (k @ m % p).any()
+        assert k.shape == (m.shape[0] - rank_mod(m, p), m.shape[0])
 
 
 @pytest.mark.parametrize("n,k,p", [(2, 1, 3), (3, 1, 3), (3, 2, 3), (4, 2, 3), (4, 2, 5)])

@@ -1,6 +1,7 @@
 import ast
 import functools
 import importlib.util
+import inspect
 import shlex
 import sys
 from pathlib import Path
@@ -24,6 +25,30 @@ def test_no_bare_asserts_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_enumerations_name_their_budget():
+    # a call that leaves out the budget enumerates under the default one and
+    # ignores its caller's; an explicit `budget=None` is a visible choice
+    from isograss.linalg import enumerate_subspaces, subspaces_between
+    from isograss.paving import isotropic_subspaces
+
+    slot = {
+        fn.__name__: list(inspect.signature(fn).parameters).index("budget")
+        for fn in (enumerate_subspaces, isotropic_subspaces, subspaces_between)
+    }
+    calls, offenders = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in slot:
+                continue
+            calls += 1
+            if len(node.args) <= slot[name] and "budget" not in {kw.arg for kw in node.keywords}:
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert calls and offenders == []
 
 
 def test_readme_cli_examples_parse():

@@ -1,4 +1,9 @@
+from collections import Counter
+
+import pytest
+
 from isograss.bilinear import SKEW, SYMMETRIC, standard_space
+from isograss.linalg import BudgetExceeded, enumerate_subspaces
 from isograss.orbits import DOUBLEPRIME0, PRIME0
 from isograss.polynomials import IntPolynomial, gaussian_binomial, interpolate_counts
 from isograss.sumspace import (
@@ -14,6 +19,7 @@ from isograss.towers import (
     cover_fiber,
     cover_points,
     expected_cover_fiber_space,
+    fiber_invariants,
     resolution_tower,
     single_resolution,
     tower_fiber,
@@ -40,8 +46,6 @@ def test_single_resolution_o4_middle():
     o4 = standard_space(SYMMETRIC, 4, 3)
     pairs = single_resolution(o4, 2, 1)
     # fiber over a maximal isotropic H is {P < H : dim P = 1} of size q+1
-    from collections import Counter
-
     by_h = Counter(h for _, h in pairs)
     maximal = [h for h, c in by_h.items() if c > 1]
     for h in maximal:
@@ -82,6 +86,16 @@ def test_tower_points_count_matches_symbolic():
                 assert len(set(pts)) == len(pts)
 
 
+def test_tower_points_budget_bounds_base_choices():
+    # the symbolic count is 40, but the P~ choices are read off all 33,880
+    # points of Gr_3(F_3^6): the budget must bound that enumeration too
+    o6 = build_sum_space("O6", 3)
+    label = MultiLabel((3,), (PRIME0,))
+    assert resolution_tower(o6, label).count_polynomial()(3) == 40
+    with pytest.raises(BudgetExceeded):
+        tower_points(o6, label, budget=1000)
+
+
 def test_empty_label_gives_single_point():
     b = build_sum_space("Sp2+O2", 3)
     pts = tower_points(b, MultiLabel((0, 0), (0, 0)))
@@ -96,7 +110,7 @@ def test_tower_fiber_open_orbit_singleton():
             rep = canonical_representative(b, label)
             fiber = tower_fiber(b, label, rep)
             assert len(fiber) == 1
-            datum = fiber.points[0].datum
+            datum = fiber[0]
             assert datum.target == rep
             # radical formula: P~_i is the radical of pr_i of the target
             from isograss.bilinear import radical
@@ -104,6 +118,19 @@ def test_tower_fiber_open_orbit_singleton():
             for i, f in enumerate(b.factors):
                 pr = b.project_factor(rep, i)
                 assert datum.ptildes[i] == radical(f, pr)
+
+
+def test_tower_fiber_is_tower_points_cut_to_target():
+    for spec, ks in (("Sp2+O2", (1, 2)), ("Sp2+Sp2", (2,)), ("O4", (2,))):
+        b = build_sum_space(spec, 3)
+        for k in ks:
+            for label in enumerate_multilabels(b, k):
+                by_target: dict = {}
+                for datum in tower_points(b, label):
+                    by_target.setdefault(datum.target, Counter())[datum] += 1
+                for h in enumerate_subspaces(b.n, k, 3):
+                    want = by_target.get(h, Counter())
+                    assert Counter(tower_fiber(b, label, h)) == want, (spec, str(label), h)
 
 
 def test_tower_fiber_o4_maximal_isotropic():
@@ -233,9 +260,10 @@ def test_fiber_invariant_groups_are_paved():
             space = build_sum_space(spec, p)
             rep = canonical_representative(space, sub)
             fiber = tower_fiber(space, label, rep)
-            for fp in fiber.points:
-                groups.setdefault(fp.invariants, {}).setdefault(p, 0)
-                groups[fp.invariants][p] += 1
+            for datum in fiber:
+                inv = fiber_invariants(space, datum)
+                groups.setdefault(inv, {}).setdefault(p, 0)
+                groups[inv][p] += 1
         for inv, sizes in groups.items():
             samples = [(p, sizes.get(p, 0)) for p in (3, 5)]
             poly = interpolate_counts(samples, 1)
