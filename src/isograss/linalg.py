@@ -1,7 +1,11 @@
 """Exact linear algebra over odd prime fields F_p.
 
-Matrices are numpy int64 arrays with entries reduced mod p.  Subspaces of
-F_p^n are kept in reduced row-echelon form, which makes equality, hashing
+Matrices are numpy int64 arrays with entries reduced mod p at the API, but
+elimination runs on lists of Python-int rows: ``_eliminate`` is the one
+Gauss-Jordan loop, behind ``rref``, ``rank_mod``, ``left_kernel`` and
+``complement_rows``.  The matrices here have a few rows and columns, so
+per-element numpy indexing would cost more than the arithmetic.  Subspaces
+of F_p^n are kept in reduced row-echelon form, which makes equality, hashing
 and set membership structural.  Enumeration of Gr_k(F_p^n) is ordered by
 (pivot pattern, free entries), both lexicographic, and exposes a global
 index range so consumers can partition work into disjoint chunks.
@@ -60,35 +64,53 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def rref(mat: np.ndarray, p: int) -> np.ndarray:
-    """Reduced row-echelon form mod p with zero rows dropped."""
-    a = np.array(mat, dtype=np.int64) % p
+def _eliminate(rows: list[list[int]], p: int) -> int:
+    """Gauss-Jordan elimination in place on Python-int rows reduced mod p.
+
+    Leaves the first ``rank`` rows in RREF and the rest zero; returns the rank.
+    """
+    n_rows = len(rows)
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        for r in range(rank, n_rows):
+            if rows[r][col]:
+                break
+        else:
+            continue
+        piv = rows[r]
+        rows[r] = rows[rank]
+        x = piv[col]
+        if x != 1:
+            inv = pow(x, p - 2, p)
+            piv = [v * inv % p for v in piv]
+        rows[rank] = piv
+        for r in range(n_rows):
+            f = rows[r][col]
+            if f and r != rank:
+                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], piv)]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def _int_rows(mat, p: int) -> tuple[list[list[int]], int]:
+    """The rows of a 2-d matrix reduced mod p, and its column count."""
+    a = np.asarray(mat, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        piv = -1
-        for r in range(rank, rows):
-            if a[r, col]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = a[rank] * inv_mod(int(a[rank, col]), p) % p
-        for r in range(rows):
-            if r != rank and a[r, col]:
-                a[r] = (a[r] - a[r, col] * a[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return a[:rank]
+    return (a % p).tolist(), a.shape[1]
+
+
+def rref(mat: np.ndarray, p: int) -> np.ndarray:
+    """Reduced row-echelon form mod p with zero rows dropped."""
+    rows, cols = _int_rows(mat, p)
+    rank = _eliminate(rows, p)
+    return np.array(rows[:rank], dtype=np.int64).reshape(rank, cols)
 
 
 def rank_mod(mat: np.ndarray, p: int) -> int:
-    return rref(mat, p).shape[0]
+    return _eliminate(_int_rows(mat, p)[0], p)
 
 
 class Subspace:
@@ -178,16 +200,17 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 def left_kernel(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis (as rows) of {x : x @ mat == 0 mod p}."""
-    mat = np.asarray(mat, dtype=np.int64)
-    m = mat.shape[0]
+    rows, w = _int_rows(mat, p)
+    m = len(rows)
     # Row-reduce [mat | I]; rows whose mat-part vanished span the kernel.
     # They are the last rows of the RREF with their pivots in the identity
     # part, so their identity part is already in RREF.
-    aug = np.hstack([mat % p, np.eye(m, dtype=np.int64)])
-    red = rref(aug, p)
-    w = mat.shape[1]
-    mask = ~red[:, :w].any(axis=1)
-    return red[mask][:, w:]
+    for i, row in enumerate(rows):
+        row += [0] * m
+        row[w + i] = 1
+    rank = _eliminate(rows, p)
+    ker = [row[w:] for row in rows[:rank] if not any(row[:w])]
+    return np.array(ker, dtype=np.int64).reshape(len(ker), m)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -239,17 +262,17 @@ def complement_rows(inner: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:
     span(inner)+span(outer); the returned rows span a complement."""
     outer = np.asarray(outer, dtype=np.int64)
     width = outer.shape[-1]
-    inner = np.asarray(inner, dtype=np.int64).reshape(-1, width)
-    taken = inner % p
-    rank = rank_mod(taken, p)
-    picked = []
-    for row in outer.reshape(-1, width):
-        trial = np.vstack([taken, row.reshape(1, -1)])
-        trial_rank = rank_mod(trial, p)
-        if trial_rank > rank:
-            picked.append(row % p)
-            taken, rank = trial, trial_rank
-    return np.array(picked, dtype=np.int64).reshape(-1, width)
+    inner_rows, _ = _int_rows(np.asarray(inner, dtype=np.int64).reshape(-1, width), p)
+    outer_rows, _ = _int_rows(outer.reshape(-1, width), p)
+    # Row j of [inner; outer] lies outside the span of the rows before it
+    # iff column j is a pivot column of the RREF of the transpose.  A pivot
+    # is the first 1 of its RREF row, since everything before it is 0.
+    cols = [list(c) for c in zip(*inner_rows, *outer_rows)]
+    rank = _eliminate(cols, p)
+    pivots = (row.index(1) for row in cols[:rank])
+    first = len(inner_rows)
+    picked = [outer_rows[j - first] for j in pivots if j >= first]
+    return np.array(picked, dtype=np.int64).reshape(len(picked), width)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +365,10 @@ def subspaces_between(
     u, w = lower.dim, upper.dim
     if not (u <= d <= w):
         return
-    if not upper.contains(lower):
-        raise ValueError("lower is not contained in upper")
     comp = complement_rows(lower.basis, upper.basis, lower.p)
+    # dim(lower + upper) = u + len(comp), which is w iff lower <= upper.
+    if u + comp.shape[0] != w:
+        raise ValueError("lower is not contained in upper")
     for q in enumerate_subspaces(w - u, d - u, lower.p, budget=budget):
         rows = q.basis @ comp % lower.p if q.dim else np.zeros((0, lower.n), dtype=np.int64)
         mat = np.vstack([lower.basis, rows])

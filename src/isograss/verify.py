@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinear import (
+    SKEW,
     SYMMETRIC,
     BilinearSpace,
     DiscriminantMismatch,
+    apply_isometry,
     discriminant_class,
     pairing,
     perp,
@@ -29,6 +31,7 @@ from .linalg import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     random_subspace,
+    rank_mod,
     subspace_intersect,
     subspace_sum,
     subspace_total,
@@ -282,8 +285,6 @@ def _sample_flags(space: BilinearSpace, budget):
 
 
 def suite_paving(forms_dims=None, primes=(3, 5), budget=DEFAULT_BUDGET):
-    from .bilinear import SKEW
-
     if forms_dims is None:
         forms_dims = [(SKEW, 2), (SKEW, 4), (SYMMETRIC, 2), (SYMMETRIC, 3),
                       (SYMMETRIC, 4), (SYMMETRIC, 5)]
@@ -486,8 +487,6 @@ def suite_closure(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=
 # ---------------------------------------------------------------------------
 
 def _witt_table_ok(space, h, ws) -> bool:
-    from .linalg import rank_mod
-
     parts = [ws.m1, ws.m2, ws.m3, ws.m4]
     if sum(x.dim for x in parts) != space.n:
         return False
@@ -556,8 +555,6 @@ def suite_witt(specs=GRID_SPACES, primes=(3, 5), pairs_per_space=1000, seed=2024
                         continue
                     if ((g.T @ amb.gram @ g - amb.gram) % p).any():
                         fails.append("not an isometry")
-                    from .bilinear import apply_isometry
-
                     if apply_isometry(g, other) != h:
                         fails.append("does not transport")
                     done += 1

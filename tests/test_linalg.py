@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from isograss._batch import batch_rank
 from isograss.linalg import (
     BudgetExceeded,
     PrimeField,
     Subspace,
     block_project,
+    complement_rows,
     enumerate_subspaces,
     full_subspace,
     intersect_prefix,
@@ -31,6 +33,77 @@ def test_prime_field_validation():
     for bad in (2, 4, 9, 1, 999, 1009):
         with pytest.raises(ValueError):
             PrimeField(bad)
+
+
+def _reference_rref(mat, p):
+    """RREF by the bulk elimination of ``_batch``, independent of ``rref``."""
+    stack = (np.asarray(mat, dtype=np.int64) % p)[None].copy()
+    rank = int(batch_rank(stack, p)[0])
+    return stack[0, :rank]
+
+
+def test_rref_kernel_contract():
+    rng = np.random.default_rng(8)
+    shapes = [(r, c) for r in range(9) for c in (0, 1, 2, 3, 5, 8, 12, 16)]
+    for p in (3, 5, 7, 997):
+        for rows, cols in shapes:
+            m = rng.integers(-2 * p, 2 * p, size=(rows, cols), dtype=np.int64)
+            want = _reference_rref(m, p)
+            # a plain list of no rows carries no column count
+            inputs = [m, m.astype(np.int32)] + ([m.tolist()] if rows else [])
+            for given in inputs:
+                red = rref(given, p)
+                assert red.dtype == np.int64 and red.shape == (want.shape[0], cols)
+                assert np.array_equal(red, want)
+                assert rank_mod(given, p) == want.shape[0]
+            pivots = [int(np.flatnonzero(row)[0]) for row in red]
+            assert pivots == sorted(set(pivots))
+            for i, c in enumerate(pivots):
+                assert np.array_equal(red[:, c], np.eye(len(pivots), dtype=np.int64)[i])
+    with pytest.raises(ValueError):
+        rref(np.array([1, 2, 3]), 3)
+
+
+def test_empty_kernel_and_complement_keep_int64_and_two_dims():
+    ker = left_kernel(np.zeros((0, 4), dtype=np.int64), 5)
+    assert ker.dtype == np.int64 and ker.shape == (0, 0)
+    ker = left_kernel(np.zeros((3, 0), dtype=np.int64), 5)
+    assert ker.dtype == np.int64 and np.array_equal(ker, np.eye(3, dtype=np.int64))
+    comp = complement_rows(np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4), dtype=np.int64), 5)
+    assert comp.dtype == np.int64 and comp.shape == (0, 4)
+
+
+def _greedy_complement(inner, outer, p):
+    """The definition: each row of ``outer``, in order, that raises the rank."""
+    width = outer.shape[1]
+    taken = np.asarray(inner, dtype=np.int64).reshape(-1, width) % p
+    picked = []
+    for row in outer % p:
+        trial = np.vstack([taken, row])
+        if _reference_rref(trial, p).shape[0] > _reference_rref(taken, p).shape[0]:
+            picked.append(row)
+            taken = trial
+    return np.array(picked, dtype=np.int64).reshape(-1, width)
+
+
+def test_complement_rows_matches_greedy_definition():
+    rng = np.random.default_rng(3)
+    for p in (3, 7):
+        for _ in range(300):
+            width = int(rng.integers(1, 7))
+            inner = rng.integers(-p, 2 * p, size=(int(rng.integers(0, 4)), width))
+            outer = rng.integers(-p, 2 * p, size=(int(rng.integers(0, 5)), width))
+            extra = [np.zeros((1, width), dtype=np.int64)]  # a zero row
+            if len(inner):
+                extra.append(rng.integers(0, p, size=(2, len(inner))) @ inner)  # in span(inner)
+            if len(outer):
+                extra.append(outer[-1:] * 2)  # a multiple of an earlier row
+            outer = np.vstack([outer, *extra])
+            rng.shuffle(outer)
+            for rows in (outer, outer[:0]):
+                got = complement_rows(inner, rows, p)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, _greedy_complement(inner, rows, p))
 
 
 def test_rref_scaling():
@@ -211,6 +284,16 @@ def test_subspaces_between():
     assert len(mids) == gaussian_binomial(2, 1)(p)
     assert all(m.contains(lower) and upper.contains(m) for m in mids)
     assert len(set(mids)) == len(mids)
+
+
+def test_subspaces_between_refuses_lower_outside_upper():
+    p = 3
+    lower = span([[0, 0, 0, 1]], 4, p)
+    upper = span([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 4, p)
+    for d in range(1, 4):
+        with pytest.raises(ValueError):
+            list(subspaces_between(lower, upper, d))
+    assert list(subspaces_between(upper, upper, 3)) == [upper]
 
 
 def test_subspace_repr_and_contains_vector():
