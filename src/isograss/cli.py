@@ -223,7 +223,8 @@ def cmd_resolve(space_spec: str, label: MultiLabel, prime: int = 3, budget=DEFAU
             "passed": ok,
             "details": f"{len(points)} points vs symbolic {poly(prime)}",
             "repro": f"isograss resolve --space {space_spec} --label "
-            + ",".join(f"{a}:{b}" for a, b in zip(label.ks, label.rs)),
+            + ",".join(f"{a}:{b}" for a, b in zip(label.ks, label.rs))
+            + (f" --prime {prime}" if prime != 3 else ""),  # defaults stay implicit
         }
     ]
     return bundle("resolve", {"space": space_spec, "prime": prime}, results, checks)

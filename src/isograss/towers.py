@@ -14,10 +14,11 @@ must lie in.  The whole resolution is the walk under all of B; the fiber
 over a target M is the walk under M itself, since H_i <= H_m = M.
 
 The covering tower adds, for every symmetric factor with
-max{0, 2k_i - n_i} < r_i, a middle isotropic Q~_i (inside B_i for even r_i,
-inside B_i + F for odd r_i, where F is an extra line of norm 1); over the
-open stratum these choices split the fiber into 2^d components, one pair
-per such factor.
+max{0, 2k_i - n_i} < r_i, a middle isotropic Q~_i >= P~_i of dim
+k_i - r_i//2, inside B_i for even r_i and inside B_i + F for odd r_i, where
+F is an extra line of norm 1.  Its candidates come from one isotropic walk
+per cover factor, shared by every tower point; over the open stratum these
+choices split the fiber into 2^d components, one pair per such factor.
 """
 
 from __future__ import annotations
@@ -306,10 +307,11 @@ def cover_factors(space: SumSpace, label: MultiLabel) -> list[int]:
     return out
 
 
-def _pad(sub: Subspace, extra: int = 1) -> Subspace:
-    rows = np.zeros((sub.dim, sub.n + extra), dtype=np.int64)
-    rows[:, : sub.n] = sub.basis
-    return span(rows, sub.n + extra, sub.p)
+def _pad(sub: Subspace, extra: int) -> Subspace:
+    """sub in F_p^(n + extra); zero columns on the right keep its RREF."""
+    if not extra:
+        return sub
+    return Subspace(np.pad(sub.basis, ((0, 0), (0, extra))), sub.n + extra, sub.p)
 
 
 def _extend_space(space: BilinearSpace) -> BilinearSpace:
@@ -320,68 +322,67 @@ def _extend_space(space: BilinearSpace) -> BilinearSpace:
     return BilinearSpace(space.n + 1, space.p, SYMMETRIC, g)
 
 
-def _cover_choices(space: SumSpace, label: MultiLabel, datum: FlagDatum, i: int, budget: int):
-    """(Q~_i, Q_i) pairs over one resolution point for one cover factor."""
+def _cover_choices(space: SumSpace, label: MultiLabel, i: int, budget: int):
+    """The (Q~_i, Q_i) pairs of cover factor i, as a function of the tower point.
+
+    With extra = r_i mod 2, Q~_i is an isotropic P~_i <= Q~_i of B_i (+ F), and
+    P_i <= Q_i <= H_i (+ F) cap (B_{<i} + Q~_i).  The candidate Q~_i and their
+    B_{<i} + Q~_i depend only on the label and the factor, so they are built once.
+    """
     f = space.factors[i]
     p = space.p
-    ki = label.ks[i]
-    ri = int(label.rs[i])
-    n_prev = sum(label.ks[:i])
-    ptilde, pi, hi = datum.ptildes[i], datum.ps[i], datum.hs[i]
-    if ri % 2 == 0:
-        qt_dim = ki - ri // 2
-        q_dim = n_prev + ki - ri // 2
-        for qt in subspaces_between(ptilde, perp(f, ptilde), qt_dim, budget=budget):
-            if pairing(f, qt.basis, qt.basis).any():
-                continue
-            uq = subspace_sum(space.prefix_subspace(i), space.embed_factor(i, qt))
-            upper = subspace_intersect(hi, uq)
-            for q in subspaces_between(pi, upper, q_dim, budget=budget):
-                yield qt, q
-    else:
-        fe = _extend_space(f)
-        qt_dim = ki - (ri - 1) // 2
-        q_dim = n_prev + ki - (ri - 1) // 2
-        pt_pad = _pad(ptilde)
-        pi_pad = _pad(pi)
-        extra = np.zeros((1, space.n + 1), dtype=np.int64)
-        extra[0, space.n] = 1
-        hi_ext = span(np.vstack([_pad(hi).basis, extra]), space.n + 1, p)
-        prefix_pad = _pad(space.prefix_subspace(i))
-        lo, hi_end = space.offsets[i], space.offsets[i + 1]
-        for qt in subspaces_between(pt_pad, perp(fe, pt_pad), qt_dim, budget=budget):
-            if pairing(fe, qt.basis, qt.basis).any():
-                continue
-            rows = np.zeros((qt.dim, space.n + 1), dtype=np.int64)
-            rows[:, lo:hi_end] = qt.basis[:, : f.n]
-            rows[:, space.n] = qt.basis[:, f.n]
-            uq = subspace_sum(prefix_pad, span(rows, space.n + 1, p))
-            upper = subspace_intersect(hi_ext, uq)
-            for q in subspaces_between(pi_pad, upper, q_dim, budget=budget):
-                yield qt, q
+    ki, ri = label.ks[i], int(label.rs[i])
+    extra = ri % 2
+    fe = _extend_space(f) if extra else f
+    qt_dim = ki - ri // 2
+    q_dim = sum(label.ks[:i]) + qt_dim
+    n = space.n + extra
+    lo, end = space.offsets[i], space.offsets[i + 1]
+    eye = np.eye(n, dtype=np.int64)
+    candidates = []
+    for qt in isotropic_subspaces(fe, qt_dim, budget=budget):
+        rows = np.zeros((qt.dim, n), dtype=np.int64)
+        rows[:, lo:end] = qt.basis[:, : f.n]
+        rows[:, space.n :] = qt.basis[:, f.n :]
+        candidates.append((qt, span(np.vstack([eye[:lo], rows]), n, p)))
+
+    def choices(datum: FlagDatum):
+        ptilde = _pad(datum.ptildes[i], extra)
+        pi = _pad(datum.ps[i], extra)
+        # H_i + F: the F row has its pivot past every padded row, so this is RREF
+        hi_f = Subspace(np.vstack([_pad(datum.hs[i], extra).basis, eye[space.n :]]), n, p)
+        for qt, uq in candidates:
+            if qt.contains(ptilde):
+                upper = subspace_intersect(hi_f, uq)
+                for q in subspaces_between(pi, upper, q_dim, budget=budget):
+                    yield qt, q
+
+    return choices
+
+
+def _cover_over(space: SumSpace, label: MultiLabel, data: list[FlagDatum], budget: int):
+    """Cover points over each tower point in ``data``: every product of the
+    per-factor choices, from one Q~ walk per cover factor."""
+    factors = cover_factors(space, label)
+    choosers = [_cover_choices(space, label, i, budget) for i in factors] if data else []
+    for datum in data:
+        for combo in product(*(list(choose(datum)) for choose in choosers)):
+            qtildes = {i: qt for i, (qt, _) in zip(factors, combo)}
+            qs = {i: q for i, (_, q) in zip(factors, combo)}
+            yield CoverDatum(datum, qtildes, qs)
 
 
 def cover_points(
     space: SumSpace, label: MultiLabel, budget: int = DEFAULT_BUDGET
 ) -> list[CoverDatum]:
-    """Exhaustive enumeration of the covering tower."""
-    factors = cover_factors(space, label)
-    return [
-        pt
-        for datum in tower_points(space, label, budget=budget)
-        for pt in _cover_over(space, label, datum, factors, budget)
-    ]
+    """Exhaustive enumeration of the covering tower.
 
-
-def _cover_over(
-    space: SumSpace, label: MultiLabel, datum: FlagDatum, factors: list[int], budget: int
-):
-    """Cover points over one tower point: every product of per-factor choices."""
-    choice_lists = [list(_cover_choices(space, label, datum, i, budget)) for i in factors]
-    for combo in product(*choice_lists):
-        qtildes = {i: qt for i, (qt, _) in zip(factors, combo)}
-        qs = {i: q for i, (_, q) in zip(factors, combo)}
-        yield CoverDatum(datum, qtildes, qs)
+    The budget bounds every walk, the Q~_i candidates included: they come
+    from all of Gr_{dim Q~_i}(B_i (+ F)), so a budget below that
+    Grassmannian's size refuses even when few candidates contain P~_i.
+    """
+    base = tower_points(space, label, budget=budget)
+    return list(_cover_over(space, label, base, budget))
 
 
 def cover_fiber(
@@ -396,14 +397,12 @@ def cover_fiber(
     ``factor_sizes[i]`` is the number of middle-isotropic choices, and the
     component count is the number of distinct tuples of ruling colors,
     where two middle isotropics get the same color iff their intersection
-    dimension has the parity of their own dimension.
+    dimension has the parity of their own dimension.  The budget bounds the
+    same walks as in ``cover_points``.
     """
+    fiber = tower_fiber(space, label, target, budget=budget)
+    points = list(_cover_over(space, label, fiber, budget))
     factors = cover_factors(space, label)
-    points = [
-        pt
-        for datum in tower_fiber(space, label, target, budget=budget)
-        for pt in _cover_over(space, label, datum, factors, budget)
-    ]
 
     refs: dict[int, Subspace] = {}
     colorings = set()

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import shlex
 
 import pytest
 
@@ -149,6 +150,17 @@ def test_resolve_check_passes():
     report = cmd_resolve("Sp2+Sp2", parse_label_arg("1:0,1:0"))
     assert report["checks"][0]["passed"]
     assert report["results"][0]["count_polynomial"] == [1, 3, 3, 1]
+
+
+def test_resolve_repro_keeps_prime():
+    # the check names q=5, so its repro line must rerun at p = 5, not at the default
+    check = cmd_resolve("Sp4", parse_label_arg("2:0"), prime=5)["checks"][0]
+    assert check["name"] == "tower count at q=5"
+    argv = shlex.split(check["repro"])
+    assert argv[0] == "isograss"
+    args = make_parser().parse_args(argv[1:])
+    assert args.prime == 5
+    assert args.space_spec == "Sp4" and parse_label_arg(args.label) == parse_label_arg("2:0")
 
 
 def test_verify_cli_k_filter(capsys):

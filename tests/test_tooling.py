@@ -2,14 +2,16 @@ import ast
 import functools
 import importlib.util
 import inspect
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import isograss
-from isograss.cli import make_parser
+from isograss.cli import main, make_parser
 
 SRC = Path(isograss.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,6 +27,27 @@ def test_no_bare_asserts_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolve", "--space", "Sp4", "--label", "2:0"],
+        ["fibers", "--space", "O4", "--label", "2:1", "--target-label", "2:0p", "--primes", "3"],
+    ],
+)
+def test_optimized_run_writes_same_bytes(argv, capsysbinary):
+    # the AST check above keeps asserts out of the package; this runs it with
+    # asserts stripped and wants the report bytes and exit code of a plain run
+    code = main(argv)
+    want = capsysbinary.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent), PYTHONHASHSEED="0")
+    run = "import sys; from isograss.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", run, *argv], env=env, capture_output=True, timeout=300
+    )
+    assert (proc.returncode, proc.stdout) == (code, want)
+    assert want
 
 
 def test_enumerations_name_their_budget():

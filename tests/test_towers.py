@@ -1,9 +1,18 @@
 from collections import Counter
+from itertools import product
 
+import numpy as np
 import pytest
 
 from isograss.bilinear import SKEW, SYMMETRIC, standard_space
-from isograss.linalg import BudgetExceeded, enumerate_subspaces
+from isograss.cli import parse_label_arg
+from isograss.linalg import (
+    BudgetExceeded,
+    enumerate_subspaces,
+    span,
+    subspace_intersect,
+    subspaces_between,
+)
 from isograss.orbits import DOUBLEPRIME0, PRIME0
 from isograss.polynomials import IntPolynomial, gaussian_binomial, interpolate_counts
 from isograss.sumspace import (
@@ -14,6 +23,7 @@ from isograss.sumspace import (
     multilabel_of,
 )
 from isograss.towers import (
+    CoverDatum,
     closure_labels,
     cover_factors,
     cover_fiber,
@@ -206,6 +216,85 @@ def test_cover_points_all_symplectic_equals_tower():
     base = tower_points(spsp, label)
     assert len(pts) == len(base)
     assert all(not pt.qtildes for pt in pts)
+
+
+def _padded(sub, n):
+    rows = np.zeros((sub.dim, n), dtype=np.int64)
+    rows[:, : sub.n] = sub.basis
+    return span(rows, n, sub.p)
+
+
+def _cover_reference(space, label):
+    """Cover points by definition: per tower point and cover factor i, every
+    isotropic Q~ >= P~_i of dim k_i - floor(r_i/2) in B_i (plus a norm-1 line F
+    for odd r_i), and every Q of dim k_{<i} + dim Q~ with
+    P_i <= Q <= H_i (+F) cap (B_{<i} + Q~)."""
+    p = space.p
+    factors = cover_factors(space, label)
+    walks = {}
+    for i in factors:
+        f, ki, ri = space.factors[i], label.ks[i], int(label.rs[i])
+        extra = ri % 2
+        gram = np.zeros((f.n + extra, f.n + extra), dtype=np.int64)
+        gram[: f.n, : f.n] = f.gram
+        gram[f.n :, f.n :] = 1
+        qt_dim = ki - (ri - extra) // 2
+        iso = [
+            qt
+            for qt in enumerate_subspaces(f.n + extra, qt_dim, p, budget=None)
+            if not (qt.basis @ gram @ qt.basis.T % p).any()
+        ]
+        walks[i] = (extra, iso, sum(label.ks[:i]) + qt_dim)
+    points = []
+    for datum in tower_points(space, label):
+        choice_lists = []
+        for i in factors:
+            extra, iso, q_dim = walks[i]
+            n = space.n + extra
+            lo, f_n = space.offsets[i], space.factors[i].n
+            ptilde = _padded(datum.ptildes[i], f_n + extra)
+            hi = span(
+                np.vstack([_padded(datum.hs[i], n).basis, np.eye(n, dtype=np.int64)[space.n :]]),
+                n,
+                p,
+            )
+            choices = []
+            for qt in (qt for qt in iso if qt.contains(ptilde)):
+                rows = np.zeros((qt.dim, n), dtype=np.int64)
+                rows[:, lo : lo + f_n] = qt.basis[:, :f_n]
+                rows[:, space.n :] = qt.basis[:, f_n:]
+                around = span(np.vstack([np.eye(n, dtype=np.int64)[:lo], rows]), n, p)
+                upper = subspace_intersect(hi, around)
+                pi = _padded(datum.ps[i], n)
+                choices += [(qt, q) for q in subspaces_between(pi, upper, q_dim, budget=None)]
+            choice_lists.append(choices)
+        for combo in product(*choice_lists):
+            qtildes = {i: qt for i, (qt, _) in zip(factors, combo)}
+            points.append(CoverDatum(datum, qtildes, {i: q for i, (_, q) in zip(factors, combo)}))
+    return points
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        ("O3", "1:1"),
+        ("O4", "2:1"),
+        ("O4", "2:2"),
+        ("O4", "3:3"),
+        ("Sp2+O2", "1:0,1:1"),
+        ("O2+O3", "1:1,2:1"),
+        ("O2+O3", "1:1,2:2"),
+        # the Q walk alone forces P~ <= Q~ unless P_i meets B_{<i} beyond
+        # H_{i-1}; this label has such points, so it checks the P~ filter
+        ("O2+O4", "1:0p,2:1"),
+    ],
+)
+def test_cover_points_match_definition(spec, text):
+    space = build_sum_space(spec, 3)
+    label = parse_label_arg(text)
+    want = Counter(_cover_reference(space, label))
+    assert sum(want.values()) > 0
+    assert Counter(cover_points(space, label)) == want
 
 
 def test_cover_fiber_o4_open():
