@@ -16,8 +16,8 @@ over a target M is the walk under M itself, since H_i <= H_m = M.
 The covering tower adds, for every symmetric factor with
 max{0, 2k_i - n_i} < r_i, a middle isotropic Q~_i >= P~_i of dim
 k_i - r_i//2, inside B_i for even r_i and inside B_i + F for odd r_i, where
-F is an extra line of norm 1.  Its candidates come from one isotropic walk
-per cover factor, shared by every tower point; over the open stratum these
+F is an extra line of norm 1.  Its candidates are the isotropic subspaces of
+P~_i^perp / P~_i, walked once per distinct P~_i; over the open stratum these
 choices split the fiber into 2^d components, one pair per such factor.
 """
 
@@ -40,6 +40,7 @@ from .linalg import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     Subspace,
+    complement_rows,
     enumerate_subspaces,
     full_subspace,
     span,
@@ -322,12 +323,23 @@ def _extend_space(space: BilinearSpace) -> BilinearSpace:
     return BilinearSpace(space.n + 1, space.p, SYMMETRIC, g)
 
 
-def _cover_choices(space: SumSpace, label: MultiLabel, i: int, budget: int):
-    """The (Q~_i, Q_i) pairs of cover factor i, as a function of the tower point.
+def _isotropic_above(space: BilinearSpace, lower: Subspace, d: int, budget: int):
+    """Isotropic d-subspaces containing the isotropic ``lower``: they lie in
+    lower^perp, so they are the isotropic subspaces of lower^perp / lower,
+    walked with the batch filter and lifted."""
+    p = space.p
+    comp = complement_rows(lower.basis, perp(space, lower).basis, p)
+    quotient = BilinearSpace(comp.shape[0], p, space.form_type, comp @ space.gram @ comp.T % p)
+    for x in isotropic_subspaces(quotient, d - lower.dim, budget=budget):
+        yield span(np.vstack([lower.basis, x.basis @ comp % p]), space.n, p)
+
+
+def _cover_choices(space: SumSpace, label: MultiLabel, i: int, data: list, budget: int):
+    """Per tower point in ``data``, the (Q~_i, Q_i) pairs of cover factor i.
 
     With extra = r_i mod 2, Q~_i is an isotropic P~_i <= Q~_i of B_i (+ F), and
-    P_i <= Q_i <= H_i (+ F) cap (B_{<i} + Q~_i).  The candidate Q~_i and their
-    B_{<i} + Q~_i depend only on the label and the factor, so they are built once.
+    P_i <= Q_i <= H_i (+ F) cap (B_{<i} + Q~_i).  The Q~_i candidates and their
+    B_{<i} + Q~_i depend only on P~_i, so each distinct P~_i is walked once.
     """
     f = space.factors[i]
     p = space.p
@@ -339,34 +351,33 @@ def _cover_choices(space: SumSpace, label: MultiLabel, i: int, budget: int):
     n = space.n + extra
     lo, end = space.offsets[i], space.offsets[i + 1]
     eye = np.eye(n, dtype=np.int64)
-    candidates = []
-    for qt in isotropic_subspaces(fe, qt_dim, budget=budget):
-        rows = np.zeros((qt.dim, n), dtype=np.int64)
-        rows[:, lo:end] = qt.basis[:, : f.n]
-        rows[:, space.n :] = qt.basis[:, f.n :]
-        candidates.append((qt, span(np.vstack([eye[:lo], rows]), n, p)))
-
-    def choices(datum: FlagDatum):
+    above: dict[Subspace, list[tuple[Subspace, Subspace]]] = {}
+    out = []
+    for datum in data:
         ptilde = _pad(datum.ptildes[i], extra)
+        if ptilde not in above:
+            above[ptilde] = []
+            for qt in _isotropic_above(fe, ptilde, qt_dim, budget):
+                rows = np.zeros((qt.dim, n), dtype=np.int64)
+                rows[:, lo:end] = qt.basis[:, : f.n]
+                rows[:, space.n :] = qt.basis[:, f.n :]
+                above[ptilde].append((qt, span(np.vstack([eye[:lo], rows]), n, p)))
         pi = _pad(datum.ps[i], extra)
         # H_i + F: the F row has its pivot past every padded row, so this is RREF
         hi_f = Subspace(np.vstack([_pad(datum.hs[i], extra).basis, eye[space.n :]]), n, p)
-        for qt, uq in candidates:
-            if qt.contains(ptilde):
-                upper = subspace_intersect(hi_f, uq)
-                for q in subspaces_between(pi, upper, q_dim, budget=budget):
-                    yield qt, q
-
-    return choices
+        uppers = [(qt, subspace_intersect(hi_f, uq)) for qt, uq in above[ptilde]]
+        out.append([(qt, q) for qt, up in uppers
+                    for q in subspaces_between(pi, up, q_dim, budget=budget)])
+    return out
 
 
 def _cover_over(space: SumSpace, label: MultiLabel, data: list[FlagDatum], budget: int):
     """Cover points over each tower point in ``data``: every product of the
-    per-factor choices, from one Q~ walk per cover factor."""
+    per-factor choices."""
     factors = cover_factors(space, label)
-    choosers = [_cover_choices(space, label, i, budget) for i in factors] if data else []
-    for datum in data:
-        for combo in product(*(list(choose(datum)) for choose in choosers)):
+    per_factor = [_cover_choices(space, label, i, data, budget) for i in factors]
+    for j, datum in enumerate(data):
+        for combo in product(*(choices[j] for choices in per_factor)):
             qtildes = {i: qt for i, (qt, _) in zip(factors, combo)}
             qs = {i: q for i, (_, q) in zip(factors, combo)}
             yield CoverDatum(datum, qtildes, qs)
@@ -375,12 +386,7 @@ def _cover_over(space: SumSpace, label: MultiLabel, data: list[FlagDatum], budge
 def cover_points(
     space: SumSpace, label: MultiLabel, budget: int = DEFAULT_BUDGET
 ) -> list[CoverDatum]:
-    """Exhaustive enumeration of the covering tower.
-
-    The budget bounds every walk, the Q~_i candidates included: they come
-    from all of Gr_{dim Q~_i}(B_i (+ F)), so a budget below that
-    Grassmannian's size refuses even when few candidates contain P~_i.
-    """
+    """Exhaustive enumeration of the covering tower."""
     base = tower_points(space, label, budget=budget)
     return list(_cover_over(space, label, base, budget))
 
@@ -397,8 +403,7 @@ def cover_fiber(
     ``factor_sizes[i]`` is the number of middle-isotropic choices, and the
     component count is the number of distinct tuples of ruling colors,
     where two middle isotropics get the same color iff their intersection
-    dimension has the parity of their own dimension.  The budget bounds the
-    same walks as in ``cover_points``.
+    dimension has the parity of their own dimension.
     """
     fiber = tower_fiber(space, label, target, budget=budget)
     points = list(_cover_over(space, label, fiber, budget))

@@ -41,7 +41,7 @@ def test_optimized_run_writes_same_bytes(argv, capsysbinary):
     # asserts stripped and wants the report bytes and exit code of a plain run
     code = main(argv)
     want = capsysbinary.readouterr().out
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent), PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     run = "import sys; from isograss.cli import main; sys.exit(main(sys.argv[1:]))"
     proc = subprocess.run(
         [sys.executable, "-O", "-c", run, *argv], env=env, capture_output=True, timeout=300

@@ -327,6 +327,16 @@ def test_cover_fiber_o3_odd_rank():
     assert all(n in (0, 2) for n, _ in counts)
 
 
+def test_cover_fiber_o6_default_budget():
+    # the Q~ walk is bounded by P~ (the isotropics of P~^perp / P~), not by
+    # all of Gr_3(B + F), which at p = 5 is 320,327,931 subspaces
+    o6 = build_sum_space("O6", 5)
+    label = MultiLabel((3,), (1,))
+    rep = canonical_representative(o6, label)
+    points, comps, sizes = cover_fiber(o6, label, rep)
+    assert (len(points), comps, sizes) == (2, 2, {0: 2})
+
+
 def _stratum_points(space, label):
     from isograss.linalg import enumerate_subspaces
 
