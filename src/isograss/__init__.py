@@ -22,7 +22,6 @@ from .linalg import (
     Subspace,
     block_project,
     enumerate_subspaces,
-    rref_canonicalize,
     span,
     subspace_intersect,
     subspace_sum,

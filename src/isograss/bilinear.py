@@ -1,7 +1,8 @@
 """Bilinear spaces over F_p: symmetric or alternating Gram matrices,
-orthogonal complements, radicals, the four-summand decomposition adapted
-to a subspace, and a constructive isometry transporter between subspaces
-with matching invariants.
+orthogonal complements, radicals, the four-summand Witt split adapted to
+a subspace (``witt_decompose``, the only place a split is built), and a
+constructive isometry transporter that takes the splits of two subspaces
+with matching invariants and reads those invariants off them.
 
 Everything is for odd p, so 2 is invertible and symmetric forms
 diagonalize.  Over F_p, unlike over an algebraically closed field, two
@@ -27,6 +28,7 @@ from .linalg import (
     rref,
     span,
     subspace_intersect,
+    subspace_sum,
     zero_subspace,
 )
 
@@ -226,32 +228,6 @@ class WittSplit:
     m4: Subspace
 
 
-def _witt_bases(space: BilinearSpace, h: Subspace):
-    """Raw basis rows (b1, b2, b3, b4) of a four-summand decomposition."""
-    p = space.p
-    hperp = perp(space, h)
-    m1 = subspace_intersect(h, hperp)
-    b1 = m1.basis
-    b2 = complement_rows(b1, h.basis, p)
-    b3 = complement_rows(b1, hperp.basis, p)
-    # M4 must pair perfectly with M1 and pair to zero with everything else,
-    # so it is found inside (M2 + M3)^perp as an isotropic complement of M1.
-    m23 = span(np.vstack([b2, b3]), space.n, p) if (b2.size or b3.size) else zero_subspace(space.n, p)
-    w_amb = perp(space, m23)
-    c = complement_rows(b1, w_amb.basis, p)
-    t = b1.shape[0]
-    if t == 0:
-        b4 = np.zeros((0, space.n), dtype=np.int64)
-    else:
-        q = pairing(space, b1, c)
-        qinv = _inv_matrix(q, p)
-        f0 = qinv.T @ c % p
-        s = pairing(space, f0, f0)
-        inv2 = inv_mod(2, p)
-        b4 = (f0 - inv2 * s @ b1) % p
-    return b1, b2, b3, b4
-
-
 def _inv_matrix(mat: np.ndarray, p: int) -> np.ndarray:
     m = mat.shape[0]
     aug = np.hstack([np.asarray(mat, dtype=np.int64) % p, np.eye(m, dtype=np.int64)])
@@ -265,10 +241,21 @@ def witt_decompose(space: BilinearSpace, h: Subspace) -> WittSplit:
     """Four-summand decomposition adapted to h; ambient must be nondegenerate."""
     if not space.is_nondegenerate():
         raise ValueError("witt_decompose needs a nondegenerate ambient form")
-    b1, b2, b3, b4 = _witt_bases(space, h)
     n, p = space.n, space.p
-    mk = lambda rows: span(rows, n, p) if rows.size else zero_subspace(n, p)
-    return WittSplit(mk(b1), mk(b2), mk(b3), mk(b4))
+    hperp = perp(space, h)
+    m1 = subspace_intersect(h, hperp)
+    b1 = m1.basis
+    b2 = complement_rows(b1, h.basis, p)
+    b3 = complement_rows(b1, hperp.basis, p)
+    # M4 must pair perfectly with M1 and pair to zero with everything else,
+    # so it is found inside (M2 + M3)^perp as an isotropic complement of M1.
+    m23 = span(np.vstack([b2, b3]), n, p)
+    c = complement_rows(b1, perp(space, m23).basis, p)
+    b4 = np.zeros((0, n), dtype=np.int64)
+    if b1.size:
+        f0 = _inv_matrix(pairing(space, b1, c), p).T @ c % p
+        b4 = (f0 - inv_mod(2, p) * pairing(space, f0, f0) @ b1) % p
+    return WittSplit(m1, span(b2, n, p), span(b3, n, p), span(b4, n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +416,9 @@ def apply_isometry(g: np.ndarray, h: Subspace) -> Subspace:
     return span(h.basis @ g.T % h.p, h.n, h.p)
 
 
-def transport_isometry(space: BilinearSpace, h: Subspace, h2: Subspace) -> np.ndarray:
-    """Isometry g (with g^T gram g = gram) carrying h onto h2.
+def transport_isometry(space: BilinearSpace, a: WittSplit, b: WittSplit) -> np.ndarray:
+    """Isometry g (with g^T gram g = gram) carrying h = a.m1 + a.m2 onto
+    h2 = b.m1 + b.m2, given the ``witt_decompose`` splits of h and h2.
 
     Requires equal dimension and equal rank invariant; over F_p the
     restricted nondegenerate parts must also lie in the same discriminant
@@ -441,50 +429,38 @@ def transport_isometry(space: BilinearSpace, h: Subspace, h2: Subspace) -> np.nd
     """
     if not space.is_nondegenerate():
         raise ValueError("transport needs a nondegenerate ambient form")
-    if h.dim != h2.dim:
-        raise InvariantMismatch(f"dims differ: {h.dim} vs {h2.dim}")
-    r1 = rank_invariant(space, h)
-    r2 = rank_invariant(space, h2)
-    if r1 != r2:
-        raise InvariantMismatch(f"rank invariants differ: {r1} vs {r2}")
-    p, n, k, r = space.p, space.n, h.dim, r1
+    k, k2 = a.m1.dim + a.m2.dim, b.m1.dim + b.m2.dim
+    if k != k2:
+        raise InvariantMismatch(f"dims differ: {k} vs {k2}")
+    r = a.m2.dim
+    if r != b.m2.dim:
+        raise InvariantMismatch(f"rank invariants differ: {r} vs {b.m2.dim}")
+    p, t = space.p, a.m1.dim
 
-    a1, a2, a3, a4 = _witt_bases(space, h)
-    b1, b2, b3, b4 = _witt_bases(space, h2)
-
-    if a2.size:
+    a2, b2 = a.m2.basis, b.m2.basis
+    if r:
         a2, b2 = isometry_rows(space, a2, b2)
+    a3, b3 = a.m3.basis, b.m3.basis
     if a3.size:
         a3, b3 = isometry_rows(space, a3, b3)
+    a1, a4, b1, b4 = a.m1.basis, a.m4.basis, b.m1.basis, b.m4.basis
+    if t:
+        # re-coordinate b4 so that it pairs with b1 as a4 pairs with a1
+        pa = pairing(space, a1, a4)
+        pb = pairing(space, b1, b4)
+        b4 = (pa.T @ _inv_matrix(pb, p).T % p) @ b4 % p
 
-    def assemble(src2, src3, tgt2, tgt3):
-        if a1.size:
-            pa = pairing(space, a1, a4)
-            pb = pairing(space, b1, b4)
-            d = pa.T @ _inv_matrix(pb, p).T % p
-            img4 = d @ b4 % p
-        else:
-            img4 = b4
-        src = np.vstack([a1, src2, src3, a4])
-        img = np.vstack([b1, tgt2, tgt3, img4])
-        return _inv_matrix(src, p) @ img % p
-
-    g_rows = assemble(a2, a3, b2, b3)
-    if space.form_type == SYMMETRIC:
-        det = _det_mod(g_rows, p)
-        if det != 1:
-            if r > 0:
-                tw = b2.copy()
-                tw[0] = -tw[0] % p
-                g_rows = assemble(a2, a3, tw, b3)
-            elif n - 2 * k + r > 0:
-                tw = b3.copy()
-                tw[0] = -tw[0] % p
-                g_rows = assemble(a2, a3, b2, tw)
+    src_inv = _inv_matrix(np.vstack([a1, a2, a3, a4]), p)
+    img = np.vstack([b1, b2, b3, b4])
+    g_rows = src_inv @ img % p
+    if space.form_type == SYMMETRIC and (r or a3.size) and _det_mod(g_rows, p) != 1:
+        # row t is the first M2 image row when r > 0, else the first M3 one
+        img[t] *= -1
+        g_rows = src_inv @ img % p
     g = g_rows.T % p
     if ((g.T @ space.gram @ g - space.gram) % p).any():
         raise AssertionError("constructed matrix is not an isometry")
-    if apply_isometry(g, h) != h2:
+    if apply_isometry(g, subspace_sum(a.m1, a.m2)) != subspace_sum(b.m1, b.m2):
         raise AssertionError("constructed isometry does not map h to h2")
     return g
 

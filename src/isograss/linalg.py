@@ -183,16 +183,6 @@ def full_subspace(n: int, p: int) -> Subspace:
     return Subspace(np.eye(n, dtype=np.int64), n, p)
 
 
-def rref_canonicalize(mat: np.ndarray, p: int, n: int | None = None) -> Subspace:
-    """Canonicalize the row space of ``mat`` (idempotent)."""
-    mat = np.asarray(mat, dtype=np.int64)
-    if mat.size == 0 and n is None:
-        raise ValueError("ambient dimension required for an empty matrix")
-    if n is None:
-        n = mat.shape[1]
-    return Subspace(rref(mat.reshape(-1, n), p), n, p)
-
-
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     a._check_compatible(b)
     return Subspace(rref(np.vstack([a.basis, b.basis]), a.p), a.n, a.p)
@@ -296,8 +286,9 @@ def enumerate_subspaces(
     Order: pivot patterns lexicographically, then free entries as base-p
     digits (first slot most significant), as laid out by ``_batch``, whose
     counting walk takes the same order.  ``start``/``stop`` select a slice
-    of the global index range, so disjoint chunks can run in parallel and be
-    combined by any commutative reduction.  The same slice of
+    of the global index range (ValueError unless 0 <= start <= stop <=
+    total), so disjoint chunks can run in parallel and be combined by any
+    commutative reduction.  The same slice of
     ``_batch.classify_counts`` counts the column-reversed images of these
     subspaces; over the full range the two cover the same Gr_k(F_p^n).
     """
@@ -309,6 +300,8 @@ def enumerate_subspaces(
         raise BudgetExceeded(total, budget)
     if stop is None:
         stop = total
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"need 0 <= start <= stop <= {total}, got [{start}, {stop})")
     for pattern, lo, hi in _batch.iter_chunks(n, k, p, start, stop, 1 << 14):
         for mat in _batch.pattern_matrices(n, k, p, pattern, lo, hi):
             yield Subspace(mat, n, p)  # pattern matrices are already RREF

@@ -372,15 +372,18 @@ def orbit_point_counts(
     pieces.  Work is split over disjoint index ranges when workers > 1 and
     merged by summation; ``workers`` is capped at the CPU count, so the pool
     starts at most one process per CPU and per range.  A partial slice
-    [start, stop) counts the column-reversed images of that slice of
-    ``enumerate_subspaces`` (see ``_batch.classify_counts``).  Full-range
-    results are memoized per space.
+    [start, stop), with 0 <= start <= stop <= total or ValueError, counts
+    the column-reversed images of that slice of ``enumerate_subspaces``
+    (see ``_batch.classify_counts``).  Full-range results are memoized per
+    space.
     """
     total = subspace_total(space.n, k, space.p)
     if total > budget:
         raise BudgetExceeded(total, budget)
     if stop is None:
         stop = total
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"need 0 <= start <= stop <= {total}, got [{start}, {stop})")
     full_range = start == 0 and stop == total
     cache_key = (space._cache_key, k)
     if full_range and cache_key in _COUNTS_CACHE:

@@ -22,7 +22,6 @@ from .bilinear import (
     discriminant_class,
     pairing,
     perp,
-    rank_invariant,
     standard_space,
     transport_isometry,
     witt_decompose,
@@ -537,18 +536,18 @@ def suite_witt(specs=GRID_SPACES, primes=(3, 5), pairs_per_space=1000, seed=2024
                         fails.append(f"pairing table fails for {h}")
                         done += 1
                         continue
-                    r = rank_invariant(amb, h)
+                    r = ws.m2.dim
                     disc = None
                     if amb.form_type == SYMMETRIC and r:
                         disc = discriminant_class(amb, ws.m2.basis)
                     key = (k, r, disc)
-                    other = buckets.get(key)
-                    if other is None:
-                        buckets[key] = h
+                    prev = buckets.get(key)
+                    buckets[key] = (h, ws)
+                    if prev is None:
                         continue
-                    buckets[key] = h
+                    other, other_ws = prev
                     try:
-                        g = transport_isometry(amb, other, h)
+                        g = transport_isometry(amb, other_ws, ws)
                     except DiscriminantMismatch as e:
                         fails.append(f"unexpected obstruction: {e}")
                         done += 1

@@ -156,10 +156,14 @@ def test_witt_rejects_degenerate_space():
         witt_decompose(degenerate, span([[1, 0]], 2, 3))
 
 
+def _transport(space, h, h2):
+    return transport_isometry(space, witt_decompose(space, h), witt_decompose(space, h2))
+
+
 def test_transport_identity():
     sp4 = standard_space(SKEW, 4, 5)
     h = span([[1, 0, 0, 0], [0, 1, 0, 0]], 4, 5)
-    g = transport_isometry(sp4, h, h)
+    g = _transport(sp4, h, h)
     assert not ((g.T @ sp4.gram @ g - sp4.gram) % 5).any()
     assert apply_isometry(g, h) == h
 
@@ -169,7 +173,7 @@ def test_transport_symplectic_example():
     h = span([[1, 0, 0, 0], [0, 1, 0, 0]], 4, 3)
     h2 = span([[1, 0, 0, 0], [0, 0, 1, 0]], 4, 3)
     assert rank_invariant(sp4, h) == rank_invariant(sp4, h2) == 0
-    g = transport_isometry(sp4, h, h2)
+    g = _transport(sp4, h, h2)
     assert not ((g.T @ sp4.gram @ g - sp4.gram) % 3).any()
     assert apply_isometry(g, h) == h2
 
@@ -178,7 +182,7 @@ def test_transport_two_rulings_has_det_minus_one():
     o2 = standard_space(SYMMETRIC, 2, 7)
     h = span([[1, 0]], 2, 7)
     h2 = span([[0, 1]], 2, 7)
-    g = transport_isometry(o2, h, h2)
+    g = _transport(o2, h, h2)
     assert apply_isometry(g, h) == h2
     det = round(float(np.linalg.det(g.astype(float)))) % 7
     assert det == 7 - 1  # no det-1 transporter exists between the rulings
@@ -195,7 +199,7 @@ def test_transport_normalizes_determinant():
         if r != rank_invariant(o4, h2) or r == 0:
             continue
         try:
-            g = transport_isometry(o4, h, h2)
+            g = _transport(o4, h, h2)
         except DiscriminantMismatch:
             continue
         det = round(float(np.linalg.det(g.astype(float)))) % 3
@@ -204,15 +208,54 @@ def test_transport_normalizes_determinant():
         checked += 1
 
 
+@pytest.mark.parametrize("n, k", [(3, 1), (5, 1), (5, 2)])
+def test_transport_twists_m3_row_for_isotropics(n, k):
+    # r = 0 and n - 2k > 0: the determinant is fixed by negating an M3 row
+    o = standard_space(SYMMETRIC, n, 3)
+    iso = [h for h in enumerate_subspaces(n, k, 3) if not pairing(o, h.basis, h.basis).any()]
+    for h2 in iso:
+        g = _transport(o, iso[0], h2)
+        assert round(float(np.linalg.det(g.astype(float)))) % 3 == 1
+        assert apply_isometry(g, iso[0]) == h2
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the transporter decomposed a subspace")
+
+
+def test_transport_reads_the_splits(monkeypatch):
+    # the transporter builds no split of its own: perp, complement_rows and
+    # rank_invariant are never called once both splits exist
+    rng = np.random.default_rng(5)
+    for form, n in ((SYMMETRIC, 4), (SYMMETRIC, 5), (SKEW, 4)):
+        space = standard_space(form, n, 3)
+        pairs = []
+        while len(pairs) < 10:
+            h, h2 = (random_subspace(n, 2, 3, rng) for _ in range(2))
+            a, b = witt_decompose(space, h), witt_decompose(space, h2)
+            if a.m2.dim == b.m2.dim and (
+                not a.m2.dim or form == SKEW
+                or discriminant_class(space, a.m2.basis) == discriminant_class(space, b.m2.basis)
+            ):
+                pairs.append((h, h2, a, b))
+        with monkeypatch.context() as m:
+            for name in ("perp", "complement_rows", "rank_invariant"):
+                m.setattr(f"isograss.bilinear.{name}", _refuse)
+            for h, h2, a, b in pairs:
+                g = transport_isometry(space, a, b)
+                assert not ((g.T @ space.gram @ g - space.gram) % 3).any()
+                assert apply_isometry(g, h) == h2
+
+
 def test_transport_invariant_mismatch():
     sp4 = standard_space(SKEW, 4, 3)
     h = span([[1, 0, 0, 0], [0, 1, 0, 0]], 4, 3)
     h2 = span([[1, 0, 0, 0]], 4, 3)
     with pytest.raises(InvariantMismatch):
-        transport_isometry(sp4, h, h2)
+        _transport(sp4, h, h2)
     h3 = span([[1, 0, 0, 0], [0, 0, 0, 1]], 4, 3)
     with pytest.raises(InvariantMismatch):
-        transport_isometry(sp4, h, h3)
+        _transport(sp4, h, h3)
 
 
 def test_transport_discriminant_obstruction_is_raised():
@@ -225,10 +268,10 @@ def test_transport_discriminant_obstruction_is_raised():
     assert set(lines) == {1, -1}
     a, b = lines[1][0], lines[-1][0]
     with pytest.raises(DiscriminantMismatch):
-        transport_isometry(o3, a, b)
+        _transport(o3, a, b)
     # same class transports fine
     c = lines[1][1]
-    g = transport_isometry(o3, a, c)
+    g = _transport(o3, a, c)
     assert apply_isometry(g, a) == c
 
 

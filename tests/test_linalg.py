@@ -16,7 +16,6 @@ from isograss.linalg import (
     random_subspace,
     rank_mod,
     rref,
-    rref_canonicalize,
     span,
     subspace_intersect,
     subspace_sum,
@@ -107,18 +106,18 @@ def test_complement_rows_matches_greedy_definition():
 
 
 def test_rref_scaling():
-    s = rref_canonicalize(np.array([[2, 0], [0, 1]]), 3)
+    s = span(np.array([[2, 0], [0, 1]]), 2, 3)
     assert (s.basis == np.eye(2, dtype=np.int64)).all()
 
 
 def test_rref_dependent_rows():
-    s = rref_canonicalize(np.array([[1, 1], [2, 2]]), 3)
+    s = span(np.array([[1, 1], [2, 2]]), 2, 3)
     assert s.dim == 1
     assert (s.basis == [[1, 1]]).all()
 
 
 def test_rref_empty():
-    s = rref_canonicalize(np.zeros((0, 3)), 5, n=3)
+    s = span(np.zeros((0, 3)), 3, 5)
     assert s.dim == 0
     assert s == zero_subspace(3, 5)
 
@@ -132,9 +131,9 @@ def test_rref_idempotent_and_scale_invariant_exhaustive():
     for cols in (3, 4):
         for flat in product(range(p), repeat=2 * cols):
             m = np.array(flat, dtype=np.int64).reshape(2, cols)
-            s = rref_canonicalize(m, p)
-            assert rref_canonicalize(s.basis, p, n=cols) == s
-            assert rref_canonicalize(m * np.array([[1], [2]]), p) == s
+            s = span(m, cols, p)
+            assert span(s.basis, cols, p) == s
+            assert span(m * np.array([[1], [2]]), cols, p) == s
 
 
 def test_sum_and_intersect_examples():

@@ -228,6 +228,18 @@ def test_chunked_counts_merge():
     assert merged == orbit_point_counts(b, 2)
 
 
+@pytest.mark.parametrize("start, stop", [(0, 100), (-3, 2), (3, 2), (5, 5)])
+def test_slice_out_of_range_is_refused(start, stop):
+    # O2 at p = 3 has 4 lines; [5, 5) starts past the end
+    b = build_sum_space("O2", 3)
+    with pytest.raises(ValueError):
+        orbit_point_counts(b, 1, start=start, stop=stop)
+    with pytest.raises(ValueError):
+        list(enumerate_subspaces(2, 1, 3, start=start, stop=stop))
+    assert sum(orbit_point_counts(b, 1, start=4, stop=4).values()) == 0
+    assert list(enumerate_subspaces(2, 1, 3, start=1, stop=4)) == list(enumerate_subspaces(2, 1, 3))[1:]
+
+
 def test_workers_match_serial():
     b = build_sum_space("O2+O3", 7)
     serial = orbit_point_counts(b, 2)
