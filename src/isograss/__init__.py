@@ -33,10 +33,9 @@ from .orbits import (
     component_group_order,
     label_of,
     orbit_dim,
-    stratum_points,
     valid_labels,
 )
-from .paving import build_paving, classify_point, fibered_partition_counts, iso_grassmannian_count
+from .paving import build_paving, iso_grassmannian_count
 from .polynomials import IntPolynomial, gaussian_binomial, interpolate_counts
 from .sumspace import (
     MultiLabel,
@@ -48,15 +47,12 @@ from .sumspace import (
     multilabels_of,
     orbit_dim_multi,
     orbit_point_counts,
-    orbit_points_multi,
     slice_weights,
 )
 from .towers import (
     closure_labels,
     cover_fiber,
-    cover_points,
     resolution_tower,
-    single_resolution,
     tower_fiber,
     tower_points,
 )

@@ -151,12 +151,6 @@ def radical(space: BilinearSpace, h: Subspace) -> Subspace:
     return subspace_intersect(h, perp(space, h))
 
 
-def rank_invariant(space: BilinearSpace, h: Subspace) -> int:
-    """r = dim h - dim rad h, the rank of the form restricted to h."""
-    gm = pairing(space, h.basis, h.basis)
-    return rank_mod(gm, space.p)
-
-
 def discriminant_class(space: BilinearSpace, rows: np.ndarray) -> int:
     """Square class (+1 residue / -1 nonresidue) of det of the restricted Gram.
 

@@ -31,6 +31,8 @@ from .sumspace import (
     multilabels_of,
     orbit_dim_multi,
     orbit_point_counts,
+    parse_space_spec,
+    validate_multilabel,
 )
 from .towers import fiber_invariants, resolution_tower, tower_fiber, tower_points
 from .verify import GRID_SPACES, SUITE_NAMES, closure_relation, run_suite
@@ -241,6 +243,7 @@ def cmd_fibers(
     for p in primes:
         space = build_sum_space(space_spec, p)
         sub = target_label if target_label is not None else label
+        validate_multilabel(space, sub, label.k)
         rep = canonical_representative(space, sub)
         fiber = tower_fiber(space, label, rep, budget=budget)
         results.append(
@@ -292,6 +295,10 @@ def cmd_verify(
     space_spec=None, k=None, primes=(), suite: str = "all", budget=DEFAULT_BUDGET, workers=1
 ) -> dict:
     specs = (space_spec,) if space_spec else GRID_SPACES
+    if k is not None:
+        dims = [sum(dim for _, dim in parse_space_spec(spec)) for spec in specs]
+        if not any(0 <= k <= n for n in dims):
+            raise CliError(f"need 0 <= k <= {max(dims)}, got {k}")
     results = run_suite(
         suite, specs, primes or None, budget=budget, workers=workers, only_k=k
     )

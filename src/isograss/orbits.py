@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bilinear import SKEW, SYMMETRIC, BilinearSpace, radical
-from .linalg import DEFAULT_BUDGET, Subspace, subspace_intersect
+from .linalg import Subspace, subspace_intersect
 
 PRIME0 = "0p"
 DOUBLEPRIME0 = "0pp"
@@ -137,32 +137,3 @@ def component_group_order(label: SingleLabel) -> int:
         return 1
     return 2 if max(0, 2 * label.k - label.n) < int(label.r) else 1
 
-
-def stratum_points(
-    space: BilinearSpace,
-    k: int,
-    r: RankSymbol,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
-) -> int:
-    """Number of k-subspaces with the given label, by exhaustive enumeration."""
-    target = SingleLabel(space.form_type, space.n, k, r)
-    counts = stratum_point_counts(space, k, budget=budget, workers=workers)
-    return counts.get(target, 0)
-
-
-def stratum_point_counts(
-    space: BilinearSpace,
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
-) -> dict[SingleLabel, int]:
-    """Counts of every stratum of Gr_k(space) in one enumeration pass."""
-    from .sumspace import SumSpace, orbit_point_counts
-
-    ss = SumSpace((space,))
-    multi = orbit_point_counts(ss, k, budget=budget, workers=workers)
-    out = {}
-    for mlabel, c in multi.items():
-        out[SingleLabel(space.form_type, space.n, mlabel.ks[0], mlabel.rs[0])] = c
-    return out

@@ -27,21 +27,20 @@ from functools import lru_cache
 import numpy as np
 
 from . import _batch
-from .bilinear import SKEW, BilinearSpace, QuotientMap, pairing, perp, standard_space
+from .bilinear import SKEW, BilinearSpace, pairing, perp, standard_space
 from .linalg import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     RowSolver,
     Subspace,
     complement_rows,
-    enumerate_subspaces,
     left_kernel,
     span,
     subspace_intersect,
     subspace_total,
     zero_subspace,
 )
-from .polynomials import IntPolynomial, gaussian_binomial, monomial
+from .polynomials import IntPolynomial, monomial
 
 
 @dataclass(frozen=True)
@@ -85,11 +84,6 @@ class Paving:
 
 def build_paving(space: BilinearSpace, k: int, flag=()) -> Paving:
     return Paving(space, k, tuple(flag))
-
-
-def classify_point(paving: Paving, h: Subspace) -> str:
-    """Piece id of the piece containing h."""
-    return paving.pieces[paving.classify(h)].piece_id
 
 
 def _validate_flag(space: BilinearSpace, flag):
@@ -267,91 +261,3 @@ def isotropic_subspaces(
         keep = _batch.isotropic_filter(mats, gram, p)
         for mat in mats[keep]:
             yield Subspace(mat, n, p)  # pattern matrices are already RREF
-
-
-# ---------------------------------------------------------------------------
-# Pairs (R, H) with R in a fixed Gr_r(M_1 cap rad V) and R <= H isotropic
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FiberedPieceCount:
-    piece_id: str
-    affine_dim: int
-    invariants: tuple[int, ...]
-    pairs: int
-    fiber_exponent: int
-
-
-def fibered_partition_counts(
-    space: BilinearSpace,
-    flag,
-    r: int,
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-) -> list[FiberedPieceCount]:
-    """Exact per-piece counts of {(R, H) : R <= H}, fibered over Gr_r(M1 cap rad V).
-
-    For each R the quotient V/R carries the induced form and the image flag;
-    its paving classifies the H containing R.  The piece lists must agree
-    across R (same recursion on isomorphic data), each fiber piece has
-    exactly p^f points, and the totals come out as #Gr_r(M1 cap rad V) * p^f.
-    All three facts are checked and violations raise AssertionError.
-    """
-    flag = tuple(flag)
-    _validate_flag(space, flag)
-    if not 0 <= r <= k:
-        raise ValueError("need 0 <= r <= k")
-    p = space.p
-    rad_rows = left_kernel(space.gram, p)
-    rad = span(rad_rows, space.n, p) if rad_rows.size else zero_subspace(space.n, p)
-    m1 = flag[0] if flag else zero_subspace(space.n, p)
-    base = subspace_intersect(m1, rad)
-    if r > base.dim:
-        return []
-
-    per_r: list[list[int]] = []
-    ref_pieces: list[PavingPiece] | None = None
-    n_base = 0
-    for rq in enumerate_subspaces(base.dim, r, p, budget=budget):
-        rows = rq.basis @ base.basis % p if rq.dim else np.zeros((0, space.n), dtype=np.int64)
-        rsub = span(rows, space.n, p) if rows.size else zero_subspace(space.n, p)
-        n_base += 1
-        qm = QuotientMap(space, rsub)
-        flag_q = tuple(qm.project_subspace(m) for m in flag)
-        paving = build_paving(qm.quotient, k - r, flag_q)
-        if ref_pieces is None:
-            ref_pieces = paving.pieces
-        else:
-            sig = [(pc.affine_dim, pc.invariants, pc.piece_id) for pc in paving.pieces]
-            ref_sig = [(pc.affine_dim, pc.invariants, pc.piece_id) for pc in ref_pieces]
-            if sig != ref_sig:
-                raise AssertionError("piece structure varies across the base")
-        tallies = [0] * len(paving.pieces)
-        for hq in isotropic_subspaces(qm.quotient, k - r, budget=budget):
-            tallies[paving.classify(hq)] += 1
-        for idx, (pc, t) in enumerate(zip(paving.pieces, tallies)):
-            if t != p**pc.affine_dim:
-                raise AssertionError(
-                    f"piece {pc.piece_id} has {t} points, expected p^{pc.affine_dim}"
-                )
-        per_r.append(tallies)
-
-    out = []
-    if ref_pieces is None:
-        return out
-    base_count = gaussian_binomial(base.dim, r)(p)
-    if base_count != n_base:
-        raise AssertionError(f"base has {n_base} points, expected {base_count}")
-    for idx, pc in enumerate(ref_pieces):
-        total = sum(t[idx] for t in per_r)
-        if total != base_count * p**pc.affine_dim:
-            raise AssertionError(
-                f"piece {pc.piece_id} has {total} pairs, "
-                f"expected {base_count} * p^{pc.affine_dim}"
-            )
-        out.append(
-            FiberedPieceCount(
-                pc.piece_id, pc.affine_dim, pc.invariants, total, pc.affine_dim
-            )
-        )
-    return out

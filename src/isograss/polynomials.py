@@ -194,14 +194,3 @@ def _poly_mul_linear(coeffs: list[Fraction], root_neg: int) -> list[Fraction]:
         out[i + 1] += c
     return out
 
-
-def degree(poly: IntPolynomial) -> int:
-    """Degree of a nonzero polynomial (errors on zero, per contract)."""
-    return poly.degree
-
-
-def coefficient_report(poly: IntPolynomial) -> tuple[bool, bool]:
-    """(nonnegative, palindromic) flags for a nonzero polynomial."""
-    if poly.is_zero():
-        raise ValueError("zero polynomial")
-    return poly.is_nonnegative(), poly.is_palindromic()

@@ -406,21 +406,6 @@ def orbit_point_counts(
     return out
 
 
-def orbit_points_multi(
-    space: SumSpace,
-    label: MultiLabel,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
-) -> int:
-    """Exhaustive count of subspaces with the given label (0 if not valid)."""
-    try:
-        validate_multilabel(space, label)
-    except InvalidLabel:
-        return 0
-    counts = orbit_point_counts(space, label.k, budget=budget, workers=workers)
-    return counts.get(label, 0)
-
-
 # ---------------------------------------------------------------------------
 # Canonical stratum representatives
 # ---------------------------------------------------------------------------

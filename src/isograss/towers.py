@@ -24,7 +24,7 @@ choices split the fiber into 2^d components, one pair per such factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .linalg import (
     BudgetExceeded,
     Subspace,
     complement_rows,
-    enumerate_subspaces,
     full_subspace,
     span,
     subspace_intersect,
@@ -49,7 +48,7 @@ from .linalg import (
     subspaces_between,
     zero_subspace,
 )
-from .orbits import DOUBLEPRIME0, PRIME0, is_valid_label, rank_numeric
+from .orbits import DOUBLEPRIME0, PRIME0, rank_numeric
 from .paving import isotropic_subspaces, space_iso_count
 from .polynomials import IntPolynomial, gaussian_binomial
 from .sumspace import MultiLabel, SumSpace, multilabels_of, validate_multilabel
@@ -239,43 +238,6 @@ def closure_labels(
 
 
 # ---------------------------------------------------------------------------
-# Single-factor resolution
-# ---------------------------------------------------------------------------
-
-def single_resolution(
-    space: BilinearSpace, k: int, r: int, budget: int = DEFAULT_BUDGET
-) -> list[tuple[Subspace, Subspace]]:
-    """Pairs (P, H) with P isotropic of dim k-r and P <= H <= P^perp, dim H = k.
-
-    Checks the image and fiber laws: the targets are exactly the H with
-    dim rad H >= k - r, and the fiber over H is a single pair when
-    dim rad H = k - r exactly.
-    """
-    if not isinstance(r, int) or not is_valid_label(space.form_type, space.n, k, r):
-        raise ValueError(f"(k={k}, r={r}) is not a valid integer label")
-    pairs = []
-    for psub in isotropic_subspaces(space, k - r, budget=budget):
-        for h in subspaces_between(psub, perp(space, psub), k, budget=budget):
-            pairs.append((psub, h))
-
-    fiber_sizes: dict[Subspace, int] = {}
-    for _, h in pairs:
-        fiber_sizes[h] = fiber_sizes.get(h, 0) + 1
-    # dim rad H = k - rank of the form on H, read off the bulk label
-    one = SumSpace((space,))
-    walk = enumerate_subspaces(space.n, k, space.p, budget=budget)
-    while hs := list(islice(walk, 1 << 14)):
-        for h, lab in zip(hs, multilabels_of(one, hs)):
-            raddim = k - rank_numeric(lab.rs[0])
-            in_image = raddim >= k - r
-            if in_image != (h in fiber_sizes):
-                raise AssertionError("image of the resolution is not the radical locus")
-            if raddim == k - r and fiber_sizes.get(h) != 1:
-                raise AssertionError("fiber over an open-stratum point is not a singleton")
-    return pairs
-
-
-# ---------------------------------------------------------------------------
 # Covering towers
 # ---------------------------------------------------------------------------
 
@@ -381,14 +343,6 @@ def _cover_over(space: SumSpace, label: MultiLabel, data: list[FlagDatum], budge
             qtildes = {i: qt for i, (qt, _) in zip(factors, combo)}
             qs = {i: q for i, (_, q) in zip(factors, combo)}
             yield CoverDatum(datum, qtildes, qs)
-
-
-def cover_points(
-    space: SumSpace, label: MultiLabel, budget: int = DEFAULT_BUDGET
-) -> list[CoverDatum]:
-    """Exhaustive enumeration of the covering tower."""
-    base = tower_points(space, label, budget=budget)
-    return list(_cover_over(space, label, base, budget))
 
 
 def cover_fiber(

@@ -67,6 +67,10 @@ from .towers import (
 GRID_SPACES = ("Sp2", "Sp4", "O2", "O3", "O4", "Sp2+O2", "Sp2+Sp2", "O2+O3")
 PRIME_POOL = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 SUITE_NAMES = ("partition", "degrees", "paving", "towers", "fibers", "closure")
+# suite_towers walks a tower only when its symbolic point count is at most this
+TOWER_WALK_CAP = 200_000
+# _primes_for_degree adds one redundant sample only when its Gr_k is at most this big
+SPARE_SAMPLE_CAP = 2_000_000
 
 
 @dataclass
@@ -129,7 +133,7 @@ def suite_partition(specs=GRID_SPACES, primes=(3, 5), budget=DEFAULT_BUDGET, wor
 # degrees
 # ---------------------------------------------------------------------------
 
-def _primes_for_degree(base_primes, degree, space_n, k, budget, soft_extra=2_000_000):
+def _primes_for_degree(base_primes, degree, space_n, k, budget):
     """Prime set with degree+1 usable samples, always covering the base
     primes, plus one redundant sample when it is cheap."""
     need = max(degree + 1, len(base_primes))
@@ -140,7 +144,7 @@ def _primes_for_degree(base_primes, degree, space_n, k, budget, soft_extra=2_000
         raise BudgetExceeded(min(too_big) if too_big else 0, budget)
     chosen = usable[:need]
     for q in usable[need:]:
-        if subspace_total(space_n, k, q) <= soft_extra:
+        if subspace_total(space_n, k, q) <= SPARE_SAMPLE_CAP:
             chosen.append(q)
             break
     return chosen
@@ -318,8 +322,7 @@ def suite_paving(forms_dims=None, primes=(3, 5), budget=DEFAULT_BUDGET):
 # towers
 # ---------------------------------------------------------------------------
 
-def suite_towers(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, small_cap=200_000,
-                 only_k=None):
+def suite_towers(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=None):
     out = []
     for spec in specs:
         for p in primes:
@@ -332,7 +335,7 @@ def suite_towers(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, small_ca
                     if not poly.is_nonnegative() or not poly.is_palindromic():
                         bad.append(f"{label}: tower polynomial {poly} not paved/proper")
                     expect = poly(p)
-                    if expect > small_cap:
+                    if expect > TOWER_WALK_CAP:
                         continue
                     got = len(tower_points(space, label, budget=budget))
                     if got != expect:

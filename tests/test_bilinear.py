@@ -13,7 +13,6 @@ from isograss.bilinear import (
     pairing,
     perp,
     radical,
-    rank_invariant,
     standard_space,
     transport_isometry,
     witt_decompose,
@@ -22,6 +21,7 @@ from isograss.linalg import (
     enumerate_subspaces,
     full_subspace,
     random_subspace,
+    rank_mod,
     span,
     subspace_intersect,
     subspace_sum,
@@ -76,7 +76,7 @@ def test_radical_examples():
     lagrangian = span([[1, 0, 0, 0], [0, 1, 0, 0]], 4, 3)
     assert radical(sp4, lagrangian) == lagrangian
     # isotropic plane with <e1, e2> = 0
-    assert rank_invariant(sp4, lagrangian) == 0
+    assert rank_mod(pairing(sp4, lagrangian.basis, lagrangian.basis), 3) == 0
 
 
 def test_radical_parity_skew_exhaustive():
@@ -134,7 +134,7 @@ def test_witt_forced_dimensions():
 def test_witt_generic_rank_one():
     o4 = standard_space(SYMMETRIC, 4, 3)
     h = span([[1, 0, 0, 0], [0, 1, 1, 0]], 4, 3)  # rad = e1, anisotropic part
-    assert rank_invariant(o4, h) == 1
+    assert rank_mod(pairing(o4, h.basis, h.basis), 3) == 1
     ws = witt_decompose(o4, h)
     assert (ws.m1.dim, ws.m2.dim, ws.m3.dim, ws.m4.dim) == (1, 1, 1, 1)
     _check_witt(o4, h, ws)
@@ -172,7 +172,8 @@ def test_transport_symplectic_example():
     sp4 = standard_space(SKEW, 4, 3)
     h = span([[1, 0, 0, 0], [0, 1, 0, 0]], 4, 3)
     h2 = span([[1, 0, 0, 0], [0, 0, 1, 0]], 4, 3)
-    assert rank_invariant(sp4, h) == rank_invariant(sp4, h2) == 0
+    assert rank_mod(pairing(sp4, h.basis, h.basis), 3) == 0
+    assert rank_mod(pairing(sp4, h2.basis, h2.basis), 3) == 0
     g = _transport(sp4, h, h2)
     assert not ((g.T @ sp4.gram @ g - sp4.gram) % 3).any()
     assert apply_isometry(g, h) == h2
@@ -195,8 +196,8 @@ def test_transport_normalizes_determinant():
     while checked < 25:
         h = random_subspace(4, 2, 3, rng)
         h2 = random_subspace(4, 2, 3, rng)
-        r = rank_invariant(o4, h)
-        if r != rank_invariant(o4, h2) or r == 0:
+        r = rank_mod(pairing(o4, h.basis, h.basis), 3)
+        if r != rank_mod(pairing(o4, h2.basis, h2.basis), 3) or r == 0:
             continue
         try:
             g = _transport(o4, h, h2)
@@ -224,8 +225,8 @@ def _refuse(*args, **kwargs):
 
 
 def test_transport_reads_the_splits(monkeypatch):
-    # the transporter builds no split of its own: perp, complement_rows and
-    # rank_invariant are never called once both splits exist
+    # the transporter builds no split of its own: perp and complement_rows
+    # are never called once both splits exist
     rng = np.random.default_rng(5)
     for form, n in ((SYMMETRIC, 4), (SYMMETRIC, 5), (SKEW, 4)):
         space = standard_space(form, n, 3)
@@ -239,7 +240,7 @@ def test_transport_reads_the_splits(monkeypatch):
             ):
                 pairs.append((h, h2, a, b))
         with monkeypatch.context() as m:
-            for name in ("perp", "complement_rows", "rank_invariant"):
+            for name in ("perp", "complement_rows"):
                 m.setattr(f"isograss.bilinear.{name}", _refuse)
             for h, h2, a, b in pairs:
                 g = transport_isometry(space, a, b)
@@ -263,7 +264,7 @@ def test_transport_discriminant_obstruction_is_raised():
     o3 = standard_space(SYMMETRIC, 3, 3)
     lines = {}
     for h in enumerate_subspaces(3, 1, 3):
-        if rank_invariant(o3, h) == 1:
+        if rank_mod(pairing(o3, h.basis, h.basis), 3) == 1:
             lines.setdefault(discriminant_class(o3, h.basis), []).append(h)
     assert set(lines) == {1, -1}
     a, b = lines[1][0], lines[-1][0]

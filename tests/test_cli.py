@@ -172,6 +172,14 @@ def test_verify_cli_k_filter(capsys):
     assert report["checks"] and all(c["passed"] for c in report["checks"])
 
 
+def test_verify_k_outside_every_space_is_usage_error(capsys):
+    # a k that no selected space has would examine nothing and pass
+    assert main(["verify", "--space", "Sp2", "--suite", "partition", "--k", "7"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: need 0 <= k <= 2, got 7\n"
+    # k = 5 exists only in O2+O3, so the grid run goes ahead
+    assert main(["verify", "--suite", "partition", "--k", "5", "--primes", "3"]) == EXIT_OK
+
+
 # one valid invocation per subcommand
 VALID = {
     "labels": ["labels", "--space", "Sp4", "--k", "2"],
@@ -233,6 +241,8 @@ def test_unread_options_are_usage_errors(argv, capsys):
         ["fibers", "--space", "O4", "--label", "2:5"],
         ["resolve", "--space", "Sp4", "--label", "2-0"],
         ["count", "--space", "O2", "--k", "1", "--primes", "3,x"],
+        # a target of the wrong dimension is not a point outside the closure
+        ["fibers", "--space", "O4", "--label", "2:1", "--target-label", "1:0", "--primes", "3"],
     ],
 )
 def test_bad_values_are_usage_errors(argv, capsys):

@@ -10,15 +10,19 @@ from isograss.orbits import (
     component_group_order,
     label_of,
     orbit_dim,
-    stratum_point_counts,
-    stratum_points,
     valid_labels,
 )
 from isograss.polynomials import gaussian_binomial, interpolate_counts
+from isograss.sumspace import SumSpace, orbit_point_counts
 
 
 def rs(labels):
     return [lab.r for lab in labels]
+
+
+def stratum_counts(space, k):
+    """Point count of every stratum of Gr_k(space), keyed by its rank symbol."""
+    return {lab.rs[0]: c for lab, c in orbit_point_counts(SumSpace((space,)), k).items()}
 
 
 def test_valid_labels_examples():
@@ -81,13 +85,13 @@ def test_component_group_order():
 
 def test_stratum_points_examples():
     sp4 = standard_space(SKEW, 4, 3)
-    assert stratum_points(sp4, 2, 0) == 40
-    assert stratum_points(sp4, 2, 2) == 90
+    assert stratum_counts(sp4, 2)[0] == 40
+    assert stratum_counts(sp4, 2)[2] == 90
 
     o2 = standard_space(SYMMETRIC, 2, 5)
-    assert stratum_points(o2, 1, 1) == 4
-    assert stratum_points(o2, 1, PRIME0) == 1
-    assert stratum_points(o2, 1, DOUBLEPRIME0) == 1
+    assert stratum_counts(o2, 1)[1] == 4
+    assert stratum_counts(o2, 1)[PRIME0] == 1
+    assert stratum_counts(o2, 1)[DOUBLEPRIME0] == 1
 
 
 def test_partition_small_grid():
@@ -96,8 +100,8 @@ def test_partition_small_grid():
             for p in (3, 5):
                 space = standard_space(form, n, p)
                 for k in range(n + 1):
-                    counts = stratum_point_counts(space, k)
-                    labels = valid_labels(form, n, k)
+                    counts = stratum_counts(space, k)
+                    labels = rs(valid_labels(form, n, k))
                     assert set(counts) <= set(labels)
                     # every valid label is realized for split forms
                     assert set(counts) == set(labels)
@@ -109,8 +113,8 @@ def test_partition_dimension_six():
     for form in (SKEW, SYMMETRIC):
         space = standard_space(form, 6, 3)
         for k in range(7):
-            counts = stratum_point_counts(space, k)
-            assert set(counts) == set(valid_labels(form, 6, k))
+            counts = stratum_counts(space, k)
+            assert set(counts) == set(rs(valid_labels(form, 6, k)))
             assert sum(counts.values()) == gaussian_binomial(6, k)(3)
 
 
@@ -122,7 +126,7 @@ def test_dimension_degree_law_n6_lines():
         for k in (1, 5):
             for lab in valid_labels(form, 6, k):
                 d = orbit_dim(lab)
-                samples = [(p, stratum_points(spaces[p], k, lab.r)) for p in primes]
+                samples = [(p, stratum_counts(spaces[p], k)[lab.r]) for p in primes]
                 poly = interpolate_counts(samples[: d + 1], d, require_nonnegative=False)
                 assert poly.degree == d
                 for p, c in samples:
@@ -135,9 +139,9 @@ def test_batched_counts_agree_with_scalar_labels():
         for k in range(n + 1):
             scalar: dict = {}
             for h in enumerate_subspaces(n, k, 3):
-                lab = label_of(space, h)
-                scalar[lab] = scalar.get(lab, 0) + 1
-            assert scalar == stratum_point_counts(space, k)
+                r = label_of(space, h).r
+                scalar[r] = scalar.get(r, 0) + 1
+            assert scalar == stratum_counts(space, k)
 
 
 def test_duality_counts():
@@ -150,9 +154,7 @@ def test_duality_counts():
                     if lab.r in (PRIME0, DOUBLEPRIME0):
                         continue
                     rdual = n - 2 * k + lab.r
-                    assert stratum_points(space, k, lab.r) == stratum_points(
-                        space, n - k, rdual
-                    )
+                    assert stratum_counts(space, k)[lab.r] == stratum_counts(space, n - k)[rdual]
 
 
 def test_two_rulings_have_equal_counts():
@@ -160,9 +162,7 @@ def test_two_rulings_have_equal_counts():
         for p in (3, 5):
             space = standard_space(SYMMETRIC, n, p)
             k = n // 2
-            assert stratum_points(space, k, PRIME0) == stratum_points(
-                space, k, DOUBLEPRIME0
-            )
+            assert stratum_counts(space, k)[PRIME0] == stratum_counts(space, k)[DOUBLEPRIME0]
 
 
 def test_dimension_degree_law_small():
@@ -172,7 +172,7 @@ def test_dimension_degree_law_small():
         spaces = {p: standard_space(form, n, p) for p in primes}
         for k in range(n + 1):
             for lab in valid_labels(form, n, k):
-                samples = [(p, stratum_points(spaces[p], k, lab.r)) for p in primes]
+                samples = [(p, stratum_counts(spaces[p], k)[lab.r]) for p in primes]
                 d = orbit_dim(lab)
                 if d == 0:
                     assert all(c == 1 or lab.k in (0, n) for _, c in samples)
@@ -187,7 +187,7 @@ def test_lagrangian_count_polynomial():
     samples = []
     for p in (3, 5, 7, 11):
         sp4 = standard_space(SKEW, 4, p)
-        samples.append((p, stratum_points(sp4, 2, 0)))
+        samples.append((p, stratum_counts(sp4, 2)[0]))
     assert samples[0][1] == 40
     poly = interpolate_counts(samples, 3)
     assert list(poly.coeffs) == [1, 1, 1, 1]

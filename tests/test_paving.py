@@ -3,13 +3,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, standard_space
-from isograss.linalg import span, subspace_intersect
+from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, QuotientMap, radical, standard_space
+from isograss.linalg import (
+    enumerate_subspaces,
+    full_subspace,
+    span,
+    subspace_intersect,
+    zero_subspace,
+)
 from isograss.paving import (
     NotIsotropic,
     build_paving,
-    classify_point,
-    fibered_partition_counts,
     iso_grassmannian_count,
     isotropic_subspaces,
 )
@@ -43,8 +47,8 @@ def test_paving_o4_maximal():
 def test_classify_two_lines_sp2():
     space = standard_space(SKEW, 2, 3)
     paving = build_paving(space, 1)
-    a = classify_point(paving, span([[1, 0]], 2, 3))
-    b = classify_point(paving, span([[0, 1]], 2, 3))
+    a = paving.pieces[paving.classify(span([[1, 0]], 2, 3))].piece_id
+    b = paving.pieces[paving.classify(span([[0, 1]], 2, 3))].piece_id
     assert a != b
 
 
@@ -129,6 +133,42 @@ def test_recursion_branches_cover_everything():
         assert sum(by_branch.values()) == paving.count_polynomial()(3)
 
 
+def fibered_partition_counts(space, flag, r, k):
+    """Per paving piece, the number of pairs (R, H) with R <= H isotropic of
+    dim k, fibered over R in Gr_r(M1 cap rad V), with M1 the first flag member.
+
+    For each R the quotient V/R carries the induced form and the image flag;
+    its paving classifies the H containing R.  Asserts the three laws: the
+    piece lists agree across R (same recursion on isomorphic data), each
+    fiber piece has exactly p^f points, and each total is
+    #Gr_r(M1 cap rad V) * p^f.
+    """
+    p = space.p
+    m1 = flag[0] if flag else zero_subspace(space.n, p)
+    base = subspace_intersect(m1, radical(space, full_subspace(space.n, p)))
+    if r > base.dim:
+        return []
+    ref_sig, totals, n_base = None, None, 0
+    for rq in enumerate_subspaces(base.dim, r, p):
+        rsub = span(rq.basis @ base.basis % p, space.n, p) if rq.dim else zero_subspace(space.n, p)
+        n_base += 1
+        qm = QuotientMap(space, rsub)
+        paving = build_paving(qm.quotient, k - r, [qm.project_subspace(m) for m in flag])
+        sig = [(pc.affine_dim, pc.invariants, pc.piece_id) for pc in paving.pieces]
+        if ref_sig is None:
+            ref_sig, totals = sig, [0] * len(sig)
+        assert sig == ref_sig, "piece structure varies across the base"
+        tallies = Counter(paving.classify(hq) for hq in isotropic_subspaces(qm.quotient, k - r))
+        for idx, pc in enumerate(paving.pieces):
+            assert tallies[idx] == p**pc.affine_dim, pc.piece_id
+            totals[idx] += tallies[idx]
+    base_count = gaussian_binomial(base.dim, r)(p)
+    assert n_base == base_count
+    for (affine_dim, _, piece_id), total in zip(ref_sig, totals):
+        assert total == base_count * p**affine_dim, piece_id
+    return totals
+
+
 def test_fibered_zero_gram_flag_pairs():
     # fully degenerate form: Y(r,k) is the variety of flag pairs R <= H
     p, n = 3, 3
@@ -136,7 +176,7 @@ def test_fibered_zero_gram_flag_pairs():
     full_flag = (span(np.eye(n, dtype=np.int64), n, p),)
     for r, k in ((1, 1), (1, 2), (0, 2), (2, 2)):
         pieces = fibered_partition_counts(zero_form, full_flag, r, k)
-        total = sum(pc.pairs for pc in pieces)
+        total = sum(pieces)
         expect = gaussian_binomial(n, r)(p) * gaussian_binomial(n - r, k - r)(p)
         assert total == expect
 
@@ -146,7 +186,7 @@ def test_fibered_reduces_to_paving_counts_when_r_zero():
     line = next(iter(isotropic_subspaces(space, 1)))
     pieces = fibered_partition_counts(space, (line,), 0, 2)
     paving = build_paving(space, 2, (line,))
-    assert [pc.pairs for pc in pieces] == [3**q.affine_dim for q in paving.pieces]
+    assert pieces == [3**q.affine_dim for q in paving.pieces]
 
 
 def test_fibered_empty_when_r_too_large():
@@ -163,4 +203,4 @@ def test_fibered_mixed_degenerate():
     space = BilinearSpace(3, p, SYMMETRIC, gram)
     m1 = span([[1, 0, 0]], 3, p)
     pieces = fibered_partition_counts(space, (m1,), 1, 1)
-    assert sum(pc.pairs for pc in pieces) == 1  # only H = rad itself
+    assert sum(pieces) == 1  # only H = rad itself

@@ -4,8 +4,6 @@ from isograss.polynomials import (
     IntPolynomial,
     InterpolationError,
     Q,
-    coefficient_report,
-    degree,
     gaussian_binomial,
     interpolate_counts,
     monomial,
@@ -83,16 +81,18 @@ def test_interpolate_negative_coefficients_flag():
     assert interpolate_counts(samples, 1, require_nonnegative=False) == qminus1
 
 
+def _report(poly):
+    return poly.is_nonnegative(), poly.is_palindromic()
+
+
 def test_degree_and_report():
     poly = IntPolynomial([1, 1, 1, 1])
-    assert degree(poly) == 3
-    assert coefficient_report(poly) == (True, True)
-    assert coefficient_report(IntPolynomial([2, 2])) == (True, True)
-    assert coefficient_report(IntPolynomial([0, 1, 1])) == (True, False)
+    assert poly.degree == 3
+    assert _report(poly) == (True, True)
+    assert _report(IntPolynomial([2, 2])) == (True, True)
+    assert _report(IntPolynomial([0, 1, 1])) == (True, False)
     with pytest.raises(ValueError):
-        degree(IntPolynomial([]))
-    with pytest.raises(ValueError):
-        coefficient_report(IntPolynomial([0]))
+        IntPolynomial([]).degree
 
 
 def test_arithmetic_and_str():

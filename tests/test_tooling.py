@@ -105,6 +105,33 @@ def test_traced_layers_exist(monkeypatch):
     assert tracer.LAYERS and missing == []
 
 
+def test_package_names_have_package_callers():
+    # a top-level function or class that only tests reach is a second API to
+    # keep in step: such a name belongs in the test that uses it.  Exempt:
+    # iso_grassmannian_count, for the closed-form stratum polynomials that
+    # ROADMAP item 5 derives from it; multilabel_of, the definitional
+    # per-subspace classifier that checks the bulk one and that
+    # perfbench/tracer.py wraps by name.
+    exempt = {"iso_grassmannian_count", "multilabel_of"}
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    trees = [ast.parse(path.read_text()) for path in paths]
+    refs: dict[str, set[int]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                refs.setdefault(name, set()).add(id(node))
+    unreached = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in exempt
+        and not refs.get(node.name, set()) - {id(inner) for inner in ast.walk(node)}
+    ]
+    assert unreached == []
+
+
 def test_batch_imports_only_polynomials():
     # _batch reads the SumSpace it is given through its attributes; importing
     # sumspace (or a module that imports it) from here would be a cycle

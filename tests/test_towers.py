@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from isograss.bilinear import SKEW, SYMMETRIC, standard_space
+from isograss.bilinear import SKEW, SYMMETRIC, perp, radical, standard_space
 from isograss.cli import parse_label_arg
 from isograss.linalg import (
     BudgetExceeded,
@@ -14,6 +14,7 @@ from isograss.linalg import (
     subspaces_between,
 )
 from isograss.orbits import DOUBLEPRIME0, PRIME0
+from isograss.paving import isotropic_subspaces
 from isograss.polynomials import IntPolynomial, gaussian_binomial, interpolate_counts
 from isograss.sumspace import (
     MultiLabel,
@@ -27,14 +28,33 @@ from isograss.towers import (
     closure_labels,
     cover_factors,
     cover_fiber,
-    cover_points,
     expected_cover_fiber_space,
     fiber_invariants,
     resolution_tower,
-    single_resolution,
     tower_fiber,
     tower_points,
 )
+
+
+def single_resolution(space, k, r):
+    """Pairs (P, H) with P isotropic of dim k-r and P <= H <= P^perp, dim H = k.
+
+    Asserts the image and fiber laws: the targets are exactly the H with
+    dim rad H >= k - r, and the fiber over H is a single pair when
+    dim rad H = k - r exactly.
+    """
+    pairs = [
+        (psub, h)
+        for psub in isotropic_subspaces(space, k - r)
+        for h in subspaces_between(psub, perp(space, psub), k)
+    ]
+    fiber_sizes = Counter(h for _, h in pairs)
+    for h in enumerate_subspaces(space.n, k, space.p):
+        raddim = radical(space, h).dim
+        assert (raddim >= k - r) == (h in fiber_sizes), "image is not the radical locus"
+        if raddim == k - r:
+            assert fiber_sizes[h] == 1, "fiber over an open-stratum point is not a singleton"
+    return pairs
 
 
 def test_single_resolution_sp4_open():
@@ -212,10 +232,16 @@ def test_cover_factors_selection():
 def test_cover_points_all_symplectic_equals_tower():
     spsp = build_sum_space("Sp2+Sp2", 3)
     label = MultiLabel((1, 1), (0, 0))
-    pts = cover_points(spsp, label)
+    pts = _cover_points(spsp, label)
     base = tower_points(spsp, label)
     assert len(pts) == len(base)
     assert all(not pt.qtildes for pt in pts)
+
+
+def _cover_points(space, label):
+    """The covering tower: the cover fibers over the tower's distinct targets."""
+    targets = dict.fromkeys(datum.target for datum in tower_points(space, label))
+    return [pt for target in targets for pt in cover_fiber(space, label, target)[0]]
 
 
 def _padded(sub, n):
@@ -294,7 +320,7 @@ def test_cover_points_match_definition(spec, text):
     label = parse_label_arg(text)
     want = Counter(_cover_reference(space, label))
     assert sum(want.values()) > 0
-    assert Counter(cover_points(space, label)) == want
+    assert Counter(_cover_points(space, label)) == want
 
 
 def test_cover_fiber_o4_open():
