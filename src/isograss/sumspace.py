@@ -312,9 +312,6 @@ class SliceWeightReport:
     def min_weight(self) -> int:
         return min(w.weight for w in self.weights)
 
-    def non_positive(self) -> list[SliceWeight]:
-        return [w for w in self.weights if w.weight <= 0]
-
 
 def slice_weights(space: SumSpace, label: MultiLabel, exponents) -> SliceWeightReport:
     """Torus weights on the transverse slice at a split point of the orbit.

@@ -23,6 +23,7 @@ choices split the fiber into 2^d components, one pair per such factor.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -230,11 +231,17 @@ def tower_fiber(
 
 def closure_labels(
     space: SumSpace, label: MultiLabel, budget: int = DEFAULT_BUDGET
-) -> set[MultiLabel]:
-    """Labels of all targets swept by the resolution: the experimental
-    closure of the stratum in label terms (finite-field evidence only)."""
-    targets = dict.fromkeys(datum.target for datum in tower_points(space, label, budget=budget))
-    return set(multilabels_of(space, targets))
+) -> dict[MultiLabel, tuple[int, int]]:
+    """The resolution's row: label -> (points, distinct targets) over the
+    swept targets of that label, in the order the walk first meets them.
+    Its keys are the experimental closure of the stratum (finite-field
+    evidence only), and its points sum to the resolution's point count."""
+    hits = Counter(datum.target for datum in tower_points(space, label, budget=budget))
+    row: dict[MultiLabel, tuple[int, int]] = {}
+    for lab, c in zip(multilabels_of(space, hits), hits.values()):
+        points, targets = row.get(lab, (0, 0))
+        row[lab] = (points + c, targets + 1)
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ callers can tell "wrong" from "too big".
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,6 @@ from .sumspace import (
     canonical_representative,
     component_group_order_multi,
     enumerate_multilabels,
-    multilabels_of,
     orbit_dim_multi,
     orbit_point_counts,
     slice_weights,
@@ -61,7 +59,6 @@ from .towers import (
     expected_cover_fiber_space,
     resolution_tower,
     tower_fiber,
-    tower_points,
 )
 
 GRID_SPACES = ("Sp2", "Sp4", "O2", "O3", "O4", "Sp2+O2", "Sp2+Sp2", "O2+O3")
@@ -322,7 +319,18 @@ def suite_paving(forms_dims=None, primes=(3, 5), budget=DEFAULT_BUDGET):
 # towers
 # ---------------------------------------------------------------------------
 
-def suite_towers(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=None):
+def _row(rows: dict, space, label: MultiLabel, budget):
+    """``closure_labels`` of ``label`` on ``space``, walked once per ``rows``:
+    one run's table of resolution rows, keyed by (spec, p, label).  Nothing
+    carries over between runs."""
+    key = (space.spec, space.p, label)
+    if key not in rows:
+        rows[key] = closure_labels(space, label, budget=budget)
+    return rows[key]
+
+
+def suite_towers(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=None, rows=None):
+    rows = {} if rows is None else rows
     out = []
     for spec in specs:
         for p in primes:
@@ -337,7 +345,7 @@ def suite_towers(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=N
                     expect = poly(p)
                     if expect > TOWER_WALK_CAP:
                         continue
-                    got = len(tower_points(space, label, budget=budget))
+                    got = sum(points for points, _ in _row(rows, space, label, budget).values())
                     if got != expect:
                         bad.append(f"{label}: {got} points != symbolic {expect}")
             out.append(
@@ -355,34 +363,34 @@ def suite_towers(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=N
 # fibers
 # ---------------------------------------------------------------------------
 
-def suite_fibers(specs=GRID_SPACES, primes=(3, 5, 7), budget=DEFAULT_BUDGET, only_k=None):
+def suite_fibers(specs=GRID_SPACES, primes=(3, 5, 7), budget=DEFAULT_BUDGET, only_k=None, rows=None):
+    rows = {} if rows is None else rows
     out = []
     for spec in specs:
-        out.extend(_fiber_bijectivity(spec, primes[0], budget, only_k))
-        out.extend(_fiber_polynomiality(spec, primes, budget, only_k))
+        out.extend(_fiber_bijectivity(spec, primes[0], budget, only_k, rows))
+        out.extend(_fiber_polynomiality(spec, primes, budget, only_k, rows))
         out.extend(_cover_components(spec, budget, only_k))
     return out
 
 
-def _fiber_bijectivity(spec, p, budget, only_k=None):
+def _fiber_bijectivity(spec, p, budget, only_k, rows):
     """Over the open stratum every target is hit exactly once."""
     space = build_sum_space(spec, p)
     bad = []
     for k in _krange(space.n, only_k):
         for label in enumerate_multilabels(space, k):
-            hits = Counter(datum.target for datum in tower_points(space, label, budget=budget))
-            for c, lab in zip(hits.values(), multilabels_of(space, hits)):
-                if lab == label and c != 1:
-                    bad.append(f"{label}: target hit {c} times")
+            points, targets = _row(rows, space, label, budget).get(label, (0, 0))
+            if points != targets:
+                bad.append(f"{label}: {points} points over {targets} open-stratum targets")
     return [_result(f"fibers bijectivity {spec} p={p}", not bad, "; ".join(bad[:4]))]
 
 
-def _fiber_polynomiality(spec, primes, budget, only_k=None):
+def _fiber_polynomiality(spec, primes, budget, only_k, rows):
     """Fiber sizes over canonical representatives interpolate exactly."""
     ref = build_sum_space(spec, 3)
     bad = []
     for k in _krange(ref.n, only_k):
-        for label, below in closure_relation(spec, k, 3, budget).items():
+        for label, below in closure_relation(spec, k, 3, budget, rows).items():
             dim_x = resolution_tower(ref, label).count_polynomial().degree
             for sub in sorted(below, key=MultiLabel.sort_key):
                 bound = dim_x - orbit_dim_multi(ref, sub)
@@ -441,21 +449,26 @@ def _cover_components(spec, budget, only_k=None):
 # closure
 # ---------------------------------------------------------------------------
 
-def closure_relation(spec: str, k: int, p: int = 3, budget=DEFAULT_BUDGET):
-    """label -> set of labels in its experimental closure."""
+def closure_relation(spec: str, k: int, p: int, budget, rows: dict):
+    """label -> set of labels in its experimental closure, read off the
+    labels' resolution rows in ``rows``."""
     space = build_sum_space(spec, p)
-    labels = enumerate_multilabels(space, k)
-    return {lab: closure_labels(space, lab, budget=budget) for lab in labels}
+    # set(row.keys()) adds one label at a time; set(row) would presize its
+    # table from the dict and so change the set's iteration order, which is
+    # the closure report's edge order until ROADMAP item 7 sorts the edges.
+    return {lab: set(_row(rows, space, lab, budget).keys())
+            for lab in enumerate_multilabels(space, k)}
 
 
-def suite_closure(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=None):
+def suite_closure(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=None, rows=None):
+    rows = {} if rows is None else rows
     out = []
     for spec in specs:
         p = primes[0]
         space = build_sum_space(spec, p)
         bad = []
         for k in _krange(space.n, only_k):
-            rel = closure_relation(spec, k, p, budget)
+            rel = closure_relation(spec, k, p, budget, rows)
             for lab, below in rel.items():
                 if lab not in below:
                     bad.append(f"k={k} {lab}: not reflexive")
@@ -604,7 +617,10 @@ def run_suite(
     budget=DEFAULT_BUDGET,
     workers=1,
     only_k=None,
+    rows=None,
 ):
+    """One suite, or all of them; "all" makes one ``rows`` table (see _row)
+    for its towers, fibers and closure suites."""
     if name == "partition":
         return suite_partition(specs, primes or (3, 5), budget, workers, only_k)
     if name == "degrees":
@@ -612,15 +628,16 @@ def run_suite(
     if name == "paving":
         return suite_paving(None, primes or (3, 5), budget)
     if name == "towers":
-        return suite_towers(specs, primes or (3,), budget, only_k=only_k)
+        return suite_towers(specs, primes or (3,), budget, only_k, rows)
     if name == "fibers":
-        return suite_fibers(specs, primes or (3, 5, 7), budget, only_k)
+        return suite_fibers(specs, primes or (3, 5, 7), budget, only_k, rows)
     if name == "closure":
-        return suite_closure(specs, primes or (3,), budget, only_k)
+        return suite_closure(specs, primes or (3,), budget, only_k, rows)
     if name == "all":
+        rows = {}
         out = []
         for sub in SUITE_NAMES:
-            out.extend(run_suite(sub, specs, primes, budget, workers, only_k))
+            out.extend(run_suite(sub, specs, primes, budget, workers, only_k, rows))
         out.extend(suite_witt(specs, (3,), 200))
         out.extend(suite_slices(specs, 20))
         return out

@@ -5,9 +5,10 @@ import shlex
 
 import pytest
 
-from isograss import cli
+from isograss import cli, towers
 from isograss.cli import (
     EXIT_BUDGET,
+    EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -22,7 +23,7 @@ from isograss.cli import (
     parse_label_arg,
 )
 from isograss.orbits import PRIME0
-from isograss.sumspace import MultiLabel
+from isograss.sumspace import MultiLabel, multilabels_of
 
 
 def test_parse_label_arg():
@@ -259,6 +260,23 @@ def test_internal_assertion_exit_code(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["internal error: AssertionError('tower invariant')"]
+
+
+def test_one_resolution_row_feeds_towers_and_bijectivity(monkeypatch, capsys):
+    # a tower point repeated over the open stratum: the point count and the
+    # bijectivity check read the same row, so exactly those two fail
+    real = towers.tower_points
+
+    def repeated(space, label, budget):
+        points = real(space, label, budget=budget)
+        labels = multilabels_of(space, [datum.target for datum in points])
+        return points + [points[labels.index(label)]]
+
+    monkeypatch.setattr(towers, "tower_points", repeated)
+    assert main(["verify", "--space", "O2"]) == EXIT_CHECK_FAILED
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = [c["name"] for c in checks if not c["passed"]]
+    assert failed == ["towers O2 p=3", "fibers bijectivity O2 p=3"]
 
 
 def test_io_errors_are_usage_errors(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, QuotientMap, radical, standard_space
 from isograss.linalg import (
+    RowSolver,
     enumerate_subspaces,
     full_subspace,
     span,
@@ -153,7 +154,10 @@ def fibered_partition_counts(space, flag, r, k):
         rsub = span(rq.basis @ base.basis % p, space.n, p) if rq.dim else zero_subspace(space.n, p)
         n_base += 1
         qm = QuotientMap(space, rsub)
-        paving = build_paving(qm.quotient, k - r, [qm.project_subspace(m) for m in flag])
+        # (M + R)/R in quotient coordinates: solve in the basis [R; comp], drop R's part
+        solver = RowSolver(np.vstack([rsub.basis, qm.comp]), p)
+        image = [span(solver.solve_rows(m.basis)[:, r:], qm.dim, p) for m in flag]
+        paving = build_paving(qm.quotient, k - r, image)
         sig = [(pc.affine_dim, pc.invariants, pc.piece_id) for pc in paving.pieces]
         if ref_sig is None:
             ref_sig, totals = sig, [0] * len(sig)

@@ -117,7 +117,6 @@ def test_slice_weights():
     assert by_key[((0, 1), "b")] == 1
     assert by_key[((0, 1), "c")] == 3
     assert rep.min_weight() == 1
-    assert not rep.non_positive()
 
     with pytest.raises(ValueError):
         slice_weights(b, lab, [0, 0])

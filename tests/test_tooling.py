@@ -105,13 +105,26 @@ def test_traced_layers_exist(monkeypatch):
     assert tracer.LAYERS and missing == []
 
 
+def _package_defs(tree):
+    """(name, node) of each top-level function and class, and of each
+    non-dunder method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                    yield f"{node.name}.{method.name}", method
+
+
 def test_package_names_have_package_callers():
-    # a top-level function or class that only tests reach is a second API to
+    # a function, class or method that only tests reach is a second API to
     # keep in step: such a name belongs in the test that uses it.  Exempt:
     # iso_grassmannian_count, for the closed-form stratum polynomials that
     # ROADMAP item 5 derives from it; multilabel_of, the definitional
     # per-subspace classifier that checks the bulk one and that
-    # perfbench/tracer.py wraps by name.
+    # perfbench/tracer.py wraps by name.  Only the last part of a name is
+    # matched, so a method counts as reached by any use of its name.
     exempt = {"iso_grassmannian_count", "multilabel_of"}
     paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     trees = [ast.parse(path.read_text()) for path in paths]
@@ -122,11 +135,10 @@ def test_package_names_have_package_callers():
                 name = node.id if isinstance(node, ast.Name) else node.attr
                 refs.setdefault(name, set()).add(id(node))
     unreached = [
-        node.name
+        qualname
         for tree in trees
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in exempt
+        for qualname, node in _package_defs(tree)
+        if node.name not in exempt
         and not refs.get(node.name, set()) - {id(inner) for inner in ast.walk(node)}
     ]
     assert unreached == []

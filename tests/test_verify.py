@@ -4,7 +4,7 @@ from isograss.linalg import BudgetExceeded
 from isograss.orbits import DOUBLEPRIME0, PRIME0
 from isograss.polynomials import IntPolynomial
 from isograss.sumspace import MultiLabel
-from isograss import verify
+from isograss import bilinear, towers, verify
 
 
 def test_stratum_polynomials_sp4():
@@ -45,6 +45,29 @@ def test_run_suite_names():
         assert res and all(r.passed for r in res), name
     with pytest.raises(ValueError):
         verify.run_suite("nonsense")
+
+
+def test_all_walks_each_resolution_once_per_run(monkeypatch):
+    # towers, fibers and closure share one row per label within a run
+    walks = []
+    real = towers.tower_points
+
+    def counted(space, label, budget):
+        walks.append(label)
+        return real(space, label, budget=budget)
+
+    monkeypatch.setattr(towers, "tower_points", counted)
+    verify.run_suite("all", ("Sp2+O2",))
+    assert len(walks) == len(set(walks)) == 15
+    verify.run_suite("all", ("Sp2+O2",))
+    assert len(walks) == 30
+
+
+def test_witt_reports_a_broken_transport(monkeypatch):
+    # the transporter returns whatever it built; the suite judges it
+    monkeypatch.setattr(bilinear, "isometry_rows", lambda space, a, b: (a, b))
+    [result] = verify.suite_witt(("Sp4",), (3,), 20)
+    assert not result.passed and "not an isometry" in result.details
 
 
 def test_check_result_line():
