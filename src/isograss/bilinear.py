@@ -254,48 +254,6 @@ def witt_decompose(space: BilinearSpace, h: Subspace) -> WittSplit:
 # Constructive isometries
 # ---------------------------------------------------------------------------
 
-def _diagonalize(gm: np.ndarray, p: int) -> np.ndarray:
-    """T with T @ gm @ T^T diagonal and invertible, for nondegenerate
-    symmetric gm (odd p)."""
-    d = gm.shape[0]
-    t = np.eye(d, dtype=np.int64)
-    g = np.array(gm, dtype=np.int64) % p
-    for i in range(d):
-        # find an anisotropic vector among remaining basis combinations
-        piv = -1
-        for r in range(i, d):
-            if g[r, r]:
-                piv = r
-                break
-        if piv < 0:
-            found = False
-            for r in range(i, d):
-                for s in range(r + 1, d):
-                    if g[r, s]:
-                        t[r] = (t[r] + t[s]) % p
-                        g[r] = (g[r] + g[s]) % p
-                        g[:, r] = (g[:, r] + g[:, s]) % p
-                        piv = r
-                        found = True
-                        break
-                if found:
-                    break
-            if piv < 0:
-                raise ValueError("form is degenerate")
-        if piv != i:
-            t[[i, piv]] = t[[piv, i]]
-            g[[i, piv]] = g[[piv, i]]
-            g[:, [i, piv]] = g[:, [piv, i]]
-        a_inv = inv_mod(int(g[i, i]), p)
-        for r in range(i + 1, d):
-            if g[r, i]:
-                c = g[r, i] * a_inv % p
-                t[r] = (t[r] - c * t[i]) % p
-                g[r] = (g[r] - c * g[i]) % p
-                g[:, r] = (g[:, r] - c * g[:, i]) % p
-    return t
-
-
 def _represent_one(a: int, b: int, p: int) -> tuple[int, int]:
     """(x, y) with a x^2 + b y^2 = 1; exists for nondegenerate a, b, odd p."""
     for x in range(p):
@@ -310,76 +268,71 @@ def _represent_one(a: int, b: int, p: int) -> tuple[int, int]:
     raise ValueError("binary form does not represent 1")  # impossible for p odd
 
 
-def _canonical_symmetric_basis(gm: np.ndarray, p: int) -> tuple[np.ndarray, int]:
-    """T with T gm T^T = diag(1,..,1,delta), delta in {1, nu}; returns (T, delta)."""
-    d = gm.shape[0]
-    t = _diagonalize(gm, p)
-    g = t @ gm @ t.T % p
-    for i in range(d - 1):
-        a, b = int(g[i, i]), int(g[i + 1, i + 1])
-        if a == 1:
-            continue
-        x, y = _represent_one(a, b, p)
-        v1 = (x * t[i] + y * t[i + 1]) % p
-        v2 = (b * y * t[i] - a * x * t[i + 1]) % p
-        t[i], t[i + 1] = v1, v2
-        g = t @ gm @ t.T % p
-    delta = int(g[d - 1, d - 1]) if d else 1
-    if d:
-        if _legendre(delta, p) == 1:
-            s = inv_mod(sqrt_mod(delta, p), p)
-            t[d - 1] = s * t[d - 1] % p
-            delta = 1
-        else:
-            nu = smallest_nonresidue(p)
-            target = nu * inv_mod(delta, p) % p
-            s = sqrt_mod(target, p)  # delta * s^2 = nu
-            t[d - 1] = s * t[d - 1] % p
-            delta = nu
-    return t, delta
+def _normal_basis(gm: np.ndarray, p: int, skew: bool) -> tuple[np.ndarray, int]:
+    """T with T gm T^T in normal form, from one Gram-Schmidt pass over the
+    rows of the identity; returns (T, delta).
 
-
-def _symplectic_basis(gm: np.ndarray, p: int) -> np.ndarray:
-    """T with T gm T^T the standard split alternating form antidiag(1,..,-1,..)."""
+    Alternating gm: hyperbolic pairs <u_i, v_i> = 1 ordered u_1..u_h,
+    v_h..v_1, so T gm T^T = antidiag(1,..,1,-1,..,-1) and delta = 1.
+    Symmetric gm: T gm T^T = diag(1,..,1,delta) with delta 1 or the
+    smallest nonresidue.  Raises ValueError when gm is degenerate.
+    """
     d = gm.shape[0]
-    if d % 2:
-        raise ValueError("alternating forms have even rank")
     g = np.array(gm, dtype=np.int64) % p
-    basis = np.eye(d, dtype=np.int64)
-    pairs = []
-    remaining = list(range(d))
-    vecs = {i: basis[i].copy() for i in remaining}
-    while remaining:
-        i = remaining[0]
-        u = vecs[i]
-        partner = None
-        for j in remaining[1:]:
-            val = int(u @ gm @ vecs[j] % p)
-            if val:
-                partner = j
-                break
-        if partner is None:
-            raise ValueError("form is degenerate")
-        v = vecs[partner] * inv_mod(int(u @ gm @ vecs[partner] % p), p) % p
-        pairs.append((u.copy(), v.copy()))
-        remaining = [r for r in remaining if r not in (i, partner)]
-        for r in remaining:
-            w = vecs[r]
-            cu = int(w @ gm @ v % p)   # <w, v>
-            cv = int(w @ gm @ u % p)   # <w, u>
-            # subtract components so w pairs to zero with u and v
-            vecs[r] = (w - cu * u + cv * v) % p
-    half = len(pairs)
-    rows = [u for u, _ in pairs] + [v for _, v in reversed(pairs)]
-    t = np.array(rows, dtype=np.int64)
-    chk = t @ gm @ t.T % p
-    expect = np.zeros((d, d), dtype=np.int64)
-    for i in range(half):
-        expect[i, d - 1 - i] = 1
-        expect[d - 1 - i, i] = p - 1
-    if (chk != expect).any():
-        raise AssertionError("symplectic basis construction failed")
-    return t
+    rest = list(np.eye(d, dtype=np.int64))
+    us, vs, norms = [], [], []
+    while rest:
+        if skew:
+            u = rest.pop(0)
+            ug = u @ g
+            j = next((j for j, w in enumerate(rest) if int(ug @ w) % p), None)
+            if j is None:
+                raise ValueError("form is degenerate")
+            w = rest.pop(j)
+            v = w * inv_mod(int(ug @ w) % p, p) % p
+            vg = v @ g
+            # w - <w, v> u + <w, u> v pairs to zero with u and v
+            rest = [(w + int(vg @ w) % p * u - int(ug @ w) % p * v) % p for w in rest]
+            us.append(u)
+            vs.append(v)
+            continue
+        i = next((i for i, w in enumerate(rest) if int(w @ g @ w) % p), None)
+        if i is None:
+            # all rows isotropic: u + w is anisotropic once <u, w> != 0
+            ug = rest[0] @ g
+            j = next((j for j, w in enumerate(rest) if int(ug @ w) % p), None)
+            if j is None:
+                raise ValueError("form is degenerate")
+            i, rest[0] = 0, (rest[0] + rest[j]) % p
+        u = rest.pop(i)
+        gu = g @ u
+        a = int(u @ gu) % p
+        c = inv_mod(a, p)
+        rest = [(w - int(w @ gu) * c % p * u) % p for w in rest]
+        us.append(u)
+        norms.append(a)
+    for i in range(len(norms) - 1):
+        a, b = norms[i], norms[i + 1]
+        if a != 1:
+            # norms of (x e_i + y e_i+1, b y e_i - a x e_i+1) are (1, a b)
+            x, y = _represent_one(a, b, p)
+            e, f = us[i], us[i + 1]
+            us[i], us[i + 1] = (x * e + y * f) % p, (b * y * e - a * x * f) % p
+            norms[i + 1] = a * b % p
+    delta = 1
+    if norms:
+        last = norms[-1]
+        if _legendre(last, p) == -1:
+            delta = smallest_nonresidue(p)
+        us[-1] = sqrt_mod(delta * inv_mod(last, p), p) * us[-1] % p  # last * s^2 = delta
+    t = np.array(us + vs[::-1], dtype=np.int64).reshape(d, d)
+    if skew:
+        expect = np.fliplr(np.diag([1] * (d // 2) + [p - 1] * (d // 2)))
+    else:
+        expect = np.diag([1] * (d - 1) + [delta] * (d > 0))
+    if (t @ g @ t.T % p != expect).any():
+        raise AssertionError("normal basis construction failed")
+    return t, delta
 
 
 def isometry_rows(space: BilinearSpace, rows_a: np.ndarray, rows_b: np.ndarray):
@@ -387,19 +340,11 @@ def isometry_rows(space: BilinearSpace, rows_a: np.ndarray, rows_b: np.ndarray):
 
     Returns (new_a, new_b) spanning the same two subspaces with identical
     pairing matrices; raises DiscriminantMismatch when no isometry exists."""
-    p = space.p
-    ga = pairing(space, rows_a, rows_a)
-    gb = pairing(space, rows_b, rows_b)
-    if space.form_type == SKEW:
-        ta = _symplectic_basis(ga, p)
-        tb = _symplectic_basis(gb, p)
-    else:
-        ta, da = _canonical_symmetric_basis(ga, p)
-        tb, db = _canonical_symmetric_basis(gb, p)
-        if da != db:
-            raise DiscriminantMismatch(
-                f"restricted forms have discriminant classes {da} vs {db}"
-            )
+    p, skew = space.p, space.form_type == SKEW
+    ta, da = _normal_basis(pairing(space, rows_a, rows_a), p, skew)
+    tb, db = _normal_basis(pairing(space, rows_b, rows_b), p, skew)
+    if da != db:
+        raise DiscriminantMismatch(f"restricted forms have discriminant classes {da} vs {db}")
     return ta @ rows_a % p, tb @ rows_b % p
 
 

@@ -83,18 +83,11 @@ def valid_labels(form_type: str, n: int, k: int) -> list[SingleLabel]:
     ordered 0' < 0'' < integers ascending."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    out = []
-    if form_type == SYMMETRIC and n > 0 and n == 2 * k:
-        out += [SingleLabel(form_type, n, k, PRIME0), SingleLabel(form_type, n, k, DOUBLEPRIME0)]
-    step = 2 if form_type == SKEW else 1
-    lo = max(0, 2 * k - n)
-    if form_type == SKEW and lo % 2:
-        raise AssertionError("parity mismatch: skew forms have even dimension")
-    if form_type == SYMMETRIC and n > 0 and n == 2 * k:
-        lo = max(lo, 1)
-    for r in range(lo, k + 1, step):
-        out.append(SingleLabel(form_type, n, k, r))
-    return out
+    return [
+        SingleLabel(form_type, n, k, r)
+        for r in (PRIME0, DOUBLEPRIME0, *range(k + 1))
+        if is_valid_label(form_type, n, k, r)
+    ]
 
 
 def label_of(space: BilinearSpace, h: Subspace) -> SingleLabel:

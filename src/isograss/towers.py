@@ -49,7 +49,7 @@ from .linalg import (
     subspaces_between,
     zero_subspace,
 )
-from .orbits import DOUBLEPRIME0, PRIME0, rank_numeric
+from .orbits import DOUBLEPRIME0, PRIME0, component_group_order, rank_numeric
 from .paving import isotropic_subspaces, space_iso_count
 from .polynomials import IntPolynomial, gaussian_binomial
 from .sumspace import MultiLabel, SumSpace, multilabels_of, validate_multilabel
@@ -265,16 +265,9 @@ class CoverDatum:
 
 
 def cover_factors(space: SumSpace, label: MultiLabel) -> list[int]:
-    """Factors that carry the extra middle isotropic: symmetric with
-    max{0, 2k_i - n_i} < r_i (integer ranks only)."""
-    out = []
-    for i, f in enumerate(space.factors):
-        ri = label.rs[i]
-        if f.form_type != SYMMETRIC or ri in (PRIME0, DOUBLEPRIME0):
-            continue
-        if max(0, 2 * label.ks[i] - f.n) < int(ri):
-            out.append(i)
-    return out
+    """Factors that carry the extra middle isotropic: those whose stabilizer
+    has two components."""
+    return [i for i in range(space.m) if component_group_order(label.factor(space, i)) == 2]
 
 
 def _pad(sub: Subspace, extra: int) -> Subspace:

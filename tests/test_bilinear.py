@@ -8,11 +8,13 @@ from isograss.bilinear import (
     DiscriminantMismatch,
     InvariantMismatch,
     QuotientMap,
+    _normal_basis,
     apply_isometry,
     discriminant_class,
     pairing,
     perp,
     radical,
+    smallest_nonresidue,
     standard_space,
     transport_isometry,
     witt_decompose,
@@ -154,6 +156,57 @@ def test_witt_rejects_degenerate_space():
     degenerate = BilinearSpace(2, 3, SYMMETRIC, np.zeros((2, 2), dtype=np.int64))
     with pytest.raises(ValueError):
         witt_decompose(degenerate, span([[1, 0]], 2, 3))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_normal_basis_random_grams(p):
+    # T is invertible, T gm T^T is the normal form, and delta is the square
+    # class that the determinant of gm gives
+    rng = np.random.default_rng(p)
+    nu = smallest_nonresidue(p)
+    for form, dims in ((SKEW, (2, 4)), (SYMMETRIC, (1, 2, 3, 4))):
+        for d in dims:
+            checked = 0
+            while checked < 25:
+                a = rng.integers(0, p, (d, d))
+                gm = (a - a.T) % p if form == SKEW else (a + a.T) % p
+                if rank_mod(gm, p) < d:
+                    continue
+                t, delta = _normal_basis(gm, p, form == SKEW)
+                assert rank_mod(t, p) == d
+                if form == SKEW:
+                    want = standard_space(SKEW, d, p).gram
+                    assert delta == 1
+                else:
+                    want = np.diag([1] * (d - 1) + [delta])
+                    disc = discriminant_class(BilinearSpace(d, p, form, gm), np.eye(d, dtype=np.int64))
+                    assert delta in (1, nu) and (delta == 1) == (disc == 1)
+                assert (t @ gm @ t.T % p == want).all()
+                checked += 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_normal_basis_all_isotropic_rows(p):
+    # both rows are isotropic, so the first anisotropic vector is e1 + e2;
+    # det = -1 is a square exactly when p = 1 mod 4
+    gm = np.array([[0, 1], [1, 0]])
+    t, delta = _normal_basis(gm, p, False)
+    assert delta == (1 if p % 4 == 1 else smallest_nonresidue(p))
+    assert (t @ gm @ t.T % p == np.diag([1, delta])).all()
+
+
+@pytest.mark.parametrize(
+    "gm, skew",
+    [
+        ([[1, 1], [1, 1]], False),
+        ([[0, 0], [0, 0]], False),
+        ([[0, 0], [0, 0]], True),
+        ([[0, 1, 0], [2, 0, 0], [0, 0, 0]], True),
+    ],
+)
+def test_normal_basis_rejects_degenerate_gram(gm, skew):
+    with pytest.raises(ValueError):
+        _normal_basis(np.array(gm), 3, skew)
 
 
 def _transport(space, h, h2):

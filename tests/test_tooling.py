@@ -144,6 +144,22 @@ def test_package_names_have_package_callers():
     assert unreached == []
 
 
+def test_internal_invariants_are_named():
+    # `raise AssertionError` is an internal invariant: cli.main exits 4 and
+    # writes no report.  A law of the paper belongs in a report check that
+    # can fail (exit 1), so a new invariant site must be added here on purpose
+    sites = sorted(
+        qualname
+        for path in sorted(SRC.glob("*.py"))
+        for qualname, node in _package_defs(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Raise)
+        and getattr(getattr(inner.exc, "func", inner.exc), "id", None) == "AssertionError"
+    )
+    assert sites == ["_Node.classify", "_build_node", "_normal_basis", "tower_fiber"]
+
+
 def test_batch_imports_only_polynomials():
     # _batch reads the SumSpace it is given through its attributes; importing
     # sumspace (or a module that imports it) from here would be a cycle

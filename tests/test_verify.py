@@ -70,6 +70,20 @@ def test_witt_reports_a_broken_transport(monkeypatch):
     assert not result.passed and "not an isometry" in result.details
 
 
+def test_fiber_polynomiality_names_the_pair(monkeypatch):
+    # one fiber count off the polynomial fails the check, and the failure
+    # names the resolution label and the stratum it lies over
+    real = verify.tower_fiber
+
+    def off_at_3(space, label, rep, budget):
+        return real(space, label, rep, budget=budget) + [None] * (space.p == 3)
+
+    monkeypatch.setattr(verify, "tower_fiber", off_at_3)
+    [result] = verify._fiber_polynomiality("Sp2", (3, 5, 7), verify.DEFAULT_BUDGET, None, {})
+    line = MultiLabel((1,), (0,))
+    assert not result.passed and f"{line} over {line}: " in result.details
+
+
 def test_check_result_line():
     ok = verify.CheckResult("thing", True)
     bad = verify.CheckResult("thing", False, "broken")
