@@ -18,7 +18,6 @@ from .bilinear import (
 )
 from .linalg import (
     BudgetExceeded,
-    PrimeField,
     Subspace,
     block_project,
     enumerate_subspaces,

@@ -1,6 +1,7 @@
 """Bilinear spaces over F_p: symmetric or alternating Gram matrices,
-orthogonal complements, radicals, the four-summand Witt split adapted to
-a subspace (``witt_decompose``, the only place a split is built), and a
+orthogonal complements, radicals, subquotients U/L with their induced
+forms, the four-summand Witt split adapted to a subspace
+(``witt_decompose``, the only place a split is built), and a
 constructive isometry transporter that takes the splits of two subspaces
 with matching invariants and reads those invariants off them.
 
@@ -18,13 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    RowSolver,
     Subspace,
+    as_prime,
     complement_rows,
+    det_mod,
     full_subspace,
     inv_mod,
     left_kernel,
     rank_mod,
-    rref,
     span,
     subspace_intersect,
     zero_subspace,
@@ -32,7 +35,6 @@ from .linalg import (
 
 SYMMETRIC = "symmetric"
 SKEW = "skew"
-FORM_TYPES = (SYMMETRIC, SKEW)
 
 
 class DiscriminantMismatch(Exception):
@@ -103,16 +105,14 @@ def pairing(space: BilinearSpace, rows_u: np.ndarray, rows_v: np.ndarray) -> np.
     return u @ space.gram @ v.T % space.p
 
 
-def standard_space(form_type: str, n: int, field_or_p) -> BilinearSpace:
+def standard_space(form_type: str, n: int, p: int) -> BilinearSpace:
     """The split standard form: all orbit-level statements are for these.
 
     Skew: Gram antidiag(1,...,1,-1,...,-1), n even.  Symmetric: Gram
     antidiag(1,...,1), with the witness span(e_1..e_{n/2}) attached for
     even n.
     """
-    from .linalg import as_prime
-
-    p = as_prime(field_or_p)
+    p = as_prime(p)
     g = np.zeros((n, n), dtype=np.int64)
     if form_type == SKEW:
         if n % 2:
@@ -149,13 +149,29 @@ def radical(space: BilinearSpace, h: Subspace) -> Subspace:
     return subspace_intersect(h, perp(space, h))
 
 
+def subquotient(
+    space: BilinearSpace, lower: Subspace, upper: Subspace
+) -> tuple[np.ndarray, BilinearSpace]:
+    """upper / lower with its induced form, for lower <= rad(upper).
+
+    Returns (comp, quotient): ``comp`` holds rows of ``upper``'s basis that
+    complete ``lower`` to ``upper``, and the quotient's Gram is the pairing
+    of those rows.  Raises ValueError unless lower <= rad(upper).
+    """
+    p = space.p
+    comp = complement_rows(lower.basis, upper.basis, p)
+    # dim(lower + upper) = dim lower + len(comp), which is dim upper iff lower <= upper
+    if lower.dim + comp.shape[0] != upper.dim or pairing(space, lower.basis, upper.basis).any():
+        raise ValueError("lower is not contained in the radical of upper")
+    return comp, BilinearSpace(comp.shape[0], p, space.form_type, pairing(space, comp, comp))
+
+
 def discriminant_class(space: BilinearSpace, rows: np.ndarray) -> int:
     """Square class (+1 residue / -1 nonresidue) of det of the restricted Gram.
 
     Only meaningful when the restriction is nondegenerate; raises otherwise.
     """
-    gm = pairing(space, rows, rows)
-    d = _det_mod(gm, space.p)
+    d = det_mod(pairing(space, rows, rows), space.p)
     if d == 0:
         raise ValueError("restricted form is degenerate")
     return _legendre(d, space.p)
@@ -164,29 +180,6 @@ def discriminant_class(space: BilinearSpace, rows: np.ndarray) -> int:
 def _legendre(a: int, p: int) -> int:
     v = pow(a % p, (p - 1) // 2, p)
     return 1 if v == 1 else -1
-
-
-def _det_mod(mat: np.ndarray, p: int) -> int:
-    a = np.array(mat, dtype=np.int64) % p
-    n = a.shape[0]
-    det = 1
-    for col in range(n):
-        piv = -1
-        for r in range(col, n):
-            if a[r, col]:
-                piv = r
-                break
-        if piv < 0:
-            return 0
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            det = -det
-        det = det * int(a[col, col]) % p
-        inv = inv_mod(int(a[col, col]), p)
-        for r in range(col + 1, n):
-            if a[r, col]:
-                a[r] = (a[r] - a[r, col] * inv * a[col]) % p
-    return det % p
 
 
 def smallest_nonresidue(p: int) -> int:
@@ -220,15 +213,6 @@ class WittSplit:
     m4: Subspace
 
 
-def _inv_matrix(mat: np.ndarray, p: int) -> np.ndarray:
-    m = mat.shape[0]
-    aug = np.hstack([np.asarray(mat, dtype=np.int64) % p, np.eye(m, dtype=np.int64)])
-    red = rref(aug, p)
-    if red.shape[0] != m or (red[:, :m] != np.eye(m, dtype=np.int64)).any():
-        raise ValueError("matrix is singular")
-    return red[:, m:]
-
-
 def witt_decompose(space: BilinearSpace, h: Subspace) -> WittSplit:
     """Four-summand decomposition adapted to h; ambient must be nondegenerate."""
     if not space.is_nondegenerate():
@@ -245,7 +229,7 @@ def witt_decompose(space: BilinearSpace, h: Subspace) -> WittSplit:
     c = complement_rows(b1, perp(space, m23).basis, p)
     b4 = np.zeros((0, n), dtype=np.int64)
     if b1.size:
-        f0 = _inv_matrix(pairing(space, b1, c), p).T @ c % p
+        f0 = RowSolver(pairing(space, b1, c), p).transform.T @ c % p
         b4 = (f0 - inv_mod(2, p) * pairing(space, f0, f0) @ b1) % p
     return WittSplit(m1, span(b2, n, p), span(b3, n, p), span(b4, n, p))
 
@@ -385,31 +369,14 @@ def transport_isometry(space: BilinearSpace, a: WittSplit, b: WittSplit) -> np.n
         # re-coordinate b4 so that it pairs with b1 as a4 pairs with a1
         pa = pairing(space, a1, a4)
         pb = pairing(space, b1, b4)
-        b4 = (pa.T @ _inv_matrix(pb, p).T % p) @ b4 % p
+        b4 = (pa.T @ RowSolver(pb, p).transform.T % p) @ b4 % p
 
-    src_inv = _inv_matrix(np.vstack([a1, a2, a3, a4]), p)
+    src_inv = RowSolver(np.vstack([a1, a2, a3, a4]), p).transform
     img = np.vstack([b1, b2, b3, b4])
     g_rows = src_inv @ img % p
-    if space.form_type == SYMMETRIC and (r or a3.size) and _det_mod(g_rows, p) != 1:
+    if space.form_type == SYMMETRIC and (r or a3.size) and det_mod(g_rows, p) != 1:
         # row t is the first M2 image row when r > 0, else the first M3 one
         img[t] *= -1
         g_rows = src_inv @ img % p
     return g_rows.T % p
 
-
-# ---------------------------------------------------------------------------
-# Quotients by radical-contained subspaces
-# ---------------------------------------------------------------------------
-
-class QuotientMap:
-    """V/U with the induced form, for U contained in rad V."""
-
-    def __init__(self, space: BilinearSpace, u: Subspace):
-        if u.dim and pairing(space, u.basis, np.eye(space.n, dtype=np.int64)).any():
-            raise ValueError("subspace is not contained in the radical")
-        p = space.p
-        comp = complement_rows(u.basis, np.eye(space.n, dtype=np.int64), p)
-        self.comp = comp
-        self.dim = comp.shape[0]
-        gram_q = comp @ space.gram @ comp.T % p
-        self.quotient = BilinearSpace(self.dim, p, space.form_type, gram_q)

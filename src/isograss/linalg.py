@@ -2,18 +2,18 @@
 
 Matrices are numpy int64 arrays with entries reduced mod p at the API, but
 elimination runs on lists of Python-int rows: ``_eliminate`` is the one
-Gauss-Jordan loop, behind ``rref``, ``rank_mod``, ``left_kernel`` and
-``complement_rows``.  The matrices here have a few rows and columns, so
-per-element numpy indexing would cost more than the arithmetic.  Subspaces
-of F_p^n are kept in reduced row-echelon form, which makes equality, hashing
-and set membership structural.  Enumeration of Gr_k(F_p^n) is ordered by
-(pivot pattern, free entries), both lexicographic, and exposes a global
-index range so consumers can partition work into disjoint chunks.
+Gauss-Jordan loop, behind ``rref``, ``rank_mod``, ``det_mod``,
+``left_kernel`` and ``complement_rows``.  The matrices here have a few rows
+and columns, so per-element numpy indexing would cost more than the
+arithmetic.  Subspaces of F_p^n are kept in reduced row-echelon form, which
+makes equality, hashing and set membership structural.  Enumeration of
+Gr_k(F_p^n) is ordered by (pivot pattern, free entries), both
+lexicographic, and exposes a global index range so consumers can partition
+work into disjoint chunks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -39,19 +39,9 @@ class BudgetExceeded(Exception):
         super().__init__(f"enumeration of ~{estimate} subspaces exceeds budget {budget}")
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """An odd prime field F_p with 3 <= p <= 997."""
-
-    p: int
-
-    def __post_init__(self):
-        if self.p not in _SMALL_PRIMES:
-            raise ValueError(f"modulus must be an odd prime in [3, 997], got {self.p}")
-
-
-def as_prime(field_or_p) -> int:
-    p = field_or_p.p if isinstance(field_or_p, PrimeField) else int(field_or_p)
+def as_prime(p) -> int:
+    """p as an int, if it is an odd prime in [3, 997]; ValueError otherwise."""
+    p = int(p)
     if p not in _SMALL_PRIMES:
         raise ValueError(f"modulus must be an odd prime in [3, 997], got {p}")
     return p
@@ -64,13 +54,15 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def _eliminate(rows: list[list[int]], p: int) -> int:
+def _eliminate(rows: list[list[int]], p: int) -> tuple[int, int]:
     """Gauss-Jordan elimination in place on Python-int rows reduced mod p.
 
-    Leaves the first ``rank`` rows in RREF and the rest zero; returns the rank.
+    Leaves the first ``rank`` rows in RREF and the rest zero; returns
+    (rank, det) with det = (-1)^swaps * (product of the pivots) mod p, the
+    determinant of a square input of full rank.
     """
     n_rows = len(rows)
-    rank = 0
+    rank, det = 0, 1
     for col in range(len(rows[0]) if rows else 0):
         for r in range(rank, n_rows):
             if rows[r][col]:
@@ -78,8 +70,11 @@ def _eliminate(rows: list[list[int]], p: int) -> int:
         else:
             continue
         piv = rows[r]
-        rows[r] = rows[rank]
+        if r != rank:
+            rows[r] = rows[rank]
+            det = -det
         x = piv[col]
+        det = det * x % p
         if x != 1:
             inv = pow(x, p - 2, p)
             piv = [v * inv % p for v in piv]
@@ -91,7 +86,7 @@ def _eliminate(rows: list[list[int]], p: int) -> int:
         rank += 1
         if rank == n_rows:
             break
-    return rank
+    return rank, det
 
 
 def _int_rows(mat, p: int) -> tuple[list[list[int]], int]:
@@ -105,12 +100,21 @@ def _int_rows(mat, p: int) -> tuple[list[list[int]], int]:
 def rref(mat: np.ndarray, p: int) -> np.ndarray:
     """Reduced row-echelon form mod p with zero rows dropped."""
     rows, cols = _int_rows(mat, p)
-    rank = _eliminate(rows, p)
+    rank, _ = _eliminate(rows, p)
     return np.array(rows[:rank], dtype=np.int64).reshape(rank, cols)
 
 
 def rank_mod(mat: np.ndarray, p: int) -> int:
-    return _eliminate(_int_rows(mat, p)[0], p)
+    return _eliminate(_int_rows(mat, p)[0], p)[0]
+
+
+def det_mod(mat: np.ndarray, p: int) -> int:
+    """Determinant mod p of a square matrix: 0 when its rows are dependent."""
+    rows, cols = _int_rows(mat, p)
+    if len(rows) != cols:
+        raise ValueError("expected a square matrix")
+    rank, det = _eliminate(rows, p)
+    return det if rank == cols else 0
 
 
 class Subspace:
@@ -198,7 +202,7 @@ def left_kernel(mat: np.ndarray, p: int) -> np.ndarray:
     for i, row in enumerate(rows):
         row += [0] * m
         row[w + i] = 1
-    rank = _eliminate(rows, p)
+    rank, _ = _eliminate(rows, p)
     ker = [row[w:] for row in rows[:rank] if not any(row[:w])]
     return np.array(ker, dtype=np.int64).reshape(len(ker), m)
 
@@ -219,7 +223,9 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 class RowSolver:
-    """Solves x @ M = v for v in the row space of a fixed matrix M."""
+    """Solves x @ M = v for v in the row space of a fixed matrix M, whose
+    rows must be independent (else ValueError).  ``transform @ M`` is the
+    RREF of M, so ``transform`` is the inverse of a square M."""
 
     def __init__(self, mat: np.ndarray, p: int):
         self.p = p
@@ -258,7 +264,7 @@ def complement_rows(inner: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:
     # iff column j is a pivot column of the RREF of the transpose.  A pivot
     # is the first 1 of its RREF row, since everything before it is 0.
     cols = [list(c) for c in zip(*inner_rows, *outer_rows)]
-    rank = _eliminate(cols, p)
+    rank, _ = _eliminate(cols, p)
     pivots = (row.index(1) for row in cols[:rank])
     first = len(inner_rows)
     picked = [outer_rows[j - first] for j in pivots if j >= first]
@@ -276,7 +282,7 @@ def subspace_total(n: int, k: int, p: int) -> int:
 def enumerate_subspaces(
     n: int,
     k: int,
-    field_or_p,
+    p: int,
     start: int = 0,
     stop: int | None = None,
     budget: int | None = DEFAULT_BUDGET,
@@ -292,7 +298,7 @@ def enumerate_subspaces(
     ``_batch.classify_counts`` counts the column-reversed images of these
     subspaces; over the full range the two cover the same Gr_k(F_p^n).
     """
-    p = as_prime(field_or_p)
+    p = as_prime(p)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     total = subspace_total(n, k, p)

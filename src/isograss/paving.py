@@ -27,13 +27,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import _batch
-from .bilinear import SKEW, BilinearSpace, pairing, perp, standard_space
+from .bilinear import SKEW, BilinearSpace, pairing, perp, standard_space, subquotient
 from .linalg import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     RowSolver,
     Subspace,
-    complement_rows,
     left_kernel,
     span,
     subspace_intersect,
@@ -130,8 +129,8 @@ class _Node:
         return span(coords[:, 1:], w_dim, p) if w_dim else zero_subspace(0, p)
 
 
-def _choose_line(space: BilinearSpace, flag) -> np.ndarray | None:
-    rad_rows = left_kernel(space.gram, space.p)
+def _choose_line(space: BilinearSpace, flag, rad_rows: np.ndarray) -> np.ndarray | None:
+    """An isotropic line, or None; ``rad_rows`` spans the form's radical."""
     if rad_rows.shape[0]:
         rad = span(rad_rows, space.n, space.p)
         for m in flag:
@@ -158,7 +157,8 @@ def _build_node(space: BilinearSpace, k: int, flag) -> _Node:
         node.kind = "empty"
         node.pieces = []
         return node
-    line = _choose_line(space, flag)
+    rad_rows = left_kernel(space.gram, space.p)
+    line = _choose_line(space, flag, rad_rows)
     if line is None:
         # anisotropic nondegenerate space: no isotropic subspaces of dim >= 1
         node.kind = "empty"
@@ -169,13 +169,11 @@ def _build_node(space: BilinearSpace, k: int, flag) -> _Node:
     node.kind = "branch"
     node.line_row = line
     node.gram_line = space.gram @ line % p
-    lperp = perp(space, span(line.reshape(1, -1), space.n, p))
-    w_rows = complement_rows(line.reshape(1, -1), lperp.basis, p)
+    lspan = span(line.reshape(1, -1), space.n, p)
+    w_rows, w_space = subquotient(space, lspan, perp(space, lspan))
     node.w_rows = w_rows
     node.solver = RowSolver(np.vstack([line.reshape(1, -1), w_rows]), p)
     w_dim = w_rows.shape[0]
-    gram_w = w_rows @ space.gram @ w_rows.T % p
-    w_space = BilinearSpace(w_dim, p, space.form_type, gram_w)
 
     flag_w = []
     l_in_flag = []
@@ -202,8 +200,7 @@ def _build_node(space: BilinearSpace, k: int, flag) -> _Node:
         pieces.append(PavingPiece("2." + sp.piece_id, sp.affine_dim + k, sp.invariants))
     node.len2 = len(pieces) - node.len1
 
-    is_degenerate = left_kernel(space.gram, p).shape[0] > 0
-    if not is_degenerate:
+    if not rad_rows.shape[0]:
         fiber = space.n - 2 * k + (1 if space.form_type == SKEW else 0)
         if node.sub_small.pieces:
             if fiber < 0:

@@ -111,9 +111,7 @@ class IntPolynomial:
         return out
 
 
-ZERO = IntPolynomial([])
 ONE = IntPolynomial([1])
-Q = IntPolynomial([0, 1])
 
 
 def monomial(d: int, c: int = 1) -> IntPolynomial:

@@ -32,7 +32,6 @@ from .linalg import (
 )
 from .orbits import (
     DOUBLEPRIME0,
-    PRIME0,
     InvalidLabel,
     RankSymbol,
     SingleLabel,
@@ -113,18 +112,17 @@ class SumSpace:
             raise ValueError("mixed-type sums have no single ambient form type")
         return BilinearSpace(self.n, self.p, kinds.pop(), self.gram)
 
-    def embed_factor(self, i: int, h: Subspace) -> Subspace:
-        """A subspace of B_i as a subspace of B."""
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        rows = np.zeros((h.dim, self.n), dtype=np.int64)
-        rows[:, lo:hi] = h.basis
-        return span(rows, self.n, self.p)
+    def prefix_plus(self, i: int, h: Subspace) -> Subspace:
+        """B_{<i} + h for a subspace h of B_i, as a subspace of B.
 
-    def prefix_subspace(self, i: int) -> Subspace:
-        """B_{<=i} as a subspace of B (i factors; i = 0 gives 0)."""
-        c = self.offsets[i]
-        rows = np.eye(self.n, dtype=np.int64)[:c]
-        return span(rows, self.n, self.p)
+        Identity rows over the rows of h's RREF basis placed in block i are
+        already in RREF, so no elimination runs.
+        """
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        rows = np.zeros((lo + h.dim, self.n), dtype=np.int64)
+        rows[:lo, :lo] = np.eye(lo, dtype=np.int64)
+        rows[lo:, lo:hi] = h.basis
+        return Subspace(rows, self.n, self.p)
 
     def project_factor(self, h: Subspace, i: int) -> Subspace:
         """pr_i h = (h cap B_{<=i}) / (h cap B_{<i}), in B_i coordinates."""
@@ -183,9 +181,9 @@ def format_space_spec(factors: list[tuple[str, int]]) -> str:
     return "+".join(("Sp" if f == SKEW else "O") + str(d) for f, d in factors)
 
 
-def build_sum_space(spec: str, field_or_p) -> SumSpace:
+def build_sum_space(spec: str, p: int) -> SumSpace:
     """Standard split model of the space named by a spec string."""
-    p = as_prime(field_or_p)
+    p = as_prime(p)
     parsed = parse_space_spec(spec)
     factors = [standard_space(form, dim, p) for form, dim in parsed]
     return SumSpace(factors, spec=format_space_spec(parsed))

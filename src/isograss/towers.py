@@ -32,20 +32,18 @@ import numpy as np
 from .bilinear import (
     SYMMETRIC,
     BilinearSpace,
-    QuotientMap,
     pairing,
     perp,
     radical,
+    subquotient,
 )
 from .linalg import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     Subspace,
-    complement_rows,
     full_subspace,
     span,
     subspace_intersect,
-    subspace_sum,
     subspaces_between,
     zero_subspace,
 )
@@ -148,15 +146,12 @@ def _walk(space: SumSpace, label: MultiLabel, ceiling: Subspace, budget: int):
     pdims = [h - rank_numeric(r) for h, r in zip(hdims, label.rs)]
     levels = []
     for j, f in enumerate(space.factors):
-        prefix = space.prefix_subspace(j)
         level = []
         for ptilde in _base_choices(space, label, j, budget):
-            up = subspace_sum(prefix, space.embed_factor(j, ptilde))
-            up = subspace_intersect(up, ceiling)
+            up = subspace_intersect(space.prefix_plus(j, ptilde), ceiling)
             if up.dim < pdims[j]:
                 continue
-            uh = subspace_sum(prefix, space.embed_factor(j, perp(f, ptilde)))
-            uh = subspace_intersect(uh, ceiling)
+            uh = subspace_intersect(space.prefix_plus(j, perp(f, ptilde)), ceiling)
             if uh.dim >= hdims[j]:
                 level.append((ptilde, up, uh))
         if not level:
@@ -192,9 +187,8 @@ def fiber_invariants(space: SumSpace, datum: FlagDatum) -> tuple[tuple[int, int,
     dim H_i cap B_{<i}, dim P_i cap (rad pr_i M + B_{<i})."""
     out = []
     for i, f in enumerate(space.factors):
-        prefix = space.prefix_subspace(i)
-        rad_m = radical(f, space.project_factor(datum.target, i))
-        enlarged = subspace_sum(prefix, space.embed_factor(i, rad_m))
+        prefix = space.prefix_plus(i, zero_subspace(f.n, space.p))
+        enlarged = space.prefix_plus(i, radical(f, space.project_factor(datum.target, i)))
         out.append(
             (
                 subspace_intersect(datum.ps[i], prefix).dim,
@@ -290,8 +284,7 @@ def _isotropic_above(space: BilinearSpace, lower: Subspace, d: int, budget: int)
     lower^perp, so they are the isotropic subspaces of lower^perp / lower,
     walked with the batch filter and lifted."""
     p = space.p
-    comp = complement_rows(lower.basis, perp(space, lower).basis, p)
-    quotient = BilinearSpace(comp.shape[0], p, space.form_type, comp @ space.gram @ comp.T % p)
+    comp, quotient = subquotient(space, lower, perp(space, lower))
     for x in isotropic_subspaces(quotient, d - lower.dim, budget=budget):
         yield span(np.vstack([lower.basis, x.basis @ comp % p]), space.n, p)
 
@@ -323,7 +316,9 @@ def _cover_choices(space: SumSpace, label: MultiLabel, i: int, data: list, budge
                 rows = np.zeros((qt.dim, n), dtype=np.int64)
                 rows[:, lo:end] = qt.basis[:, : f.n]
                 rows[:, space.n :] = qt.basis[:, f.n :]
-                above[ptilde].append((qt, span(np.vstack([eye[:lo], rows]), n, p)))
+                # B_{<i} + Q~_i: qt's columns keep their order, so its RREF rows
+                # under the identity rows of B_{<i} are RREF
+                above[ptilde].append((qt, Subspace(np.vstack([eye[:lo], rows]), n, p)))
         pi = _pad(datum.ps[i], extra)
         # H_i + F: the F row has its pivot past every padded row, so this is RREF
         hi_f = Subspace(np.vstack([_pad(datum.hs[i], extra).basis, eye[space.n :]]), n, p)
@@ -388,5 +383,5 @@ def expected_cover_fiber_space(space: SumSpace, label: MultiLabel, target: Subsp
                         pairing(f, pr.basis, pr.basis))
     if int(label.rs[i]) % 2:
         sub = _extend_space(sub)
-    qm = QuotientMap(sub, radical(sub, span(np.eye(sub.n, dtype=np.int64), sub.n, sub.p)))
-    return qm.quotient
+    whole = full_subspace(sub.n, sub.p)
+    return subquotient(sub, radical(sub, whole), whole)[1]

@@ -188,13 +188,10 @@ def stratum_polynomials(
             continue
         d = degrees[lab]
         samples = [(p, counts[p].get(lab, 0)) for p in primes]
-        poly = interpolate_counts(samples[: d + 1], d, require_nonnegative=False)
-        for p, c in samples:
-            if poly(p) != c:
-                raise InterpolationError(
-                    f"{spec} k={k} {lab}: sample at p={p} off the fitted polynomial"
-                )
-        out[lab] = poly
+        try:
+            out[lab] = interpolate_counts(samples, d, require_nonnegative=False)
+        except InterpolationError as e:
+            raise InterpolationError(f"{spec} k={k} {lab}: {e}") from e
     if top is not None:
         rest = IntPolynomial([])
         for poly in out.values():

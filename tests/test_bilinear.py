@@ -7,7 +7,6 @@ from isograss.bilinear import (
     BilinearSpace,
     DiscriminantMismatch,
     InvariantMismatch,
-    QuotientMap,
     _normal_basis,
     apply_isometry,
     discriminant_class,
@@ -16,6 +15,7 @@ from isograss.bilinear import (
     radical,
     smallest_nonresidue,
     standard_space,
+    subquotient,
     transport_isometry,
     witt_decompose,
 )
@@ -329,10 +329,38 @@ def test_quotient_map():
     o4 = standard_space(SYMMETRIC, 4, 3)
     u = span([[1, 0, 0, 0]], 4, 3)  # isotropic but not radical: must fail
     with pytest.raises(ValueError):
-        QuotientMap(o4, u)
+        subquotient(o4, u, full_subspace(4, 3))
     degenerate = BilinearSpace(
         3, 3, SYMMETRIC, np.diag([0, 1, 1]).astype(np.int64)
     )
-    qm = QuotientMap(degenerate, span([[1, 0, 0]], 3, 3))
-    assert qm.quotient.n == 2
-    assert qm.quotient.is_nondegenerate()
+    _, quotient = subquotient(degenerate, span([[1, 0, 0]], 3, 3), full_subspace(3, 3))
+    assert quotient.n == 2
+    assert quotient.is_nondegenerate()
+
+
+def test_subquotient_refuses_lower_outside_the_radical():
+    o4 = standard_space(SYMMETRIC, 4, 3)
+    line = span([[1, 0, 0, 0]], 4, 3)
+    upper = span([[1, 0, 0, 0], [0, 1, 0, 0]], 4, 3)  # isotropic plane: rad(upper) = upper
+    subquotient(o4, line, upper)
+    for lower, up in [
+        (line, full_subspace(4, 3)),         # in upper, but pairs with e_4
+        (span([[0, 0, 1, 0]], 4, 3), upper),  # isotropic, outside upper
+        (upper, line),                        # bigger than upper
+    ]:
+        with pytest.raises(ValueError):
+            subquotient(o4, lower, up)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_subquotient_of_isotropic_line(p):
+    # L^perp / L of an isotropic line L of O4 is a nondegenerate plane
+    o4 = standard_space(SYMMETRIC, 4, p)
+    for line in enumerate_subspaces(4, 1, p):
+        if pairing(o4, line.basis, line.basis).any():
+            continue
+        upper = perp(o4, line)
+        comp, quotient = subquotient(o4, line, upper)
+        assert quotient.n == comp.shape[0] == 2 and quotient.is_nondegenerate()
+        assert quotient.form_type == SYMMETRIC
+        assert subspace_sum(line, span(comp, 4, p)) == upper

@@ -1,13 +1,16 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from isograss._batch import batch_rank
 from isograss.linalg import (
     BudgetExceeded,
-    PrimeField,
     Subspace,
+    as_prime,
     block_project,
     complement_rows,
+    det_mod,
     enumerate_subspaces,
     full_subspace,
     intersect_prefix,
@@ -27,11 +30,45 @@ from isograss.polynomials import gaussian_binomial
 
 
 def test_prime_field_validation():
-    PrimeField(3)
-    PrimeField(997)
+    assert as_prime(3) == 3 and as_prime(997) == 997
     for bad in (2, 4, 9, 1, 999, 1009):
         with pytest.raises(ValueError):
-            PrimeField(bad)
+            as_prime(bad)
+
+
+def _reference_det(mat, p):
+    """Determinant mod p by permutation expansion, independent of ``_eliminate``."""
+    n = len(mat)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= int(mat[i][j])
+        total += term
+    return total % p
+
+
+def test_det_mod_matches_permutation_expansion():
+    rng = np.random.default_rng(14)
+    for p in (3, 5, 7, 997):
+        for d in range(6):
+            # an antidiagonal needs d // 2 row swaps
+            cases = [rng.integers(0, p, size=(d, d)) for _ in range(6)]
+            cases.append(np.fliplr(np.eye(d, dtype=np.int64)) * (p - 2))
+            if d:
+                swap = rng.integers(0, p, size=(d, d))
+                swap[0, 0] = 0  # the first pivot comes from a later row
+                dup = rng.integers(0, p, size=(d, d))
+                dup[-1] = 2 * dup[0]  # singular: dependent rows
+                zero_col = rng.integers(0, p, size=(d, d))
+                zero_col[:, d // 2] = 0
+                cases += [swap, dup, zero_col]
+            for mat in cases:
+                assert det_mod(mat, p) == _reference_det(mat, p), (p, mat)
+    assert det_mod(np.zeros((0, 0), dtype=np.int64), 3) == 1
+    with pytest.raises(ValueError):
+        det_mod(np.zeros((2, 3), dtype=np.int64), 3)
 
 
 def _reference_rref(mat, p):

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, QuotientMap, radical, standard_space
+from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, radical, standard_space, subquotient
 from isograss.linalg import (
     RowSolver,
     enumerate_subspaces,
@@ -153,16 +153,16 @@ def fibered_partition_counts(space, flag, r, k):
     for rq in enumerate_subspaces(base.dim, r, p):
         rsub = span(rq.basis @ base.basis % p, space.n, p) if rq.dim else zero_subspace(space.n, p)
         n_base += 1
-        qm = QuotientMap(space, rsub)
+        comp, quotient = subquotient(space, rsub, full_subspace(space.n, p))
         # (M + R)/R in quotient coordinates: solve in the basis [R; comp], drop R's part
-        solver = RowSolver(np.vstack([rsub.basis, qm.comp]), p)
-        image = [span(solver.solve_rows(m.basis)[:, r:], qm.dim, p) for m in flag]
-        paving = build_paving(qm.quotient, k - r, image)
+        solver = RowSolver(np.vstack([rsub.basis, comp]), p)
+        image = [span(solver.solve_rows(m.basis)[:, r:], quotient.n, p) for m in flag]
+        paving = build_paving(quotient, k - r, image)
         sig = [(pc.affine_dim, pc.invariants, pc.piece_id) for pc in paving.pieces]
         if ref_sig is None:
             ref_sig, totals = sig, [0] * len(sig)
         assert sig == ref_sig, "piece structure varies across the base"
-        tallies = Counter(paving.classify(hq) for hq in isotropic_subspaces(qm.quotient, k - r))
+        tallies = Counter(paving.classify(hq) for hq in isotropic_subspaces(quotient, k - r))
         for idx, pc in enumerate(paving.pieces):
             assert tallies[idx] == p**pc.affine_dim, pc.piece_id
             totals[idx] += tallies[idx]

@@ -55,6 +55,20 @@ def test_sum_space_layout():
     assert (b.gram[:2, 2:] == 0).all()
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_prefix_plus_is_the_span_of_its_rows(p):
+    b = build_sum_space("Sp2+O3", p)
+    rng = np.random.default_rng(p)
+    for i, n_i in enumerate(b.dims):
+        lo = b.offsets[i]
+        for d in range(n_i + 1):
+            h = random_subspace(n_i, d, p, rng)
+            rows = np.zeros((lo + d, b.n), dtype=np.int64)
+            rows[:lo, :lo] = np.eye(lo, dtype=np.int64)
+            rows[lo:, lo : lo + n_i] = h.basis
+            assert b.prefix_plus(i, h) == span(rows, b.n, p)
+
+
 def test_enumerate_multilabels_examples():
     b = build_sum_space("Sp2+O2", 3)
     labels = enumerate_multilabels(b, 1)

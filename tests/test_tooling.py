@@ -144,6 +144,54 @@ def test_package_names_have_package_callers():
     assert unreached == []
 
 
+def _loaded_names(tree, attributes=False):
+    """Names a module reads: loaded Name ids, and with ``attributes`` also
+    the last part of each loaded attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif attributes and isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def test_module_constants_have_package_readers():
+    # a module-level name that nothing in the package reads is dead API,
+    # like a function without a caller; its own assignment does not count
+    trees = [(path, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
+    reads = set().union(*(_loaded_names(tree, attributes=True) for _, tree in trees))
+    unread = [
+        f"{path.name}:{target.id}"
+        for path, tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+        and not target.id.startswith("__")
+        and target.id not in reads
+    ]
+    assert unread == []
+
+
+def test_imported_names_are_read():
+    # an import its module never reads is a dead dependency; __init__.py
+    # imports in order to export
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        reads = _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in reads:
+                        unread.append(f"{path.name}:{name}")
+    assert unread == []
+
+
 def test_internal_invariants_are_named():
     # `raise AssertionError` is an internal invariant: cli.main exits 4 and
     # writes no report.  A law of the paper belongs in a report check that

@@ -84,6 +84,24 @@ def test_fiber_polynomiality_names_the_pair(monkeypatch):
     assert not result.passed and f"{line} over {line}: " in result.details
 
 
+def test_degrees_reports_a_count_off_its_polynomial(monkeypatch):
+    # one count moved off its polynomial at p = 5, with the total kept, fails
+    # the fit and the failure names the spec, k and label
+    real = verify.orbit_point_counts
+    moved, top = MultiLabel((1,), (PRIME0,)), MultiLabel((1,), (1,))
+
+    def off_at_5(space, k, budget, workers):
+        counts = real(space, k, budget=budget, workers=workers)
+        if space.p == 5:
+            counts[moved] += 1
+            counts[top] -= 1
+        return counts
+
+    monkeypatch.setattr(verify, "orbit_point_counts", off_at_5)
+    [result] = verify.suite_degrees(("O2",), only_k=1)
+    assert not result.passed and f"O2 k=1 {moved}: " in result.details
+
+
 def test_check_result_line():
     ok = verify.CheckResult("thing", True)
     bad = verify.CheckResult("thing", False, "broken")
