@@ -15,6 +15,7 @@ DiscriminantMismatch instead of working around it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,11 @@ class BilinearSpace:
                 raise ValueError("witness is not isotropic")
 
     def is_nondegenerate(self) -> bool:
+        return self._nondegenerate
+
+    @cached_property
+    def _nondegenerate(self) -> bool:
+        # the Gram is frozen, so it is ranked once per space
         return rank_mod(self.gram, self.p) == self.n
 
     def __eq__(self, other):

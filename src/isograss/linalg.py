@@ -240,17 +240,14 @@ class RowSolver:
         self.transform = red[:, w:]  # transform @ mat == red
         self.pivots = [int(np.flatnonzero(row)[0]) for row in self.red]
 
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        """Coefficients x with x @ mat == v; raises if v is outside."""
-        v = np.asarray(v, dtype=np.int64) % self.p
-        x_red = v[self.pivots]
-        if np.any((x_red @ self.red - v) % self.p):
+    def solve_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Coefficients x with x @ mat == v for every vector v in ``rows``, a
+        stack of any leading shape; raises if some v is outside the row space."""
+        rows = np.asarray(rows, dtype=np.int64) % self.p
+        x_red = rows[..., self.pivots]
+        if ((x_red @ self.red - rows) % self.p).any():
             raise ValueError("vector not in row space")
         return x_red @ self.transform % self.p
-
-    def solve_rows(self, rows: np.ndarray) -> np.ndarray:
-        return np.array([self.solve(r) for r in np.asarray(rows).reshape(-1, self.mat.shape[1])],
-                        dtype=np.int64).reshape(-1, self.mat.shape[0])
 
 
 def complement_rows(inner: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:

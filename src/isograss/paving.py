@@ -10,8 +10,8 @@ is degenerate, inside the first flag member otherwise) and splits
                                     dimension k-1 (nondegenerate case only)
 
 where W is a complement of L in Lp = L^perp.  Pieces carry their affine
-dimension and the vector of intersection dimensions with the flag; a point
-is classified by replaying the case split.
+dimension and the vector of intersection dimensions with the flag; a stack
+of points is classified by replaying the case split on all of them at once.
 
 For degenerate forms with flag members outside the radical, the
 intersection vector need not be constant on the X2 pieces (the recursion
@@ -70,15 +70,27 @@ class Paving:
             total = total + monomial(piece.affine_dim)
         return total
 
-    def classify(self, h: Subspace) -> int:
-        """Index of the piece containing h (isotropic of dimension k)."""
-        if h.n != self.space.n or h.p != self.space.p:
+    def classify(self, mats: np.ndarray) -> np.ndarray:
+        """Piece indices of a stack of isotropic k-subspaces.
+
+        ``mats`` has shape (N, k, n): one full-rank basis per subspace, not
+        necessarily RREF, as for ``_batch.classify_batch``.  Raises ValueError
+        on a wrong shape or dependent rows, and NotIsotropic if any item is
+        not isotropic.
+        """
+        space = self.space
+        p = space.p
+        mats = np.asarray(mats, dtype=np.int64)
+        if mats.ndim != 3 or mats.shape[2] != space.n:
             raise ValueError("subspace lives in the wrong space")
-        if h.dim != self.k:
-            raise ValueError(f"expected dimension {self.k}, got {h.dim}")
-        if pairing(self.space, h.basis, h.basis).any():
+        if mats.shape[1] != self.k:
+            raise ValueError(f"expected dimension {self.k}, got {mats.shape[1]}")
+        mats = mats % p
+        if (_batch.batch_rank(mats.copy(), p) != self.k).any():
+            raise ValueError("basis rows are dependent")
+        if not _batch.isotropic_filter(mats, space.gram, p).all():
             raise NotIsotropic("subspace is not isotropic")
-        return self._root.classify(h)
+        return self._root.classify(mats, p)
 
 
 def build_paving(space: BilinearSpace, k: int, flag=()) -> Paving:
@@ -99,34 +111,44 @@ def _validate_flag(space: BilinearSpace, flag):
 
 class _Node:
     __slots__ = (
-        "kind", "pieces", "k", "line_row", "gram_line", "solver", "w_rows",
-        "sub_small", "sub_same", "len1", "len2",
+        "kind", "pieces", "k", "gram_line", "solver", "sub_small", "sub_same", "len1", "len2",
     )
 
-    def classify(self, h: Subspace) -> int:
-        if self.kind == "leaf":
-            return 0
+    def classify(self, mats: np.ndarray, p: int) -> np.ndarray:
+        """Piece indices of a stack (N, k, n) of bases of isotropic subspaces.
+
+        Items are routed down the tree in masked sub-stacks.  ``solver``
+        writes a vector of Lp in the basis [L; W], so the W-coordinates of a
+        basis of H <= Lp span its image in W.
+        """
+        out = np.zeros(len(mats), dtype=np.int64)
+        if self.kind == "leaf" or not len(mats):
+            return out
         if self.kind == "empty":
             raise AssertionError("no pieces to classify into")
-        p = h.p
-        vals = h.basis @ self.gram_line % p  # <row, L> for each basis row
-        in_lperp = not vals.any()
-        contains_l = h.contains_vector(self.line_row)
-        if contains_l:
-            sub_h = self._project(h.basis, p)
-            return self.sub_small.classify(sub_h)
-        if in_lperp:
-            sub_h = self._project(h.basis, p)
-            return self.len1 + self.sub_same.classify(sub_h)
-        ker = left_kernel(vals.reshape(-1, 1), p)
-        f_rows = ker @ h.basis % p
-        sub_f = self._project(f_rows, p)
-        return self.len1 + self.len2 + self.sub_small.classify(sub_f)
-
-    def _project(self, rows: np.ndarray, p: int) -> Subspace:
-        coords = self.solver.solve_rows(rows)
-        w_dim = self.w_rows.shape[0]
-        return span(coords[:, 1:], w_dim, p) if w_dim else zero_subspace(0, p)
+        k = self.k
+        vals = mats @ self.gram_line % p  # <row, L> for each basis row
+        off = vals.any(axis=1)  # H not in Lp: X3
+        on = np.flatnonzero(~off)
+        if on.size:
+            # An isotropic H <= Lp contains L iff its W-coordinates have rank
+            # k - 1 (X1), and then the leading rows of their RREF span its
+            # image; otherwise the image has dimension k (X2).
+            w = np.ascontiguousarray(self.solver.solve_rows(mats[on])[:, :, 1:])
+            has_l = _batch.batch_rank(w, p) < k
+            out[on[has_l]] = self.sub_small.classify(w[has_l, : k - 1], p)
+            out[on[~has_l]] = self.len1 + self.sub_same.classify(w[~has_l], p)
+        if off.any():
+            # H cap Lp is spanned by v_j row_i - v_i row_j (i != j), for the
+            # first row j with v_j != 0; it misses L, as H is not in Lp
+            h, v = mats[off], vals[off]
+            j = np.argmax(v != 0, axis=1)
+            ar = np.arange(len(h))
+            f = (v[ar, j][:, None, None] * h - v[:, :, None] * h[ar, j][:, None, :]) % p
+            f = f[np.arange(k)[None, :] != j[:, None]].reshape(len(h), k - 1, h.shape[2])
+            w = self.solver.solve_rows(f)[:, :, 1:]
+            out[off] = self.len1 + self.len2 + self.sub_small.classify(w, p)
+        return out
 
 
 def _choose_line(space: BilinearSpace, flag, rad_rows: np.ndarray) -> np.ndarray | None:
@@ -167,11 +189,9 @@ def _build_node(space: BilinearSpace, k: int, flag) -> _Node:
 
     p = space.p
     node.kind = "branch"
-    node.line_row = line
     node.gram_line = space.gram @ line % p
     lspan = span(line.reshape(1, -1), space.n, p)
     w_rows, w_space = subquotient(space, lspan, perp(space, lspan))
-    node.w_rows = w_rows
     node.solver = RowSolver(np.vstack([line.reshape(1, -1), w_rows]), p)
     w_dim = w_rows.shape[0]
 
@@ -240,21 +260,33 @@ def space_iso_count(space: BilinearSpace, k: int) -> IntPolynomial:
     return build_paving(space, k).count_polynomial()
 
 
-def isotropic_subspaces(
-    space: BilinearSpace, k: int, budget: int | None = DEFAULT_BUDGET
-):
-    """All isotropic k-subspaces, in enumeration order.
+def isotropic_bases(space: BilinearSpace, k: int, budget: int | None = DEFAULT_BUDGET):
+    """Stacks (N, k, n) of the RREF bases of all isotropic k-subspaces, one
+    per walk chunk that has any, in enumeration order.
 
-    The isotropy test runs on batches of candidate bases; only the
-    survivors are materialized as Subspace objects.
+    The isotropy test runs on each chunk of candidate bases at once.
     """
     n, p = space.n, space.p
     total = subspace_total(n, k, p)
     if budget is not None and total > budget:
         raise BudgetExceeded(total, budget)
     gram = np.asarray(space.gram)
-    for pattern, lo, hi in _batch.iter_chunks(n, k, p, 0, total, 1 << 14):
+    chunk, held, size = 1 << 14, [], 0
+    for pattern, lo, hi in _batch.iter_chunks(n, k, p, 0, total, chunk):
         mats = _batch.pattern_matrices(n, k, p, pattern, lo, hi)
-        keep = _batch.isotropic_filter(mats, gram, p)
-        for mat in mats[keep]:
-            yield Subspace(mat, n, p)  # pattern matrices are already RREF
+        held.append(mats[_batch.isotropic_filter(mats, gram, p)])
+        size += len(held[-1])
+        if size >= chunk:
+            yield np.concatenate(held)
+            held, size = [], 0
+    if size:
+        yield np.concatenate(held)
+
+
+def isotropic_subspaces(
+    space: BilinearSpace, k: int, budget: int | None = DEFAULT_BUDGET
+):
+    """All isotropic k-subspaces, in enumeration order."""
+    for mats in isotropic_bases(space, k, budget=budget):
+        for mat in mats:
+            yield Subspace(mat, space.n, space.p)  # pattern matrices are already RREF

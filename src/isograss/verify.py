@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._batch import batch_rank
 from .bilinear import (
     SKEW,
     SYMMETRIC,
@@ -35,7 +36,7 @@ from .linalg import (
     subspace_total,
 )
 from .orbits import DOUBLEPRIME0, PRIME0, rank_numeric
-from .paving import build_paving, isotropic_subspaces
+from .paving import build_paving, isotropic_bases, isotropic_subspaces
 from .polynomials import (
     IntPolynomial,
     InterpolationError,
@@ -281,6 +282,17 @@ def _sample_flags(space: BilinearSpace, budget):
     return flags
 
 
+def _meet_dims(mats: np.ndarray, flag, p: int) -> np.ndarray:
+    """dim(h cap m) = k + dim m - rank[h; m] for each basis h of the stack
+    ``mats`` and each member m of ``flag``, shape (N, len(flag))."""
+    n_items, k, n = mats.shape
+    out = np.zeros((n_items, len(flag)), dtype=np.int64)
+    for c, m in enumerate(flag):
+        stack = np.concatenate([mats, np.broadcast_to(m.basis, (n_items, m.dim, n))], axis=1)
+        out[:, c] = k + m.dim - batch_rank(stack, p)
+    return out
+
+
 def suite_paving(forms_dims=None, primes=(3, 5), budget=DEFAULT_BUDGET):
     if forms_dims is None:
         forms_dims = [(SKEW, 2), (SKEW, 4), (SYMMETRIC, 2), (SYMMETRIC, 3),
@@ -289,24 +301,37 @@ def suite_paving(forms_dims=None, primes=(3, 5), budget=DEFAULT_BUDGET):
     for form, n in forms_dims:
         for p in primes:
             space = standard_space(form, n, p)
-            bad = []
-            for flag in _sample_flags(space, budget):
-                for k in range(n // 2 + 1):
-                    paving = build_paving(space, k, flag)
-                    tallies = [0] * len(paving.pieces)
-                    for h in isotropic_subspaces(space, k, budget=budget):
-                        idx = paving.classify(h)
-                        tallies[idx] += 1
-                        got = tuple(subspace_intersect(h, m).dim for m in flag)
-                        if got != paving.pieces[idx].invariants:
-                            bad.append(f"k={k} flag-len={len(flag)}: invariants vary")
+            flags = _sample_flags(space, budget)
+            by_flag = [[] for _ in flags]  # failures, reported flag by flag
+            for k in range(n // 2 + 1):
+                pavings = [build_paving(space, k, flag) for flag in flags]
+                wants = [
+                    np.array([pc.invariants for pc in pv.pieces], dtype=np.int64).reshape(
+                        len(pv.pieces), len(flag)
+                    )
+                    for flag, pv in zip(flags, pavings)
+                ]
+                tallies = [np.zeros(len(pv.pieces), dtype=np.int64) for pv in pavings]
+                varies = [0] * len(flags)
+                # one walk of the isotropic k-subspaces serves every flag
+                for mats in isotropic_bases(space, k, budget=budget):
+                    for f, (flag, paving) in enumerate(zip(flags, pavings)):
+                        idx = paving.classify(mats)
+                        tallies[f] += np.bincount(idx, minlength=len(paving.pieces))
+                        got = _meet_dims(mats, flag, p)
+                        varies[f] += int((got != wants[f][idx]).any(axis=1).sum())
+                for f, (flag, paving) in enumerate(zip(flags, pavings)):
+                    bad = by_flag[f]
+                    bad += [f"k={k} flag-len={len(flag)}: invariants vary"] * varies[f]
+                    counts = tallies[f].tolist()
                     for idx, piece in enumerate(paving.pieces):
-                        if tallies[idx] != p**piece.affine_dim:
+                        if counts[idx] != p**piece.affine_dim:
                             bad.append(
-                                f"k={k} piece {piece.piece_id}: {tallies[idx]} != p^{piece.affine_dim}"
+                                f"k={k} piece {piece.piece_id}: {counts[idx]} != p^{piece.affine_dim}"
                             )
-                    if sum(tallies) != paving.count_polynomial()(p):
+                    if sum(counts) != paving.count_polynomial()(p):
                         bad.append(f"k={k}: piece polynomial misses the total")
+            bad = [msg for msgs in by_flag for msg in msgs]
             tag = ("Sp" if form != SYMMETRIC else "O") + str(n)
             out.append(_result(f"paving {tag} p={p}", not bad, "; ".join(bad[:4])))
     return out

@@ -48,6 +48,22 @@ def test_standard_space_odd_symmetric():
     assert o3.gram[1, 1] == 1
 
 
+@pytest.mark.parametrize(
+    "gram",
+    [
+        [[0, 1, 0], [1, 0, 0], [0, 0, 2]],  # nondegenerate
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],  # rank 2
+        [[1, 1, 0], [1, 1, 0], [0, 0, 1]],  # rank 2, no zero row
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    ],
+)
+def test_is_nondegenerate_is_full_rank(gram):
+    space = BilinearSpace(3, 5, SYMMETRIC, gram)
+    want = rank_mod(space.gram, 5) == 3
+    assert space.is_nondegenerate() == want
+    assert space.is_nondegenerate() == want  # the cached answer
+
+
 def test_perp_examples():
     sp2 = standard_space(SKEW, 2, 3)
     e1 = span([[1, 0]], 2, 3)

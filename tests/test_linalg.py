@@ -6,6 +6,7 @@ import pytest
 from isograss._batch import batch_rank
 from isograss.linalg import (
     BudgetExceeded,
+    RowSolver,
     Subspace,
     as_prime,
     block_project,
@@ -337,3 +338,18 @@ def test_subspace_repr_and_contains_vector():
     assert "Subspace" in repr(s)
     assert s.contains_vector([2, 1])
     assert not s.contains_vector([1, 1])
+
+
+def test_row_solver_solves_stacks():
+    p = 5
+    rng = np.random.default_rng(7)
+    mat = np.array([[1, 2, 0, 4], [0, 1, 3, 1], [2, 0, 1, 1]])
+    solver = RowSolver(mat, p)
+    coefs = rng.integers(0, p, size=(2, 3, 3))
+    assert (solver.solve_rows(coefs @ mat % p) == coefs).all()
+    assert solver.solve_rows(mat[0]).tolist() == [1, 0, 0]
+    outside = np.zeros((2, 3, 4), dtype=np.int64)
+    outside[1, 2] = [1, 0, 0, 0]
+    assert rank_mod(np.vstack([mat, [1, 0, 0, 0]]), p) == 4
+    with pytest.raises(ValueError, match="not in row space"):
+        solver.solve_rows(outside)

@@ -6,8 +6,11 @@ import pytest
 from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, radical, standard_space, subquotient
 from isograss.linalg import (
     RowSolver,
+    Subspace,
+    det_mod,
     enumerate_subspaces,
     full_subspace,
+    left_kernel,
     span,
     subspace_intersect,
     zero_subspace,
@@ -48,8 +51,8 @@ def test_paving_o4_maximal():
 def test_classify_two_lines_sp2():
     space = standard_space(SKEW, 2, 3)
     paving = build_paving(space, 1)
-    a = paving.pieces[paving.classify(span([[1, 0]], 2, 3))].piece_id
-    b = paving.pieces[paving.classify(span([[0, 1]], 2, 3))].piece_id
+    a = paving.pieces[paving.classify(span([[1, 0]], 2, 3).basis[None])[0]].piece_id
+    b = paving.pieces[paving.classify(span([[0, 1]], 2, 3).basis[None])[0]].piece_id
     assert a != b
 
 
@@ -57,7 +60,65 @@ def test_classify_rejects_non_isotropic():
     space = standard_space(SYMMETRIC, 2, 3)
     paving = build_paving(space, 1)
     with pytest.raises(NotIsotropic):
-        paving.classify(span([[1, 1]], 2, 3))
+        paving.classify(span([[1, 1]], 2, 3).basis[None])
+
+
+def test_classify_empty_stack_and_k_zero():
+    space = standard_space(SKEW, 4, 3)
+    got = build_paving(space, 2).classify(np.zeros((0, 2, 4), dtype=np.int64))
+    assert got.shape == (0,) and got.dtype == np.int64
+    assert build_paving(space, 0).classify(np.zeros((3, 0, 4))).tolist() == [0, 0, 0]
+
+
+def test_classify_refuses_any_bad_item_in_a_stack():
+    space = standard_space(SYMMETRIC, 4, 3)
+    paving = build_paving(space, 1)
+    lines = np.stack([h.basis for h in isotropic_subspaces(space, 1)])
+    with pytest.raises(NotIsotropic):
+        paving.classify(np.concatenate([lines, [[[1, 0, 0, 1]]]]))  # <v, v> = 2
+    planes = build_paving(space, 2)
+    good = np.stack([h.basis for h in isotropic_subspaces(space, 2)])
+    twice = np.concatenate([lines[:1], lines[:1]], axis=1)  # one line's row twice
+    with pytest.raises(ValueError, match="dependent"):
+        planes.classify(np.concatenate([good, twice]))
+    with pytest.raises(ValueError):
+        paving.classify(lines[:, :, :3])  # wrong n
+    with pytest.raises(ValueError):
+        planes.classify(lines)  # wrong k
+    with pytest.raises(ValueError):
+        paving.classify(lines[0])  # not a stack
+
+
+def oracle_classify(node, h: Subspace) -> int:
+    """Piece index of one subspace by the definitional case split of a paving
+    node: the per-subspace recursion that the bulk ``Paving.classify`` must
+    reproduce.  ``node.solver`` solves in the basis [L; W] of L^perp."""
+    if node.kind == "leaf":
+        return 0
+    assert node.kind == "branch"
+    p, line, w_dim = h.p, node.solver.mat[0], node.solver.mat.shape[0] - 1
+
+    def project(rows):
+        coords = node.solver.solve_rows(rows)
+        return span(coords[:, 1:], w_dim, p) if w_dim else zero_subspace(0, p)
+
+    vals = h.basis @ node.gram_line % p
+    if h.contains_vector(line):
+        return oracle_classify(node.sub_small, project(h.basis))
+    if not vals.any():
+        return node.len1 + oracle_classify(node.sub_same, project(h.basis))
+    ker = left_kernel(vals.reshape(-1, 1), p)
+    return node.len1 + node.len2 + oracle_classify(node.sub_small, project(ker @ h.basis % p))
+
+
+def _rebased(mats, p, rng):
+    """Each basis of the stack times a random invertible k x k matrix."""
+    n_items, k, _ = mats.shape
+    g = rng.integers(0, p, size=(n_items, k, k))
+    for i in range(n_items):
+        while det_mod(g[i], p) == 0:
+            g[i] = rng.integers(0, p, size=(k, k))
+    return g @ mats % p
 
 
 def _standard_flags(space, max_len=2):
@@ -81,24 +142,29 @@ def _standard_flags(space, max_len=2):
 
 @pytest.mark.parametrize(
     "form,n",
-    [(SKEW, 2), (SKEW, 4), (SYMMETRIC, 2), (SYMMETRIC, 3), (SYMMETRIC, 4), (SYMMETRIC, 5)],
+    [(SKEW, 2), (SKEW, 4), (SKEW, 6), (SYMMETRIC, 2), (SYMMETRIC, 3), (SYMMETRIC, 4),
+     (SYMMETRIC, 5)],
 )
 def test_paving_laws_exhaustive(form, n):
-    # classification is total and single-valued; pieces have p^dim points;
-    # the flag-intersection vector is constant per piece
-    for p in (3, 5):
+    # classification is total and single-valued and agrees with the
+    # per-subspace oracle on RREF and on re-based bases; pieces have p^dim
+    # points; the flag-intersection vector is constant per piece
+    rng = np.random.default_rng(n)
+    for p in (3,) if n == 6 else (3, 5):
         space = standard_space(form, n, p)
         for flag in _standard_flags(space):
             kmax = n // 2
             for k in range(kmax + 1):
                 paving = build_paving(space, k, flag)
-                tallies = Counter()
-                for h in isotropic_subspaces(space, k):
-                    idx = paving.classify(h)
-                    tallies[idx] += 1
-                    piece = paving.pieces[idx]
-                    got = tuple(subspace_intersect(h, m).dim for m in flag)
-                    assert got == piece.invariants
+                hs = list(isotropic_subspaces(space, k))
+                mats = np.stack([h.basis for h in hs])
+                got = paving.classify(mats)
+                assert got.tolist() == [oracle_classify(paving._root, h) for h in hs]
+                assert (paving.classify(_rebased(mats, p, rng)) == got).all()
+                tallies = Counter(got.tolist())
+                for h, idx in zip(hs, got):
+                    inv = tuple(subspace_intersect(h, m).dim for m in flag)
+                    assert inv == paving.pieces[idx].invariants
                 for idx, piece in enumerate(paving.pieces):
                     assert tallies[idx] == p**piece.affine_dim
                 assert sum(tallies.values()) == paving.count_polynomial()(p)
@@ -162,7 +228,8 @@ def fibered_partition_counts(space, flag, r, k):
         if ref_sig is None:
             ref_sig, totals = sig, [0] * len(sig)
         assert sig == ref_sig, "piece structure varies across the base"
-        tallies = Counter(paving.classify(hq) for hq in isotropic_subspaces(quotient, k - r))
+        hqs = [hq.basis for hq in isotropic_subspaces(quotient, k - r)]
+        tallies = Counter(paving.classify(np.stack(hqs)).tolist())
         for idx, pc in enumerate(paving.pieces):
             assert tallies[idx] == p**pc.affine_dim, pc.piece_id
             totals[idx] += tallies[idx]

@@ -54,11 +54,11 @@ def test_enumerations_name_their_budget():
     # a call that leaves out the budget enumerates under the default one and
     # ignores its caller's; an explicit `budget=None` is a visible choice
     from isograss.linalg import enumerate_subspaces, subspaces_between
-    from isograss.paving import isotropic_subspaces
+    from isograss.paving import isotropic_bases, isotropic_subspaces
 
     slot = {
         fn.__name__: list(inspect.signature(fn).parameters).index("budget")
-        for fn in (enumerate_subspaces, isotropic_subspaces, subspaces_between)
+        for fn in (enumerate_subspaces, isotropic_bases, isotropic_subspaces, subspaces_between)
     }
     calls, offenders = 0, []
     for path in sorted(SRC.glob("*.py")):
