@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .linalg import DEFAULT_BUDGET, BudgetExceeded, span, subspace_intersect
+from .linalg import DEFAULT_BUDGET, BudgetExceeded, as_prime, span, subspace_intersect
 from .orbits import DOUBLEPRIME0, PRIME0, rank_numeric
 from .paving import build_paving
 from .polynomials import IntPolynomial
@@ -110,7 +110,7 @@ def cmd_labels(space_spec: str, k: int, primes=(), budget=DEFAULT_BUDGET, worker
 
     An out-of-range k yields a valid empty catalog.
     """
-    ref = build_sum_space(space_spec, primes[0] if primes else 3)
+    ref = build_sum_space(space_spec, 3)
     labels = enumerate_multilabels(ref, k) if 0 <= k <= ref.n else []
     counts_by_p = {}
     if labels:
@@ -181,11 +181,8 @@ def cmd_paving(space_spec: str, k: int, prime: int = 3) -> dict:
     space = build_sum_space(space_spec, prime)
     if space.m != 1:
         raise CliError("paving applies to a single-factor space")
-    paving = build_paving(space.factors[0], k)
-    rows = [
-        {"piece": pc.piece_id, "affine_dim": pc.affine_dim}
-        for pc in paving.pieces
-    ]
+    paving = build_paving(space.factors[0])
+    rows = [{"piece": pc.piece_id, "affine_dim": pc.affine_dim} for pc in paving.pieces(k)]
     return bundle(
         "paving",
         {"space": space_spec, "k": k, "prime": prime},
@@ -194,7 +191,7 @@ def cmd_paving(space_spec: str, k: int, prime: int = 3) -> dict:
             {
                 "name": "count polynomial",
                 "passed": True,
-                "details": str(paving.count_polynomial()),
+                "details": str(paving.count_polynomial(k)),
                 "repro": "",
             }
         ],
@@ -394,9 +391,9 @@ def _to_csv(report: dict) -> str:
 
 def _parse_primes(text: str):
     try:
-        return tuple(int(x) for x in text.split(",") if x)
-    except ValueError:
-        raise CliError(f"bad prime list {text!r}") from None
+        return tuple(as_prime(x) for x in text.split(",") if x)
+    except ValueError as e:
+        raise CliError(f"bad prime list {text!r}: {e}") from None
 
 
 def _check_workers(workers: int) -> int:

@@ -9,9 +9,12 @@ is degenerate, inside the first flag member otherwise) and splits
     X3 = {H : H not <= Lp}        ~ affine bundle over the X2-analogue in
                                     dimension k-1 (nondegenerate case only)
 
-where W is a complement of L in Lp = L^perp.  Pieces carry their affine
-dimension and the vector of intersection dimensions with the flag; a stack
-of points is classified by replaying the case split on all of them at once.
+where W is a complement of L in Lp = L^perp.  L, W and the flag's image in
+W do not depend on k, so a paving is a chain of levels (space, flag) ->
+(W, flag in W) -> ..., each computing its step once and shared by every k.
+Pieces carry their affine dimension and the vector of intersection
+dimensions with the flag; a stack of points is classified by replaying the
+case split on all of them at once.
 
 For degenerate forms with flag members outside the radical, the
 intersection vector need not be constant on the X2 pieces (the recursion
@@ -22,7 +25,7 @@ nondegenerate spaces, are fully supported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .linalg import (
     span,
     subspace_intersect,
     subspace_total,
-    zero_subspace,
 )
 from .polynomials import IntPolynomial, monomial
 
@@ -54,24 +56,25 @@ class NotIsotropic(Exception):
 
 
 class Paving:
-    """Ordered affine paving of Gr_k(space)^iso relative to a flag."""
+    """Ordered affine pavings of Gr_k(space)^iso relative to a flag, for
+    every k: one chain of levels, each built on first use."""
 
-    def __init__(self, space: BilinearSpace, k: int, flag: tuple[Subspace, ...]):
+    def __init__(self, space: BilinearSpace, flag: tuple[Subspace, ...]):
         _validate_flag(space, flag)
         self.space = space
-        self.k = k
-        self.flag = flag
-        self._root = _build_node(space, k, flag)
-        self.pieces: list[PavingPiece] = self._root.pieces
+        self._root = _Level(space, flag)
 
-    def count_polynomial(self) -> IntPolynomial:
+    def pieces(self, k: int) -> list[PavingPiece]:
+        return self._root.pieces(k)
+
+    def count_polynomial(self, k: int) -> IntPolynomial:
         total = IntPolynomial([])
-        for piece in self.pieces:
+        for piece in self.pieces(k):
             total = total + monomial(piece.affine_dim)
         return total
 
     def classify(self, mats: np.ndarray) -> np.ndarray:
-        """Piece indices of a stack of isotropic k-subspaces.
+        """Piece indices of a stack of isotropic k-subspaces, k = mats.shape[1].
 
         ``mats`` has shape (N, k, n): one full-rank basis per subspace, not
         necessarily RREF, as for ``_batch.classify_batch``.  Raises ValueError
@@ -83,18 +86,16 @@ class Paving:
         mats = np.asarray(mats, dtype=np.int64)
         if mats.ndim != 3 or mats.shape[2] != space.n:
             raise ValueError("subspace lives in the wrong space")
-        if mats.shape[1] != self.k:
-            raise ValueError(f"expected dimension {self.k}, got {mats.shape[1]}")
         mats = mats % p
-        if (_batch.batch_rank(mats.copy(), p) != self.k).any():
+        if (_batch.batch_rank(mats.copy(), p) != mats.shape[1]).any():
             raise ValueError("basis rows are dependent")
         if not _batch.isotropic_filter(mats, space.gram, p).all():
             raise NotIsotropic("subspace is not isotropic")
         return self._root.classify(mats, p)
 
 
-def build_paving(space: BilinearSpace, k: int, flag=()) -> Paving:
-    return Paving(space, k, tuple(flag))
+def build_paving(space: BilinearSpace, flag=()) -> Paving:
+    return Paving(space, tuple(flag))
 
 
 def _validate_flag(space: BilinearSpace, flag):
@@ -109,35 +110,106 @@ def _validate_flag(space: BilinearSpace, flag):
         prev = m
 
 
-class _Node:
-    __slots__ = (
-        "kind", "pieces", "k", "gram_line", "solver", "sub_small", "sub_same", "len1", "len2",
-    )
+@dataclass(frozen=True)
+class _Step:
+    """The case split at a level, for every k."""
+
+    gram_line: np.ndarray  # <v, L> = v @ gram_line
+    solver: RowSolver  # coordinates in the basis [L; W] of Lp
+    l_in_flag: tuple[int, ...]  # 1 for each flag member that contains L
+    nondegenerate: bool  # X3 exists
+    sub: _Level  # W with the W-coordinates of the flag
+
+
+class _Level:
+    """A space with a flag: one level of the recursion.  Its step and the
+    pieces of each k are computed once, on first use, so k = 0 and k > n
+    never build the step."""
+
+    def __init__(self, space: BilinearSpace, flag):
+        self.space = space
+        self.flag = flag
+        self._pieces: dict[int, list[PavingPiece]] = {}
+
+    @cached_property
+    def step(self) -> _Step | None:
+        """None when the space has no isotropic line."""
+        space, flag, p = self.space, self.flag, self.space.p
+        rad_rows = left_kernel(space.gram, p)
+        line = _choose_line(space, flag, rad_rows)
+        if line is None:
+            return None
+        lspan = span(line.reshape(1, -1), space.n, p)
+        w_rows, w_space = subquotient(space, lspan, perp(space, lspan))
+        solver = RowSolver(np.vstack([line.reshape(1, -1), w_rows]), p)
+        flag_w = tuple(span(solver.solve_rows(m.basis)[:, 1:], w_space.n, p) for m in flag)
+        return _Step(
+            space.gram @ line % p,
+            solver,
+            tuple(int(m.contains_vector(line)) for m in flag),
+            not rad_rows.shape[0],
+            _Level(w_space, flag_w),
+        )
+
+    def pieces(self, k: int) -> list[PavingPiece]:
+        if k not in self._pieces:
+            self._pieces[k] = self._split(k)
+        return self._pieces[k]
+
+    def _split(self, k: int) -> list[PavingPiece]:
+        space = self.space
+        if k == 0:
+            return [PavingPiece("o", 0, (0,) * len(self.flag))]
+        if k < 0 or k > space.n or self.step is None:
+            return []  # an anisotropic space has no isotropic subspaces of dim >= 1
+        step = self.step
+        small, same = step.sub.pieces(k - 1), step.sub.pieces(k)
+        pieces = [
+            PavingPiece(
+                "1." + sp.piece_id,
+                sp.affine_dim,
+                tuple(d + l_in for d, l_in in zip(sp.invariants, step.l_in_flag)),
+            )
+            for sp in small
+        ]
+        pieces += [PavingPiece("2." + sp.piece_id, sp.affine_dim + k, sp.invariants) for sp in same]
+        if step.nondegenerate and small:
+            fiber = space.n - 2 * k + (1 if space.form_type == SKEW else 0)
+            if fiber < 0:
+                raise AssertionError("negative fiber rank with nonempty base")
+            pieces += [
+                PavingPiece("3." + sp.piece_id, sp.affine_dim + (k - 1) + fiber, sp.invariants)
+                for sp in small
+            ]
+        return pieces
 
     def classify(self, mats: np.ndarray, p: int) -> np.ndarray:
         """Piece indices of a stack (N, k, n) of bases of isotropic subspaces.
 
-        Items are routed down the tree in masked sub-stacks.  ``solver``
+        Items are routed down the chain in masked sub-stacks.  ``solver``
         writes a vector of Lp in the basis [L; W], so the W-coordinates of a
         basis of H <= Lp span its image in W.
         """
         out = np.zeros(len(mats), dtype=np.int64)
-        if self.kind == "leaf" or not len(mats):
+        k = mats.shape[1]
+        if k == 0 or not len(mats):
             return out
-        if self.kind == "empty":
+        step = self.step
+        if step is None:
             raise AssertionError("no pieces to classify into")
-        k = self.k
-        vals = mats @ self.gram_line % p  # <row, L> for each basis row
+        sub = step.sub
+        len1 = len(sub.pieces(k - 1))
+        vals = mats @ step.gram_line % p  # <row, L> for each basis row
         off = vals.any(axis=1)  # H not in Lp: X3
         on = np.flatnonzero(~off)
         if on.size:
             # An isotropic H <= Lp contains L iff its W-coordinates have rank
             # k - 1 (X1), and then the leading rows of their RREF span its
             # image; otherwise the image has dimension k (X2).
-            w = np.ascontiguousarray(self.solver.solve_rows(mats[on])[:, :, 1:])
+            w = np.ascontiguousarray(step.solver.solve_rows(mats[on])[:, :, 1:])
             has_l = _batch.batch_rank(w, p) < k
-            out[on[has_l]] = self.sub_small.classify(w[has_l, : k - 1], p)
-            out[on[~has_l]] = self.len1 + self.sub_same.classify(w[~has_l], p)
+            out[on[has_l]] = sub.classify(w[has_l, : k - 1], p)
+            out[on[~has_l]] = len1 + sub.classify(w[~has_l], p)
         if off.any():
             # H cap Lp is spanned by v_j row_i - v_i row_j (i != j), for the
             # first row j with v_j != 0; it misses L, as H is not in Lp
@@ -146,8 +218,8 @@ class _Node:
             ar = np.arange(len(h))
             f = (v[ar, j][:, None, None] * h - v[:, :, None] * h[ar, j][:, None, :]) % p
             f = f[np.arange(k)[None, :] != j[:, None]].reshape(len(h), k - 1, h.shape[2])
-            w = self.solver.solve_rows(f)[:, :, 1:]
-            out[off] = self.len1 + self.len2 + self.sub_small.classify(w, p)
+            w = step.solver.solve_rows(f)[:, :, 1:]
+            out[off] = len1 + len(sub.pieces(k)) + sub.classify(w, p)
         return out
 
 
@@ -167,79 +239,10 @@ def _choose_line(space: BilinearSpace, flag, rad_rows: np.ndarray) -> np.ndarray
     return None if line is None else line.basis[0].copy()
 
 
-def _build_node(space: BilinearSpace, k: int, flag) -> _Node:
-    node = _Node()
-    node.k = k
-    c = len(flag)
-    if k == 0:
-        node.kind = "leaf"
-        node.pieces = [PavingPiece("o", 0, (0,) * c)]
-        return node
-    if k > space.n or space.n == 0:
-        node.kind = "empty"
-        node.pieces = []
-        return node
-    rad_rows = left_kernel(space.gram, space.p)
-    line = _choose_line(space, flag, rad_rows)
-    if line is None:
-        # anisotropic nondegenerate space: no isotropic subspaces of dim >= 1
-        node.kind = "empty"
-        node.pieces = []
-        return node
-
-    p = space.p
-    node.kind = "branch"
-    node.gram_line = space.gram @ line % p
-    lspan = span(line.reshape(1, -1), space.n, p)
-    w_rows, w_space = subquotient(space, lspan, perp(space, lspan))
-    node.solver = RowSolver(np.vstack([line.reshape(1, -1), w_rows]), p)
-    w_dim = w_rows.shape[0]
-
-    flag_w = []
-    l_in_flag = []
-    for m in flag:
-        l_in_flag.append(m.contains_vector(line))
-        if m.dim:
-            coords = node.solver.solve_rows(m.basis)
-            flag_w.append(span(coords[:, 1:], w_dim, p))
-        else:
-            flag_w.append(zero_subspace(w_dim, p))
-    flag_w = tuple(flag_w)
-
-    node.sub_small = _build_node(w_space, k - 1, flag_w)
-    node.sub_same = _build_node(w_space, k, flag_w)
-
-    pieces: list[PavingPiece] = []
-    for sp in node.sub_small.pieces:
-        inv = tuple(
-            d + (1 if l_in else 0) for d, l_in in zip(sp.invariants, l_in_flag)
-        )
-        pieces.append(PavingPiece("1." + sp.piece_id, sp.affine_dim, inv))
-    node.len1 = len(pieces)
-    for sp in node.sub_same.pieces:
-        pieces.append(PavingPiece("2." + sp.piece_id, sp.affine_dim + k, sp.invariants))
-    node.len2 = len(pieces) - node.len1
-
-    if not rad_rows.shape[0]:
-        fiber = space.n - 2 * k + (1 if space.form_type == SKEW else 0)
-        if node.sub_small.pieces:
-            if fiber < 0:
-                raise AssertionError("negative fiber rank with nonempty base")
-            for sp in node.sub_small.pieces:
-                pieces.append(
-                    PavingPiece(
-                        "3." + sp.piece_id, sp.affine_dim + (k - 1) + fiber, sp.invariants
-                    )
-                )
-    node.pieces = pieces
-    return node
-
-
 # ---------------------------------------------------------------------------
 # Count polynomials of isotropic Grassmannians
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def iso_grassmannian_count(form_type: str, n: int, k: int) -> IntPolynomial:
     """Point-count polynomial of Gr_k^iso of the split standard form.
 
@@ -247,17 +250,7 @@ def iso_grassmannian_count(form_type: str, n: int, k: int) -> IntPolynomial:
     prime, so the sum of q^dim over its pieces is a single polynomial; the
     reference construction uses p = 3.
     """
-    space = standard_space(form_type, n, 3)
-    return build_paving(space, k).count_polynomial()
-
-
-def space_iso_count(space: BilinearSpace, k: int) -> IntPolynomial:
-    """Piece-count polynomial of Gr_k(space)^iso for this specific space.
-
-    Correct as a point count at the space's own prime; transferable across
-    primes only for split forms.
-    """
-    return build_paving(space, k).count_polynomial()
+    return build_paving(standard_space(form_type, n, 3)).count_polynomial(k)
 
 
 def isotropic_bases(space: BilinearSpace, k: int, budget: int | None = DEFAULT_BUDGET):

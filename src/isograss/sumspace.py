@@ -335,7 +335,7 @@ def slice_weights(space: SumSpace, label: MultiLabel, exponents) -> SliceWeightR
     entries = []
     for i in range(space.m):
         eps = 1 if space.factors[i].form_type == SKEW else -1
-        cdim = t[i] * (t[i] + eps) // 2
+        cdim = t[i] * (t[i] - eps) // 2  # the orbit's own tangent block is t(t + eps)/2
         entries.append(SliceWeight((i, i), "c", 2, cdim))
         for j in range(i + 1, space.m):
             d = exponents[j] - exponents[i]

@@ -48,7 +48,7 @@ from .linalg import (
     zero_subspace,
 )
 from .orbits import DOUBLEPRIME0, PRIME0, component_group_order, rank_numeric
-from .paving import isotropic_subspaces, space_iso_count
+from .paving import iso_grassmannian_count, isotropic_subspaces
 from .polynomials import IntPolynomial, gaussian_binomial
 from .sumspace import MultiLabel, SumSpace, multilabels_of, validate_multilabel
 
@@ -90,19 +90,19 @@ def resolution_tower(space: SumSpace, label: MultiLabel) -> TowerDescriptor:
     Base layers are the isotropic Grassmannians of the P~_i choices (one
     ruling only when r_i is a component tag); then for each factor the
     chain space P_i and the target space H_i each contribute a Grassmannian
-    fiber layer.  Counts are exact for split factors.
+    fiber layer.  Base counts are those of the split standard form of each
+    factor's type and dimension, which every ``build_sum_space`` factor is.
     """
     validate_multilabel(space, label)
     layers = []
     for i, f in enumerate(space.factors):
         ki, ri = label.ks[i], label.rs[i]
         if ri in (PRIME0, DOUBLEPRIME0):
-            half = space_iso_count(f, ki).exact_div(2)
+            half = iso_grassmannian_count(f.form_type, f.n, ki).exact_div(2)
             layers.append(TowerLayer("iso_component", (f.n, ki), half))
         else:
-            layers.append(
-                TowerLayer("iso_grassmannian", (f.n, ki - ri), space_iso_count(f, ki - ri))
-            )
+            count = iso_grassmannian_count(f.form_type, f.n, ki - ri)
+            layers.append(TowerLayer("iso_grassmannian", (f.n, ki - ri), count))
     nu_prev = 0  # dim B_{<j}
     n_prev = 0   # k_1 + ... + k_{j-1}
     for j, f in enumerate(space.factors):

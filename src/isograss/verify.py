@@ -302,34 +302,35 @@ def suite_paving(forms_dims=None, primes=(3, 5), budget=DEFAULT_BUDGET):
         for p in primes:
             space = standard_space(form, n, p)
             flags = _sample_flags(space, budget)
+            pavings = [build_paving(space, flag) for flag in flags]
             by_flag = [[] for _ in flags]  # failures, reported flag by flag
             for k in range(n // 2 + 1):
-                pavings = [build_paving(space, k, flag) for flag in flags]
+                pieces = [pv.pieces(k) for pv in pavings]
                 wants = [
-                    np.array([pc.invariants for pc in pv.pieces], dtype=np.int64).reshape(
-                        len(pv.pieces), len(flag)
+                    np.array([pc.invariants for pc in pcs], dtype=np.int64).reshape(
+                        len(pcs), len(flag)
                     )
-                    for flag, pv in zip(flags, pavings)
+                    for flag, pcs in zip(flags, pieces)
                 ]
-                tallies = [np.zeros(len(pv.pieces), dtype=np.int64) for pv in pavings]
+                tallies = [np.zeros(len(pcs), dtype=np.int64) for pcs in pieces]
                 varies = [0] * len(flags)
                 # one walk of the isotropic k-subspaces serves every flag
                 for mats in isotropic_bases(space, k, budget=budget):
                     for f, (flag, paving) in enumerate(zip(flags, pavings)):
                         idx = paving.classify(mats)
-                        tallies[f] += np.bincount(idx, minlength=len(paving.pieces))
+                        tallies[f] += np.bincount(idx, minlength=len(pieces[f]))
                         got = _meet_dims(mats, flag, p)
                         varies[f] += int((got != wants[f][idx]).any(axis=1).sum())
                 for f, (flag, paving) in enumerate(zip(flags, pavings)):
                     bad = by_flag[f]
                     bad += [f"k={k} flag-len={len(flag)}: invariants vary"] * varies[f]
                     counts = tallies[f].tolist()
-                    for idx, piece in enumerate(paving.pieces):
+                    for idx, piece in enumerate(pieces[f]):
                         if counts[idx] != p**piece.affine_dim:
                             bad.append(
                                 f"k={k} piece {piece.piece_id}: {counts[idx]} != p^{piece.affine_dim}"
                             )
-                    if sum(counts) != paving.count_polynomial()(p):
+                    if sum(counts) != paving.count_polynomial(k)(p):
                         bad.append(f"k={k}: piece polynomial misses the total")
             bad = [msg for msgs in by_flag for msg in msgs]
             tag = ("Sp" if form != SYMMETRIC else "O") + str(n)

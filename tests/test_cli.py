@@ -244,6 +244,9 @@ def test_unread_options_are_usage_errors(argv, capsys):
         ["count", "--space", "O2", "--k", "1", "--primes", "3,x"],
         # a target of the wrong dimension is not a point outside the closure
         ["fibers", "--space", "O4", "--label", "2:1", "--target-label", "1:0", "--primes", "3"],
+        # every prime is checked, even where an out-of-range k counts nothing
+        ["count", "--space", "O2", "--k", "5", "--primes", "4"],
+        ["labels", "--space", "O2", "--k", "5", "--primes", "3,4"],
     ],
 )
 def test_bad_values_are_usage_errors(argv, capsys):

@@ -25,90 +25,91 @@ from isograss.polynomials import IntPolynomial, gaussian_binomial
 
 
 def test_paving_sp2():
-    paving = build_paving(standard_space(SKEW, 2, 3), 1)
-    assert sorted(pc.affine_dim for pc in paving.pieces) == [0, 1]
-    assert paving.count_polynomial() == IntPolynomial([1, 1])
+    paving = build_paving(standard_space(SKEW, 2, 3))
+    assert sorted(pc.affine_dim for pc in paving.pieces(1)) == [0, 1]
+    assert paving.count_polynomial(1) == IntPolynomial([1, 1])
 
 
 def test_paving_o2():
-    paving = build_paving(standard_space(SYMMETRIC, 2, 3), 1)
-    assert sorted(pc.affine_dim for pc in paving.pieces) == [0, 0]
+    paving = build_paving(standard_space(SYMMETRIC, 2, 3))
+    assert sorted(pc.affine_dim for pc in paving.pieces(1)) == [0, 0]
 
 
 def test_paving_sp4_lagrangians():
-    paving = build_paving(standard_space(SKEW, 4, 3), 2)
-    assert sorted(pc.affine_dim for pc in paving.pieces) == [0, 1, 2, 3]
-    assert paving.count_polynomial()(3) == 40
+    paving = build_paving(standard_space(SKEW, 4, 3))
+    assert sorted(pc.affine_dim for pc in paving.pieces(2)) == [0, 1, 2, 3]
+    assert paving.count_polynomial(2)(3) == 40
 
 
 def test_paving_o4_maximal():
-    paving = build_paving(standard_space(SYMMETRIC, 4, 3), 2)
-    assert sorted(pc.affine_dim for pc in paving.pieces) == [0, 0, 1, 1]
-    assert paving.count_polynomial() == IntPolynomial([2, 2])
-    assert paving.count_polynomial()(3) == 8
+    paving = build_paving(standard_space(SYMMETRIC, 4, 3))
+    assert sorted(pc.affine_dim for pc in paving.pieces(2)) == [0, 0, 1, 1]
+    assert paving.count_polynomial(2) == IntPolynomial([2, 2])
+    assert paving.count_polynomial(2)(3) == 8
 
 
 def test_classify_two_lines_sp2():
     space = standard_space(SKEW, 2, 3)
-    paving = build_paving(space, 1)
-    a = paving.pieces[paving.classify(span([[1, 0]], 2, 3).basis[None])[0]].piece_id
-    b = paving.pieces[paving.classify(span([[0, 1]], 2, 3).basis[None])[0]].piece_id
+    paving = build_paving(space)
+    a = paving.pieces(1)[paving.classify(span([[1, 0]], 2, 3).basis[None])[0]].piece_id
+    b = paving.pieces(1)[paving.classify(span([[0, 1]], 2, 3).basis[None])[0]].piece_id
     assert a != b
 
 
 def test_classify_rejects_non_isotropic():
     space = standard_space(SYMMETRIC, 2, 3)
-    paving = build_paving(space, 1)
+    paving = build_paving(space)
     with pytest.raises(NotIsotropic):
         paving.classify(span([[1, 1]], 2, 3).basis[None])
 
 
 def test_classify_empty_stack_and_k_zero():
     space = standard_space(SKEW, 4, 3)
-    got = build_paving(space, 2).classify(np.zeros((0, 2, 4), dtype=np.int64))
+    paving = build_paving(space)
+    got = paving.classify(np.zeros((0, 2, 4), dtype=np.int64))
     assert got.shape == (0,) and got.dtype == np.int64
-    assert build_paving(space, 0).classify(np.zeros((3, 0, 4))).tolist() == [0, 0, 0]
+    assert paving.classify(np.zeros((3, 0, 4))).tolist() == [0, 0, 0]
 
 
 def test_classify_refuses_any_bad_item_in_a_stack():
     space = standard_space(SYMMETRIC, 4, 3)
-    paving = build_paving(space, 1)
+    paving = build_paving(space)
     lines = np.stack([h.basis for h in isotropic_subspaces(space, 1)])
     with pytest.raises(NotIsotropic):
         paving.classify(np.concatenate([lines, [[[1, 0, 0, 1]]]]))  # <v, v> = 2
-    planes = build_paving(space, 2)
     good = np.stack([h.basis for h in isotropic_subspaces(space, 2)])
     twice = np.concatenate([lines[:1], lines[:1]], axis=1)  # one line's row twice
     with pytest.raises(ValueError, match="dependent"):
-        planes.classify(np.concatenate([good, twice]))
+        paving.classify(np.concatenate([good, twice]))
     with pytest.raises(ValueError):
         paving.classify(lines[:, :, :3])  # wrong n
-    with pytest.raises(ValueError):
-        planes.classify(lines)  # wrong k
     with pytest.raises(ValueError):
         paving.classify(lines[0])  # not a stack
 
 
-def oracle_classify(node, h: Subspace) -> int:
+def oracle_classify(level, h: Subspace) -> int:
     """Piece index of one subspace by the definitional case split of a paving
-    node: the per-subspace recursion that the bulk ``Paving.classify`` must
-    reproduce.  ``node.solver`` solves in the basis [L; W] of L^perp."""
-    if node.kind == "leaf":
+    level: the per-subspace recursion that the bulk ``Paving.classify`` must
+    reproduce.  ``step.solver`` solves in the basis [L; W] of L^perp."""
+    k = h.dim
+    if k == 0:
         return 0
-    assert node.kind == "branch"
-    p, line, w_dim = h.p, node.solver.mat[0], node.solver.mat.shape[0] - 1
+    step = level.step
+    p, line, w_dim = h.p, step.solver.mat[0], step.solver.mat.shape[0] - 1
 
     def project(rows):
-        coords = node.solver.solve_rows(rows)
+        coords = step.solver.solve_rows(rows)
         return span(coords[:, 1:], w_dim, p) if w_dim else zero_subspace(0, p)
 
-    vals = h.basis @ node.gram_line % p
+    len1 = len(step.sub.pieces(k - 1))
+    vals = h.basis @ step.gram_line % p
     if h.contains_vector(line):
-        return oracle_classify(node.sub_small, project(h.basis))
+        return oracle_classify(step.sub, project(h.basis))
     if not vals.any():
-        return node.len1 + oracle_classify(node.sub_same, project(h.basis))
+        return len1 + oracle_classify(step.sub, project(h.basis))
     ker = left_kernel(vals.reshape(-1, 1), p)
-    return node.len1 + node.len2 + oracle_classify(node.sub_small, project(ker @ h.basis % p))
+    len2 = len(step.sub.pieces(k))
+    return len1 + len2 + oracle_classify(step.sub, project(ker @ h.basis % p))
 
 
 def _rebased(mats, p, rng):
@@ -153,21 +154,21 @@ def test_paving_laws_exhaustive(form, n):
     for p in (3,) if n == 6 else (3, 5):
         space = standard_space(form, n, p)
         for flag in _standard_flags(space):
-            kmax = n // 2
-            for k in range(kmax + 1):
-                paving = build_paving(space, k, flag)
+            paving = build_paving(space, flag)
+            for k in range(n // 2 + 1):
                 hs = list(isotropic_subspaces(space, k))
                 mats = np.stack([h.basis for h in hs])
                 got = paving.classify(mats)
                 assert got.tolist() == [oracle_classify(paving._root, h) for h in hs]
                 assert (paving.classify(_rebased(mats, p, rng)) == got).all()
                 tallies = Counter(got.tolist())
+                pieces = paving.pieces(k)
                 for h, idx in zip(hs, got):
                     inv = tuple(subspace_intersect(h, m).dim for m in flag)
-                    assert inv == paving.pieces[idx].invariants
-                for idx, piece in enumerate(paving.pieces):
+                    assert inv == pieces[idx].invariants
+                for idx, piece in enumerate(pieces):
                     assert tallies[idx] == p**piece.affine_dim
-                assert sum(tallies.values()) == paving.count_polynomial()(p)
+                assert sum(tallies.values()) == paving.count_polynomial(k)(p)
 
 
 def test_iso_count_examples():
@@ -189,15 +190,29 @@ def test_iso_count_matches_brute_force():
                 assert poly(p) == brute, (form, n, k, p)
 
 
+def test_counts_at_k_zero_and_above_n_compute_no_step(monkeypatch):
+    # most counts a resolution tower asks for are at k = 0: they, and k > n,
+    # have their pieces without a line, a subquotient or a solver
+    def no_step(*args):
+        raise AssertionError("a level step was computed")
+
+    monkeypatch.setattr("isograss.paving.left_kernel", no_step)
+    for form, n in ((SKEW, 2), (SKEW, 4), (SYMMETRIC, 1), (SYMMETRIC, 4)):
+        assert iso_grassmannian_count(form, n, 0) == IntPolynomial([1])
+        assert iso_grassmannian_count(form, n, n + 1) == IntPolynomial([])
+    with pytest.raises(AssertionError, match="level step"):
+        iso_grassmannian_count(SKEW, 4, 1)
+
+
 def test_recursion_branches_cover_everything():
     # X1 + X2 + X3 piece counts at q = p partition the isotropic Grassmannian
     for form, n, k in ((SKEW, 4, 2), (SYMMETRIC, 5, 2)):
         space = standard_space(form, n, 3)
-        paving = build_paving(space, k)
+        paving = build_paving(space)
         by_branch = Counter()
-        for pc in paving.pieces:
+        for pc in paving.pieces(k):
             by_branch[pc.piece_id.split(".", 1)[0]] += 3**pc.affine_dim
-        assert sum(by_branch.values()) == paving.count_polynomial()(3)
+        assert sum(by_branch.values()) == paving.count_polynomial(k)(3)
 
 
 def fibered_partition_counts(space, flag, r, k):
@@ -223,14 +238,14 @@ def fibered_partition_counts(space, flag, r, k):
         # (M + R)/R in quotient coordinates: solve in the basis [R; comp], drop R's part
         solver = RowSolver(np.vstack([rsub.basis, comp]), p)
         image = [span(solver.solve_rows(m.basis)[:, r:], quotient.n, p) for m in flag]
-        paving = build_paving(quotient, k - r, image)
-        sig = [(pc.affine_dim, pc.invariants, pc.piece_id) for pc in paving.pieces]
+        paving = build_paving(quotient, image)
+        sig = [(pc.affine_dim, pc.invariants, pc.piece_id) for pc in paving.pieces(k - r)]
         if ref_sig is None:
             ref_sig, totals = sig, [0] * len(sig)
         assert sig == ref_sig, "piece structure varies across the base"
         hqs = [hq.basis for hq in isotropic_subspaces(quotient, k - r)]
         tallies = Counter(paving.classify(np.stack(hqs)).tolist())
-        for idx, pc in enumerate(paving.pieces):
+        for idx, pc in enumerate(paving.pieces(k - r)):
             assert tallies[idx] == p**pc.affine_dim, pc.piece_id
             totals[idx] += tallies[idx]
     base_count = gaussian_binomial(base.dim, r)(p)
@@ -256,8 +271,8 @@ def test_fibered_reduces_to_paving_counts_when_r_zero():
     space = standard_space(SKEW, 4, 3)
     line = next(iter(isotropic_subspaces(space, 1)))
     pieces = fibered_partition_counts(space, (line,), 0, 2)
-    paving = build_paving(space, 2, (line,))
-    assert pieces == [3**q.affine_dim for q in paving.pieces]
+    paving = build_paving(space, (line,))
+    assert pieces == [3**q.affine_dim for q in paving.pieces(2)]
 
 
 def test_fibered_empty_when_r_too_large():

@@ -37,6 +37,7 @@ from isograss.sumspace import (
     slice_weights,
 )
 from isograss.towers import tower_points
+from isograss.verify import GRID_SPACES
 
 
 def test_parse_space_spec():
@@ -136,6 +137,18 @@ def test_slice_weights():
         slice_weights(b, lab, [0, 0])
     with pytest.raises(ValueError):
         slice_weights(b, lab, [2, 1])
+
+
+def test_slice_dims_fill_the_normal_space():
+    # the slice is transverse to the orbit: its blocks add up to the
+    # codimension k(n - k) - dim of the orbit, for every label
+    for spec in GRID_SPACES + ("O4+O3", "Sp4+O2+Sp2"):
+        space = build_sum_space(spec, 3)
+        for k in range(space.n + 1):
+            for lab in enumerate_multilabels(space, k):
+                rep = slice_weights(space, lab, range(space.m))
+                codim = k * (space.n - k) - orbit_dim_multi(space, lab)
+                assert sum(w.dim for w in rep.weights) == codim, (spec, str(lab))
 
 
 def test_orbit_point_counts_sp2_o2():

@@ -120,12 +120,11 @@ def _package_defs(tree):
 def test_package_names_have_package_callers():
     # a function, class or method that only tests reach is a second API to
     # keep in step: such a name belongs in the test that uses it.  Exempt:
-    # iso_grassmannian_count, for the closed-form stratum polynomials that
-    # ROADMAP item 5 derives from it; multilabel_of, the definitional
-    # per-subspace classifier that checks the bulk one and that
-    # perfbench/tracer.py wraps by name.  Only the last part of a name is
-    # matched, so a method counts as reached by any use of its name.
-    exempt = {"iso_grassmannian_count", "multilabel_of"}
+    # multilabel_of, the definitional per-subspace classifier that checks
+    # the bulk one and that perfbench/tracer.py wraps by name.  Only the
+    # last part of a name is matched, so a method counts as reached by any
+    # use of its name.
+    exempt = {"multilabel_of"}
     paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     trees = [ast.parse(path.read_text()) for path in paths]
     refs: dict[str, set[int]] = {}
@@ -205,7 +204,7 @@ def test_internal_invariants_are_named():
         if isinstance(inner, ast.Raise)
         and getattr(getattr(inner.exc, "func", inner.exc), "id", None) == "AssertionError"
     )
-    assert sites == ["_Node.classify", "_build_node", "_normal_basis", "tower_fiber"]
+    assert sites == ["_Level._split", "_Level.classify", "_normal_basis", "tower_fiber"]
 
 
 def test_batch_imports_only_polynomials():

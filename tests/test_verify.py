@@ -63,6 +63,27 @@ def test_all_walks_each_resolution_once_per_run(monkeypatch):
     assert len(walks) == 30
 
 
+def test_paving_builds_one_paving_per_space_and_flag(monkeypatch):
+    # a paving serves every k of its (space, flag): one build per sampled flag
+    built, sampled = [], []
+    real_build, real_flags = verify.build_paving, verify._sample_flags
+
+    def counted_build(space, flag):
+        built.append((space.form_type, space.n, space.p))
+        return real_build(space, flag)
+
+    def counted_flags(space, budget):
+        flags = real_flags(space, budget)
+        sampled.extend([(space.form_type, space.n, space.p)] * len(flags))
+        return flags
+
+    monkeypatch.setattr(verify, "build_paving", counted_build)
+    monkeypatch.setattr(verify, "_sample_flags", counted_flags)
+    results = verify.suite_paving()
+    assert all(r.passed for r in results)
+    assert built == sampled and len(built) == 48
+
+
 def test_witt_reports_a_broken_transport(monkeypatch):
     # the transporter returns whatever it built; the suite judges it
     monkeypatch.setattr(bilinear, "isometry_rows", lambda space, a, b: (a, b))
