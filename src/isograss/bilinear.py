@@ -111,6 +111,18 @@ def pairing(space: BilinearSpace, rows_u: np.ndarray, rows_v: np.ndarray) -> np.
     return u @ space.gram @ v.T % space.p
 
 
+def check_standard_type(form_type: str, n: int) -> None:
+    """Refuse a (form type, dimension) with no split standard form:
+    ValueError for n < 0, an odd skew n or an unknown form type."""
+    if n < 0:
+        raise ValueError(f"dimension must be >= 0, got {n}")
+    if form_type == SKEW:
+        if n % 2:
+            raise ValueError("skew forms need even dimension")
+    elif form_type != SYMMETRIC:
+        raise ValueError(f"unknown form type {form_type!r}")
+
+
 def standard_space(form_type: str, n: int, p: int) -> BilinearSpace:
     """The split standard form: all orbit-level statements are for these.
 
@@ -119,16 +131,13 @@ def standard_space(form_type: str, n: int, p: int) -> BilinearSpace:
     even n.
     """
     p = as_prime(p)
+    check_standard_type(form_type, n)
     g = np.zeros((n, n), dtype=np.int64)
     if form_type == SKEW:
-        if n % 2:
-            raise ValueError("skew forms need even dimension")
         for i in range(n // 2):
             g[i, n - 1 - i] = 1
             g[n - 1 - i, i] = p - 1
         return BilinearSpace(n, p, SKEW, g)
-    if form_type != SYMMETRIC:
-        raise ValueError(f"unknown form type {form_type!r}")
     for i in range(n):
         g[i, n - 1 - i] = 1
     witness = None

@@ -356,7 +356,8 @@ def random_subspace(n: int, k: int, p: int, rng: np.random.Generator) -> Subspac
 def subspaces_between(
     lower: Subspace, upper: Subspace, d: int, budget: int | None = DEFAULT_BUDGET
 ) -> Iterator[Subspace]:
-    """All X with lower <= X <= upper and dim X = d."""
+    """All X with lower <= X <= upper and dim X = d; for d = dim lower or
+    d = dim upper that is ``lower`` or ``upper`` itself, with no enumeration."""
     lower._check_compatible(upper)
     u, w = lower.dim, upper.dim
     if not (u <= d <= w):
@@ -365,7 +366,11 @@ def subspaces_between(
     # dim(lower + upper) = u + len(comp), which is w iff lower <= upper.
     if u + comp.shape[0] != w:
         raise ValueError("lower is not contained in upper")
+    if d in (u, w):  # the one subspace between: no enumeration
+        if budget is not None and budget < 1:
+            raise BudgetExceeded(1, budget)
+        yield lower if d == u else upper
+        return
     for q in enumerate_subspaces(w - u, d - u, lower.p, budget=budget):
-        rows = q.basis @ comp % lower.p if q.dim else np.zeros((0, lower.n), dtype=np.int64)
-        mat = np.vstack([lower.basis, rows])
+        mat = np.vstack([lower.basis, q.basis @ comp % lower.p])
         yield Subspace(rref(mat, lower.p), lower.n, lower.p)

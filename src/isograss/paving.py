@@ -30,7 +30,15 @@ from functools import cached_property
 import numpy as np
 
 from . import _batch
-from .bilinear import SKEW, BilinearSpace, pairing, perp, standard_space, subquotient
+from .bilinear import (
+    SKEW,
+    BilinearSpace,
+    check_standard_type,
+    pairing,
+    perp,
+    standard_space,
+    subquotient,
+)
 from .linalg import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -248,8 +256,12 @@ def iso_grassmannian_count(form_type: str, n: int, k: int) -> IntPolynomial:
 
     The paving recursion of a split form has the same shape over every odd
     prime, so the sum of q^dim over its pieces is a single polynomial; the
-    reference construction uses p = 3.
+    reference construction uses p = 3.  Gr_0 is one point, counted
+    without building the form.
     """
+    if k == 0:
+        check_standard_type(form_type, n)
+        return IntPolynomial([1])
     return build_paving(standard_space(form_type, n, 3)).count_polynomial(k)
 
 

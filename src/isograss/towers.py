@@ -11,7 +11,9 @@ gives the symbolic point count.
 
 One walk enumerates these points under a ceiling subspace that every H_i
 must lie in.  The whole resolution is the walk under all of B; the fiber
-over a target M is the walk under M itself, since H_i <= H_m = M.
+over a target M is the walk under M itself, since H_i <= H_m = M.  The P~_i
+candidates come as stacks of bases and are pruned against the ceiling in
+bulk, so only the survivors are built as subspaces.
 
 The covering tower adds, for every symmetric factor with
 max{0, 2k_i - n_i} < r_i, a middle isotropic Q~_i >= P~_i of dim
@@ -29,6 +31,7 @@ from itertools import product
 
 import numpy as np
 
+from . import _batch
 from .bilinear import (
     SYMMETRIC,
     BilinearSpace,
@@ -42,13 +45,15 @@ from .linalg import (
     BudgetExceeded,
     Subspace,
     full_subspace,
+    intersect_prefix,
+    rref,
     span,
     subspace_intersect,
     subspaces_between,
     zero_subspace,
 )
 from .orbits import DOUBLEPRIME0, PRIME0, component_group_order, rank_numeric
-from .paving import iso_grassmannian_count, isotropic_subspaces
+from .paving import iso_grassmannian_count, isotropic_bases, isotropic_subspaces
 from .polynomials import IntPolynomial, gaussian_binomial
 from .sumspace import MultiLabel, SumSpace, multilabels_of, validate_multilabel
 
@@ -120,40 +125,70 @@ def resolution_tower(space: SumSpace, label: MultiLabel) -> TowerDescriptor:
     return TowerDescriptor(tuple(layers))
 
 
-def _base_choices(space: SumSpace, label: MultiLabel, i: int, budget: int):
-    """P~_i candidates: isotropic of dim k_i - r_i, one ruling for tags."""
-    f = space.factors[i]
-    ki, ri = label.ks[i], label.rs[i]
-    if ri in (PRIME0, DOUBLEPRIME0):
-        xs = list(isotropic_subspaces(f, ki, budget=budget))
-        for x, lab in zip(xs, multilabels_of(SumSpace((f,)), xs)):
-            if lab.rs[0] == ri:
-                yield x
-    else:
-        yield from isotropic_subspaces(f, ki - ri, budget=budget)
+def _base_stacks(space: SumSpace, label: MultiLabel, j: int, budget: int):
+    """P~_j candidates as stacks (N, t, n_j) of RREF bases, in enumeration
+    order: isotropic of dim t = k_j - r_j, one ruling only for a tag r_j."""
+    f = space.factors[j]
+    kj, rj = label.ks[j], label.rs[j]
+    if rj not in (PRIME0, DOUBLEPRIME0):
+        yield from isotropic_bases(f, kj - rj, budget=budget)
+        return
+    single = SumSpace((f,))
+    for mats in isotropic_bases(f, kj, budget=budget):
+        codes, inv = np.unique(_batch.classify_batch(single, mats), return_inverse=True)
+        keep = np.array([_batch.decode(single.dims, c)[0][1] == rj for c in codes])[inv]
+        if keep.any():
+            yield mats[keep]
+
+
+def _level(space: SumSpace, label: MultiLabel, j: int, ceiling: Subspace,
+           pdim: int, hdim: int, budget: int) -> list:
+    """The triples (P~_j, up, uh) of level j whose bounds up, uh can hold
+    P_j (dim ``pdim``) and H_j (dim ``hdim``).
+
+    up and uh are B_{<j} + P~_j and B_{<j} + P~_j^perp cut down to the
+    ceiling M; both lie in B_{<=j}, so the cut is to M_le = M cap B_{<=j}.
+    Each contains B_{<j}, so with Mj the block-j projection of M_le
+    (kernel M cap B_{<j}), for P~ of dim t
+        dim up = dim M_le + t - rank [Mj; P~]
+        dim uh = dim M_le - rank <Mj, P~>,
+    two batched ranks per stack, and only survivors are built.  Under the
+    full ceiling every candidate survives (valid labels have
+    n_j >= 2 k_j - r_j) and the cut returns each bound as built.
+    """
+    f, p = space.factors[j], space.p
+    prune = ceiling.dim < space.n
+    if prune:
+        lo, hi = space.offsets[j], space.offsets[j + 1]
+        m_le = intersect_prefix(ceiling, hi)
+        mj = rref(m_le.basis[:, lo:hi], p)
+        mj_gram = mj @ f.gram % p
+    level = []
+    for mats in _base_stacks(space, label, j, budget):
+        if prune:
+            n_items, t, _ = mats.shape
+            stack = np.concatenate([np.broadcast_to(mj, (n_items,) + mj.shape), mats], axis=1)
+            up_dim = m_le.dim + t - _batch.batch_rank(stack, p)
+            uh_dim = m_le.dim - _batch.batch_rank(mj_gram @ mats.transpose(0, 2, 1) % p, p)
+            mats = mats[(up_dim >= pdim) & (uh_dim >= hdim)]
+        for basis in mats:
+            ptilde = Subspace(basis, f.n, p)  # pattern matrices are already RREF
+            level.append((
+                ptilde,
+                subspace_intersect(space.prefix_plus(j, ptilde), ceiling),
+                subspace_intersect(space.prefix_plus(j, perp(f, ptilde)), ceiling),
+            ))
+    return level
 
 
 def _walk(space: SumSpace, label: MultiLabel, ceiling: Subspace, budget: int):
-    """Resolution points whose H_j all lie in ``ceiling``, depth first.
-
-    Each level j keeps the triples (P~_j, up, uh) with up, uh the bounds
-    B_{<j} + P~_j and B_{<j} + P~_j^perp cut down to the ceiling (both lie
-    in B_{<=j}, so this is the cut to ceiling cap B_{<=j}); a P~_j whose cut
-    bounds are too small for P_j or H_j is dropped, and an empty level
-    empties the walk.
-    """
+    """Resolution points whose H_j all lie in ``ceiling``, depth first over
+    the levels of ``_level``; an empty level empties the walk."""
     hdims = [int(x) for x in np.cumsum(label.ks)]
     pdims = [h - rank_numeric(r) for h, r in zip(hdims, label.rs)]
     levels = []
-    for j, f in enumerate(space.factors):
-        level = []
-        for ptilde in _base_choices(space, label, j, budget):
-            up = subspace_intersect(space.prefix_plus(j, ptilde), ceiling)
-            if up.dim < pdims[j]:
-                continue
-            uh = subspace_intersect(space.prefix_plus(j, perp(f, ptilde)), ceiling)
-            if uh.dim >= hdims[j]:
-                level.append((ptilde, up, uh))
+    for j in range(space.m):
+        level = _level(space, label, j, ceiling, pdims[j], hdims[j], budget)
         if not level:
             return
         levels.append(level)

@@ -3,6 +3,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from isograss import linalg
 from isograss._batch import batch_rank
 from isograss.linalg import (
     BudgetExceeded,
@@ -331,6 +332,23 @@ def test_subspaces_between_refuses_lower_outside_upper():
         with pytest.raises(ValueError):
             list(subspaces_between(lower, upper, d))
     assert list(subspaces_between(upper, upper, 3)) == [upper]
+
+
+def test_subspaces_between_trivial_steps_skip_elimination(monkeypatch):
+    p = 3
+    lower = span([[1, 0, 0, 0]], 4, p)
+    upper = span([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 4, p)
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(args) or real(*args))
+    assert list(subspaces_between(lower, upper, lower.dim)) == [lower]
+    assert list(subspaces_between(lower, upper, upper.dim)) == [upper]
+    assert not calls
+    # the one subspace still counts against the budget
+    with pytest.raises(BudgetExceeded):
+        list(subspaces_between(lower, upper, lower.dim, budget=0))
+    assert len(list(subspaces_between(lower, upper, 2))) == p + 1
+    assert calls
 
 
 def test_subspace_repr_and_contains_vector():

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from isograss import paving
 from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, radical, standard_space, subquotient
 from isograss.linalg import (
     RowSolver,
@@ -176,6 +177,24 @@ def test_iso_count_examples():
     assert iso_grassmannian_count(SKEW, 4, 2) == IntPolynomial([1, 1, 1, 1])
     assert iso_grassmannian_count(SYMMETRIC, 4, 2) == IntPolynomial([2, 2])
     assert iso_grassmannian_count(SYMMETRIC, 4, 1) == IntPolynomial([1, 2, 1])
+
+
+def test_iso_count_at_k0_builds_no_form(monkeypatch):
+    forms = [(SKEW, n) for n in (0, 2, 4, 6)] + [(SYMMETRIC, n) for n in range(7)]
+    for form, n in forms:
+        want = build_paving(standard_space(form, n, 3)).count_polynomial(0)
+        assert iso_grassmannian_count(form, n, 0) == want == IntPolynomial([1])
+
+    def refuse(*args):
+        raise AssertionError("standard_space called at k = 0")
+
+    monkeypatch.setattr(paving, "standard_space", refuse)
+    for form, n in forms:
+        assert iso_grassmannian_count(form, n, 0) == IntPolynomial([1])
+    # what standard_space refuses is still refused
+    for form, n in ((SKEW, 3), ("hermitian", 2), (SYMMETRIC, -1)):
+        with pytest.raises(ValueError):
+            iso_grassmannian_count(form, n, 0)
 
 
 def test_iso_count_matches_brute_force():

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from isograss import towers
 from isograss.bilinear import SKEW, SYMMETRIC, perp, radical, standard_space
 from isograss.cli import parse_label_arg
 from isograss.linalg import (
@@ -18,10 +19,12 @@ from isograss.paving import isotropic_subspaces
 from isograss.polynomials import IntPolynomial, gaussian_binomial, interpolate_counts
 from isograss.sumspace import (
     MultiLabel,
+    SumSpace,
     build_sum_space,
     canonical_representative,
     enumerate_multilabels,
     multilabel_of,
+    multilabels_of,
 )
 from isograss.towers import (
     CoverDatum,
@@ -34,6 +37,7 @@ from isograss.towers import (
     tower_fiber,
     tower_points,
 )
+from isograss.verify import GRID_SPACES
 
 
 def single_resolution(space, k, r):
@@ -161,6 +165,72 @@ def test_tower_fiber_is_tower_points_cut_to_target():
                 for h in enumerate_subspaces(b.n, k, 3):
                     want = by_target.get(h, Counter())
                     assert Counter(tower_fiber(b, label, h)) == want, (spec, str(label), h)
+
+
+def _oracle_level(space, label, j, ceiling, pdim, hdim, budget):
+    """The definitional level of the walk: per candidate P~_j a Subspace, its
+    perp and both bounds cut to the ceiling, kept when they can hold P_j and
+    H_j; a tag r_j keeps the candidates of its ruling, labelled one by one."""
+    f = space.factors[j]
+    kj, rj = label.ks[j], label.rs[j]
+    if rj in (PRIME0, DOUBLEPRIME0):
+        xs = list(isotropic_subspaces(f, kj, budget=budget))
+        labels = multilabels_of(SumSpace((f,)), xs)
+        choices = [x for x, lab in zip(xs, labels) if lab.rs[0] == rj]
+    else:
+        choices = isotropic_subspaces(f, kj - rj, budget=budget)
+    level = []
+    for ptilde in choices:
+        up = subspace_intersect(space.prefix_plus(j, ptilde), ceiling)
+        if up.dim < pdim:
+            continue
+        uh = subspace_intersect(space.prefix_plus(j, perp(f, ptilde)), ceiling)
+        if uh.dim >= hdim:
+            level.append((ptilde, up, uh))
+    return level
+
+
+def test_walk_matches_per_candidate_oracle(monkeypatch):
+    """Every tower_points of the grid at p = 3, and tower_fiber over every
+    canonical representative of every label pair (grid at p = 3, Sp2+O2 and
+    O4 at p = 5), give the same points in the same order as the oracle."""
+    cases = []
+    grid = [build_sum_space(spec, 3) for spec in GRID_SPACES]
+    for space in grid + [build_sum_space(spec, 5) for spec in ("Sp2+O2", "O4")]:
+        for k in range(space.n + 1):
+            labels = enumerate_multilabels(space, k)
+            reps = [canonical_representative(space, lab) for lab in labels]
+            for label in labels:
+                if space.p == 3:
+                    cases.append((space, label, None))
+                cases += [(space, label, rep) for rep in reps]
+
+    def walk(space, label, target):
+        if target is None:
+            return tower_points(space, label)
+        return tower_fiber(space, label, target)
+
+    got = [walk(*case) for case in cases]
+    monkeypatch.setattr(towers, "_level", _oracle_level)
+    for case, points in zip(cases, got):
+        assert points == walk(*case), (case[0].spec, case[0].p, str(case[1]), case[2])
+    assert sum(map(len, got)) > 0
+
+
+def test_fiber_builds_only_surviving_candidates(monkeypatch):
+    """Over a lower-stratum target the walk prunes P~ candidates in bulk:
+    perp runs once per survivor, not once per isotropic candidate."""
+    p = 5
+    o4 = build_sum_space("O4", p)
+    target = canonical_representative(o4, MultiLabel((2,), (PRIME0,)))
+    calls = []
+    real = towers.perp
+    monkeypatch.setattr(towers, "perp", lambda space, h: calls.append(h) or real(space, h))
+    fiber = tower_fiber(o4, MultiLabel((2,), (1,)), target)
+    # survivors are the q + 1 lines of the Lagrangian target, one point each,
+    # out of the (q + 1)^2 isotropic lines of O4
+    assert len(fiber) == len(calls) == p + 1
+    assert sum(1 for _ in isotropic_subspaces(o4.factors[0], 1)) == (p + 1) ** 2
 
 
 def test_tower_fiber_o4_maximal_isotropic():
