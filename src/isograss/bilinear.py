@@ -1,9 +1,9 @@
 """Bilinear spaces over F_p: symmetric or alternating Gram matrices,
 orthogonal complements, radicals, subquotients U/L with their induced
 forms, the four-summand Witt split adapted to a subspace
-(``witt_decompose``, the only place a split is built), and a
-constructive isometry transporter that takes the splits of two subspaces
-with matching invariants and reads those invariants off them.
+(``witt_decompose``, the only place a split is built: its basis is put in
+block normal form once, there), and a constructive isometry transporter
+that reads two such splits and maps one basis onto the other.
 
 Everything is for odd p, so 2 is invertible and symmetric forms
 diagonalize.  Over F_p, unlike over an algebraically closed field, two
@@ -217,36 +217,54 @@ def sqrt_mod(a: int, p: int) -> int:
 # Witt-style decomposition adapted to a subspace
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WittSplit:
-    """V = M1 + M2 + M3 + M4 with M1 = rad h, M1+M2 = h, M1+M3 = h^perp and
-    the pairing perfect exactly on M1 x M4, M2 x M2, M3 x M3."""
+    """A basis of V = M1 + M2 + M3 + M4 adapted to h, as four row stacks:
+    ``m1`` the RREF basis of rad h, ``m2`` and ``m3`` completing it to h and
+    h^perp in ``_normal_basis`` form (square classes ``deltas``), and ``m4``
+    isotropic with <m1, m4> = I.  So the stacked basis has the Gram
+    ``normal_form``, fixed by the dims and deltas."""
 
-    m1: Subspace
-    m2: Subspace
-    m3: Subspace
-    m4: Subspace
+    m1: np.ndarray
+    m2: np.ndarray
+    m3: np.ndarray
+    m4: np.ndarray
+    deltas: tuple[int, int]
+
+    def stacked(self) -> np.ndarray:
+        return np.vstack([self.m1, self.m2, self.m3, self.m4])
+
+    def normal_form(self, space: BilinearSpace) -> np.ndarray:
+        blocks = zip((len(self.m2), len(self.m3)), self.deltas)
+        return _normal_gram(space.p, space.form_type == SKEW, len(self.m1), *blocks)
 
 
 def witt_decompose(space: BilinearSpace, h: Subspace) -> WittSplit:
-    """Four-summand decomposition adapted to h; ambient must be nondegenerate."""
+    """The adapted basis of h, in normal form; ambient must be nondegenerate."""
     if not space.is_nondegenerate():
         raise ValueError("witt_decompose needs a nondegenerate ambient form")
     n, p = space.n, space.p
     hperp = perp(space, h)
-    m1 = subspace_intersect(h, hperp)
-    b1 = m1.basis
+    b1 = subspace_intersect(h, hperp).basis
     b2 = complement_rows(b1, h.basis, p)
     b3 = complement_rows(b1, hperp.basis, p)
     # M4 must pair perfectly with M1 and pair to zero with everything else,
     # so it is found inside (M2 + M3)^perp as an isotropic complement of M1.
-    m23 = span(np.vstack([b2, b3]), n, p)
-    c = complement_rows(b1, perp(space, m23).basis, p)
+    c = complement_rows(b1, left_kernel(space.gram @ np.vstack([b2, b3]).T, p), p)
     b4 = np.zeros((0, n), dtype=np.int64)
     if b1.size:
         f0 = RowSolver(pairing(space, b1, c), p).transform.T @ c % p
         b4 = (f0 - inv_mod(2, p) * pairing(space, f0, f0) @ b1) % p
-    return WittSplit(m1, span(b2, n, p), span(b3, n, p), span(b4, n, p))
+    (m2, d2), (m3, d3) = _normalize(space, b2), _normalize(space, b3)
+    return WittSplit(b1, m2, m3, b4, (d2, d3))
+
+
+def _normalize(space: BilinearSpace, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """``rows`` re-coordinated by ``_normal_basis`` of their Gram, and its delta."""
+    if not rows.size:
+        return rows, 1
+    t, delta = _normal_basis(pairing(space, rows, rows), space.p, space.form_type == SKEW)
+    return t @ rows % space.p, delta
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +283,23 @@ def _represent_one(a: int, b: int, p: int) -> tuple[int, int]:
         if _legendre(val, p) == 1:
             return x, sqrt_mod(val, p)
     raise ValueError("binary form does not represent 1")  # impossible for p odd
+
+
+def _normal_gram(p: int, skew: bool, t: int, *blocks: tuple[int, int]) -> np.ndarray:
+    """The block normal form: t rows, one ``_normal_basis`` form per (dim,
+    delta) block, then t rows dual to the first t; zero across blocks."""
+    n = 2 * t + sum(d for d, _ in blocks)
+    g = np.zeros((n, n), dtype=np.int64)
+    g[:t, n - t:] = np.eye(t, dtype=np.int64)
+    g[n - t:, :t] = np.eye(t, dtype=np.int64) * (-1 if skew else 1)
+    at = t
+    for d, delta in blocks:
+        if skew:  # antidiag(1, .., 1, -1, .., -1)
+            g[at:at + d, at:at + d] = np.fliplr(np.diag([1] * (d // 2) + [-1] * (d // 2)))
+        else:
+            g[at:at + d, at:at + d] = np.diag([1] * (d - 1) + [delta] * (d > 0))
+        at += d
+    return g % p
 
 
 def _normal_basis(gm: np.ndarray, p: int, skew: bool) -> tuple[np.ndarray, int]:
@@ -325,26 +360,9 @@ def _normal_basis(gm: np.ndarray, p: int, skew: bool) -> tuple[np.ndarray, int]:
             delta = smallest_nonresidue(p)
         us[-1] = sqrt_mod(delta * inv_mod(last, p), p) * us[-1] % p  # last * s^2 = delta
     t = np.array(us + vs[::-1], dtype=np.int64).reshape(d, d)
-    if skew:
-        expect = np.fliplr(np.diag([1] * (d // 2) + [p - 1] * (d // 2)))
-    else:
-        expect = np.diag([1] * (d - 1) + [delta] * (d > 0))
-    if (t @ g @ t.T % p != expect).any():
+    if (t @ g @ t.T % p != _normal_gram(p, skew, 0, (d, delta))).any():
         raise AssertionError("normal basis construction failed")
     return t, delta
-
-
-def isometry_rows(space: BilinearSpace, rows_a: np.ndarray, rows_b: np.ndarray):
-    """Re-coordinate two spanning row stacks so their restricted Grams agree.
-
-    Returns (new_a, new_b) spanning the same two subspaces with identical
-    pairing matrices; raises DiscriminantMismatch when no isometry exists."""
-    p, skew = space.p, space.form_type == SKEW
-    ta, da = _normal_basis(pairing(space, rows_a, rows_a), p, skew)
-    tb, db = _normal_basis(pairing(space, rows_b, rows_b), p, skew)
-    if da != db:
-        raise DiscriminantMismatch(f"restricted forms have discriminant classes {da} vs {db}")
-    return ta @ rows_a % p, tb @ rows_b % p
 
 
 def apply_isometry(g: np.ndarray, h: Subspace) -> Subspace:
@@ -353,45 +371,35 @@ def apply_isometry(g: np.ndarray, h: Subspace) -> Subspace:
 
 
 def transport_isometry(space: BilinearSpace, a: WittSplit, b: WittSplit) -> np.ndarray:
-    """Isometry g (with g^T gram g = gram) carrying h = a.m1 + a.m2 onto
-    h2 = b.m1 + b.m2, given the ``witt_decompose`` splits of h and h2.
+    """Isometry g (with g^T gram g = gram) carrying h = span(a.m1, a.m2) onto
+    h2 = span(b.m1, b.m2), given the ``witt_decompose`` splits of h and h2:
+    with equal dims and deltas both stacked bases have the same Gram, so g
+    maps one onto the other, one inverse and one product.
 
     Requires equal dimension and equal rank invariant; over F_p the
     restricted nondegenerate parts must also lie in the same discriminant
-    class or DiscriminantMismatch is raised.  In the symmetric case the
-    determinant is normalized to 1 whenever a determinant twist is
+    class (equal deltas) or DiscriminantMismatch is raised.  In the
+    symmetric case the determinant is normalized to 1 whenever a twist is
     available (r > 0 or n - 2k + r > 0); for the two families of maximal
     isotropics no such twist exists and det g = -1 transports between them.
     """
     if not space.is_nondegenerate():
         raise ValueError("transport needs a nondegenerate ambient form")
-    k, k2 = a.m1.dim + a.m2.dim, b.m1.dim + b.m2.dim
+    t, r = len(a.m1), len(a.m2)
+    k, k2 = t + r, len(b.m1) + len(b.m2)
     if k != k2:
         raise InvariantMismatch(f"dims differ: {k} vs {k2}")
-    r = a.m2.dim
-    if r != b.m2.dim:
-        raise InvariantMismatch(f"rank invariants differ: {r} vs {b.m2.dim}")
-    p, t = space.p, a.m1.dim
-
-    a2, b2 = a.m2.basis, b.m2.basis
-    if r:
-        a2, b2 = isometry_rows(space, a2, b2)
-    a3, b3 = a.m3.basis, b.m3.basis
-    if a3.size:
-        a3, b3 = isometry_rows(space, a3, b3)
-    a1, a4, b1, b4 = a.m1.basis, a.m4.basis, b.m1.basis, b.m4.basis
-    if t:
-        # re-coordinate b4 so that it pairs with b1 as a4 pairs with a1
-        pa = pairing(space, a1, a4)
-        pb = pairing(space, b1, b4)
-        b4 = (pa.T @ RowSolver(pb, p).transform.T % p) @ b4 % p
-
-    src_inv = RowSolver(np.vstack([a1, a2, a3, a4]), p).transform
-    img = np.vstack([b1, b2, b3, b4])
+    if r != len(b.m2):
+        raise InvariantMismatch(f"rank invariants differ: {r} vs {len(b.m2)}")
+    if a.deltas != b.deltas:
+        raise DiscriminantMismatch(f"restricted forms have discriminant classes {a.deltas} vs {b.deltas}")
+    p = space.p
+    src_inv = RowSolver(a.stacked(), p).transform
+    img = b.stacked()
     g_rows = src_inv @ img % p
-    if space.form_type == SYMMETRIC and (r or a3.size) and det_mod(g_rows, p) != 1:
-        # row t is the first M2 image row when r > 0, else the first M3 one
+    if space.form_type == SYMMETRIC and (r or len(a.m3)) and det_mod(g_rows, p) != 1:
+        # row t is the first M2 image row when r > 0, else the first M3 one;
+        # negating one row of a diagonal block keeps the Gram
         img[t] *= -1
         g_rows = src_inv @ img % p
     return g_rows.T % p
-

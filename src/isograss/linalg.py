@@ -149,11 +149,6 @@ class Subspace:
         stacked = np.vstack([self.basis, other.basis])
         return rank_mod(stacked, self.p) == self.dim
 
-    def contains_vector(self, v: np.ndarray) -> bool:
-        v = np.asarray(v, dtype=np.int64) % self.p
-        stacked = np.vstack([self.basis, v.reshape(1, -1)])
-        return rank_mod(stacked, self.p) == self.dim
-
     def _check_compatible(self, other: "Subspace"):
         if self.n != other.n or self.p != other.p:
             raise ValueError("ambient mismatch")

@@ -154,7 +154,7 @@ class _Level:
         return _Step(
             space.gram @ line % p,
             solver,
-            tuple(int(m.contains_vector(line)) for m in flag),
+            tuple(int(m.contains(lspan)) for m in flag),
             not rad_rows.shape[0],
             _Level(w_space, flag_w),
         )

@@ -30,7 +30,7 @@ from .linalg import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     random_subspace,
-    rank_mod,
+    span,
     subspace_intersect,
     subspace_sum,
     subspace_total,
@@ -522,26 +522,19 @@ def suite_closure(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=
 # ---------------------------------------------------------------------------
 
 def _witt_table_ok(space, h, ws) -> bool:
-    parts = [ws.m1, ws.m2, ws.m3, ws.m4]
-    if sum(x.dim for x in parts) != space.n:
+    """The stacks span rad h, h and h^perp, and the stacked basis has the
+    block normal form as its Gram, which fixes every pairing of the parts."""
+    n, p = space.n, space.p
+    stacked = ws.stacked()
+    if stacked.shape[0] != n:
         return False
-    if subspace_sum(ws.m1, ws.m2) != h:
+    m1, m2, m3 = (span(rows, n, p) for rows in (ws.m1, ws.m2, ws.m3))
+    if subspace_sum(m1, m2) != h:
         return False
     hperp = perp(space, h)
-    if subspace_sum(ws.m1, ws.m3) != hperp or ws.m1 != subspace_intersect(h, hperp):
+    if subspace_sum(m1, m3) != hperp or m1 != subspace_intersect(h, hperp):
         return False
-    for i in range(4):
-        for j in range(4):
-            bi, bj = parts[i].basis, parts[j].basis
-            if not bi.size or not bj.size:
-                continue
-            block = pairing(space, bi, bj)
-            perfect = {i, j} == {0, 3} or (i == j in (1, 2))
-            if perfect and rank_mod(block, space.p) != min(parts[i].dim, parts[j].dim):
-                return False
-            if not perfect and block.any():
-                return False
-    return True
+    return np.array_equal(pairing(space, stacked, stacked), ws.normal_form(space))
 
 
 def _transport_spaces(spec: str, p: int) -> list[BilinearSpace]:
@@ -572,10 +565,10 @@ def suite_witt(specs=GRID_SPACES, primes=(3, 5), pairs_per_space=1000, seed=2024
                         fails.append(f"pairing table fails for {h}")
                         done += 1
                         continue
-                    r = ws.m2.dim
+                    r = len(ws.m2)
                     disc = None
                     if amb.form_type == SYMMETRIC and r:
-                        disc = discriminant_class(amb, ws.m2.basis)
+                        disc = discriminant_class(amb, ws.m2)
                     key = (k, r, disc)
                     prev = buckets.get(key)
                     buckets[key] = (h, ws)

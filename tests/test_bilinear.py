@@ -107,11 +107,11 @@ def test_radical_parity_skew_exhaustive():
 
 def _check_witt(space, h, split):
     n, p = space.n, space.p
-    m = [split.m1, split.m2, split.m3, split.m4]
+    m = [span(rows, n, p) for rows in (split.m1, split.m2, split.m3, split.m4)]
     hperp = perp(space, h)
-    assert split.m1 == subspace_intersect(h, hperp)
-    assert subspace_sum(split.m1, split.m2) == h
-    assert subspace_sum(split.m1, split.m3) == hperp
+    assert m[0] == subspace_intersect(h, hperp)
+    assert subspace_sum(m[0], m[1]) == h
+    assert subspace_sum(m[0], m[2]) == hperp
     total = zero_subspace(n, p)
     dims = 0
     for part in m:
@@ -140,12 +140,12 @@ def test_witt_forced_dimensions():
     sp4 = standard_space(SKEW, 4, 3)
     lag = span([[1, 0, 0, 0], [0, 1, 0, 0]], 4, 3)
     ws = witt_decompose(sp4, lag)
-    assert (ws.m1.dim, ws.m2.dim, ws.m3.dim, ws.m4.dim) == (2, 0, 0, 2)
+    assert tuple(len(rows) for rows in (ws.m1, ws.m2, ws.m3, ws.m4)) == (2, 0, 0, 2)
     _check_witt(sp4, lag, ws)
 
     hyp = span([[1, 0, 0, 0], [0, 0, 0, 1]], 4, 3)
     ws = witt_decompose(sp4, hyp)
-    assert (ws.m1.dim, ws.m2.dim, ws.m3.dim, ws.m4.dim) == (0, 2, 2, 0)
+    assert tuple(len(rows) for rows in (ws.m1, ws.m2, ws.m3, ws.m4)) == (0, 2, 2, 0)
     _check_witt(sp4, hyp, ws)
 
 
@@ -154,7 +154,7 @@ def test_witt_generic_rank_one():
     h = span([[1, 0, 0, 0], [0, 1, 1, 0]], 4, 3)  # rad = e1, anisotropic part
     assert rank_mod(pairing(o4, h.basis, h.basis), 3) == 1
     ws = witt_decompose(o4, h)
-    assert (ws.m1.dim, ws.m2.dim, ws.m3.dim, ws.m4.dim) == (1, 1, 1, 1)
+    assert tuple(len(rows) for rows in (ws.m1, ws.m2, ws.m3, ws.m4)) == (1, 1, 1, 1)
     _check_witt(o4, h, ws)
 
 
@@ -166,6 +166,37 @@ def test_witt_random_pairing_table():
             for _ in range(40):
                 h = random_subspace(n, int(rng.integers(0, n + 1)), 5, rng)
                 _check_witt(space, h, witt_decompose(space, h))
+
+
+def _normal_form_inputs():
+    """Every subspace of Sp4, O3 and O4 at p = 3, then random subspaces of O5
+    and Sp6 at p = 5 and 7."""
+    for form, n in ((SKEW, 4), (SYMMETRIC, 3), (SYMMETRIC, 4)):
+        space = standard_space(form, n, 3)
+        for k in range(n + 1):
+            for h in enumerate_subspaces(n, k, 3):
+                yield space, h
+    rng = np.random.default_rng(18)
+    for p in (5, 7):
+        for form, n in ((SYMMETRIC, 5), (SKEW, 6)):
+            space = standard_space(form, n, p)
+            for _ in range(40):
+                yield space, random_subspace(n, int(rng.integers(0, n + 1)), p, rng)
+
+
+def test_witt_split_is_in_normal_form():
+    # the stacked basis has the block normal form as its Gram, m1 is rad h,
+    # and delta2 is the square class of the restriction to m2
+    classes = set()
+    for space, h in _normal_form_inputs():
+        ws = witt_decompose(space, h)
+        stacked = ws.stacked()
+        assert np.array_equal(pairing(space, stacked, stacked), ws.normal_form(space))
+        assert span(ws.m1, space.n, space.p) == radical(space, h)
+        if space.form_type == SYMMETRIC and len(ws.m2):
+            assert (ws.deltas[0] == 1) == (discriminant_class(space, ws.m2) == 1)
+            classes.add((space.n, ws.deltas[0] == 1))
+    assert {(3, True), (3, False), (4, True), (4, False), (5, True), (5, False)} <= classes
 
 
 def test_witt_rejects_degenerate_space():
@@ -288,12 +319,13 @@ def test_transport_twists_m3_row_for_isotropics(n, k):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("the transporter decomposed a subspace")
+    raise AssertionError("the transporter rebuilt part of a split")
 
 
 def test_transport_reads_the_splits(monkeypatch):
-    # the transporter builds no split of its own: perp and complement_rows
-    # are never called once both splits exist
+    # the transporter builds no split of its own and normalizes nothing:
+    # perp, complement_rows, _normal_basis and span are never called once
+    # both splits exist
     rng = np.random.default_rng(5)
     for form, n in ((SYMMETRIC, 4), (SYMMETRIC, 5), (SKEW, 4)):
         space = standard_space(form, n, 3)
@@ -301,18 +333,18 @@ def test_transport_reads_the_splits(monkeypatch):
         while len(pairs) < 10:
             h, h2 = (random_subspace(n, 2, 3, rng) for _ in range(2))
             a, b = witt_decompose(space, h), witt_decompose(space, h2)
-            if a.m2.dim == b.m2.dim and (
-                not a.m2.dim or form == SKEW
-                or discriminant_class(space, a.m2.basis) == discriminant_class(space, b.m2.basis)
+            if len(a.m2) == len(b.m2) and (
+                not len(a.m2) or form == SKEW
+                or discriminant_class(space, a.m2) == discriminant_class(space, b.m2)
             ):
                 pairs.append((h, h2, a, b))
         with monkeypatch.context() as m:
-            for name in ("perp", "complement_rows"):
+            for name in ("perp", "complement_rows", "_normal_basis", "span"):
                 m.setattr(f"isograss.bilinear.{name}", _refuse)
-            for h, h2, a, b in pairs:
-                g = transport_isometry(space, a, b)
-                assert not ((g.T @ space.gram @ g - space.gram) % 3).any()
-                assert apply_isometry(g, h) == h2
+            gs = [transport_isometry(space, a, b) for _, _, a, b in pairs]
+        for (h, h2, _, _), g in zip(pairs, gs):
+            assert not ((g.T @ space.gram @ g - space.gram) % 3).any()
+            assert apply_isometry(g, h) == h2
 
 
 def test_transport_invariant_mismatch():

@@ -354,8 +354,8 @@ def test_subspaces_between_trivial_steps_skip_elimination(monkeypatch):
 def test_subspace_repr_and_contains_vector():
     s = span([[1, 2]], 2, 3)
     assert "Subspace" in repr(s)
-    assert s.contains_vector([2, 1])
-    assert not s.contains_vector([1, 1])
+    assert s.contains(span([[2, 1]], 2, 3))
+    assert not s.contains(span([[1, 1]], 2, 3))
 
 
 def test_row_solver_solves_stacks():

@@ -104,7 +104,7 @@ def oracle_classify(level, h: Subspace) -> int:
 
     len1 = len(step.sub.pieces(k - 1))
     vals = h.basis @ step.gram_line % p
-    if h.contains_vector(line):
+    if h.contains(span(line.reshape(1, -1), h.n, p)):
         return oracle_classify(step.sub, project(h.basis))
     if not vals.any():
         return len1 + oracle_classify(step.sub, project(h.basis))

@@ -34,6 +34,7 @@ def test_no_bare_asserts_in_package():
     [
         ["resolve", "--space", "Sp4", "--label", "2:0"],
         ["fibers", "--space", "O4", "--label", "2:1", "--target-label", "2:0p", "--primes", "3"],
+        ["verify", "--space", "O3", "--suite", "all"],
     ],
 )
 def test_optimized_run_writes_same_bytes(argv, capsysbinary):

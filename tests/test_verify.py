@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
-from isograss.linalg import BudgetExceeded
+from isograss.bilinear import SYMMETRIC, standard_space, witt_decompose
+from isograss.linalg import BudgetExceeded, enumerate_subspaces, rref
 from isograss.orbits import DOUBLEPRIME0, PRIME0
 from isograss.polynomials import IntPolynomial
 from isograss.sumspace import MultiLabel
-from isograss import bilinear, towers, verify
+from isograss import towers, verify
 
 
 def test_stratum_polynomials_sp4():
@@ -86,9 +89,31 @@ def test_paving_builds_one_paving_per_space_and_flag(monkeypatch):
 
 def test_witt_reports_a_broken_transport(monkeypatch):
     # the transporter returns whatever it built; the suite judges it
-    monkeypatch.setattr(bilinear, "isometry_rows", lambda space, a, b: (a, b))
+    real = verify.transport_isometry
+
+    def one_column_zeroed(space, a, b):
+        g = real(space, a, b).copy()
+        g[:, 0] = 0
+        return g
+
+    monkeypatch.setattr(verify, "transport_isometry", one_column_zeroed)
     [result] = verify.suite_witt(("Sp4",), (3,), 20)
     assert not result.passed and "not an isometry" in result.details
+
+
+@pytest.mark.parametrize("part", ["m2", "m4"])
+def test_witt_table_refuses_rref_rows(part):
+    # RREF rows span the same parts as the split's own, so only the Gram
+    # identity of the table check can refuse them
+    space = standard_space(SYMMETRIC, 4, 5)
+
+    def refused(h):
+        ws = witt_decompose(space, h)
+        assert verify._witt_table_ok(space, h, ws)
+        rows = getattr(ws, part)
+        return len(rows) and not verify._witt_table_ok(space, h, replace(ws, **{part: rref(rows, 5)}))
+
+    assert any(refused(h) for k in (1, 2, 3) for h in enumerate_subspaces(4, k, 5))
 
 
 def test_fiber_polynomiality_names_the_pair(monkeypatch):
