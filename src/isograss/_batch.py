@@ -252,11 +252,10 @@ def classify_counts(
     """Count subspaces of Gr_k(B) by label, over the index slice [start, stop).
 
     Returns a dict keyed by ``decode`` labels.  The slice covers the
-    column-reversed images of the subspaces that enumerate_subspaces yields
-    for the same slice: column reversal is a bijection of Gr_k(F_p^n), so
-    full-range counts are the counts of Gr_k(B), and chunked calls merge by
-    summing counts.  The tally stays ``np.unique``: a bincount cannot span
-    the 8^16 key space.
+    column-reversed images of that slice of the walk's RREF matrices:
+    column reversal is a bijection of Gr_k(F_p^n), so full-range counts are
+    the counts of Gr_k(B), and chunked calls merge by summing counts.  The
+    tally stays ``np.unique``: a bincount cannot span the 8^16 key space.
 
     A reversed RREF matrix is a reverse echelon basis whose row j ends in
     column n - 1 - pattern[j], so the pivot pattern fixes every k_i for the

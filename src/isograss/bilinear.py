@@ -90,19 +90,6 @@ class BilinearSpace:
         # the Gram is frozen, so it is ranked once per space
         return rank_mod(self.gram, self.p) == self.n
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BilinearSpace)
-            and self.n == other.n
-            and self.p == other.p
-            and self.form_type == other.form_type
-            and (self.gram == other.gram).all()
-            and self.witness == other.witness
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.p, self.form_type, self.gram.tobytes(), self.witness))
-
 
 def pairing(space: BilinearSpace, rows_u: np.ndarray, rows_v: np.ndarray) -> np.ndarray:
     """Matrix of <u_i, v_j> for row stacks u, v."""

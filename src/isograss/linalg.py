@@ -8,8 +8,7 @@ and columns, so per-element numpy indexing would cost more than the
 arithmetic.  Subspaces of F_p^n are kept in reduced row-echelon form, which
 makes equality, hashing and set membership structural.  Enumeration of
 Gr_k(F_p^n) is ordered by (pivot pattern, free entries), both
-lexicographic, and exposes a global index range so consumers can partition
-work into disjoint chunks.
+lexicographic.
 """
 
 from __future__ import annotations
@@ -247,11 +246,10 @@ class RowSolver:
 
 def complement_rows(inner: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:
     """Greedy pivot-completion: rows of ``outer`` extending span(inner) to
-    span(inner)+span(outer); the returned rows span a complement."""
-    outer = np.asarray(outer, dtype=np.int64)
-    width = outer.shape[-1]
-    inner_rows, _ = _int_rows(np.asarray(inner, dtype=np.int64).reshape(-1, width), p)
-    outer_rows, _ = _int_rows(outer.reshape(-1, width), p)
+    span(inner)+span(outer); the returned rows span a complement.  Both are
+    2-d stacks of the same width."""
+    inner_rows, _ = _int_rows(inner, p)
+    outer_rows, width = _int_rows(outer, p)
     # Row j of [inner; outer] lies outside the span of the rows before it
     # iff column j is a pivot column of the RREF of the transpose.  A pivot
     # is the first 1 of its RREF row, since everything before it is 0.
@@ -272,23 +270,12 @@ def subspace_total(n: int, k: int, p: int) -> int:
 
 
 def enumerate_subspaces(
-    n: int,
-    k: int,
-    p: int,
-    start: int = 0,
-    stop: int | None = None,
-    budget: int | None = DEFAULT_BUDGET,
+    n: int, k: int, p: int, budget: int | None = DEFAULT_BUDGET
 ) -> Iterator[Subspace]:
     """Yield every k-dimensional subspace of F_p^n exactly once.
 
     Order: pivot patterns lexicographically, then free entries as base-p
-    digits (first slot most significant), as laid out by ``_batch``, whose
-    counting walk takes the same order.  ``start``/``stop`` select a slice
-    of the global index range (ValueError unless 0 <= start <= stop <=
-    total), so disjoint chunks can run in parallel and be combined by any
-    commutative reduction.  The same slice of
-    ``_batch.classify_counts`` counts the column-reversed images of these
-    subspaces; over the full range the two cover the same Gr_k(F_p^n).
+    digits (first slot most significant), as laid out by ``_batch``.
     """
     p = as_prime(p)
     if not 0 <= k <= n:
@@ -296,11 +283,7 @@ def enumerate_subspaces(
     total = subspace_total(n, k, p)
     if budget is not None and total > budget:
         raise BudgetExceeded(total, budget)
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"need 0 <= start <= stop <= {total}, got [{start}, {stop})")
-    for pattern, lo, hi in _batch.iter_chunks(n, k, p, start, stop, 1 << 14):
+    for pattern, lo, hi in _batch.iter_chunks(n, k, p, 0, total, 1 << 14):
         for mat in _batch.pattern_matrices(n, k, p, pattern, lo, hi):
             yield Subspace(mat, n, p)  # pattern matrices are already RREF
 

@@ -114,8 +114,8 @@ class IntPolynomial:
 ONE = IntPolynomial([1])
 
 
-def monomial(d: int, c: int = 1) -> IntPolynomial:
-    return IntPolynomial([0] * d + [c])
+def monomial(d: int) -> IntPolynomial:
+    return IntPolynomial([0] * d + [1])
 
 
 @lru_cache(maxsize=None)

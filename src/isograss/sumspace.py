@@ -354,40 +354,27 @@ _COUNTS_CACHE: dict = {}
 
 
 def orbit_point_counts(
-    space: SumSpace,
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
-    start: int = 0,
-    stop: int | None = None,
+    space: SumSpace, k: int, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> dict[MultiLabel, int]:
     """Classify every point of Gr_k(B) and tally the labels.
 
     This is the definitional count: each subspace is labelled by its graded
     pieces.  Work is split over disjoint index ranges when workers > 1 and
     merged by summation; ``workers`` is capped at the CPU count, so the pool
-    starts at most one process per CPU and per range.  A partial slice
-    [start, stop), with 0 <= start <= stop <= total or ValueError, counts
-    the column-reversed images of that slice of ``enumerate_subspaces``
-    (see ``_batch.classify_counts``).  Full-range results are memoized per
-    space.
+    starts at most one process per CPU and per range.  Results are memoized
+    per space.
     """
     total = subspace_total(space.n, k, space.p)
     if total > budget:
         raise BudgetExceeded(total, budget)
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"need 0 <= start <= stop <= {total}, got [{start}, {stop})")
-    full_range = start == 0 and stop == total
     cache_key = (space._cache_key, k)
-    if full_range and cache_key in _COUNTS_CACHE:
+    if cache_key in _COUNTS_CACHE:
         return dict(_COUNTS_CACHE[cache_key])
     workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or stop - start < 1 << 17:
-        raw = _batch.classify_counts(space, k, start, stop)
+    if workers <= 1 or total < 1 << 17:
+        raw = _batch.classify_counts(space, k)
     else:
-        bounds = np.linspace(start, stop, workers + 1, dtype=np.int64)
+        bounds = np.linspace(0, total, workers + 1, dtype=np.int64)
         ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
         raw: dict = {}
         with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
@@ -396,8 +383,7 @@ def orbit_point_counts(
                 for key, c in fut.result().items():
                     raw[key] = raw.get(key, 0) + c
     out = {_multilabel(key): c for key, c in raw.items()}
-    if full_range:
-        _COUNTS_CACHE[cache_key] = dict(out)
+    _COUNTS_CACHE[cache_key] = dict(out)
     return out
 
 

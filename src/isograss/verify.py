@@ -301,38 +301,28 @@ def suite_paving(forms_dims=None, primes=(3, 5), budget=DEFAULT_BUDGET):
     for form, n in forms_dims:
         for p in primes:
             space = standard_space(form, n, p)
-            flags = _sample_flags(space, budget)
-            pavings = [build_paving(space, flag) for flag in flags]
-            by_flag = [[] for _ in flags]  # failures, reported flag by flag
-            for k in range(n // 2 + 1):
-                pieces = [pv.pieces(k) for pv in pavings]
-                wants = [
-                    np.array([pc.invariants for pc in pcs], dtype=np.int64).reshape(
-                        len(pcs), len(flag)
+            # one walk of the isotropic k-subspaces serves every flag
+            walks = [list(isotropic_bases(space, k, budget=budget)) for k in range(n // 2 + 1)]
+            bad = []
+            for flag in _sample_flags(space, budget):
+                paving = build_paving(space, flag)
+                for k, walk in enumerate(walks):
+                    pieces = paving.pieces(k)
+                    want = np.array([pc.invariants for pc in pieces], dtype=np.int64).reshape(
+                        len(pieces), len(flag)
                     )
-                    for flag, pcs in zip(flags, pieces)
-                ]
-                tallies = [np.zeros(len(pcs), dtype=np.int64) for pcs in pieces]
-                varies = [0] * len(flags)
-                # one walk of the isotropic k-subspaces serves every flag
-                for mats in isotropic_bases(space, k, budget=budget):
-                    for f, (flag, paving) in enumerate(zip(flags, pavings)):
+                    counts = np.zeros(len(pieces), dtype=np.int64)
+                    varies = 0
+                    for mats in walk:
                         idx = paving.classify(mats)
-                        tallies[f] += np.bincount(idx, minlength=len(pieces[f]))
-                        got = _meet_dims(mats, flag, p)
-                        varies[f] += int((got != wants[f][idx]).any(axis=1).sum())
-                for f, (flag, paving) in enumerate(zip(flags, pavings)):
-                    bad = by_flag[f]
-                    bad += [f"k={k} flag-len={len(flag)}: invariants vary"] * varies[f]
-                    counts = tallies[f].tolist()
-                    for idx, piece in enumerate(pieces[f]):
-                        if counts[idx] != p**piece.affine_dim:
-                            bad.append(
-                                f"k={k} piece {piece.piece_id}: {counts[idx]} != p^{piece.affine_dim}"
-                            )
-                    if sum(counts) != paving.count_polynomial(k)(p):
+                        counts += np.bincount(idx, minlength=len(pieces))
+                        varies += int((_meet_dims(mats, flag, p) != want[idx]).any(axis=1).sum())
+                    bad += [f"k={k} flag-len={len(flag)}: invariants vary"] * varies
+                    for piece, c in zip(pieces, counts.tolist()):
+                        if c != p**piece.affine_dim:
+                            bad.append(f"k={k} piece {piece.piece_id}: {c} != p^{piece.affine_dim}")
+                    if counts.sum() != paving.count_polynomial(k)(p):
                         bad.append(f"k={k}: piece polynomial misses the total")
-            bad = [msg for msgs in by_flag for msg in msgs]
             tag = ("Sp" if form != SYMMETRIC else "O") + str(n)
             out.append(_result(f"paving {tag} p={p}", not bad, "; ".join(bad[:4])))
     return out
@@ -600,8 +590,8 @@ def suite_witt(specs=GRID_SPACES, primes=(3, 5), pairs_per_space=1000, seed=2024
 # slice positivity
 # ---------------------------------------------------------------------------
 
-def suite_slices(specs=GRID_SPACES, samples=100, seed=411):
-    rng = np.random.default_rng(seed)
+def suite_slices(specs=GRID_SPACES, samples=100):
+    rng = np.random.default_rng(411)
     out = []
     for spec in specs:
         space = build_sum_space(spec, 3)

@@ -20,6 +20,7 @@ from isograss.bilinear import (
     witt_decompose,
 )
 from isograss.linalg import (
+    complement_rows,
     enumerate_subspaces,
     full_subspace,
     random_subspace,
@@ -197,6 +198,16 @@ def test_witt_split_is_in_normal_form():
             assert (ws.deltas[0] == 1) == (discriminant_class(space, ws.m2) == 1)
             classes.add((space.n, ws.deltas[0] == 1))
     assert {(3, True), (3, False), (4, True), (4, False), (5, True), (5, False)} <= classes
+
+
+@pytest.mark.parametrize("form", [SKEW, SYMMETRIC])
+def test_witt_split_of_the_zero_space(form):
+    # width-0 stacks all the way down: complement_rows takes (0, 0) inputs
+    empty = np.zeros((0, 0), dtype=np.int64)
+    assert complement_rows(empty, empty, 3).shape == (0, 0)
+    ws = witt_decompose(standard_space(form, 0, 3), zero_subspace(0, 3))
+    assert [part.shape for part in (ws.m1, ws.m2, ws.m3, ws.m4)] == [(0, 0)] * 4
+    assert ws.deltas == (1, 1)
 
 
 def test_witt_rejects_degenerate_space():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isograss import linalg
-from isograss._batch import batch_rank
+from isograss._batch import batch_rank, iter_chunks, pattern_matrices
 from isograss.linalg import (
     BudgetExceeded,
     RowSolver,
@@ -263,14 +263,19 @@ def test_enumeration_frozen_values():
 
 
 def test_enumeration_chunking_matches_full_run():
+    # iter_chunks cuts any slice [start, stop) of the walk into chunks of at
+    # most `chunk` items, whose pattern matrices are that slice of the walk
     n, k, p = 4, 2, 3
-    full = list(enumerate_subspaces(n, k, p))
-    total = subspace_total(n, k, p)
-    pieces = []
-    step = 17
-    for start in range(0, total, step):
-        pieces.extend(enumerate_subspaces(n, k, p, start=start, stop=min(start + step, total)))
-    assert pieces == full
+    full = np.array([h.basis for h in enumerate_subspaces(n, k, p)])
+    total = len(full)
+    for step in (1, 17, total):
+        for chunk in (1, 5, 1 << 14):
+            for start in range(0, total, step):
+                stop = min(start + step, total)
+                parts = list(iter_chunks(n, k, p, start, stop, chunk))
+                assert all(0 < hi - lo <= chunk for _, lo, hi in parts)
+                mats = [pattern_matrices(n, k, p, *part) for part in parts]
+                assert np.array_equal(np.concatenate(mats), full[start:stop])
 
 
 def test_enumeration_budget():

@@ -240,28 +240,14 @@ def test_degree_law_multi_small():
 
 
 def test_chunked_counts_merge():
+    # slices of the counting walk merge by summing counts
     b = build_sum_space("Sp2+O2", 3)
-    from isograss.linalg import subspace_total
-
     total = subspace_total(4, 2, 3)
     merged: dict = {}
     for start in range(0, total, 37):
-        part = orbit_point_counts(b, 2, start=start, stop=min(start + 37, total))
-        for lab, c in part.items():
+        for lab, c in _batch_labels(b, 2, start, min(start + 37, total), 1 << 16).items():
             merged[lab] = merged.get(lab, 0) + c
     assert merged == orbit_point_counts(b, 2)
-
-
-@pytest.mark.parametrize("start, stop", [(0, 100), (-3, 2), (3, 2), (5, 5)])
-def test_slice_out_of_range_is_refused(start, stop):
-    # O2 at p = 3 has 4 lines; [5, 5) starts past the end
-    b = build_sum_space("O2", 3)
-    with pytest.raises(ValueError):
-        orbit_point_counts(b, 1, start=start, stop=stop)
-    with pytest.raises(ValueError):
-        list(enumerate_subspaces(2, 1, 3, start=start, stop=stop))
-    assert sum(orbit_point_counts(b, 1, start=4, stop=4).values()) == 0
-    assert list(enumerate_subspaces(2, 1, 3, start=1, stop=4)) == list(enumerate_subspaces(2, 1, 3))[1:]
 
 
 def test_workers_match_serial():
@@ -311,11 +297,12 @@ def test_pool_size_capped(monkeypatch, cpus, workers, pool):
     monkeypatch.setattr(sumspace, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InlineExecutor, "seen", [])
+    monkeypatch.setattr(sumspace, "_COUNTS_CACHE", {})  # a cached count skips the pool
     b = build_sum_space("O2+O3", 7)
-    stop = 1 << 17  # the shortest slice that takes the pool path
-    got = orbit_point_counts(b, 2, workers=workers, stop=stop)
+    got = orbit_point_counts(b, 2, workers=workers)
     assert _InlineExecutor.seen == ([] if pool is None else [pool])
-    assert sum(got.values()) == stop
+    # 140,050 subspaces, at least the 1 << 17 that take the pool path
+    assert sum(got.values()) == subspace_total(5, 2, 7) == 140_050
 
 
 @st.composite
@@ -345,10 +332,12 @@ def _batch_labels(space, k, start, stop, chunk):
 
 def _scalar_labels(space, k, start, stop):
     # a slice of the counting walk covers the column-reversed images of the
-    # same slice of enumerate_subspaces
+    # same slice of the walk's RREF matrices
+    n, p = space.n, space.p
     return Counter(
-        multilabel_of(space, span(h.basis[:, ::-1], space.n, space.p))
-        for h in enumerate_subspaces(space.n, k, space.p, start=start, stop=stop, budget=None)
+        multilabel_of(space, span(mat[:, ::-1], n, p))
+        for pattern, lo, hi in _batch.iter_chunks(n, k, p, start, stop, 1 << 14)
+        for mat in _batch.pattern_matrices(n, k, p, pattern, lo, hi)
     )
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import isograss
-from isograss.cli import main, make_parser
+from isograss.cli import _COMMANDS, main, make_parser
 
 SRC = Path(isograss.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -142,6 +142,77 @@ def test_package_names_have_package_callers():
         and not refs.get(node.name, set()) - {id(inner) for inner in ast.walk(node)}
     ]
     assert unreached == []
+
+
+def _defaulted_params(tree):
+    """(name, callee, slot, param) of each defaulted parameter of each
+    function and method: its qualified name, the name calls use (the class's
+    for an __init__), its positional slot as a call sees it (None if
+    keyword-only) and the parameter's name."""
+    owner = {
+        id(method): cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        cls = owner.get(id(node))
+        name = node.name if cls is None else f"{cls}.{node.name}"
+        callee = cls if node.name == "__init__" else node.name
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for slot, arg in enumerate(positional[first:], start=first - (cls is not None)):
+            yield name, callee, slot, arg.arg
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield name, callee, None, arg.arg
+
+
+def _sets(call, slot, param):
+    """Whether a call passes the parameter: by keyword, by position, or
+    through a ``*``/``**`` splat."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if slot is None:
+        return False
+    return len(call.args) > slot or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_defaulted_parameters_have_package_setters():
+    # a default that no package code overrides is one value in use: it
+    # belongs in the body as a constant.  A parameter counts as set when a
+    # package call passes it, or when its function is a CLI command, whose
+    # parameters the parser fills.  Only the last part of a callee is
+    # matched, as for the callers above.  Exempt: classify_counts's slice
+    # (the worker pool passes it through `submit`) and chunk (ROADMAP item 9
+    # keeps the tests' chunk sizes); main's argv and suite_witt's seed,
+    # which the benchmark sets.
+    exempt = {
+        "classify_counts.start",
+        "classify_counts.stop",
+        "classify_counts.chunk",
+        "main.argv",
+        "suite_witt.seed",
+    }
+    commands = {run.__name__ for _, run, _, _ in _COMMANDS}
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unset = [
+        f"{name}.{param}"
+        for tree in trees
+        for name, callee, slot, param in _defaulted_params(tree)
+        if name not in commands
+        and f"{name}.{param}" not in exempt
+        and not any(_sets(call, slot, param) for call in calls.get(callee, []))
+    ]
+    assert unset == []
 
 
 def _loaded_names(tree, attributes=False):

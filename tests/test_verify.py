@@ -2,12 +2,12 @@ from dataclasses import replace
 
 import pytest
 
-from isograss.bilinear import SYMMETRIC, standard_space, witt_decompose
+from isograss.bilinear import SKEW, SYMMETRIC, standard_space, witt_decompose
 from isograss.linalg import BudgetExceeded, enumerate_subspaces, rref
 from isograss.orbits import DOUBLEPRIME0, PRIME0
 from isograss.polynomials import IntPolynomial
 from isograss.sumspace import MultiLabel
-from isograss import towers, verify
+from isograss import paving, towers, verify
 
 
 def test_stratum_polynomials_sp4():
@@ -85,6 +85,31 @@ def test_paving_builds_one_paving_per_space_and_flag(monkeypatch):
     results = verify.suite_paving()
     assert all(r.passed for r in results)
     assert built == sampled and len(built) == 48
+
+
+@pytest.mark.parametrize(
+    "form,n,details",
+    [
+        (SKEW, 4, "k=1 piece 1.o: 27 != p^0; k=1 piece 2.1.o: 1 != p^1; "
+                  "k=1 piece 2.3.o: 3 != p^2; k=1 piece 3.o: 9 != p^3"),
+        # flag-major, k-minor: the first flag's k=2 failure comes before any
+        # failure of the second flag
+        (SYMMETRIC, 4, "k=1 piece 1.o: 9 != p^0; k=1 piece 2.1.o: 1 != p^1; "
+                       "k=1 piece 3.o: 3 != p^2; k=2 piece 1.1.o: 3 != p^0"),
+        (SKEW, 2, "k=1 piece 1.o: 3 != p^0; k=1 piece 3.o: 1 != p^1; "
+                  "k=1 flag-len=1: invariants vary; k=1 flag-len=1: invariants vary"),
+    ],
+)
+def test_paving_failure_details_are_frozen(monkeypatch, form, n, details):
+    # each subspace sent to the next piece: the failing details, in order
+    real = paving.Paving.classify
+
+    def shifted(self, mats):
+        return (real(self, mats) + 1) % len(self.pieces(mats.shape[1]))
+
+    monkeypatch.setattr(paving.Paving, "classify", shifted)
+    [result] = verify.suite_paving([(form, n)], (3,))
+    assert not result.passed and result.details == details
 
 
 def test_witt_reports_a_broken_transport(monkeypatch):
