@@ -4,7 +4,7 @@ and export to JSON / DOT / CSV.
 
 Reports are deterministic JSON documents: fixed field order, no
 timestamps.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage or
-input error, 3 enumeration budget refused, 4 internal invariant failure.
+input error, 3 enumeration budget refused, 4 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import inspect
 import io
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .sumspace import (
     validate_multilabel,
 )
 from .towers import fiber_invariants, resolution_tower, tower_fiber, tower_points
-from .verify import GRID_SPACES, SUITE_NAMES, closure_relation, run_suite
+from .verify import GRID_SPACES, SUITE_NAMES, CheckResult, closure_relation, run_suite
 
 SCHEMA_VERSION = 1
 
@@ -73,6 +74,11 @@ def parse_label_arg(text: str) -> MultiLabel:
             except ValueError:
                 raise CliError(f"label component {i}: bad rank {rstr!r}") from None
     return MultiLabel(tuple(ks), tuple(rs))
+
+
+def label_arg(label: MultiLabel) -> str:
+    """The --label text of a label, as parse_label_arg reads it."""
+    return ",".join(f"{k}:{r}" for k, r in zip(label.ks, label.rs))
 
 
 def parse_rows_arg(text: str, width: int, p: int):
@@ -187,14 +193,7 @@ def cmd_paving(space_spec: str, k: int, prime: int = 3) -> dict:
         "paving",
         {"space": space_spec, "k": k, "prime": prime},
         rows,
-        [
-            {
-                "name": "count polynomial",
-                "passed": True,
-                "details": str(paving.count_polynomial(k)),
-                "repro": "",
-            }
-        ],
+        [asdict(CheckResult("count polynomial", True, str(paving.count_polynomial(k))))],
     )
 
 
@@ -216,17 +215,14 @@ def cmd_resolve(space_spec: str, label: MultiLabel, prime: int = 3, budget=DEFAU
             "points_at_prime": len(points),
         }
     ]
-    checks = [
-        {
-            "name": f"tower count at q={prime}",
-            "passed": ok,
-            "details": f"{len(points)} points vs symbolic {poly(prime)}",
-            "repro": f"isograss resolve --space {space_spec} --label "
-            + ",".join(f"{a}:{b}" for a, b in zip(label.ks, label.rs))
-            + (f" --prime {prime}" if prime != 3 else ""),  # defaults stay implicit
-        }
-    ]
-    return bundle("resolve", {"space": space_spec, "prime": prime}, results, checks)
+    check = CheckResult(
+        f"tower count at q={prime}",
+        ok,
+        f"{len(points)} points vs symbolic {poly(prime)}",
+        f"isograss resolve --space {space_spec} --label {label_arg(label)}"
+        + (f" --prime {prime}" if prime != 3 else ""),  # defaults stay implicit
+    )
+    return bundle("resolve", {"space": space_spec, "prime": prime}, results, [asdict(check)])
 
 
 def cmd_fibers(
@@ -236,7 +232,9 @@ def cmd_fibers(
     primes=(3, 5),
     budget=DEFAULT_BUDGET,
 ) -> dict:
-    results = []
+    """Fibers over the representative of ``target_label`` (default the label);
+    over the label's own stratum, one check per prime that it is one point."""
+    results, checks = [], []
     for p in primes:
         space = build_sum_space(space_spec, p)
         sub = target_label if target_label is not None else label
@@ -251,11 +249,18 @@ def cmd_fibers(
                 "invariants": sorted({fiber_invariants(space, datum) for datum in fiber}),
             }
         )
+        if sub == label:
+            checks.append(CheckResult(
+                f"open-stratum fiber at q={p}",
+                len(fiber) == 1,
+                f"{len(fiber)} points, expected 1",
+                f"isograss fibers --space {space_spec} --label {label_arg(label)} --primes {p}",
+            ))
     return bundle(
         "fibers",
         {"space": space_spec, "label": label_to_json(label), "primes": list(primes)},
         results,
-        [],
+        [asdict(check) for check in checks],
     )
 
 
@@ -299,10 +304,6 @@ def cmd_verify(
     results = run_suite(
         suite, specs, primes or None, budget=budget, workers=workers, only_k=k
     )
-    checks = [
-        {"name": r.name, "passed": r.passed, "details": r.details, "repro": r.repro}
-        for r in results
-    ]
     return bundle(
         "verify",
         {
@@ -312,7 +313,7 @@ def cmd_verify(
             "suite": suite,
         },
         [],
-        checks,
+        [asdict(r) for r in results],
     )
 
 
@@ -486,7 +487,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as e:
+    except Exception as e:  # a construction invariant or a bug: no report
         print(f"internal error: {e!r}", file=sys.stderr)
         return EXIT_INTERNAL
     if command == "export":  # re-rendering a report judges none of its checks

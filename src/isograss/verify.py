@@ -65,8 +65,6 @@ from .towers import (
 GRID_SPACES = ("Sp2", "Sp4", "O2", "O3", "O4", "Sp2+O2", "Sp2+Sp2", "O2+O3")
 PRIME_POOL = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 SUITE_NAMES = ("partition", "degrees", "paving", "towers", "fibers", "closure")
-# suite_towers walks a tower only when its symbolic point count is at most this
-TOWER_WALK_CAP = 200_000
 # _primes_for_degree adds one redundant sample only when its Gr_k is at most this big
 SPARE_SAMPLE_CAP = 2_000_000
 
@@ -77,15 +75,6 @@ class CheckResult:
     passed: bool
     details: str = ""
     repro: str = ""
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        extra = f"  [{self.details}]" if self.details and not self.passed else ""
-        return f"{status}  {self.name}{extra}"
-
-
-def _result(name, passed, details="", repro=""):
-    return CheckResult(name, bool(passed), details, repro)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +106,7 @@ def suite_partition(specs=GRID_SPACES, primes=(3, 5), budget=DEFAULT_BUDGET, wor
                 if total != expect:
                     bad.append(f"k={k}: {total} != {expect}")
             out.append(
-                _result(
+                CheckResult(
                     f"partition {spec} p={p}",
                     not bad,
                     "; ".join(bad),
@@ -131,21 +120,24 @@ def suite_partition(specs=GRID_SPACES, primes=(3, 5), budget=DEFAULT_BUDGET, wor
 # degrees
 # ---------------------------------------------------------------------------
 
-def _primes_for_degree(base_primes, degree, space_n, k, budget):
+def _primes_for_degree(base_primes, degree, grassmannian=None, budget=DEFAULT_BUDGET):
     """Prime set with degree+1 usable samples, always covering the base
-    primes, plus one redundant sample when it is cheap."""
+    primes, plus one redundant sample.  With ``grassmannian`` = (n, k) a
+    sample walks Gr_k(F_p^n): within the budget, and a cheap one if spare."""
+    pool = list(dict.fromkeys([*base_primes, *PRIME_POOL]))
+    if len(pool) < degree + 1:
+        raise ValueError(
+            f"degree {degree} needs {degree + 1} sampling primes; "
+            f"the pool {min(pool)}..{max(pool)} has {len(pool)}"
+        )
     need = max(degree + 1, len(base_primes))
-    pool = list(dict.fromkeys(list(base_primes) + list(PRIME_POOL)))
-    usable = [p for p in pool if subspace_total(space_n, k, p) <= budget]
+    if grassmannian is None:
+        return pool[: need + 1]
+    sizes = {p: subspace_total(*grassmannian, p) for p in pool}
+    usable = [p for p in pool if sizes[p] <= budget]
     if len(usable) < degree + 1:
-        too_big = [subspace_total(space_n, k, p) for p in pool if p not in usable]
-        raise BudgetExceeded(min(too_big) if too_big else 0, budget)
-    chosen = usable[:need]
-    for q in usable[need:]:
-        if subspace_total(space_n, k, q) <= SPARE_SAMPLE_CAP:
-            chosen.append(q)
-            break
-    return chosen
+        raise BudgetExceeded(min(sizes[p] for p in pool if p not in usable), budget)
+    return usable[:need] + [q for q in usable[need:] if sizes[q] <= SPARE_SAMPLE_CAP][:1]
 
 
 def stratum_polynomials(
@@ -174,7 +166,7 @@ def stratum_polynomials(
     sample_deg = max(
         [d for lab, d in degrees.items() if lab != top], default=0
     ) if top is not None else max_deg
-    primes = _primes_for_degree(base_primes, sample_deg, ref.n, k, budget)
+    primes = _primes_for_degree(base_primes, sample_deg, (ref.n, k), budget)
     counts = {}
     for p in primes:
         space = build_sum_space(spec, p)
@@ -208,8 +200,7 @@ def stratum_polynomials(
 
 
 def suite_degrees(
-    specs=GRID_SPACES, base_primes=(3, 5, 7, 11), budget=DEFAULT_BUDGET, workers=1,
-    only_k=None,
+    specs=GRID_SPACES, primes=(3, 5, 7, 11), budget=DEFAULT_BUDGET, workers=1, only_k=None,
 ):
     out = []
     for spec in specs:
@@ -217,9 +208,9 @@ def suite_degrees(
         for k in _krange(ref.n, only_k):
             bad = []
             try:
-                polys = stratum_polynomials(spec, k, base_primes, budget, workers)
+                polys = stratum_polynomials(spec, k, primes, budget, workers)
             except InterpolationError as e:
-                out.append(_result(f"degrees {spec} k={k}", False, str(e)))
+                out.append(CheckResult(f"degrees {spec} k={k}", False, str(e)))
                 continue
             total = IntPolynomial([])
             for lab, poly in polys.items():
@@ -239,7 +230,7 @@ def suite_degrees(
                     if not closure_poly.is_nonnegative():
                         bad.append(f"closure of {lab} has a negative coefficient")
             out.append(
-                _result(
+                CheckResult(
                     f"degrees {spec} k={k}",
                     not bad,
                     "; ".join(bad),
@@ -324,7 +315,7 @@ def suite_paving(forms_dims=None, primes=(3, 5), budget=DEFAULT_BUDGET):
                     if counts.sum() != paving.count_polynomial(k)(p):
                         bad.append(f"k={k}: piece polynomial misses the total")
             tag = ("Sp" if form != SYMMETRIC else "O") + str(n)
-            out.append(_result(f"paving {tag} p={p}", not bad, "; ".join(bad[:4])))
+            out.append(CheckResult(f"paving {tag} p={p}", not bad, "; ".join(bad[:4])))
     return out
 
 
@@ -355,14 +346,15 @@ def suite_towers(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=N
                     poly = tower.count_polynomial()
                     if not poly.is_nonnegative() or not poly.is_palindromic():
                         bad.append(f"{label}: tower polynomial {poly} not paved/proper")
+                    dim = orbit_dim_multi(space, label)
+                    if poly.degree != dim:
+                        bad.append(f"{label}: tower degree {poly.degree} != orbit dim {dim}")
                     expect = poly(p)
-                    if expect > TOWER_WALK_CAP:
-                        continue
                     got = sum(points for points, _ in _row(rows, space, label, budget).values())
                     if got != expect:
                         bad.append(f"{label}: {got} points != symbolic {expect}")
             out.append(
-                _result(
+                CheckResult(
                     f"towers {spec} p={p}",
                     not bad,
                     "; ".join(bad[:4]),
@@ -387,27 +379,32 @@ def suite_fibers(specs=GRID_SPACES, primes=(3, 5, 7), budget=DEFAULT_BUDGET, onl
 
 
 def _fiber_bijectivity(spec, p, budget, only_k, rows):
-    """Over the open stratum every target is hit exactly once."""
+    """Over the open stratum every point is hit exactly once: one resolution
+    point per target, and one target per point of the stratum."""
     space = build_sum_space(spec, p)
     bad = []
     for k in _krange(space.n, only_k):
+        sizes = orbit_point_counts(space, k, budget=budget)
         for label in enumerate_multilabels(space, k):
             points, targets = _row(rows, space, label, budget).get(label, (0, 0))
             if points != targets:
                 bad.append(f"{label}: {points} points over {targets} open-stratum targets")
-    return [_result(f"fibers bijectivity {spec} p={p}", not bad, "; ".join(bad[:4]))]
+            if targets != sizes[label]:
+                bad.append(f"{label}: {targets} open-stratum targets != stratum size {sizes[label]}")
+    return [CheckResult(f"fibers bijectivity {spec} p={p}", not bad, "; ".join(bad[:4]))]
 
 
 def _fiber_polynomiality(spec, primes, budget, only_k, rows):
-    """Fiber sizes over canonical representatives interpolate exactly."""
+    """Fiber sizes over canonical representatives interpolate exactly; over
+    the label's own, degree 0 carries bijectivity's one point to every prime."""
     ref = build_sum_space(spec, 3)
     bad = []
     for k in _krange(ref.n, only_k):
         for label, below in closure_relation(spec, k, 3, budget, rows).items():
-            dim_x = resolution_tower(ref, label).count_polynomial().degree
+            dim_x = orbit_dim_multi(ref, label)
             for sub in sorted(below, key=MultiLabel.sort_key):
                 bound = dim_x - orbit_dim_multi(ref, sub)
-                use = _primes_for_degree(list(primes), bound, 0, 0, budget)
+                use = _primes_for_degree(primes, bound)
                 samples = []
                 for p in use:
                     space = build_sum_space(spec, p)
@@ -417,7 +414,7 @@ def _fiber_polynomiality(spec, primes, budget, only_k, rows):
                     interpolate_counts(samples, bound)
                 except InterpolationError as e:
                     bad.append(f"{label} over {sub}: {e}")
-    return [_result(f"fibers polynomial {spec} p={tuple(primes)}", not bad, "; ".join(bad[:4]))]
+    return [CheckResult(f"fibers polynomial {spec} p={tuple(primes)}", not bad, "; ".join(bad[:4]))]
 
 
 def _cover_components(spec, budget, only_k=None):
@@ -452,7 +449,7 @@ def _cover_components(spec, budget, only_k=None):
                 bad.append(f"{label}: fiber size {len(points)} != product {expect_total}")
             if want != 2**d:
                 bad.append(f"{label}: component order {want} != 2^{d}")
-    return [_result(f"fibers cover-components {spec}", not bad, "; ".join(bad[:4]))]
+    return [CheckResult(f"fibers cover-components {spec}", not bad, "; ".join(bad[:4]))]
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +494,7 @@ def suite_closure(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=
                     if below != expect:
                         bad.append(f"k={k} {lab}: closure {below} != rank chain")
         out.append(
-            _result(
+            CheckResult(
                 f"closure {spec} p={p}",
                 not bad,
                 "; ".join(bad[:4]),
@@ -577,7 +574,7 @@ def suite_witt(specs=GRID_SPACES, primes=(3, 5), pairs_per_space=1000, seed=2024
                         fails.append("does not transport")
                     done += 1
             out.append(
-                _result(
+                CheckResult(
                     f"witt/transport {spec} p={p} ({pairs_per_space} pairs)",
                     not fails,
                     "; ".join(fails[:3]),
@@ -605,7 +602,7 @@ def suite_slices(specs=GRID_SPACES, samples=100):
                     report = slice_weights(space, label, [int(e) for e in exps])
                     if report.min_weight() < 1:
                         bad.append(f"{label}: weight {report.min_weight()} at {exps}")
-        out.append(_result(f"slices {spec} ({samples} exponent vectors)", not bad, "; ".join(bad[:3])))
+        out.append(CheckResult(f"slices {spec} ({samples} exponent vectors)", not bad, "; ".join(bad[:3])))
     return out
 
 
@@ -623,19 +620,20 @@ def run_suite(
     rows=None,
 ):
     """One suite, or all of them; "all" makes one ``rows`` table (see _row)
-    for its towers, fibers and closure suites."""
+    for its towers, fibers and closure suites; without ``primes`` each keeps its own."""
+    given = {"primes": primes} if primes else {}
     if name == "partition":
-        return suite_partition(specs, primes or (3, 5), budget, workers, only_k)
+        return suite_partition(specs, budget=budget, workers=workers, only_k=only_k, **given)
     if name == "degrees":
-        return suite_degrees(specs, primes or (3, 5, 7, 11), budget, workers, only_k)
+        return suite_degrees(specs, budget=budget, workers=workers, only_k=only_k, **given)
     if name == "paving":
-        return suite_paving(None, primes or (3, 5), budget)
+        return suite_paving(budget=budget, **given)
     if name == "towers":
-        return suite_towers(specs, primes or (3,), budget, only_k, rows)
+        return suite_towers(specs, budget=budget, only_k=only_k, rows=rows, **given)
     if name == "fibers":
-        return suite_fibers(specs, primes or (3, 5, 7), budget, only_k, rows)
+        return suite_fibers(specs, budget=budget, only_k=only_k, rows=rows, **given)
     if name == "closure":
-        return suite_closure(specs, primes or (3,), budget, only_k, rows)
+        return suite_closure(specs, budget=budget, only_k=only_k, rows=rows, **given)
     if name == "all":
         rows = {}
         out = []

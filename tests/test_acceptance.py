@@ -21,6 +21,8 @@ from isograss.sumspace import (
 )
 from isograss.towers import tower_fiber
 
+from checks import check_line
+
 GRID = verify.GRID_SPACES
 WORKERS = 2
 
@@ -35,7 +37,7 @@ def _finish(criterion: str, results):
     status = "PASS" if not failed else "FAIL"
     print(f"\n[{status}] {criterion}")
     for r in failed:
-        print("   " + r.line())
+        print("   " + check_line(r))
     assert not failed, f"{len(failed)} failing checks"
 
 
@@ -45,7 +47,7 @@ def test_criterion_1_partition():
 
 
 def test_criterion_2_degree_law():
-    results = verify.suite_degrees(GRID, base_primes=(3, 5, 7, 11), workers=WORKERS)
+    results = verify.suite_degrees(GRID, primes=(3, 5, 7, 11), workers=WORKERS)
     _finish(
         "criterion 2: interpolated stratum polynomials, degree = orbit dim",
         results,

@@ -22,7 +22,9 @@ from isograss.cli import (
     make_parser,
     parse_label_arg,
 )
+from isograss.bilinear import InvariantMismatch
 from isograss.orbits import PRIME0
+from isograss.polynomials import InterpolationError
 from isograss.sumspace import MultiLabel, multilabels_of
 
 
@@ -263,6 +265,64 @@ def test_internal_assertion_exit_code(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["internal error: AssertionError('tower invariant')"]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [RuntimeError("boom"), InvariantMismatch("lost a line"), InterpolationError("no fit"),
+     FloatingPointError("overflow")],
+    ids=lambda error: type(error).__name__,
+)
+def test_unexpected_exception_exit_code(monkeypatch, capsys, error):
+    # an exception outside the taxonomy is a bug in isograss, not a failed
+    # check: exit 4 and one line, never a traceback with exit 1
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "tower_points", broken)
+    assert main(VALID["resolve"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"internal error: {error!r}"]
+
+
+def test_exhausted_prime_pool_is_a_usage_error(capsys):
+    # more sampling primes than the pool holds: no budget helps
+    big = str(10**40)
+    assert main(["verify", "--space", "O7", "--suite", "degrees", "--k", "3", "--budget", big]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: degree 11 needs 12 sampling primes; the pool 3..31 has 10\n"
+
+
+def test_fibers_checks_the_open_stratum(capsys):
+    # one check per prime over the label's own stratum, none over another
+    assert main(["fibers", "--space", "O4", "--label", "2:1"]) == EXIT_OK
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [
+        {"name": f"open-stratum fiber at q={p}", "passed": True, "details": "1 points, expected 1",
+         "repro": f"isograss fibers --space O4 --label 2:1 --primes {p}"}
+        for p in (3, 5)
+    ]
+    assert main(VALID["fibers"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["checks"] == []
+
+
+def test_broken_bijectivity_is_a_failed_check(monkeypatch, capsys):
+    # every non-empty walk, whole or under a target, repeats its first point:
+    # a broken law writes its report and exits 1, in verify and in fibers
+    real = towers._walk
+
+    def repeated(space, label, ceiling, budget):
+        points = list(real(space, label, ceiling, budget))
+        return points + points[:1]
+
+    monkeypatch.setattr(towers, "_walk", repeated)
+    assert main(["verify", "--space", "O2", "--suite", "fibers"]) == EXIT_CHECK_FAILED
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert "fibers bijectivity O2 p=3" in [c["name"] for c in checks if not c["passed"]]
+    assert main(["fibers", "--space", "O4", "--label", "2:1", "--primes", "3"]) == EXIT_CHECK_FAILED
+    [check] = json.loads(capsys.readouterr().out)["checks"]
+    assert check["name"] == "open-stratum fiber at q=3" and not check["passed"]
+    assert check["details"] == "2 points, expected 1"
 
 
 def test_one_resolution_row_feeds_towers_and_bijectivity(monkeypatch, capsys):

@@ -6,8 +6,10 @@ from isograss.bilinear import SKEW, SYMMETRIC, standard_space, witt_decompose
 from isograss.linalg import BudgetExceeded, enumerate_subspaces, rref
 from isograss.orbits import DOUBLEPRIME0, PRIME0
 from isograss.polynomials import IntPolynomial
-from isograss.sumspace import MultiLabel
+from isograss.sumspace import MultiLabel, multilabels_of
 from isograss import paving, towers, verify
+
+from checks import check_line
 
 
 def test_stratum_polynomials_sp4():
@@ -37,9 +39,24 @@ def test_stratum_polynomials_partition_identity():
 
 def test_primes_for_degree_budget():
     with pytest.raises(BudgetExceeded):
-        verify._primes_for_degree((3, 5, 7, 11), 6, 5, 2, budget=10_000)
-    primes = verify._primes_for_degree((3, 5, 7, 11), 1, 4, 2, budget=10**8)
+        verify._primes_for_degree((3, 5, 7, 11), 6, (5, 2), budget=10_000)
+    primes = verify._primes_for_degree((3, 5, 7, 11), 1, (4, 2), budget=10**8)
     assert primes[:4] == [3, 5, 7, 11]
+
+
+def test_primes_for_degree_refuses_an_exhausted_pool():
+    # no budget can buy more primes than the pool holds: a usage error, not
+    # a budget refusal
+    with pytest.raises(ValueError) as exc:
+        verify._primes_for_degree((3, 5, 7, 11), 12, (7, 3), budget=10**40)
+    assert str(exc.value) == "degree 12 needs 13 sampling primes; the pool 3..31 has 10"
+    with pytest.raises(ValueError, match="^degree 10 needs 11 sampling primes"):
+        verify._primes_for_degree((3, 5, 7), 10)
+    # samples that walk no Grassmannian: the base primes, then the pool, and
+    # one spare sample
+    assert verify._primes_for_degree((3, 5, 7), 0) == [3, 5, 7, 11]
+    assert verify._primes_for_degree((3, 5, 7), 4) == [3, 5, 7, 11, 13, 17]
+    assert verify._primes_for_degree((3, 5, 7), 9) == list(verify.PRIME_POOL)
 
 
 def test_run_suite_names():
@@ -155,6 +172,52 @@ def test_fiber_polynomiality_names_the_pair(monkeypatch):
     assert not result.passed and f"{line} over {line}: " in result.details
 
 
+def test_towers_checks_the_tower_degree(monkeypatch):
+    # a resolution one Grassmannian layer too big no longer has its
+    # stratum's dimension: the failure names the label
+    real = verify.resolution_tower
+
+    def one_layer_more(space, label):
+        tower = real(space, label)
+        extra = towers.TowerLayer("grassmannian", (2, 1), verify.gaussian_binomial(2, 1))
+        return towers.TowerDescriptor(tower.layers + (extra,))
+
+    monkeypatch.setattr(verify, "resolution_tower", one_layer_more)
+    [result] = verify.suite_towers(("Sp2",), (3,), only_k=1)
+    label = MultiLabel((1,), (0,))
+    assert not result.passed and f"{label}: tower degree 2 != orbit dim 1" in result.details
+
+
+def test_fiber_polynomiality_builds_no_tower(monkeypatch):
+    # the fit's degree bound reads the stratum dimension, not a tower
+    def refused(space, label):
+        raise AssertionError("resolution_tower called")
+
+    monkeypatch.setattr(verify, "resolution_tower", refused)
+    results = verify.suite_fibers(("Sp2+O2",), (3, 5, 7))
+    assert results and all(r.passed for r in results)
+
+
+def test_bijectivity_counts_the_whole_open_stratum(monkeypatch):
+    # a walk that misses one open-stratum point still hits each of its
+    # targets once, so bijectivity sees the loss only in the stratum's size
+    real = towers.tower_points
+
+    def dropped(space, label, budget):
+        points = real(space, label, budget=budget)
+        labels = multilabels_of(space, [datum.target for datum in points])
+        del points[labels.index(label)]
+        return points
+
+    monkeypatch.setattr(towers, "tower_points", dropped)
+    [result] = verify._fiber_bijectivity("O2", 3, verify.DEFAULT_BUDGET, None, {})
+    # split O2 over F_3 has 4 lines, 2 of them isotropic
+    open_line = MultiLabel((1,), (1,))
+    assert not result.passed
+    assert f"{open_line}: 1 open-stratum targets != stratum size 2" in result.details
+    assert "points over" not in result.details
+
+
 def test_degrees_reports_a_count_off_its_polynomial(monkeypatch):
     # one count moved off its polynomial at p = 5, with the total kept, fails
     # the fit and the failure names the spec, k and label
@@ -176,5 +239,5 @@ def test_degrees_reports_a_count_off_its_polynomial(monkeypatch):
 def test_check_result_line():
     ok = verify.CheckResult("thing", True)
     bad = verify.CheckResult("thing", False, "broken")
-    assert ok.line().startswith("PASS")
-    assert "broken" in bad.line()
+    assert check_line(ok).startswith("PASS")
+    assert "broken" in check_line(bad)
