@@ -32,7 +32,6 @@ from .sumspace import (
     multilabels_of,
     orbit_dim_multi,
     orbit_point_counts,
-    parse_space_spec,
     validate_multilabel,
 )
 from .towers import fiber_invariants, resolution_tower, tower_fiber, tower_points
@@ -297,10 +296,10 @@ def cmd_verify(
     space_spec=None, k=None, primes=(), suite: str = "all", budget=DEFAULT_BUDGET, workers=1
 ) -> dict:
     specs = (space_spec,) if space_spec else GRID_SPACES
-    if k is not None:
-        dims = [sum(dim for _, dim in parse_space_spec(spec)) for spec in specs]
-        if not any(0 <= k <= n for n in dims):
-            raise CliError(f"need 0 <= k <= {max(dims)}, got {k}")
+    # built even for the paving suite, which ignores them, so a bad spec is refused
+    dims = [build_sum_space(spec, 3).n for spec in specs]
+    if k is not None and not any(0 <= k <= n for n in dims):
+        raise CliError(f"need 0 <= k <= {max(dims)}, got {k}")
     results = run_suite(
         suite, specs, primes or None, budget=budget, workers=workers, only_k=k
     )

@@ -44,6 +44,7 @@ from .linalg import (
     BudgetExceeded,
     RowSolver,
     Subspace,
+    enumerate_subspaces,
     left_kernel,
     span,
     subspace_intersect,
@@ -243,7 +244,8 @@ def _choose_line(space: BilinearSpace, flag, rad_rows: np.ndarray) -> np.ndarray
     for m in flag:
         if m.dim:
             return m.basis[0].copy()
-    line = next(isotropic_subspaces(space, 1, budget=None), None)
+    lines = enumerate_subspaces(space.n, 1, space.p, budget=None)
+    line = next((h for h in lines if not pairing(space, h.basis, h.basis).any()), None)
     return None if line is None else line.basis[0].copy()
 
 
@@ -266,8 +268,8 @@ def iso_grassmannian_count(form_type: str, n: int, k: int) -> IntPolynomial:
 
 
 def isotropic_bases(space: BilinearSpace, k: int, budget: int | None = DEFAULT_BUDGET):
-    """Stacks (N, k, n) of the RREF bases of all isotropic k-subspaces, one
-    per walk chunk that has any, in enumeration order.
+    """Stacks (N, k, n) of the RREF bases of all isotropic k-subspaces, in
+    enumeration order, each of at least 2^14 items but the last.
 
     The isotropy test runs on each chunk of candidate bases at once.
     """

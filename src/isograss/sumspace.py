@@ -71,6 +71,11 @@ class MultiLabel:
         return f"({inner})"
 
 
+# The accepted domain: _batch's int32 Gram products and int64 label codes
+# are exact up to n = MAX_DIM, and gaussian_binomial stops there too.
+MAX_DIM = 16
+
+
 class SumSpace:
     """An ordered direct sum of bilinear spaces with its block filtration."""
 
@@ -88,6 +93,8 @@ class SumSpace:
         self.dims = tuple(f.n for f in factors)
         self.offsets = tuple(int(x) for x in np.cumsum((0,) + self.dims))
         self.n = self.offsets[-1]
+        if self.n > MAX_DIM:
+            raise ValueError(f"space dimension n={self.n} is above the bound n <= {MAX_DIM}")
         self.m = len(factors)
         gram = np.zeros((self.n, self.n), dtype=np.int64)
         for i, f in enumerate(factors):

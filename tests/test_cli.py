@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import shlex
+import time
 
 import pytest
 
@@ -371,3 +372,58 @@ def test_export_ignores_report_checks(tmp_path, capsys):
     path.write_text(json.dumps(report))
     assert main(["export", "--in", str(path)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == report
+
+
+def test_dimensions_above_16_are_usage_errors(capsys):
+    # 24 O1 factors overflowed the bulk classifier's label codes, and the
+    # wrong label then broke the report (exit 4); Sp18 got a catalog
+    spec = "+".join(["O1"] * 24)
+    rows = ",".join(["1"] + ["0"] * 22 + ["1"])
+    for argv in (
+        ["classify", "--space", spec, "--rows", rows, "--prime", "3"],
+        ["labels", "--space", "Sp18", "--k", "1"],
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: space dimension n=") and "n <= 16" in captured.err
+
+
+def _edge_calls(spec, n, label, p, budget):
+    """One call of each space command, and of each verify suite, on
+    ``spec`` at prime ``p``, with ``budget`` wherever the command takes one."""
+    b = ["--budget", str(budget)]
+    rows = ",".join(["1"] + ["0"] * (n - 1))
+    return [
+        ["labels", "--space", spec, "--k", "1", "--primes", str(p), *b],
+        ["classify", "--space", spec, "--rows", rows, "--prime", str(p)],
+        ["count", "--space", spec, "--k", "1", "--primes", str(p), *b],
+        ["paving", "--space", spec, "--k", "1", "--prime", str(p)],
+        ["resolve", "--space", spec, "--label", label, "--prime", str(p), *b],
+        ["fibers", "--space", spec, "--label", label, "--primes", str(p), *b],
+        ["closure", "--space", spec, "--k", "1", "--prime", str(p), *b],
+        *(["verify", "--space", spec, "--suite", suite, "--primes", str(p), *b]
+          for suite in (*cli.SUITE_NAMES, "all")),
+    ]
+
+
+def test_domain_edge_answers_or_refuses_within_seconds(tmp_path, capsys):
+    # n = 16 is the largest dimension accepted and n = 17 a usage error.
+    # Budgets 0 and 1 refuse before any walk and the default --workers 1
+    # starts no pool, so every call is quick; exit 4 is a bug at any input.
+    # The paving of O16 at 997 took 40 s while it waited for 2^14
+    # isotropic lines per level.
+    report = tmp_path / "o16.json"
+    calls = [["paving", "--space", "O16", "--k", "1", "--prime", "997", "--out", str(report)]]
+    for spec, n, label in (("O16", 16, "1:1"), ("Sp16", 16, "1:0"), ("Sp16+O1", 17, "1:0,0:0")):
+        calls += [argv for p in (3, 997) for budget in (0, 1) for argv in _edge_calls(spec, n, label, p, budget)]
+    calls.append(["export", "--in", str(report)])
+    for argv in calls:
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_BUDGET), (argv, err)
+        if "Sp16+O1" in argv:
+            assert code == EXIT_USAGE and "n=17" in err, argv
+        assert elapsed < 5, (argv, elapsed)

@@ -223,6 +223,22 @@ def test_counts_at_k_zero_and_above_n_compute_no_step(monkeypatch):
         iso_grassmannian_count(SKEW, 4, 1)
 
 
+def test_flagless_level_walks_one_chunk_for_its_line(monkeypatch):
+    # a nondegenerate level takes the first isotropic line of the walk: one
+    # chunk of candidate lines per level, not 2^14 isotropic ones
+    chunks = []
+    real = paving._batch.pattern_matrices
+
+    def counted(*args):
+        chunks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(paving._batch, "pattern_matrices", counted)
+    pieces = build_paving(standard_space(SYMMETRIC, 16, 997)).pieces(1)
+    assert len(pieces) == 16
+    assert len(chunks) == 8  # levels O16, O14, ..., O2
+
+
 def test_recursion_branches_cover_everything():
     # X1 + X2 + X3 piece counts at q = p partition the isotropic Grassmannian
     for form, n, k in ((SKEW, 4, 2), (SYMMETRIC, 5, 2)):

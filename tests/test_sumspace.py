@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isograss import _batch, sumspace
-from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace
+from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, standard_space
 from isograss.linalg import (
     _SMALL_PRIMES,
     enumerate_subspaces,
@@ -54,6 +54,18 @@ def test_sum_space_layout():
     b = build_sum_space("Sp2+O2", 3)
     assert b.n == 4 and b.dims == (2, 2) and b.offsets == (0, 2, 4)
     assert (b.gram[:2, 2:] == 0).all()
+
+
+def test_sum_space_refuses_dimensions_above_16():
+    # _batch packs labels into int64 only up to n = 16: past it, 24 O1
+    # factors were labelled wrongly without any error
+    o1 = standard_space(SYMMETRIC, 1, 3)
+    with pytest.raises(ValueError, match=r"^space dimension n=17 is above the bound n <= 16$"):
+        SumSpace([o1] * 17)
+    assert SumSpace([o1] * 16).n == 16
+    assert build_sum_space("O16", 997).n == build_sum_space("Sp16", 997).n == 16
+    with pytest.raises(ValueError, match="n=18"):
+        build_sum_space("Sp18", 3)
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -178,11 +178,30 @@ def _defaulted_params(tree):
                 yield name, callee, None, arg.arg
 
 
-def _sets(call, slot, param):
-    """Whether a call passes the parameter: by keyword, by position, or
-    through a ``*``/``**`` splat."""
-    if any(kw.arg in (param, None) for kw in call.keywords):
-        return True
+def _splat_keys(func, name):
+    """Keys of the dict literals that ``func`` assigns to ``name``."""
+    return {
+        key.value
+        for node in ast.walk(func)
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets)
+        for literal in ast.walk(node.value)
+        if isinstance(literal, ast.Dict)
+        for key in literal.keys
+        if isinstance(key, ast.Constant)
+    }
+
+
+def _sets(call, func, slot, param):
+    """Whether a call made in ``func`` passes the parameter: by keyword, by
+    position, through a ``*`` splat, or through a ``**name`` splat whose
+    dict literals in ``func`` hold the key.  Any other ``**`` splat sets
+    nothing."""
+    for kw in call.keywords:
+        if kw.arg == param:
+            return True
+        if kw.arg is None and func is not None and isinstance(kw.value, ast.Name):
+            if param in _splat_keys(func, kw.value.id):
+                return True
     if slot is None:
         return False
     return len(call.args) > slot or any(isinstance(a, ast.Starred) for a in call.args)
@@ -206,19 +225,27 @@ def test_defaulted_parameters_have_package_setters():
     }
     commands = {run.__name__ for _, run, _, _ in _COMMANDS}
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
-    calls: dict[str, list[ast.Call]] = {}
+    calls: dict[str, list[tuple[ast.Call, ast.FunctionDef | None]]] = {}
     for tree in trees:
+        # ast.walk visits an outer function before the ones nested in it, so
+        # each node ends up owned by its innermost function
+        owner = {
+            id(node): func
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+        }
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                calls.setdefault(name, []).append(node)
+                calls.setdefault(name, []).append((node, owner.get(id(node))))
     unset = [
         f"{name}.{param}"
         for tree in trees
         for name, callee, slot, param in _defaulted_params(tree)
         if name not in commands
         and f"{name}.{param}" not in exempt
-        and not any(_sets(call, slot, param) for call in calls.get(callee, []))
+        and not any(_sets(call, func, slot, param) for call, func in calls.get(callee, []))
     ]
     assert unset == []
 

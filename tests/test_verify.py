@@ -1,9 +1,20 @@
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from isograss.bilinear import SKEW, SYMMETRIC, standard_space, witt_decompose
-from isograss.linalg import BudgetExceeded, enumerate_subspaces, rref
+from isograss import bilinear
+from isograss.bilinear import SKEW, SYMMETRIC, pairing, perp, standard_space, witt_decompose
+from isograss.linalg import (
+    BudgetExceeded,
+    enumerate_subspaces,
+    random_subspace,
+    rref,
+    span,
+    subspace_intersect,
+    subspace_sum,
+)
 from isograss.orbits import DOUBLEPRIME0, PRIME0
 from isograss.polynomials import IntPolynomial
 from isograss.sumspace import MultiLabel, multilabels_of
@@ -125,7 +136,8 @@ def test_paving_failure_details_are_frozen(monkeypatch, form, n, details):
         return (real(self, mats) + 1) % len(self.pieces(mats.shape[1]))
 
     monkeypatch.setattr(paving.Paving, "classify", shifted)
-    [result] = verify.suite_paving([(form, n)], (3,))
+    monkeypatch.setattr(verify, "PAVING_FORMS", ((form, n),))
+    [result] = verify.suite_paving((3,))
     assert not result.passed and result.details == details
 
 
@@ -156,6 +168,130 @@ def test_witt_table_refuses_rref_rows(part):
         return len(rows) and not verify._witt_table_ok(space, h, replace(ws, **{part: rref(rows, 5)}))
 
     assert any(refused(h) for k in (1, 2, 3) for h in enumerate_subspaces(4, k, 5))
+
+
+def _four_subspace_table_ok(space, h, ws):
+    """The table check with every part rebuilt: span(m1, m2) = h,
+    span(m1, m3) = h^perp and span(m1) = h cap h^perp, then the Gram
+    identity.  The reference for the derived check in verify."""
+    n, p = space.n, space.p
+    stacked = ws.stacked()
+    if stacked.shape[0] != n:
+        return False
+    m1, m2, m3 = (span(rows, n, p) for rows in (ws.m1, ws.m2, ws.m3))
+    if subspace_sum(m1, m2) != h:
+        return False
+    hperp = perp(space, h)
+    if subspace_sum(m1, m3) != hperp or m1 != subspace_intersect(h, hperp):
+        return False
+    return np.array_equal(pairing(space, stacked, stacked), ws.normal_form(space))
+
+
+WITT_FORMS = [(SKEW, n) for n in (2, 4, 6)] + [(SYMMETRIC, n) for n in range(1, 7)]
+
+
+def _mutated(ws, rng, p):
+    """The split with 0-2 random row edits, swaps or scalings of its
+    stacked rows (each part keeps its length) and, one time in ten each,
+    random deltas and the last row of one part dropped."""
+    parts = [ws.m1, ws.m2, ws.m3, ws.m4]
+    if rng.random() < 0.1:
+        i = int(rng.integers(4))
+        parts[i] = parts[i][:-1]
+    rows = np.vstack(parts)
+    for _ in range(int(rng.integers(0, 3)) if len(rows) else 0):
+        i, j = (int(x) for x in rng.integers(0, len(rows), size=2))
+        c = int(rng.integers(1, p))
+        kind = int(rng.integers(3))
+        if kind == 0:
+            rows[i] = (rows[i] + c * rows[j]) % p
+        elif kind == 1:
+            rows[[i, j]] = rows[[j, i]]
+        else:
+            rows[i] = rows[i] * c % p
+    m1, m2, m3, m4 = np.split(rows, np.cumsum([len(part) for part in parts])[:-1])
+    deltas = ws.deltas
+    if rng.random() < 0.1:
+        deltas = tuple(int(d) for d in rng.integers(1, p, size=2))
+    return replace(ws, m1=m1, m2=m2, m3=m3, m4=m4, deltas=deltas)
+
+
+def test_witt_table_check_agrees_with_the_four_subspace_check():
+    # the Gram identity and span(m1, m2) = h fix rad h and h^perp, so the
+    # check without them gives the same verdict on any split
+    rng = np.random.default_rng(20240817)
+    verdicts = Counter()
+    while sum(verdicts.values()) < 5000:
+        for form, n in WITT_FORMS:
+            for p in (3, 5, 7):
+                space = standard_space(form, n, p)
+                h = random_subspace(n, int(rng.integers(0, n + 1)), p, rng)
+                ws = witt_decompose(space, h)
+                for _ in range(3):
+                    split = _mutated(ws, rng, p)
+                    ok = verify._witt_table_ok(space, h, split)
+                    assert ok == _four_subspace_table_ok(space, h, split), (form, n, p, h, split)
+                    verdicts[ok] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def _named_mutations(ws, h, rng, p):
+    """(name, split, subspace to check it against) for each named mutation
+    whose parts are not empty."""
+    if len(ws.m1) and len(ws.m3):
+        m1 = ws.m1.copy()
+        m1[0] = (m1[0] + ws.m3[0]) % p
+        yield "m3 row added to an m1 row", replace(ws, m1=m1), h
+    if len(ws.m2) and len(ws.m3):
+        # with the deltas swapped too, the Gram identity holds: only the sum refuses
+        yield "m2 and m3 swapped", replace(ws, m2=ws.m3, m3=ws.m2, deltas=ws.deltas[::-1]), h
+    if len(ws.m4):
+        m4 = ws.m4.copy()
+        m4[0] = 2 * m4[0] % p
+        yield "one m4 row doubled", replace(ws, m4=m4), h
+    if 0 < h.dim < h.n:
+        other = h
+        while other == h:
+            other = random_subspace(h.n, h.dim, p, rng)
+        yield "another subspace of the same dimension", ws, other
+
+
+def test_witt_table_refuses_named_mutations():
+    rng = np.random.default_rng(5)
+    refused = Counter()
+    for form, n in WITT_FORMS:
+        for p in (3, 5, 7):
+            space = standard_space(form, n, p)
+            for k in range(n + 1):
+                for _ in range(2):
+                    h = random_subspace(n, k, p, rng)
+                    for name, split, against in _named_mutations(witt_decompose(space, h), h, rng, p):
+                        assert not verify._witt_table_ok(space, against, split), (name, h)
+                        refused[name] += 1
+    assert len(refused) == 4 and min(refused.values()) >= 10, refused
+
+
+def test_witt_builds_perp_and_radical_once_per_pair(monkeypatch):
+    # witt_decompose builds h^perp and h cap h^perp; the table check derives
+    # them from the Gram identity and reads only the sum span(m1) + span(m2)
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((bilinear, "perp"), (bilinear, "subspace_intersect"),
+                         (verify, "subspace_sum"), (verify, "witt_decompose")):
+        count(module, name)
+    results = verify.suite_witt(("Sp4", "O3"), (3,), 20, seed=1)
+    assert all(r.passed for r in results)
+    assert calls["perp"] == calls["subspace_intersect"] == calls["subspace_sum"] == calls["witt_decompose"]
+    assert calls["witt_decompose"] >= 40
 
 
 def test_fiber_polynomiality_names_the_pair(monkeypatch):
@@ -234,6 +370,25 @@ def test_degrees_reports_a_count_off_its_polynomial(monkeypatch):
     monkeypatch.setattr(verify, "orbit_point_counts", off_at_5)
     [result] = verify.suite_degrees(("O2",), only_k=1)
     assert not result.passed and f"O2 k=1 {moved}: " in result.details
+
+
+def test_degrees_reports_a_count_outside_the_labels(monkeypatch):
+    # one open-stratum point moved at p = 5 onto a label that no stratum has:
+    # the totals still match, and the derived open-stratum polynomial misses
+    real = verify.orbit_point_counts
+    top, stray = MultiLabel((1,), (1,)), MultiLabel((1,), (2,))
+
+    def strayed(space, k, budget, workers):
+        counts = real(space, k, budget=budget, workers=workers)
+        if space.p == 5:
+            counts[top] -= 1
+            counts[stray] = 1
+        return counts
+
+    monkeypatch.setattr(verify, "orbit_point_counts", strayed)
+    [result] = verify.suite_degrees(("O2",), only_k=1)
+    assert not result.passed
+    assert f"O2 k=1 {top}: derived polynomial misses the count at p=5" in result.details
 
 
 def test_check_result_line():
