@@ -486,7 +486,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as e:  # a construction invariant or a bug: no report
+    except Exception as e:  # a bug: no report
         print(f"internal error: {e!r}", file=sys.stderr)
         return EXIT_INTERNAL
     if command == "export":  # re-rendering a report judges none of its checks

@@ -183,9 +183,9 @@ class _Level:
         ]
         pieces += [PavingPiece("2." + sp.piece_id, sp.affine_dim + k, sp.invariants) for sp in same]
         if step.nondegenerate and small:
+            # W (dimension n - 2) holds an isotropic (k-1)-space, so
+            # 2(k - 1) <= n - 2 and the fiber rank is at least 0
             fiber = space.n - 2 * k + (1 if space.form_type == SKEW else 0)
-            if fiber < 0:
-                raise AssertionError("negative fiber rank with nonempty base")
             pieces += [
                 PavingPiece("3." + sp.piece_id, sp.affine_dim + (k - 1) + fiber, sp.invariants)
                 for sp in small
@@ -203,9 +203,8 @@ class _Level:
         k = mats.shape[1]
         if k == 0 or not len(mats):
             return out
+        # only isotropic items arrive, so k >= 1 means this level has its line
         step = self.step
-        if step is None:
-            raise AssertionError("no pieces to classify into")
         sub = step.sub
         len1 = len(sub.pieces(k - 1))
         vals = mats @ step.gram_line % p  # <row, L> for each basis row

@@ -5,8 +5,10 @@ import shlex
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from isograss import cli, towers
+from isograss import cli, sumspace, towers
 from isograss.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -26,7 +28,7 @@ from isograss.cli import (
 from isograss.bilinear import InvariantMismatch
 from isograss.orbits import PRIME0
 from isograss.polynomials import InterpolationError
-from isograss.sumspace import MultiLabel, multilabels_of
+from isograss.sumspace import MultiLabel, build_sum_space, enumerate_multilabels, multilabels_of
 
 
 def test_parse_label_arg():
@@ -427,3 +429,67 @@ def test_domain_edge_answers_or_refuses_within_seconds(tmp_path, capsys):
         if "Sp16+O1" in argv:
             assert code == EXIT_USAGE and "n=17" in err, argv
         assert elapsed < 5, (argv, elapsed)
+
+
+FACTORS = {"Sp2": 2, "Sp4": 4, "Sp6": 6, "O1": 1, "O2": 2, "O3": 3, "O4": 4, "O5": 5, "O6": 6}
+
+
+@st.composite
+def _invocations(draw):
+    """One command (all but export, which reads a saved report) on a drawn
+    sum of Sp2-Sp6 and O1-O6 with n <= 16, with every option its function
+    takes.  The default budget is drawn only for labels and count on small
+    inputs, where a whole walk is cheap; classify and paving take no budget."""
+    factors = draw(st.lists(st.sampled_from(sorted(FACTORS)), min_size=1, max_size=4)
+                   .filter(lambda fs: sum(FACTORS[f] for f in fs) <= 16))
+    spec, n = "+".join(factors), sum(FACTORS[f] for f in factors)
+    p = draw(st.sampled_from((3, 5, 7, 997)))
+    commands = {command: run for command, run, *_ in cli._COMMANDS if command != "export"}
+    name = draw(st.sampled_from(sorted(commands)))
+    k = draw(st.integers(0, n))
+    labels = st.sampled_from(enumerate_multilabels(build_sum_space(spec, 3), k)).map(cli.label_arg)
+    small = n <= 4 and p <= 7 and name in ("labels", "count")
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(lambda r: ",".join(map(str, r)))
+    options = {
+        "space_spec": st.just(spec),
+        "k": st.none() | st.just(k) if name == "verify" else st.just(k),
+        "primes": st.just(p),
+        "prime": st.just(p),
+        "rows_text": st.lists(row, min_size=max(k, 1), max_size=max(k, 1)).map(";".join),
+        "label": labels,
+        "target_label": st.none() | labels,
+        "suite": st.sampled_from(cli.SUITE_NAMES + ("all",)),
+        "budget": st.sampled_from((0, 1, 1000) + ((None,) if small else ())),
+        "workers": st.sampled_from((1, 2)),
+    }
+    argv = [name]
+    for param in inspect.signature(commands[name]).parameters:
+        value = draw(options[param])
+        if value is not None:  # the command's default
+            argv += [cli._OPTIONS[param][0], str(value)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_invocations())
+def test_accepted_domain_answers_or_refuses(monkeypatch, capsys, argv):
+    # a drawn command exits 0-3, never 4; a budget refusal comes before the
+    # work it refuses; and a report is the same bytes on a second run.  No
+    # pool may start: budgets this small never reach its threshold.  The
+    # draws are derandomized, so every run checks the same 300 commands; the
+    # two fixtures serve every example alike
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("a worker pool was started")
+
+    monkeypatch.setattr(sumspace, "ProcessPoolExecutor", no_pool)
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_BUDGET), (argv, err)
+    if code == EXIT_BUDGET:
+        assert elapsed < 2, (argv, elapsed)
+    if code in (EXIT_OK, EXIT_CHECK_FAILED):
+        assert main(argv) == code
+        assert capsys.readouterr().out == out, argv

@@ -301,8 +301,9 @@ def test_imported_names_are_read():
 def test_internal_invariants_are_named():
     # `raise AssertionError` is an internal invariant: cli.main exits 4 and
     # writes no report.  A law of the paper belongs in a report check that
-    # can fail (exit 1), so a new invariant site must be added here on purpose;
-    # the ones listed guard constructions, not laws
+    # can fail (exit 1), so a new invariant site must be added here on purpose.
+    # None is left: each construction that had one is either guaranteed by
+    # the code before it or held by a verify check
     sites = sorted(
         qualname
         for path in sorted(SRC.glob("*.py"))
@@ -312,7 +313,23 @@ def test_internal_invariants_are_named():
         if isinstance(inner, ast.Raise)
         and getattr(getattr(inner.exc, "func", inner.exc), "id", None) == "AssertionError"
     )
-    assert sites == ["_Level._split", "_Level.classify", "_normal_basis"]
+    assert sites == []
+
+
+def test_verify_results_come_from_one_helper():
+    # one failure-detail policy: every check of a suite is built by
+    # verify._result, which keeps the first four failures
+    tree = ast.parse((SRC / "verify.py").read_text())
+    [helper] = [node for node in tree.body if getattr(node, "name", None) == "_result"]
+
+    def builds(root):
+        return [
+            node
+            for node in ast.walk(root)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult"
+        ]
+
+    assert len(builds(helper)) == 1 and builds(tree) == builds(helper)
 
 
 def test_batch_imports_only_polynomials():

@@ -155,6 +155,16 @@ def test_witt_reports_a_broken_transport(monkeypatch):
     assert not result.passed and "not an isometry" in result.details
 
 
+def test_witt_reports_a_broken_normal_basis(monkeypatch):
+    # every normal basis of a symmetric block ends in a row scaled by a
+    # "square root" of 0: its Gram misses the normal form, and the table
+    # check reports it instead of an exception ending the run
+    monkeypatch.setattr(bilinear, "sqrt_mod", lambda a, p: 0)
+    [result] = verify.suite_witt(("O3",), (3,), 20)
+    assert not result.passed and "pairing table fails" in result.details
+    assert result.details.count(";") == 3  # the first four failures
+
+
 @pytest.mark.parametrize("part", ["m2", "m4"])
 def test_witt_table_refuses_rref_rows(part):
     # RREF rows span the same parts as the split's own, so only the Gram
@@ -324,6 +334,21 @@ def test_towers_checks_the_tower_degree(monkeypatch):
     assert not result.passed and f"{label}: tower degree 2 != orbit dim 1" in result.details
 
 
+def test_towers_checks_poincare_duality(monkeypatch):
+    # an isotropic Grassmannian counted q + 2 breaks the palindromic law of
+    # every tower it is a layer of
+    real = towers.iso_grassmannian_count
+
+    def skewed(form_type, n, k):
+        return IntPolynomial([2, 1]) if k == 1 else real(form_type, n, k)
+
+    monkeypatch.setattr(towers, "iso_grassmannian_count", skewed)
+    [result] = verify.suite_towers(("Sp2",), (3,))
+    label = MultiLabel((1,), (0,))
+    assert not result.passed
+    assert f"{label}: tower polynomial q + 2 not palindromic" in result.details
+
+
 def test_fiber_polynomiality_builds_no_tower(monkeypatch):
     # the fit's degree bound reads the stratum dimension, not a tower
     def refused(space, label):
@@ -389,6 +414,49 @@ def test_degrees_reports_a_count_outside_the_labels(monkeypatch):
     [result] = verify.suite_degrees(("O2",), only_k=1)
     assert not result.passed
     assert f"O2 k=1 {top}: derived polynomial misses the count at p=5" in result.details
+
+
+def test_degrees_reports_a_lost_open_stratum_point(monkeypatch):
+    # one open-stratum point lost at p = 5 and no label gaining it: the
+    # derived polynomial misses that count, and the failure carries its repro
+    real = verify.orbit_point_counts
+    top = MultiLabel((1,), (1,))
+
+    def lost(space, k, budget, workers):
+        counts = real(space, k, budget=budget, workers=workers)
+        if space.p == 5:
+            counts[top] -= 1
+        return counts
+
+    monkeypatch.setattr(verify, "orbit_point_counts", lost)
+    [result] = verify.suite_degrees(("O2",), only_k=1)
+    assert not result.passed
+    assert result.details == f"O2 k=1 {top}: derived polynomial misses the count at p=5"
+    assert result.repro == "isograss verify --space O2 --k 1 --suite degrees"
+
+
+def test_partition_reports_a_missing_stratum(monkeypatch):
+    # orbit_point_counts has a key only for a stratum it found points in, so
+    # an empty stratum is a missing label
+    real = verify.orbit_point_counts
+
+    def dropped(space, k, budget, workers):
+        counts = real(space, k, budget=budget, workers=workers)
+        del counts[MultiLabel((1,), (PRIME0,))]
+        return counts
+
+    monkeypatch.setattr(verify, "orbit_point_counts", dropped)
+    [result] = verify.suite_partition(("O2",), (3,), only_k=1)
+    assert not result.passed
+    assert result.details == "k=1: label sets differ; k=1: 3 != 4"
+
+
+def test_failed_checks_keep_four_failures(monkeypatch):
+    # partition used to join every failure: now each suite keeps the first four
+    monkeypatch.setattr(verify, "orbit_point_counts", lambda space, k, budget, workers: {})
+    [result] = verify.suite_partition(("O3",), (3,))
+    assert not result.passed
+    assert result.details == "k=0: label sets differ; k=0: 0 != 1; k=1: label sets differ; k=1: 0 != 13"
 
 
 def test_check_result_line():
