@@ -10,7 +10,7 @@ cross-checks.
 ``classify_batch`` is the one bulk classifier: it labels any stack of
 bases in one pass.  One elimination of the column-reversed bases gives
 every graded piece, then each factor's form rank is the rank of the Gram
-matrix of its piece, in closed form for pieces of dimension <= 2.
+matrix of its piece, in closed form for pieces of dimension <= 3.
 ``classify_counts`` tallies the same codes over a slice of the walk, but
 labels the column-reversed images of the walk's RREF matrices: those are
 already in reverse echelon form, so the pivot pattern fixes every graded
@@ -21,9 +21,11 @@ FFLAS/FFPACK (Dumas-Giorgi-Pernet, ACM TOMS 2008), exact F_p work is done
 as a few large batched products, reduced mod p within proven int bounds.
 
 Entries stay below p <= 997, so int32 holds every intermediate: an
-elimination round reduces mod p (|a - f*piv| < p^2 < 10^6), each Gram
-matmul sums at most n <= 16 products and is reduced before the next one
-(16 * 996^2 < 2^31), and the 2 x 2 Gram determinant is taken in int64.
+elimination round reduces mod p (|a - f*piv| < p^2 < 10^6), and a Gram
+entry sums one term z_a[i] * (G_ij z_b[j] mod p) < p^2 per nonzero G_ij,
+at most n^2 <= 256 of them (256 * 996^2 < 2^31).  The 2 x 2 Gram
+determinant is a difference of two products below p^2; the 3 x 3 one is
+taken in int64.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def pattern_matrices(
     base = np.zeros((k, n), dtype=np.int32)
     for i, piv in enumerate(pattern):
         base[i, piv] = 1
-    mats = np.broadcast_to(base, (hi - lo, k, n)).copy()
+    mats = np.repeat(base[None], hi - lo, axis=0)
     # Codes can pass 2^63 in budget-free walks, so each code lo + j is kept
     # as high + low[j]: a Python int shared by the chunk plus a small int64
     # offset.  Digits are peeled from the last slot by divmod with p, which
@@ -147,32 +149,82 @@ def iter_chunks(n: int, k: int, p: int, start: int, stop: int, chunk: int):
         idx += block
 
 
-def _gram(z: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray:
-    """Gram matrices ``z G z^T mod p`` of a stack of row blocks, shape (N, k, k)."""
-    return (z @ gram % p) @ z.transpose(0, 2, 1) % p
+def _form(gram, p: int) -> tuple:
+    """The nonzero terms of a symmetric or alternating Gram matrix G, as
+    ``_gram`` reads them: (rows i, columns j, the values G_ij shaped
+    (terms, 1, 1), or None when all are 1, and 1 if G is alternating,
+    else 0)."""
+    g = np.asarray(gram) % p
+    rows, cols = np.nonzero(g)
+    vals = g[rows, cols].astype(np.int32)
+    # a nonzero alternating G has G_ji = -G_ij != G_ij at its first nonzero
+    skew = int(rows.size > 0 and g[cols[0], rows[0]] != vals[0])
+    return rows, cols, None if (vals == 1).all() else vals[:, None, None], skew
+
+
+def _gram(z: np.ndarray, form: tuple, p: int) -> np.ndarray:
+    """Gram matrices ``z G z^T mod p`` of a stack of row blocks, shape (N, k, k).
+
+    ``form`` is ``_form(G, p)``.  Entry (a, b) sums one product of columns
+    z_a[i] * (G_ij z_b[j] mod p) per nonzero G_ij.  Only the entries a <= b
+    are computed, a < b for an alternating G, whose diagonal is zero; the
+    others are mirrored, with a sign flip for an alternating G.
+    """
+    rows, cols, vals, skew = form
+    n_items, k, _ = z.shape
+    out = np.zeros((k, k, n_items), dtype=np.int32)
+    if k > skew and rows.size:
+        # laid out (n, k, N), each term's gather copies one contiguous slab,
+        # and einsum sums the products with no temporary
+        zt = np.ascontiguousarray(z.transpose(2, 1, 0), dtype=np.int32)
+        u = zt[rows]
+        w = zt[cols]
+        if vals is not None:
+            w *= vals
+            w %= p
+        for b in range(skew, k):
+            a = b + 1 - skew
+            s = np.einsum("tan,tn->an", u[:, :a], w[:, b])
+            out[:a, b] = s
+            out[b, :a] = -s if skew else s
+        out %= p
+    return out.transpose(2, 0, 1)
 
 
 def _gram_rank(g: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a stack of k x k Gram matrices; closed form for k <= 2."""
+    """Ranks of a stack of k x k Gram matrices; closed form for k <= 3, where
+    only the singular 3 x 3 ones go to ``batch_rank``."""
     k = g.shape[1]
     if k == 0:
         return np.zeros(len(g), dtype=np.int64)
     if k == 1:
         return (g[:, 0, 0] != 0).astype(np.int64)
     if k == 2:
-        g = g.astype(np.int64)
         det = (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]) % p
         return np.where(det != 0, 2, g.any(axis=(1, 2)))
+    if k == 3:
+        m = g.astype(np.int64)
+        det = (
+            m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
+            - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
+            + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
+        ) % p
+        rank = np.full(len(g), 3, dtype=np.int64)
+        sing = np.flatnonzero(det == 0)
+        if sing.size:
+            rank[sing] = batch_rank(g[sing], p)
+        return rank
     return batch_rank(g, p)
 
 
-def _pack(space, blocks) -> np.ndarray:
+def _pack(space, forms, blocks) -> np.ndarray:
     """Label codes from each factor's graded piece.
 
-    ``blocks[i]`` is ``(k_i, z_i)``: the dimension of graded piece i (an int
-    shared by the stack, or one int per item) and a stack (N, rows, n_i) of
-    block-i rows spanning it, any other rows zero.  r_i is the rank of their
-    Gram matrix; the witness rank that splits "0p" from "0pp" is taken only
+    ``forms[i]`` is ``_form`` of factor i's Gram matrix.  ``blocks[i]`` is
+    ``(k_i, z_i)``: the dimension of graded piece i (an int shared by the
+    stack, or one int per item) and a stack (N, rows, n_i) of block-i rows
+    spanning it, any other rows zero.  r_i is the rank of their Gram
+    matrix; the witness rank that splits "0p" from "0pp" is taken only
     on the items with k_i = n_i / 2 and r_i = 0, and a factor that needs it
     but has no witness is refused, as ``orbits.label_of`` refuses it.
     """
@@ -181,11 +233,12 @@ def _pack(space, blocks) -> np.ndarray:
     # rcode_i <= n_i + 2, packed mixed-radix with the first factor most
     # significant; the radix product is at most 8^n <= 8^16, far inside int64
     packed = 0
-    for (k_i, z), d, f in zip(blocks, space.dims, space.factors):
-        r_i = _gram_rank(_gram(z, np.asarray(f.gram, dtype=np.int32), p), p)
+    for (k_i, z), form, d, f in zip(blocks, forms, space.dims, space.factors):
+        r_i = _gram_rank(_gram(z, form, p), p)
         rcode = r_i + 2
-        if f.form_type == "symmetric" and d % 2 == 0:
-            half = d // 2
+        half = d // 2
+        # a walk chunk shares one int k_i, so most chunks skip the mask
+        if f.form_type == "symmetric" and d % 2 == 0 and (np.ndim(k_i) or k_i == half):
             need = np.flatnonzero((k_i == half) & (r_i == 0))
             if need.size:
                 if f.witness is None:
@@ -231,7 +284,7 @@ def classify_batch(space, mats: np.ndarray) -> np.ndarray:
         in_block = row_block == i
         z = np.where(in_block[:, :, None], mats[:, :, offsets[i] : offsets[i + 1]], 0)
         blocks.append((in_block.sum(axis=1), z))
-    return _pack(space, blocks)
+    return _pack(space, [_form(f.gram, p) for f in space.factors], blocks)
 
 
 def decode(dims: Sequence[int], code) -> tuple[tuple[int, int | str], ...]:
@@ -255,13 +308,14 @@ def classify_counts(
     column-reversed images of that slice of the walk's RREF matrices:
     column reversal is a bijection of Gr_k(F_p^n), so full-range counts are
     the counts of Gr_k(B), and chunked calls merge by summing counts.  The
-    tally stays ``np.unique``: a bincount cannot span the 8^16 key space.
+    tally stays ``np.unique``, one call per 2^16 codes however small the
+    chunks: a bincount cannot span the 8^16 key space.
 
     A reversed RREF matrix is a reverse echelon basis whose row j ends in
     column n - 1 - pattern[j], so the pivot pattern fixes every k_i for the
     whole chunk and each graded piece is a plain slice of k_i rows: no
-    elimination is needed, and ``batch_rank`` runs only on witness stacks
-    and on Grams with k_i >= 3.
+    elimination is needed, and ``batch_rank`` runs only on witness stacks,
+    on singular 3 x 3 Grams and on Grams with k_i >= 4.
     """
     p, dims = space.p, tuple(space.dims)
     n = sum(dims)
@@ -269,7 +323,9 @@ def classify_counts(
         stop = gaussian_binomial(n, k)(p)
     offsets = np.cumsum((0,) + dims)
     block_of = np.repeat(np.arange(len(dims)), dims)
+    forms = [_form(f.gram, p) for f in space.factors]
     raw: Counter = Counter()
+    held, size = [], 0  # codes not tallied yet: one np.unique per 2^16 of them
     for pattern, lo, hi in iter_chunks(n, k, p, start, stop, chunk):
         mats = pattern_matrices(n, k, p, pattern, lo, hi)[:, :, ::-1]
         # row j ends in block block_of[n - 1 - pattern[j]], which falls as j
@@ -281,11 +337,21 @@ def classify_counts(
         for i in reversed(range(len(dims))):
             blocks[i] = (ks[i], mats[:, row : row + ks[i], offsets[i] : offsets[i + 1]])
             row += ks[i]
-        uniq, cnt = np.unique(_pack(space, blocks), return_counts=True)
-        raw.update(dict(zip(uniq.tolist(), cnt.tolist())))
+        held.append(_pack(space, forms, blocks))
+        size += hi - lo
+        if size >= 1 << 16:
+            _tally(raw, held)
+            held, size = [], 0
+    if held:
+        _tally(raw, held)
     return {decode(space.dims, code): c for code, c in raw.items()}
+
+
+def _tally(raw: Counter, held: list) -> None:
+    uniq, cnt = np.unique(np.concatenate(held), return_counts=True)
+    raw.update(dict(zip(uniq.tolist(), cnt.tolist())))
 
 
 def isotropic_filter(mats: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray:
     """Boolean mask of batch items whose row space is isotropic for gram."""
-    return ~_gram(mats, np.asarray(gram, dtype=np.int32), p).any(axis=(1, 2))
+    return ~_gram(mats, _form(gram, p), p).any(axis=(1, 2))

@@ -397,13 +397,84 @@ def test_walk_matches_classify_batch_per_chunk(spec, ks, chunk):
 
 
 def test_walk_skips_elimination(monkeypatch):
-    # Sp2+O3 at k = 2 needs no witness rank and no Gram with k_i >= 3
+    # Sp2+O3 needs no witness rank, and its only Grams with k_i >= 3 are
+    # those of all of O3, which are nonsingular
     def refuse(a, p):
         raise AssertionError("batch_rank called")
 
     monkeypatch.setattr(_batch, "batch_rank", refuse)
-    counts = _batch.classify_counts(build_sum_space("Sp2+O3", 5), 2)
-    assert sum(counts.values()) == gaussian_binomial(5, 2)(5)
+    for k in (2, 3):
+        counts = _batch.classify_counts(build_sum_space("Sp2+O3", 5), k)
+        assert sum(counts.values()) == gaussian_binomial(5, k)(5)
+
+
+def _random_gram(rng, n, p, skew):
+    a = rng.integers(0, p, size=(n, n))
+    return (a - a.T) % p if skew else (a + a.T) % p
+
+
+def _gram_definition(z, g, p):
+    z = np.asarray(z, dtype=np.int64)
+    return (z @ np.asarray(g, dtype=np.int64) % p) @ z.transpose(0, 2, 1) % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 997])
+@pytest.mark.parametrize("skew", [False, True])
+def test_gram_matches_definition(p, skew):
+    rng = np.random.default_rng(p + skew)
+    for n in range(1, 17):
+        g = _random_gram(rng, n, p, skew)
+        form = _batch._form(g, p)
+        for k in range(5):
+            # reversed, strided views into a larger stack, as classify_counts
+            # slices the walk's matrices
+            big = rng.integers(0, p, size=(7, k + 2, n + 3)).astype(np.int32)
+            for z in (big[:, 1 : k + 1, 2 : n + 2], big[::-2, k:0:-1, n + 1 : 1 : -1]):
+                got = _batch._gram(z, form, p)
+                assert got.shape == (len(z), k, k)
+                assert (got == _gram_definition(z, g, p)).all(), (n, k)
+            empty = np.zeros((0, k, n), dtype=np.int32)
+            assert _batch._gram(empty, form, p).shape == (0, k, k)
+
+
+def test_gram_at_the_int32_bound():
+    # n = 16 at p = 997: with G all ones and z all p - 1 each of the 256
+    # terms is (p - 1)^2
+    p, n = 997, 16
+    z = np.full((3, 4, n), p - 1, dtype=np.int32)
+    upper = np.triu(np.full((n, n), p - 1), 1)
+    for g in (np.full((n, n), p - 1), np.ones((n, n), dtype=np.int64), upper + upper.T * (p - 1) % p):
+        assert (_batch._gram(z, _batch._form(g, p), p) == _gram_definition(z, g, p)).all()
+    assert (_batch._gram(z, _batch._form(np.zeros((n, n)), p), p) == 0).all()
+
+
+@pytest.mark.parametrize("p", [3, 997])
+def test_gram_rank_matches_batch_rank(p, monkeypatch):
+    rng = np.random.default_rng(p)
+    for k in range(5):
+        g = rng.integers(0, p, size=(50, k, k)).astype(np.int32)
+        g[:5] = 0
+        assert (_batch._gram_rank(g.copy(), p) == _batch.batch_rank(g.copy(), p)).all(), k
+    # 3 x 3 stacks forced to each rank as products (3 x r)(r x 3); only the
+    # singular ones may reach batch_rank
+    stacks = [np.zeros((20, 3, 3), dtype=np.int32)]
+    for r in (1, 2, 3):
+        a = rng.integers(0, p, size=(200, 3, r))
+        b = rng.integers(0, p, size=(200, r, 3))
+        stacks.append((a @ b % p).astype(np.int32))
+    g = np.concatenate(stacks)
+    want = _batch.batch_rank(g.copy(), p)
+    assert set(want.tolist()) == {0, 1, 2, 3}
+    seen = []
+    rank = _batch.batch_rank
+
+    def spy(a, q):
+        seen.append(len(a))
+        return rank(a, q)
+
+    monkeypatch.setattr(_batch, "batch_rank", spy)
+    assert (_batch._gram_rank(g, p) == want).all()
+    assert seen == [int((want < 3).sum())]
 
 
 def test_missing_witness_refused():
