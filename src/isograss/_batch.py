@@ -94,6 +94,18 @@ def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
     return rank
 
 
+def meet_dims(mats: np.ndarray, k, rows: np.ndarray, p: int) -> np.ndarray:
+    """dim(X cap Y) = k + len(rows) - rank[X; rows] for each k-dimensional
+    row space X of the stack ``mats`` (N, r, n), with Y the row space of the
+    independent ``rows`` (d, n).  Rows of X beyond a basis, such as zero
+    padding, do not change the rank."""
+    n_items, r, n = mats.shape
+    stack = np.empty((n_items, r + len(rows), n), dtype=np.int32)
+    stack[:, :r] = mats
+    stack[:, r:] = rows
+    return k + len(rows) - batch_rank(stack, p)
+
+
 def free_positions(n: int, pattern: Sequence[int]) -> list[tuple[int, int]]:
     """Row-major free entry slots of an RREF matrix with the given pivots."""
     pivots = set(pattern)
@@ -149,11 +161,11 @@ def iter_chunks(n: int, k: int, p: int, start: int, stop: int, chunk: int):
         idx += block
 
 
-def _form(gram, p: int) -> tuple:
+def form_terms(gram, p: int) -> tuple:
     """The nonzero terms of a symmetric or alternating Gram matrix G, as
     ``_gram`` reads them: (rows i, columns j, the values G_ij shaped
     (terms, 1, 1), or None when all are 1, and 1 if G is alternating,
-    else 0)."""
+    else 0).  Built once per walk or classifier call."""
     g = np.asarray(gram) % p
     rows, cols = np.nonzero(g)
     vals = g[rows, cols].astype(np.int32)
@@ -165,7 +177,7 @@ def _form(gram, p: int) -> tuple:
 def _gram(z: np.ndarray, form: tuple, p: int) -> np.ndarray:
     """Gram matrices ``z G z^T mod p`` of a stack of row blocks, shape (N, k, k).
 
-    ``form`` is ``_form(G, p)``.  Entry (a, b) sums one product of columns
+    ``form`` is ``form_terms(G, p)``.  Entry (a, b) sums one product of columns
     z_a[i] * (G_ij z_b[j] mod p) per nonzero G_ij.  Only the entries a <= b
     are computed, a < b for an alternating G, whose diagonal is zero; the
     others are mirrored, with a sign flip for an alternating G.
@@ -191,12 +203,16 @@ def _gram(z: np.ndarray, form: tuple, p: int) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
-def _gram_rank(g: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a stack of k x k Gram matrices; closed form for k <= 3, where
-    only the singular 3 x 3 ones go to ``batch_rank``."""
+def _gram_rank(g: np.ndarray, p: int, skew: int) -> np.ndarray:
+    """Ranks of a stack of k x k Gram matrices, alternating if ``skew``;
+    closed form for k <= 3, where only the singular symmetric 3 x 3 ones go
+    to ``batch_rank``."""
     k = g.shape[1]
     if k == 0:
         return np.zeros(len(g), dtype=np.int64)
+    if skew and k <= 3:
+        # an alternating matrix has even rank: below 4 rows, 2 or 0
+        return 2 * g.any(axis=(1, 2)).astype(np.int64)
     if k == 1:
         return (g[:, 0, 0] != 0).astype(np.int64)
     if k == 2:
@@ -220,7 +236,7 @@ def _gram_rank(g: np.ndarray, p: int) -> np.ndarray:
 def _pack(space, forms, blocks) -> np.ndarray:
     """Label codes from each factor's graded piece.
 
-    ``forms[i]`` is ``_form`` of factor i's Gram matrix.  ``blocks[i]`` is
+    ``forms[i]`` is ``form_terms`` of factor i's Gram matrix.  ``blocks[i]`` is
     ``(k_i, z_i)``: the dimension of graded piece i (an int shared by the
     stack, or one int per item) and a stack (N, rows, n_i) of block-i rows
     spanning it, any other rows zero.  r_i is the rank of their Gram
@@ -234,7 +250,7 @@ def _pack(space, forms, blocks) -> np.ndarray:
     # significant; the radix product is at most 8^n <= 8^16, far inside int64
     packed = 0
     for (k_i, z), form, d, f in zip(blocks, forms, space.dims, space.factors):
-        r_i = _gram_rank(_gram(z, form, p), p)
+        r_i = _gram_rank(_gram(z, form, p), p, form[3])
         rcode = r_i + 2
         half = d // 2
         # a walk chunk shares one int k_i, so most chunks skip the mask
@@ -243,12 +259,7 @@ def _pack(space, forms, blocks) -> np.ndarray:
             if need.size:
                 if f.witness is None:
                     raise ValueError("split witness required to separate the two components")
-                # dim(graded cap W) = k_i + half - dim(graded + W)
-                rows = z.shape[1]
-                stack = np.zeros((need.size, rows + half, d), dtype=np.int32)
-                stack[:, :rows] = z[need]
-                stack[:, rows:] = f.witness.basis
-                inter = 2 * half - batch_rank(stack, p)
+                inter = meet_dims(z[need], half, f.witness.basis, p)
                 rcode[need] = np.where(inter % 2 == half % 2, 0, 1)
         packed = packed * ((d + 1) * (d + 3)) + k_i * (d + 3) + rcode
     return packed
@@ -284,7 +295,7 @@ def classify_batch(space, mats: np.ndarray) -> np.ndarray:
         in_block = row_block == i
         z = np.where(in_block[:, :, None], mats[:, :, offsets[i] : offsets[i + 1]], 0)
         blocks.append((in_block.sum(axis=1), z))
-    return _pack(space, [_form(f.gram, p) for f in space.factors], blocks)
+    return _pack(space, [form_terms(f.gram, p) for f in space.factors], blocks)
 
 
 def decode(dims: Sequence[int], code) -> tuple[tuple[int, int | str], ...]:
@@ -323,7 +334,7 @@ def classify_counts(
         stop = gaussian_binomial(n, k)(p)
     offsets = np.cumsum((0,) + dims)
     block_of = np.repeat(np.arange(len(dims)), dims)
-    forms = [_form(f.gram, p) for f in space.factors]
+    forms = [form_terms(f.gram, p) for f in space.factors]
     raw: Counter = Counter()
     held, size = [], 0  # codes not tallied yet: one np.unique per 2^16 of them
     for pattern, lo, hi in iter_chunks(n, k, p, start, stop, chunk):
@@ -352,6 +363,7 @@ def _tally(raw: Counter, held: list) -> None:
     raw.update(dict(zip(uniq.tolist(), cnt.tolist())))
 
 
-def isotropic_filter(mats: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray:
-    """Boolean mask of batch items whose row space is isotropic for gram."""
-    return ~_gram(mats, _form(gram, p), p).any(axis=(1, 2))
+def isotropic_filter(mats: np.ndarray, form: tuple, p: int) -> np.ndarray:
+    """Boolean mask of batch items whose row space is isotropic for the form
+    with ``form_terms`` ``form``."""
+    return ~_gram(mats, form, p).any(axis=(1, 2))

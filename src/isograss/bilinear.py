@@ -168,17 +168,6 @@ def subquotient(
     return comp, BilinearSpace(comp.shape[0], p, space.form_type, pairing(space, comp, comp))
 
 
-def discriminant_class(space: BilinearSpace, rows: np.ndarray) -> int:
-    """Square class (+1 residue / -1 nonresidue) of det of the restricted Gram.
-
-    Only meaningful when the restriction is nondegenerate; raises otherwise.
-    """
-    d = det_mod(pairing(space, rows, rows), space.p)
-    if d == 0:
-        raise ValueError("restricted form is degenerate")
-    return _legendre(d, space.p)
-
-
 def _legendre(a: int, p: int) -> int:
     v = pow(a % p, (p - 1) // 2, p)
     return 1 if v == 1 else -1

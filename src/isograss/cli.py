@@ -245,7 +245,7 @@ def cmd_fibers(
                 "prime": p,
                 "target_label": label_to_json(sub),
                 "fiber_size": len(fiber),
-                "invariants": sorted({fiber_invariants(space, datum) for datum in fiber}),
+                "invariants": sorted(set(fiber_invariants(space, rep, fiber))),
             }
         )
         if sub == label:

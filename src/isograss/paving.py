@@ -98,7 +98,7 @@ class Paving:
         mats = mats % p
         if (_batch.batch_rank(mats.copy(), p) != mats.shape[1]).any():
             raise ValueError("basis rows are dependent")
-        if not _batch.isotropic_filter(mats, space.gram, p).all():
+        if not _batch.isotropic_filter(mats, _batch.form_terms(space.gram, p), p).all():
             raise NotIsotropic("subspace is not isotropic")
         return self._root.classify(mats, p)
 
@@ -270,17 +270,18 @@ def isotropic_bases(space: BilinearSpace, k: int, budget: int | None = DEFAULT_B
     """Stacks (N, k, n) of the RREF bases of all isotropic k-subspaces, in
     enumeration order, each of at least 2^14 items but the last.
 
-    The isotropy test runs on each chunk of candidate bases at once.
+    The isotropy test runs on each chunk of candidate bases at once, from
+    the form's terms built once per walk.
     """
     n, p = space.n, space.p
     total = subspace_total(n, k, p)
     if budget is not None and total > budget:
         raise BudgetExceeded(total, budget)
-    gram = np.asarray(space.gram)
+    form = _batch.form_terms(space.gram, p)
     chunk, held, size = 1 << 14, [], 0
     for pattern, lo, hi in _batch.iter_chunks(n, k, p, 0, total, chunk):
         mats = _batch.pattern_matrices(n, k, p, pattern, lo, hi)
-        held.append(mats[_batch.isotropic_filter(mats, gram, p)])
+        held.append(mats[_batch.isotropic_filter(mats, form, p)])
         size += len(held[-1])
         if size >= chunk:
             yield np.concatenate(held)

@@ -150,7 +150,7 @@ def _level(space: SumSpace, label: MultiLabel, j: int, ceiling: Subspace,
     ceiling M; both lie in B_{<=j}, so the cut is to M_le = M cap B_{<=j}.
     Each contains B_{<j}, so with Mj the block-j projection of M_le
     (kernel M cap B_{<j}), for P~ of dim t
-        dim up = dim M_le + t - rank [Mj; P~]
+        dim up = dim M_le - dim Mj + dim(P~ cap Mj)
         dim uh = dim M_le - rank <Mj, P~>,
     two batched ranks per stack, and only survivors are built.  Under the
     full ceiling every candidate survives (valid labels have
@@ -166,9 +166,7 @@ def _level(space: SumSpace, label: MultiLabel, j: int, ceiling: Subspace,
     level = []
     for mats in _base_stacks(space, label, j, budget):
         if prune:
-            n_items, t, _ = mats.shape
-            stack = np.concatenate([np.broadcast_to(mj, (n_items,) + mj.shape), mats], axis=1)
-            up_dim = m_le.dim + t - _batch.batch_rank(stack, p)
+            up_dim = (m_le.dim - len(mj)) + _batch.meet_dims(mats, mats.shape[1], mj, p)
             uh_dim = m_le.dim - _batch.batch_rank(mj_gram @ mats.transpose(0, 2, 1) % p, p)
             mats = mats[(up_dim >= pdim) & (uh_dim >= hdim)]
         for basis in mats:
@@ -217,21 +215,27 @@ def tower_points(
     return list(_walk(space, label, full_subspace(space.n, space.p), budget))
 
 
-def fiber_invariants(space: SumSpace, datum: FlagDatum) -> tuple[tuple[int, int, int], ...]:
-    """Per factor, with M the datum's target: dim P_i cap B_{<i},
-    dim H_i cap B_{<i}, dim P_i cap (rad pr_i M + B_{<i})."""
-    out = []
+def fiber_invariants(space: SumSpace, target: Subspace, data: list[FlagDatum]) -> list:
+    """Per point of a fiber over ``target`` M, per factor: dim P_i cap B_{<i},
+    dim H_i cap B_{<i}, dim P_i cap (rad pr_i M + B_{<i}).  The two bounds
+    are built once for the fiber, and each meet is one batched rank over
+    the stacked P_i or H_i bases."""
+    if not data:
+        return []
+    p = space.p
+    columns = []
     for i, f in enumerate(space.factors):
-        prefix = space.prefix_plus(i, zero_subspace(f.n, space.p))
-        enlarged = space.prefix_plus(i, radical(f, space.project_factor(datum.target, i)))
-        out.append(
-            (
-                subspace_intersect(datum.ps[i], prefix).dim,
-                subspace_intersect(datum.hs[i], prefix).dim,
-                subspace_intersect(datum.ps[i], enlarged).dim,
-            )
-        )
-    return tuple(out)
+        prefix = space.prefix_plus(i, zero_subspace(f.n, p)).basis
+        enlarged = space.prefix_plus(i, radical(f, space.project_factor(target, i))).basis
+        ps = np.stack([datum.ps[i].basis for datum in data])
+        hs = np.stack([datum.hs[i].basis for datum in data])
+        pdim, hdim = ps.shape[1], hs.shape[1]
+        columns.append(zip(
+            _batch.meet_dims(ps, pdim, prefix, p).tolist(),
+            _batch.meet_dims(hs, hdim, prefix, p).tolist(),
+            _batch.meet_dims(ps, pdim, enlarged, p).tolist(),
+        ))
+    return list(zip(*columns))
 
 
 def tower_fiber(
@@ -383,21 +387,17 @@ def cover_fiber(
     """
     fiber = tower_fiber(space, label, target, budget=budget)
     points = list(_cover_over(space, label, fiber, budget))
-    factors = cover_factors(space, label)
-
-    refs: dict[int, Subspace] = {}
-    colorings = set()
-    factor_values: dict[int, set] = {i: set() for i in factors}
-    for pt in points:
-        colors = []
-        for i in factors:
-            qt = pt.qtildes[i]
-            factor_values[i].add(qt)
-            ref = refs.setdefault(i, qt)
-            colors.append((subspace_intersect(qt, ref).dim - qt.dim) % 2)
-        colorings.add(tuple(colors))
-    factor_sizes = {i: len(v) for i, v in factor_values.items()}
-    return points, len(colorings), factor_sizes
+    factor_sizes = {}
+    colors = np.zeros((len(points), 0), dtype=np.int64)  # one column per cover factor
+    for i in cover_factors(space, label):
+        qts = [pt.qtildes[i] for pt in points]
+        factor_sizes[i] = len(set(qts))
+        if qts:
+            # colored against the first point's Q~_i
+            d = qts[0].dim
+            meets = _batch.meet_dims(np.stack([qt.basis for qt in qts]), d, qts[0].basis, space.p)
+            colors = np.column_stack([colors, (meets - d) % 2])
+    return points, len(set(map(tuple, colors.tolist()))), factor_sizes
 
 
 def expected_cover_fiber_space(space: SumSpace, label: MultiLabel, target: Subspace, i: int) -> BilinearSpace:

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import batch_rank
+from ._batch import meet_dims
 from .bilinear import (
     SKEW,
     SYMMETRIC,
     BilinearSpace,
-    DiscriminantMismatch,
     apply_isometry,
-    discriminant_class,
     pairing,
     standard_space,
     transport_isometry,
@@ -256,17 +254,6 @@ def _sample_flags(space: BilinearSpace, budget):
     return flags
 
 
-def _meet_dims(mats: np.ndarray, flag, p: int) -> np.ndarray:
-    """dim(h cap m) = k + dim m - rank[h; m] for each basis h of the stack
-    ``mats`` and each member m of ``flag``, shape (N, len(flag))."""
-    n_items, k, n = mats.shape
-    out = np.zeros((n_items, len(flag)), dtype=np.int64)
-    for c, m in enumerate(flag):
-        stack = np.concatenate([mats, np.broadcast_to(m.basis, (n_items, m.dim, n))], axis=1)
-        out[:, c] = k + m.dim - batch_rank(stack, p)
-    return out
-
-
 def suite_paving(primes=(3, 5), budget=DEFAULT_BUDGET):
     out = []
     for form, n in PAVING_FORMS:
@@ -287,7 +274,10 @@ def suite_paving(primes=(3, 5), budget=DEFAULT_BUDGET):
                     for mats in walk:
                         idx = paving.classify(mats)
                         counts += np.bincount(idx, minlength=len(pieces))
-                        varies += int((_meet_dims(mats, flag, p) != want[idx]).any(axis=1).sum())
+                        off = np.zeros(len(mats), dtype=bool)
+                        for c, m in enumerate(flag):
+                            off |= meet_dims(mats, k, m.basis, p) != want[idx, c]
+                        varies += int(off.sum())
                     bad += [f"k={k} flag-len={len(flag)}: invariants vary"] * varies
                     for piece, c in zip(pieces, counts.tolist()):
                         if c != p**piece.affine_dim:
@@ -523,22 +513,16 @@ def suite_witt(specs=GRID_SPACES, primes=(3, 5), pairs_per_space=1000, seed=2024
                         fails.append(f"pairing table fails for {h}")
                         done += 1
                         continue
-                    r = len(ws.m2)
-                    disc = None
-                    if amb.form_type == SYMMETRIC and r:
-                        disc = discriminant_class(amb, ws.m2)
-                    key = (k, r, disc)
+                    # the table identity makes delta_2 the discriminant class of
+                    # h / rad h, and with k and r it fixes delta_3: these are
+                    # the (k, r, class) buckets, where transport cannot refuse
+                    key = (k, len(ws.m2), ws.deltas)
                     prev = buckets.get(key)
                     buckets[key] = (h, ws)
                     if prev is None:
                         continue
                     other, other_ws = prev
-                    try:
-                        g = transport_isometry(amb, other_ws, ws)
-                    except DiscriminantMismatch as e:
-                        fails.append(f"unexpected obstruction: {e}")
-                        done += 1
-                        continue
+                    g = transport_isometry(amb, other_ws, ws)
                     if ((g.T @ amb.gram @ g - amb.gram) % p).any():
                         fails.append("not an isometry")
                     if apply_isometry(g, other) != h:

@@ -15,6 +15,7 @@ from isograss.linalg import (
     random_subspace,
     rank_mod,
     span,
+    subspace_intersect,
     subspace_total,
     zero_subspace,
 )
@@ -408,6 +409,29 @@ def test_walk_skips_elimination(monkeypatch):
         assert sum(counts.values()) == gaussian_binomial(5, k)(5)
 
 
+@pytest.mark.parametrize("p", [3, 997])
+def test_meet_dims_matches_subspace_intersect(p):
+    # k-dimensional row spaces X, some padded with zero rows, against row
+    # spaces Y of every dimension, the empty one included, and an empty stack
+    rng = np.random.default_rng(p)
+    n = 6
+    for k in range(n + 1):
+        xs = [random_subspace(n, k, p, rng) for _ in range(8)]
+        mats = np.zeros((len(xs), k + 2, n), dtype=np.int64)
+        for x, mat in zip(xs, mats):
+            rows = rng.permutation(k + 2)[:k]  # zero rows interleaved
+            mat[rows] = x.basis
+        for d in range(n + 1):
+            y = random_subspace(n, d, p, rng)
+            got = _batch.meet_dims(mats, k, y.basis, p)
+            assert got.tolist() == [subspace_intersect(x, y).dim for x in xs], (k, d)
+            assert _batch.meet_dims(mats[:0], k, y.basis, p).shape == (0,)
+    # a meet with the zero space, and with one X per item of the stack
+    x = random_subspace(n, 3, p, rng)
+    assert _batch.meet_dims(x.basis[None], 3, np.zeros((0, n), dtype=np.int64), p).tolist() == [0]
+    assert _batch.meet_dims(x.basis[None], 3, x.basis, p).tolist() == [3]
+
+
 def _random_gram(rng, n, p, skew):
     a = rng.integers(0, p, size=(n, n))
     return (a - a.T) % p if skew else (a + a.T) % p
@@ -424,7 +448,7 @@ def test_gram_matches_definition(p, skew):
     rng = np.random.default_rng(p + skew)
     for n in range(1, 17):
         g = _random_gram(rng, n, p, skew)
-        form = _batch._form(g, p)
+        form = _batch.form_terms(g, p)
         for k in range(5):
             # reversed, strided views into a larger stack, as classify_counts
             # slices the walk's matrices
@@ -444,8 +468,8 @@ def test_gram_at_the_int32_bound():
     z = np.full((3, 4, n), p - 1, dtype=np.int32)
     upper = np.triu(np.full((n, n), p - 1), 1)
     for g in (np.full((n, n), p - 1), np.ones((n, n), dtype=np.int64), upper + upper.T * (p - 1) % p):
-        assert (_batch._gram(z, _batch._form(g, p), p) == _gram_definition(z, g, p)).all()
-    assert (_batch._gram(z, _batch._form(np.zeros((n, n)), p), p) == 0).all()
+        assert (_batch._gram(z, _batch.form_terms(g, p), p) == _gram_definition(z, g, p)).all()
+    assert (_batch._gram(z, _batch.form_terms(np.zeros((n, n)), p), p) == 0).all()
 
 
 @pytest.mark.parametrize("p", [3, 997])
@@ -454,7 +478,7 @@ def test_gram_rank_matches_batch_rank(p, monkeypatch):
     for k in range(5):
         g = rng.integers(0, p, size=(50, k, k)).astype(np.int32)
         g[:5] = 0
-        assert (_batch._gram_rank(g.copy(), p) == _batch.batch_rank(g.copy(), p)).all(), k
+        assert (_batch._gram_rank(g.copy(), p, 0) == _batch.batch_rank(g.copy(), p)).all(), k
     # 3 x 3 stacks forced to each rank as products (3 x r)(r x 3); only the
     # singular ones may reach batch_rank
     stacks = [np.zeros((20, 3, 3), dtype=np.int32)]
@@ -473,8 +497,28 @@ def test_gram_rank_matches_batch_rank(p, monkeypatch):
         return rank(a, q)
 
     monkeypatch.setattr(_batch, "batch_rank", spy)
-    assert (_batch._gram_rank(g, p) == want).all()
+    assert (_batch._gram_rank(g, p, 0) == want).all()
     assert seen == [int((want < 3).sum())]
+
+
+@pytest.mark.parametrize("p", [3, 997])
+def test_skew_gram_rank_is_closed_form(p, monkeypatch):
+    # an alternating Gram of size <= 3 has rank 2 or 0; no batch_rank call
+    rng = np.random.default_rng(p)
+    cases = []
+    for k in range(4):
+        a = rng.integers(0, p, size=(60, k, k))
+        g = ((a - a.transpose(0, 2, 1)) % p).astype(np.int32)
+        g[:5] = 0
+        cases.append((g, _batch.batch_rank(g.copy(), p)))
+    assert set(cases[3][1].tolist()) == {0, 2}
+
+    def refuse(a, q):
+        raise AssertionError("batch_rank called")
+
+    monkeypatch.setattr(_batch, "batch_rank", refuse)
+    for g, rank in cases:
+        assert (_batch._gram_rank(g, p, 1) == rank).all()
 
 
 def test_missing_witness_refused():

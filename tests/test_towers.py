@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from isograss import towers
+from isograss import bilinear, towers
 from isograss.bilinear import SKEW, SYMMETRIC, perp, radical, standard_space
 from isograss.cli import parse_label_arg
 from isograss.linalg import (
@@ -13,6 +13,7 @@ from isograss.linalg import (
     span,
     subspace_intersect,
     subspaces_between,
+    zero_subspace,
 )
 from isograss.orbits import DOUBLEPRIME0, PRIME0
 from isograss.paving import isotropic_subspaces
@@ -37,7 +38,7 @@ from isograss.towers import (
     tower_fiber,
     tower_points,
 )
-from isograss.verify import GRID_SPACES
+from isograss.verify import GRID_SPACES, closure_relation
 
 
 def single_resolution(space, k, r):
@@ -442,6 +443,67 @@ def _stratum_points(space, label):
             yield h
 
 
+def scalar_fiber_invariants(space, datum):
+    """The definitional fiber invariants of one point, with M its target:
+    per factor dim P_i cap B_{<i}, dim H_i cap B_{<i} and
+    dim P_i cap (rad pr_i M + B_{<i}), one subspace_intersect each."""
+    out = []
+    for i, f in enumerate(space.factors):
+        prefix = space.prefix_plus(i, zero_subspace(f.n, space.p))
+        enlarged = space.prefix_plus(i, radical(f, space.project_factor(datum.target, i)))
+        out.append((
+            subspace_intersect(datum.ps[i], prefix).dim,
+            subspace_intersect(datum.hs[i], prefix).dim,
+            subspace_intersect(datum.ps[i], enlarged).dim,
+        ))
+    return tuple(out)
+
+
+def test_fiber_invariants_match_scalar_oracle():
+    # every (label, sub) pair whose fiber the fibers suite interpolates, on
+    # the grid at p = 3, then one fiber of 1,024 points with two classes
+    cases = []
+    for spec in GRID_SPACES:
+        space = build_sum_space(spec, 3)
+        for k in range(space.n + 1):
+            for label, below in closure_relation(spec, k, 3, 10**6, {}).items():
+                cases += [(space, label, sub) for sub in below]
+    big = build_sum_space("O2+O3", 31)
+    cases.append((big, parse_label_arg("1:1,2:1"), parse_label_arg("2:2,1:0")))
+    for space, label, sub in cases:
+        rep = canonical_representative(space, sub)
+        fiber = tower_fiber(space, label, rep)
+        got = fiber_invariants(space, rep, fiber)
+        assert got == [scalar_fiber_invariants(space, datum) for datum in fiber], (space, str(label), str(sub))
+    assert len(fiber) == 1024 and len(set(got)) == 2
+    assert len(cases) > 100
+
+
+def test_fiber_invariants_cost_no_scalar_meet_per_point(monkeypatch):
+    # the bounds are built once per fiber: a 1-point and a 1,024-point fiber
+    # make the same subspace_intersect calls
+    calls = Counter()
+    for module in (towers, bilinear):
+        real = module.subspace_intersect
+
+        def counted(*args, real=real):
+            calls["meet"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, "subspace_intersect", counted)
+    space = build_sum_space("O2+O3", 31)
+    label = parse_label_arg("1:1,2:1")
+    made = []
+    for sub in (label, parse_label_arg("2:2,1:0")):
+        rep = canonical_representative(space, sub)
+        fiber = tower_fiber(space, label, rep)
+        calls.clear()
+        fiber_invariants(space, rep, fiber)
+        made.append((len(fiber), calls["meet"]))
+    assert [size for size, _ in made] == [1, 1024]
+    assert made[0][1] == made[1][1] == space.m, made  # one radical per factor
+
+
 def test_fiber_invariant_groups_are_paved():
     # grouping fiber points by the three chain invariants gives unions of
     # paving pieces: each group size interpolates to a polynomial with
@@ -456,8 +518,7 @@ def test_fiber_invariant_groups_are_paved():
             space = build_sum_space(spec, p)
             rep = canonical_representative(space, sub)
             fiber = tower_fiber(space, label, rep)
-            for datum in fiber:
-                inv = fiber_invariants(space, datum)
+            for inv in fiber_invariants(space, rep, fiber):
                 groups.setdefault(inv, {}).setdefault(p, 0)
                 groups[inv][p] += 1
         for inv, sizes in groups.items():
