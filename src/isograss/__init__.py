@@ -19,7 +19,6 @@ from .bilinear import (
 from .linalg import (
     BudgetExceeded,
     Subspace,
-    block_project,
     enumerate_subspaces,
     span,
     subspace_intersect,

@@ -106,6 +106,14 @@ def meet_dims(mats: np.ndarray, k, rows: np.ndarray, p: int) -> np.ndarray:
     return k + len(rows) - batch_rank(stack, p)
 
 
+def same_ruling(mats: np.ndarray, k: int, ref: np.ndarray, p: int) -> np.ndarray:
+    """Whether each k-dimensional row space of the stack ``mats`` lies in the
+    ruling of the k-dimensional row space of ``ref``: two maximal isotropics
+    of an even symmetric space share a ruling iff their meet has the parity
+    of k.  This is the one home of the "0p"/"0pp" split."""
+    return (meet_dims(mats, k, ref, p) - k) % 2 == 0
+
+
 def free_positions(n: int, pattern: Sequence[int]) -> list[tuple[int, int]]:
     """Row-major free entry slots of an RREF matrix with the given pivots."""
     pivots = set(pattern)
@@ -259,8 +267,7 @@ def _pack(space, forms, blocks) -> np.ndarray:
             if need.size:
                 if f.witness is None:
                     raise ValueError("split witness required to separate the two components")
-                inter = meet_dims(z[need], half, f.witness.basis, p)
-                rcode[need] = np.where(inter % 2 == half % 2, 0, 1)
+                rcode[need] = np.where(same_ruling(z[need], half, f.witness.basis, p), 0, 1)
         packed = packed * ((d + 1) * (d + 3)) + k_i * (d + 3) + rcode
     return packed
 

@@ -27,11 +27,10 @@ from .linalg import (
     det_mod,
     full_subspace,
     inv_mod,
+    kernel_span,
     left_kernel,
     rank_mod,
     span,
-    subspace_intersect,
-    zero_subspace,
 )
 
 SYMMETRIC = "symmetric"
@@ -142,13 +141,17 @@ def perp(space: BilinearSpace, h: Subspace) -> Subspace:
         return full_subspace(space.n, space.p)
     # v @ (gram @ basis^T) == 0
     constraints = space.gram @ h.basis.T % space.p
-    ker = left_kernel(constraints, space.p)
-    return span(ker, space.n, space.p) if ker.size else zero_subspace(space.n, space.p)
+    # left_kernel returns its rows in RREF
+    return Subspace(left_kernel(constraints, space.p), space.n, space.p)
 
 
 def radical(space: BilinearSpace, h: Subspace) -> Subspace:
-    """Radical of the restricted form: h cap h^perp."""
-    return subspace_intersect(h, perp(space, h))
+    """Radical of the restricted form, h cap h^perp: the combinations x of
+    h's rows with x @ G = 0, for G the Gram of h's rows."""
+    if h.n != space.n or h.p != space.p:
+        raise ValueError("subspace lives in the wrong space")
+    gram = h.basis @ space.gram @ h.basis.T % space.p
+    return kernel_span(left_kernel(gram, space.p), h)
 
 
 def subquotient(
@@ -160,12 +163,10 @@ def subquotient(
     complete ``lower`` to ``upper``, and the quotient's Gram is the pairing
     of those rows.  Raises ValueError unless lower <= rad(upper).
     """
-    p = space.p
-    comp = complement_rows(lower.basis, upper.basis, p)
-    # dim(lower + upper) = dim lower + len(comp), which is dim upper iff lower <= upper
-    if lower.dim + comp.shape[0] != upper.dim or pairing(space, lower.basis, upper.basis).any():
+    if not upper.contains(lower) or pairing(space, lower.basis, upper.basis).any():
         raise ValueError("lower is not contained in the radical of upper")
-    return comp, BilinearSpace(comp.shape[0], p, space.form_type, pairing(space, comp, comp))
+    comp = complement_rows(lower.basis, upper.basis, space.p)
+    return comp, BilinearSpace(comp.shape[0], space.p, space.form_type, pairing(space, comp, comp))
 
 
 def _legendre(a: int, p: int) -> int:
@@ -221,7 +222,7 @@ def witt_decompose(space: BilinearSpace, h: Subspace) -> WittSplit:
         raise ValueError("witt_decompose needs a nondegenerate ambient form")
     n, p = space.n, space.p
     hperp = perp(space, h)
-    b1 = subspace_intersect(h, hperp).basis
+    b1 = radical(space, h).basis
     b2 = complement_rows(b1, h.basis, p)
     b3 = complement_rows(b1, hperp.basis, p)
     # M4 must pair perfectly with M1 and pair to zero with everything else,

@@ -6,14 +6,15 @@ Gauss-Jordan loop, behind ``rref``, ``rank_mod``, ``det_mod``,
 ``left_kernel`` and ``complement_rows``.  The matrices here have a few rows
 and columns, so per-element numpy indexing would cost more than the
 arithmetic.  Subspaces of F_p^n are kept in reduced row-echelon form, which
-makes equality, hashing and set membership structural.  Enumeration of
+makes equality, hashing and set membership structural, and reduces
+containment and intersection to ``Subspace.residue``.  Enumeration of
 Gr_k(F_p^n) is ordered by (pivot pattern, free entries), both
 lexicographic.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -141,12 +142,23 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    @property
+    def pivots(self) -> np.ndarray:
+        """The pivot column of each basis row: its first nonzero entry."""
+        if not self.n:  # argmax refuses the empty rows of F_p^0
+            return np.zeros(0, dtype=np.intp)
+        return np.argmax(self.basis != 0, axis=1)
+
+    def residue(self, rows) -> np.ndarray:
+        """``rows - rows[..., pivots] @ basis mod p`` for a stack of vectors of
+        any leading shape: linear, and zero exactly on the vectors of this
+        subspace, since the RREF basis is the identity on its pivot columns."""
+        rows = np.asarray(rows, dtype=np.int64) % self.p
+        return (rows - rows[..., self.pivots] @ self.basis) % self.p
+
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        if other.dim == 0:
-            return True
-        stacked = np.vstack([self.basis, other.basis])
-        return rank_mod(stacked, self.p) == self.dim
+        return not self.residue(other.basis).any()
 
     def _check_compatible(self, other: "Subspace"):
         if self.n != other.n or self.p != other.p:
@@ -203,17 +215,19 @@ def left_kernel(mat: np.ndarray, p: int) -> np.ndarray:
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     a._check_compatible(b)
-    if a.dim == 0 or b.dim == 0:
-        return zero_subspace(a.n, a.p)
-    if a.dim == a.n:
-        return b
-    if b.dim == b.n:
+    if a.dim == 0 or b.dim == b.n:
         return a
-    # Relations (x, y) with x @ A == y @ B are the left kernel of [A; -B].
-    stacked = np.vstack([a.basis, -b.basis % a.p])
-    ker = left_kernel(stacked, a.p)
-    combos = ker[:, : a.dim] @ a.basis % a.p
-    return Subspace(rref(combos, a.p), a.n, a.p)
+    if b.dim == 0 or a.dim == a.n:
+        return b
+    # x @ A lies in b iff b.residue(x @ A) = x @ b.residue(A) vanishes
+    return kernel_span(left_kernel(b.residue(a.basis), a.p), a)
+
+
+def kernel_span(ker: np.ndarray, h: Subspace) -> Subspace:
+    """The subspace spanned by ``ker @ h.basis``, for ``ker`` a ``left_kernel``
+    result with one column per row of h.  Both are RREF, and h's basis is
+    the identity on its pivot columns, so the product is already RREF."""
+    return Subspace(ker @ h.basis % h.p, h.n, h.p)
 
 
 class RowSolver:
@@ -230,18 +244,17 @@ class RowSolver:
         w = self.mat.shape[1]
         if red.shape[0] != m or not red[:, :w].any(axis=1).all():
             raise ValueError("matrix rows are dependent")
-        self.red = red[:, :w]
-        self.transform = red[:, w:]  # transform @ mat == red
-        self.pivots = [int(np.flatnonzero(row)[0]) for row in self.red]
+        self.row_space = Subspace(red[:, :w], w, p)
+        self.transform = red[:, w:]  # transform @ mat == row_space.basis
+        self.pivots = self.row_space.pivots
 
     def solve_rows(self, rows: np.ndarray) -> np.ndarray:
         """Coefficients x with x @ mat == v for every vector v in ``rows``, a
         stack of any leading shape; raises if some v is outside the row space."""
         rows = np.asarray(rows, dtype=np.int64) % self.p
-        x_red = rows[..., self.pivots]
-        if ((x_red @ self.red - rows) % self.p).any():
+        if self.row_space.residue(rows).any():
             raise ValueError("vector not in row space")
-        return x_red @ self.transform % self.p
+        return rows[..., self.pivots] @ self.transform % self.p
 
 
 def complement_rows(inner: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:
@@ -292,30 +305,7 @@ def intersect_prefix(h: Subspace, c: int) -> Subspace:
     """h intersected with the span of the first c coordinates."""
     if c >= h.n:
         return h
-    rows = h.basis
-    tail = rows[:, c:]
-    ker = left_kernel(tail, h.p)
-    combos = ker @ rows % h.p
-    return Subspace(rref(combos, h.p), h.n, h.p)
-
-
-def block_project(h: Subspace, blocks: Sequence[int], i: int) -> Subspace:
-    """Graded piece of h for the coordinate filtration given by ``blocks``.
-
-    With B_{<=i} the span of the first blocks, returns
-    (h cap B_{<=i}) / (h cap B_{<i}) as a subspace of the i-th block
-    (0-indexed), realized via the coordinate projection onto that block.
-    """
-    blocks = list(blocks)
-    if sum(blocks) != h.n:
-        raise ValueError(f"block widths {blocks} do not sum to ambient dim {h.n}")
-    if not 0 <= i < len(blocks):
-        raise ValueError(f"block index {i} out of range")
-    lo = sum(blocks[:i])
-    hi = lo + blocks[i]
-    upto = intersect_prefix(h, hi)
-    slab = upto.basis[:, lo:hi]
-    return Subspace(rref(slab, h.p), blocks[i], h.p)
+    return kernel_span(left_kernel(h.basis[:, c:], h.p), h)
 
 
 def random_matrix(rows: int, cols: int, p: int, rng: np.random.Generator) -> np.ndarray:
@@ -340,15 +330,14 @@ def subspaces_between(
     u, w = lower.dim, upper.dim
     if not (u <= d <= w):
         return
-    comp = complement_rows(lower.basis, upper.basis, lower.p)
-    # dim(lower + upper) = u + len(comp), which is w iff lower <= upper.
-    if u + comp.shape[0] != w:
+    if not upper.contains(lower):
         raise ValueError("lower is not contained in upper")
     if d in (u, w):  # the one subspace between: no enumeration
         if budget is not None and budget < 1:
             raise BudgetExceeded(1, budget)
         yield lower if d == u else upper
         return
+    comp = complement_rows(lower.basis, upper.basis, lower.p)
     for q in enumerate_subspaces(w - u, d - u, lower.p, budget=budget):
         mat = np.vstack([lower.basis, q.basis @ comp % lower.p])
         yield Subspace(rref(mat, lower.p), lower.n, lower.p)

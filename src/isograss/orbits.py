@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _batch
 from .bilinear import SKEW, SYMMETRIC, BilinearSpace, radical
-from .linalg import Subspace, subspace_intersect
+from .linalg import Subspace
 
 PRIME0 = "0p"
 DOUBLEPRIME0 = "0pp"
@@ -94,8 +95,8 @@ def label_of(space: BilinearSpace, h: Subspace) -> SingleLabel:
     """Orbit label of a subspace of a nondegenerate space.
 
     r = dim h - dim rad(h); for a maximal isotropic of an even-dimensional
-    symmetric space the component tag is read off the intersection parity
-    with the split witness, which must be attached to the space.
+    symmetric space the component tag is its ruling relative to the split
+    witness, which must be attached to the space.
     """
     if not space.is_nondegenerate():
         raise ValueError("label_of needs a nondegenerate space")
@@ -104,8 +105,8 @@ def label_of(space: BilinearSpace, h: Subspace) -> SingleLabel:
     if space.form_type == SYMMETRIC and space.n == 2 * k and r == 0 and k > 0:
         if space.witness is None:
             raise ValueError("split witness required to separate the two components")
-        inter = subspace_intersect(h, space.witness).dim
-        tag = PRIME0 if inter % 2 == k % 2 else DOUBLEPRIME0
+        same = _batch.same_ruling(h.basis[None], k, space.witness.basis, space.p)[0]
+        tag = PRIME0 if same else DOUBLEPRIME0
         return SingleLabel(space.form_type, space.n, k, tag)
     return SingleLabel(space.form_type, space.n, k, r)
 

@@ -36,6 +36,7 @@ from .bilinear import (
     check_standard_type,
     pairing,
     perp,
+    radical,
     standard_space,
     subquotient,
 )
@@ -45,7 +46,7 @@ from .linalg import (
     RowSolver,
     Subspace,
     enumerate_subspaces,
-    left_kernel,
+    full_subspace,
     span,
     subspace_intersect,
     subspace_total,
@@ -126,7 +127,6 @@ class _Step:
     gram_line: np.ndarray  # <v, L> = v @ gram_line
     solver: RowSolver  # coordinates in the basis [L; W] of Lp
     l_in_flag: tuple[int, ...]  # 1 for each flag member that contains L
-    nondegenerate: bool  # X3 exists
     sub: _Level  # W with the W-coordinates of the flag
 
 
@@ -144,8 +144,7 @@ class _Level:
     def step(self) -> _Step | None:
         """None when the space has no isotropic line."""
         space, flag, p = self.space, self.flag, self.space.p
-        rad_rows = left_kernel(space.gram, p)
-        line = _choose_line(space, flag, rad_rows)
+        line = _choose_line(space, flag)
         if line is None:
             return None
         lspan = span(line.reshape(1, -1), space.n, p)
@@ -156,7 +155,6 @@ class _Level:
             space.gram @ line % p,
             solver,
             tuple(int(m.contains(lspan)) for m in flag),
-            not rad_rows.shape[0],
             _Level(w_space, flag_w),
         )
 
@@ -182,7 +180,7 @@ class _Level:
             for sp in small
         ]
         pieces += [PavingPiece("2." + sp.piece_id, sp.affine_dim + k, sp.invariants) for sp in same]
-        if step.nondegenerate and small:
+        if space.is_nondegenerate() and small:
             # W (dimension n - 2) holds an isotropic (k-1)-space, so
             # 2(k - 1) <= n - 2 and the fiber rank is at least 0
             fiber = space.n - 2 * k + (1 if space.form_type == SKEW else 0)
@@ -231,10 +229,10 @@ class _Level:
         return out
 
 
-def _choose_line(space: BilinearSpace, flag, rad_rows: np.ndarray) -> np.ndarray | None:
-    """An isotropic line, or None; ``rad_rows`` spans the form's radical."""
-    if rad_rows.shape[0]:
-        rad = span(rad_rows, space.n, space.p)
+def _choose_line(space: BilinearSpace, flag) -> np.ndarray | None:
+    """An isotropic line, or None: in the form's radical when there is one."""
+    if not space.is_nondegenerate():
+        rad = radical(space, full_subspace(space.n, space.p))
         for m in flag:
             meet = subspace_intersect(rad, m)
             if meet.dim:

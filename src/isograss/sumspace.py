@@ -25,7 +25,8 @@ from .linalg import (
     BudgetExceeded,
     Subspace,
     as_prime,
-    block_project,
+    intersect_prefix,
+    rref,
     span,
     subspace_total,
     zero_subspace,
@@ -132,8 +133,10 @@ class SumSpace:
         return Subspace(rows, self.n, self.p)
 
     def project_factor(self, h: Subspace, i: int) -> Subspace:
-        """pr_i h = (h cap B_{<=i}) / (h cap B_{<i}), in B_i coordinates."""
-        return block_project(h, self.dims, i)
+        """pr_i h = (h cap B_{<=i}) / (h cap B_{<i}), in B_i coordinates: the
+        block-i columns of h cap B_{<=i}, whose kernel is h cap B_{<i}."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return Subspace(rref(intersect_prefix(h, hi).basis[:, lo:hi], self.p), self.dims[i], self.p)
 
     def __repr__(self):
         if self.spec:
@@ -243,7 +246,8 @@ def multilabel_of(space: SumSpace, h: Subspace) -> MultiLabel:
 
 def multilabels_of(space: SumSpace, subspaces) -> list[MultiLabel]:
     """``multilabel_of`` of each subspace, in order, computed by the bulk
-    classifier: one ``_batch.classify_batch`` call per dimension present."""
+    classifier: one ``_batch.classify_batch`` call per dimension present,
+    and one ``decode`` per distinct code."""
     subspaces = list(subspaces)
     if any(h.n != space.n or h.p != space.p for h in subspaces):
         raise ValueError("subspace lives in the wrong ambient space")
@@ -254,8 +258,10 @@ def multilabels_of(space: SumSpace, subspaces) -> list[MultiLabel]:
     for k, idx in by_dim.items():
         mats = np.array([subspaces[j].basis for j in idx], dtype=np.int32)
         codes = _batch.classify_batch(space, mats.reshape(len(idx), k, space.n))
-        for j, code in zip(idx, codes):
-            out[j] = _multilabel(_batch.decode(space.dims, code))
+        codes, inv = np.unique(codes, return_inverse=True)
+        labels = [_multilabel(_batch.decode(space.dims, code)) for code in codes]
+        for j, c in zip(idx, inv.tolist()):
+            out[j] = labels[c]
     return out
 
 

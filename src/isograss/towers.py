@@ -133,10 +133,10 @@ def _base_stacks(space: SumSpace, label: MultiLabel, j: int, budget: int):
     if rj not in (PRIME0, DOUBLEPRIME0):
         yield from isotropic_bases(f, kj - rj, budget=budget)
         return
-    single = SumSpace((f,))
+    if f.witness is None:
+        raise ValueError("split witness required to separate the two components")
     for mats in isotropic_bases(f, kj, budget=budget):
-        codes, inv = np.unique(_batch.classify_batch(single, mats), return_inverse=True)
-        keep = np.array([_batch.decode(single.dims, c)[0][1] == rj for c in codes])[inv]
+        keep = _batch.same_ruling(mats, kj, f.witness.basis, space.p) == (rj == PRIME0)
         if keep.any():
             yield mats[keep]
 
@@ -382,8 +382,7 @@ def cover_fiber(
     Returns (points, component_count, factor_sizes): per cover factor,
     ``factor_sizes[i]`` is the number of middle-isotropic choices, and the
     component count is the number of distinct tuples of ruling colors,
-    where two middle isotropics get the same color iff their intersection
-    dimension has the parity of their own dimension.
+    where two middle isotropics get the same color iff they share a ruling.
     """
     fiber = tower_fiber(space, label, target, budget=budget)
     points = list(_cover_over(space, label, fiber, budget))
@@ -394,9 +393,9 @@ def cover_fiber(
         factor_sizes[i] = len(set(qts))
         if qts:
             # colored against the first point's Q~_i
-            d = qts[0].dim
-            meets = _batch.meet_dims(np.stack([qt.basis for qt in qts]), d, qts[0].basis, space.p)
-            colors = np.column_stack([colors, (meets - d) % 2])
+            same = _batch.same_ruling(np.stack([qt.basis for qt in qts]), qts[0].dim,
+                                      qts[0].basis, space.p)
+            colors = np.column_stack([colors, same])
     return points, len(set(map(tuple, colors.tolist()))), factor_sizes
 
 

@@ -11,6 +11,7 @@ BudgetExceeded instead of failing a check, so callers can tell "wrong" from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .bilinear import (
 from .linalg import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    Subspace,
     random_subspace,
     span,
     subspace_sum,
@@ -233,25 +235,19 @@ def _single_below(a: MultiLabel, b: MultiLabel) -> bool:
 # paving
 # ---------------------------------------------------------------------------
 
-def _sample_flags(space: BilinearSpace, budget):
-    flags = [()]
-    lines = []
-    for h in isotropic_subspaces(space, 1, budget=budget):
-        lines.append(h)
-        if len(lines) == 3:
-            break
-    for line in lines[:2]:
-        flags.append((line,))
-    count = 0
-    for plane in isotropic_subspaces(space, 2, budget=budget):
-        for line in lines:
-            if plane.contains(line):
-                flags.append((line, plane))
-                count += 1
-                break
-        if count == 2:
-            break
-    return flags
+def _sample_flags(space: BilinearSpace, walks):
+    """The empty flag, the first two isotropic lines, and the first two
+    isotropic planes holding one of the first three lines, each with the
+    first such line: all read off ``walks``, the isotropic bases per k."""
+    def walk(k):
+        stacks = walks[k] if k < len(walks) else []
+        # pattern matrices are already RREF
+        return (Subspace(mat, space.n, space.p) for mats in stacks for mat in mats)
+
+    lines = list(islice(walk(1), 3))
+    planes = ((next((line for line in lines if plane.contains(line)), None), plane) for plane in walk(2))
+    held = islice(((line, plane) for line, plane in planes if line is not None), 2)
+    return [(), *((line,) for line in lines[:2]), *held]
 
 
 def suite_paving(primes=(3, 5), budget=DEFAULT_BUDGET):
@@ -262,7 +258,7 @@ def suite_paving(primes=(3, 5), budget=DEFAULT_BUDGET):
             # one walk of the isotropic k-subspaces serves every flag
             walks = [list(isotropic_bases(space, k, budget=budget)) for k in range(n // 2 + 1)]
             bad = []
-            for flag in _sample_flags(space, budget):
+            for flag in _sample_flags(space, walks):
                 paving = build_paving(space, flag)
                 for k, walk in enumerate(walks):
                     pieces = paving.pieces(k)
@@ -363,6 +359,7 @@ def _fiber_polynomiality(spec, primes, budget, only_k, rows):
     """Fiber sizes over canonical representatives interpolate exactly; over
     the label's own, degree 0 carries bijectivity's one point to every prime."""
     ref = build_sum_space(spec, 3)
+    spaces = {}  # one space per prime, built on first use
     bad = []
     for k in _krange(ref.n, only_k):
         for label, below in closure_relation(spec, k, 3, budget, rows).items():
@@ -372,7 +369,7 @@ def _fiber_polynomiality(spec, primes, budget, only_k, rows):
                 use = _primes_for_degree(primes, bound)
                 samples = []
                 for p in use:
-                    space = build_sum_space(spec, p)
+                    space = spaces.get(p) or spaces.setdefault(p, build_sum_space(spec, p))
                     rep = canonical_representative(space, sub)
                     samples.append((p, len(tower_fiber(space, label, rep, budget=budget))))
                 try:

@@ -106,6 +106,38 @@ def test_radical_examples():
     assert rank_mod(pairing(sp4, lagrangian.basis, lagrangian.basis), 3) == 0
 
 
+@pytest.mark.parametrize("p", [3, 997])
+def test_radical_is_h_meet_h_perp(p):
+    # on nondegenerate, degenerate and zero Grams, n = 0 included
+    rng = np.random.default_rng(p)
+    spaces = [standard_space(form, n, p) for form, n in ((SKEW, 0), (SKEW, 4), (SYMMETRIC, 0),
+                                                         (SYMMETRIC, 3), (SYMMETRIC, 4))]
+    spaces.append(BilinearSpace(3, p, SYMMETRIC, np.diag([0, 1, p - 1]).astype(np.int64)))
+    spaces.append(BilinearSpace(4, p, SYMMETRIC, np.zeros((4, 4), dtype=np.int64)))
+    skew = np.zeros((4, 4), dtype=np.int64)
+    skew[0, 1], skew[1, 0] = 1, p - 1  # rank 2
+    spaces.append(BilinearSpace(4, p, SKEW, skew))
+    for space in spaces:
+        n = space.n
+        subs = [zero_subspace(n, p), full_subspace(n, p)]
+        subs += [random_subspace(n, k, p, rng) for k in range(n + 1) for _ in range(3)]
+        for h in subs:
+            assert radical(space, h) == subspace_intersect(h, perp(space, h)), (space, h)
+
+
+def test_radical_builds_no_perp_and_no_meet(monkeypatch):
+    # the radical is the kernel of h's own Gram: no h^perp, no intersection
+    def refuse(*args):
+        raise AssertionError("radical built h^perp or an intersection")
+
+    o4 = standard_space(SYMMETRIC, 4, 3)
+    h = span([[1, 0, 0, 0], [0, 1, 1, 0]], 4, 3)
+    want = subspace_intersect(h, perp(o4, h))
+    monkeypatch.setattr("isograss.bilinear.perp", refuse)
+    monkeypatch.setattr("isograss.linalg.subspace_intersect", refuse)
+    assert radical(o4, h) == want == span([[1, 0, 0, 0]], 4, 3)
+
+
 def test_radical_parity_skew_exhaustive():
     space = standard_space(SKEW, 4, 3)
     for k in range(5):

@@ -10,7 +10,6 @@ from isograss.linalg import (
     RowSolver,
     Subspace,
     as_prime,
-    block_project,
     complement_rows,
     det_mod,
     enumerate_subspaces,
@@ -208,6 +207,44 @@ def test_modular_dimension_law_random():
             assert a.contains(i) and b.contains(i)
 
 
+def _stacked_meet(a, b):
+    """a cap b by the stacked-kernel definition: the relations (x, y) with
+    x @ A = y @ B are the left kernel of [A; -B]."""
+    p = a.p
+    if a.dim == 0 or b.dim == 0:
+        return zero_subspace(a.n, p)
+    ker = left_kernel(np.vstack([a.basis, -b.basis % p]), p)
+    return span(ker[:, : a.dim] @ a.basis % p, a.n, p)
+
+
+@pytest.mark.parametrize("p", [3, 997])
+def test_residue_contains_and_intersect_match_stacked_definitions(p):
+    # residue is linear and vanishes exactly on the subspace; contains is a
+    # rank comparison of the stacked bases; subspace_intersect is the
+    # stacked left kernel, on random pairs with zero and full subspaces
+    rng = np.random.default_rng(p)
+    pairs = []
+    for n in range(5):
+        subs = [zero_subspace(n, p), full_subspace(n, p)]
+        subs += [random_subspace(n, int(rng.integers(0, n + 1)), p, rng) for _ in range(6)]
+        # a subspace inside another and one sharing a line with it
+        for h in subs[2:5]:
+            if h.dim:
+                subs.append(span(h.basis[:1], n, p))
+                subs.append(span(np.vstack([h.basis[:1], random_matrix(1, n, p, rng)]), n, p))
+        pairs += [(a, b) for a in subs for b in subs]
+    for a, b in pairs:
+        vecs = random_matrix(3, a.n, p, rng)
+        coefs = random_matrix(2, 3, p, rng)
+        res = b.residue(vecs)
+        assert np.array_equal(b.residue(coefs @ vecs % p), coefs @ res % p)
+        inside = [rank_mod(np.vstack([b.basis, v]), p) == b.dim for v in vecs]
+        assert (~res.any(axis=1)).tolist() == inside
+        assert not b.residue(random_matrix(4, b.dim, p, rng) @ b.basis % p).any()
+        assert b.contains(a) == (rank_mod(np.vstack([b.basis, a.basis]), p) == b.dim)
+        assert subspace_intersect(a, b) == _stacked_meet(a, b)
+
+
 def test_ambient_mismatch():
     with pytest.raises(ValueError):
         subspace_sum(span([[1, 0]], 2, 3), span([[1, 0, 0]], 3, 3))
@@ -287,32 +324,6 @@ def test_enumeration_budget():
         assert e.estimate == gaussian_binomial(10, 5)(7)
 
 
-def test_block_project_examples():
-    p = 3
-    h = span([[1, 0, 0, 0], [0, 0, 1, 0]], 4, p)
-    pr0 = block_project(h, [2, 2], 0)
-    pr1 = block_project(h, [2, 2], 1)
-    assert pr0 == span([[1, 0]], 2, p)
-    assert pr1 == span([[1, 0]], 2, p)
-
-    inside_first = span([[1, 1, 0, 0]], 4, p)
-    assert block_project(inside_first, [2, 2], 1).dim == 0
-
-    diag = span([[1, 0, 1, 0]], 4, p)
-    assert block_project(diag, [2, 2], 0).dim == 0
-    assert block_project(diag, [2, 2], 1) == span([[1, 0]], 2, p)
-
-
-def test_block_project_dimension_identity_exhaustive():
-    # sum over blocks of dim pr_i h telescopes to dim h
-    p, n = 3, 4
-    blocks = [2, 2]
-    for k in range(n + 1):
-        for h in enumerate_subspaces(n, k, p):
-            total = sum(block_project(h, blocks, i).dim for i in range(2))
-            assert total == h.dim
-
-
 def test_intersect_prefix():
     h = span([[1, 0, 1], [0, 1, 1]], 3, 3)
     got = intersect_prefix(h, 2)
@@ -344,8 +355,11 @@ def test_subspaces_between_trivial_steps_skip_elimination(monkeypatch):
     lower = span([[1, 0, 0, 0]], 4, p)
     upper = span([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 4, p)
     calls = []
-    real = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(args) or real(*args))
+    # a trivial step neither eliminates nor builds the complement of lower in
+    # upper, which only the enumeration uses
+    for name in ("rref", "complement_rows"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, real=real: calls.append(args) or real(*args))
     assert list(subspaces_between(lower, upper, lower.dim)) == [lower]
     assert list(subspaces_between(lower, upper, upper.dim)) == [upper]
     assert not calls

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
+from isograss import _batch
 from isograss.bilinear import SKEW, SYMMETRIC, standard_space
-from isograss.linalg import enumerate_subspaces, span
+from isograss.linalg import enumerate_subspaces, rank_mod, span
 from isograss.orbits import (
     DOUBLEPRIME0,
     PRIME0,
@@ -12,6 +14,7 @@ from isograss.orbits import (
     orbit_dim,
     valid_labels,
 )
+from isograss.paving import isotropic_subspaces
 from isograss.polynomials import gaussian_binomial, interpolate_counts
 from isograss.sumspace import SumSpace, orbit_point_counts
 
@@ -65,6 +68,25 @@ def test_label_of_requires_witness():
     bare = BilinearSpace(2, 3, SYMMETRIC, np.array([[0, 1], [1, 0]]))
     with pytest.raises(ValueError):
         label_of(bare, span([[1, 0]], 2, 3))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_same_ruling_matches_label_of_tags(n):
+    # every maximal isotropic of O4 and O6 at p = 3: same_ruling against the
+    # witness, the stacked-rank parity of dim(h cap witness) and label_of's tag agree
+    p, k = 3, n // 2
+    space = standard_space(SYMMETRIC, n, p)
+    w = space.witness.basis
+    hs = list(isotropic_subspaces(space, k))
+    same = _batch.same_ruling(np.stack([h.basis for h in hs]), k, w, p)
+    tags = {PRIME0: 0, DOUBLEPRIME0: 0}
+    for h, s in zip(hs, same.tolist()):
+        meet = 2 * k - rank_mod(np.vstack([h.basis, w]), p)
+        assert s == (meet % 2 == k % 2)
+        tag = label_of(space, h).r
+        assert tag == (PRIME0 if s else DOUBLEPRIME0)
+        tags[tag] += 1
+    assert tags[PRIME0] == tags[DOUBLEPRIME0] == len(hs) // 2 > 0
 
 
 def test_orbit_dim_frozen():

@@ -215,7 +215,7 @@ def test_counts_at_k_zero_and_above_n_compute_no_step(monkeypatch):
     def no_step(*args):
         raise AssertionError("a level step was computed")
 
-    monkeypatch.setattr("isograss.paving.left_kernel", no_step)
+    monkeypatch.setattr("isograss.paving._choose_line", no_step)
     for form, n in ((SKEW, 2), (SKEW, 4), (SYMMETRIC, 1), (SYMMETRIC, 4)):
         assert iso_grassmannian_count(form, n, 0) == IntPolynomial([1])
         assert iso_grassmannian_count(form, n, n + 1) == IntPolynomial([])

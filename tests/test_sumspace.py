@@ -100,6 +100,33 @@ def test_enumerate_multilabels_examples():
     ]
 
 
+def test_project_factor_examples():
+    p = 3
+    b = build_sum_space("Sp2+O2", p)
+    h = span([[1, 0, 0, 0], [0, 0, 1, 0]], 4, p)
+    pr0 = b.project_factor(h, 0)
+    pr1 = b.project_factor(h, 1)
+    assert pr0 == span([[1, 0]], 2, p)
+    assert pr1 == span([[1, 0]], 2, p)
+
+    inside_first = span([[1, 1, 0, 0]], 4, p)
+    assert b.project_factor(inside_first, 1).dim == 0
+
+    diag = span([[1, 0, 1, 0]], 4, p)
+    assert b.project_factor(diag, 0).dim == 0
+    assert b.project_factor(diag, 1) == span([[1, 0]], 2, p)
+
+
+def test_project_factor_dimension_identity_exhaustive():
+    # sum over blocks of dim pr_i h telescopes to dim h
+    p, n = 3, 4
+    b = build_sum_space("Sp2+O2", p)
+    for k in range(n + 1):
+        for h in enumerate_subspaces(n, k, p):
+            total = sum(b.project_factor(h, i).dim for i in range(2))
+            assert total == h.dim
+
+
 def test_multilabel_of_examples():
     b = build_sum_space("Sp2+O2", 3)
     # block-diagonal: labels are the per-factor labels
@@ -536,12 +563,19 @@ def test_missing_witness_refused():
     assert sum(orbit_point_counts(b, 2).values()) == 1
 
 
-def test_multilabels_of_tower_targets():
+def test_multilabels_of_tower_targets(monkeypatch):
+    # the bulk labels match the oracle, with one decode per distinct code
+    calls = []
+    real = _batch.decode
+    monkeypatch.setattr(_batch, "decode", lambda *args: calls.append(args) or real(*args))
     b = build_sum_space("Sp2+O2", 3)
     for k in range(b.n + 1):
         for label in enumerate_multilabels(b, k):
             targets = [datum.target for datum in tower_points(b, label)]
-            assert multilabels_of(b, targets) == [multilabel_of(b, h) for h in targets]
+            calls.clear()
+            got = multilabels_of(b, targets)
+            assert len(calls) == len(set(got))
+            assert got == [multilabel_of(b, h) for h in targets]
 
 
 def _invertible(k, p, rng):

@@ -4,8 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from isograss import bilinear, towers
-from isograss.bilinear import SKEW, SYMMETRIC, perp, radical, standard_space
+from isograss import _batch, towers
+from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, perp, radical, standard_space
 from isograss.cli import parse_label_arg
 from isograss.linalg import (
     BudgetExceeded,
@@ -129,6 +129,24 @@ def test_tower_points_budget_bounds_base_choices():
     assert resolution_tower(o6, label).count_polynomial()(3) == 40
     with pytest.raises(BudgetExceeded):
         tower_points(o6, label, budget=1000)
+
+
+def test_ruling_filter_classifies_nothing(monkeypatch):
+    # a tag r_j keeps the P~_j candidates of its ruling by one same_ruling
+    # call per stack, with no label codes
+    def refuse(*args):
+        raise AssertionError("classify_batch called")
+
+    monkeypatch.setattr(_batch, "classify_batch", refuse)
+    for spec, label in (("O4", MultiLabel((2,), (PRIME0,))), ("O4", MultiLabel((2,), (DOUBLEPRIME0,))),
+                        ("Sp2+O2", MultiLabel((1, 1), (0, PRIME0)))):
+        space = build_sum_space(spec, 3)
+        points = tower_points(space, label)
+        assert len(points) == resolution_tower(space, label).count_polynomial()(3) > 0
+    # a ruling needs the witness, as in the classifier
+    bare = SumSpace((BilinearSpace(2, 3, SYMMETRIC, [[0, 1], [1, 0]]),))
+    with pytest.raises(ValueError, match="split witness required"):
+        tower_points(bare, MultiLabel((1,), (PRIME0,)))
 
 
 def test_empty_label_gives_single_point():
@@ -481,16 +499,16 @@ def test_fiber_invariants_match_scalar_oracle():
 
 def test_fiber_invariants_cost_no_scalar_meet_per_point(monkeypatch):
     # the bounds are built once per fiber: a 1-point and a 1,024-point fiber
-    # make the same subspace_intersect calls
+    # make the same subspace_intersect and radical calls
     calls = Counter()
-    for module in (towers, bilinear):
-        real = module.subspace_intersect
+    for name in ("subspace_intersect", "radical"):
+        real = getattr(towers, name)
 
         def counted(*args, real=real):
             calls["meet"] += 1
             return real(*args)
 
-        monkeypatch.setattr(module, "subspace_intersect", counted)
+        monkeypatch.setattr(towers, name, counted)
     space = build_sum_space("O2+O3", 31)
     label = parse_label_arg("1:1,2:1")
     made = []

@@ -282,8 +282,8 @@ def test_witt_table_refuses_named_mutations():
 
 
 def test_witt_builds_perp_and_radical_once_per_pair(monkeypatch):
-    # witt_decompose builds h^perp and h cap h^perp; the table check derives
-    # them from the Gram identity and reads only the sum span(m1) + span(m2)
+    # witt_decompose builds h^perp and rad h = h cap h^perp; the table check
+    # derives them from the Gram identity and reads only the sum span(m1) + span(m2)
     calls = Counter()
 
     def count(module, name):
@@ -295,12 +295,12 @@ def test_witt_builds_perp_and_radical_once_per_pair(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((bilinear, "perp"), (bilinear, "subspace_intersect"),
+    for module, name in ((bilinear, "perp"), (bilinear, "radical"),
                          (verify, "subspace_sum"), (verify, "witt_decompose")):
         count(module, name)
     results = verify.suite_witt(("Sp4", "O3"), (3,), 20, seed=1)
     assert all(r.passed for r in results)
-    assert calls["perp"] == calls["subspace_intersect"] == calls["subspace_sum"] == calls["witt_decompose"]
+    assert calls["perp"] == calls["radical"] == calls["subspace_sum"] == calls["witt_decompose"]
     assert calls["witt_decompose"] >= 40
 
 
