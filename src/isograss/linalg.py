@@ -38,6 +38,18 @@ class BudgetExceeded(Exception):
         self.budget = budget
         super().__init__(f"enumeration of ~{estimate} subspaces exceeds budget {budget}")
 
+    @staticmethod
+    def check(size: int, budget: int | None) -> int:
+        """``size`` if ``within_budget``; the one place a refusal is raised."""
+        if not within_budget(size, budget):
+            raise BudgetExceeded(size, budget)
+        return size
+
+
+def within_budget(size: int, budget: int | None) -> bool:
+    """The budget rule: a size fits up to the budget, and None bounds nothing."""
+    return budget is None or size <= budget
+
 
 def as_prime(p) -> int:
     """p as an int, if it is an odd prime in [3, 997]; ValueError otherwise."""
@@ -293,9 +305,7 @@ def enumerate_subspaces(
     p = as_prime(p)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    total = subspace_total(n, k, p)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(total, budget)
+    total = BudgetExceeded.check(subspace_total(n, k, p), budget)
     for pattern, lo, hi in _batch.iter_chunks(n, k, p, 0, total, 1 << 14):
         for mat in _batch.pattern_matrices(n, k, p, pattern, lo, hi):
             yield Subspace(mat, n, p)  # pattern matrices are already RREF
@@ -333,8 +343,7 @@ def subspaces_between(
     if not upper.contains(lower):
         raise ValueError("lower is not contained in upper")
     if d in (u, w):  # the one subspace between: no enumeration
-        if budget is not None and budget < 1:
-            raise BudgetExceeded(1, budget)
+        BudgetExceeded.check(1, budget)
         yield lower if d == u else upper
         return
     comp = complement_rows(lower.basis, upper.basis, lower.p)

@@ -272,9 +272,7 @@ def isotropic_bases(space: BilinearSpace, k: int, budget: int | None = DEFAULT_B
     the form's terms built once per walk.
     """
     n, p = space.n, space.p
-    total = subspace_total(n, k, p)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(total, budget)
+    total = BudgetExceeded.check(subspace_total(n, k, p), budget)
     form = _batch.form_terms(space.gram, p)
     chunk, held, size = 1 << 14, [], 0
     for pattern, lo, hi in _batch.iter_chunks(n, k, p, 0, total, chunk):

@@ -208,7 +208,6 @@ def enumerate_multilabels(space: SumSpace, k: int) -> list[MultiLabel]:
     per-factor label sets, in lexicographic order."""
     if not 0 <= k <= space.n:
         raise ValueError(f"need 0 <= k <= {space.n}, got {k}")
-    per_factor: list[list[SingleLabel]] = []
     out = []
     for comp in _compositions(k, space.dims):
         per_factor = [
@@ -367,7 +366,7 @@ _COUNTS_CACHE: dict = {}
 
 
 def orbit_point_counts(
-    space: SumSpace, k: int, budget: int = DEFAULT_BUDGET, workers: int = 1
+    space: SumSpace, k: int, budget: int | None = DEFAULT_BUDGET, workers: int = 1
 ) -> dict[MultiLabel, int]:
     """Classify every point of Gr_k(B) and tally the labels.
 
@@ -377,9 +376,7 @@ def orbit_point_counts(
     starts at most one process per CPU and per range.  Results are memoized
     per space.
     """
-    total = subspace_total(space.n, k, space.p)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    total = BudgetExceeded.check(subspace_total(space.n, k, space.p), budget)
     cache_key = (space._cache_key, k)
     if cache_key in _COUNTS_CACHE:
         return dict(_COUNTS_CACHE[cache_key])

@@ -49,6 +49,7 @@ from .linalg import (
     rref,
     span,
     subspace_intersect,
+    subspace_total,
     subspaces_between,
     zero_subspace,
 )
@@ -204,14 +205,20 @@ def _walk(space: SumSpace, label: MultiLabel, ceiling: Subspace, budget: int):
     yield from step(0, (), (), ())
 
 
+def tower_size(space: SumSpace, label: MultiLabel) -> int:
+    """The largest enumeration of the whole tower's walk: a level's P~_j walk
+    of Gr_t(F_p^{n_j}), t = k_j - r_j, or the symbolic point count, which
+    bounds each of its ``subspaces_between`` steps."""
+    points = resolution_tower(space, label).count_polynomial()(space.p)
+    return max(points, *(subspace_total(f.n, k - rank_numeric(r), space.p)
+                         for f, k, r in zip(space.factors, label.ks, label.rs)))
+
+
 def tower_points(
-    space: SumSpace, label: MultiLabel, budget: int = DEFAULT_BUDGET
+    space: SumSpace, label: MultiLabel, budget: int | None = DEFAULT_BUDGET
 ) -> list[FlagDatum]:
-    """Exhaustive enumeration of the resolution's points."""
-    validate_multilabel(space, label)
-    symbolic = resolution_tower(space, label).count_polynomial()(space.p)
-    if symbolic > budget:
-        raise BudgetExceeded(symbolic, budget)
+    """Exhaustive enumeration of the resolution's points, sized before the walk."""
+    BudgetExceeded.check(tower_size(space, label), budget)
     return list(_walk(space, label, full_subspace(space.n, space.p), budget))
 
 
@@ -242,7 +249,7 @@ def tower_fiber(
     space: SumSpace,
     label: MultiLabel,
     target: Subspace,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | None = DEFAULT_BUDGET,
 ) -> list[FlagDatum]:
     """All resolution points over a fixed target subspace: the walk of
     ``tower_points`` under the ceiling ``target``, since every H_j of a
@@ -255,7 +262,7 @@ def tower_fiber(
 
 
 def closure_labels(
-    space: SumSpace, label: MultiLabel, budget: int = DEFAULT_BUDGET
+    space: SumSpace, label: MultiLabel, budget: int | None = DEFAULT_BUDGET
 ) -> dict[MultiLabel, tuple[int, int]]:
     """The resolution's row: label -> (points, distinct targets) over the
     swept targets of that label, in the order the walk first meets them.
@@ -375,7 +382,7 @@ def cover_fiber(
     space: SumSpace,
     label: MultiLabel,
     target: Subspace,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | None = DEFAULT_BUDGET,
 ):
     """Covering-tower fiber over a target, with its structural components.
 

@@ -34,6 +34,7 @@ from .linalg import (
     span,
     subspace_sum,
     subspace_total,
+    within_budget,
 )
 from .orbits import DOUBLEPRIME0, PRIME0, rank_numeric
 from .paving import build_paving, isotropic_bases, isotropic_subspaces
@@ -60,6 +61,7 @@ from .towers import (
     expected_cover_fiber_space,
     resolution_tower,
     tower_fiber,
+    tower_size,
 )
 
 GRID_SPACES = ("Sp2", "Sp4", "O2", "O3", "O4", "Sp2+O2", "Sp2+Sp2", "O2+O3")
@@ -136,9 +138,9 @@ def _primes_for_degree(base_primes, degree, grassmannian=None, budget=DEFAULT_BU
     if grassmannian is None:
         return pool[: need + 1]
     sizes = {p: subspace_total(*grassmannian, p) for p in pool}
-    usable = [p for p in pool if sizes[p] <= budget]
+    usable = [p for p in pool if within_budget(sizes[p], budget)]
     if len(usable) < degree + 1:
-        raise BudgetExceeded(min(sizes[p] for p in pool if p not in usable), budget)
+        BudgetExceeded.check(min(sizes[p] for p in pool if p not in usable), budget)
     return usable[:need] + [q for q in usable[need:] if sizes[q] <= SPARE_SAMPLE_CAP][:1]
 
 
@@ -287,14 +289,17 @@ def suite_paving(primes=(3, 5), budget=DEFAULT_BUDGET):
 # towers
 # ---------------------------------------------------------------------------
 
-def _row(rows: dict, space, label: MultiLabel, budget):
-    """``closure_labels`` of ``label`` on ``space``, walked once per ``rows``:
-    one run's table of resolution rows, keyed by (spec, p, label).  Nothing
-    carries over between runs."""
-    key = (space.spec, space.p, label)
-    if key not in rows:
-        rows[key] = closure_labels(space, label, budget=budget)
-    return rows[key]
+def _rows(rows: dict, space, ks, budget) -> dict:
+    """``closure_labels`` of the labels of each k in ``ks``, kept in one run's
+    table ``rows`` keyed by (spec, p, label): towers not yet in it are sized,
+    refused at the largest before any walk, then walked once each."""
+    labels = [lab for k in ks for lab in enumerate_multilabels(space, k)]
+    new = [lab for lab in labels if (space.spec, space.p, lab) not in rows]
+    if new:
+        BudgetExceeded.check(max(tower_size(space, lab) for lab in new), budget)
+    for lab in new:
+        rows[space.spec, space.p, lab] = closure_labels(space, lab, budget=budget)
+    return {lab: rows[space.spec, space.p, lab] for lab in labels}
 
 
 def suite_towers(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=None, rows=None):
@@ -304,21 +309,19 @@ def suite_towers(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=N
         for p in primes:
             space = build_sum_space(spec, p)
             bad = []
-            for k in _krange(space.n, only_k):
-                for label in enumerate_multilabels(space, k):
-                    tower = resolution_tower(space, label)
-                    poly = tower.count_polynomial()
-                    # every layer counts with nonnegative coefficients, so
-                    # the product does; Poincare duality is the law
-                    if not poly.is_palindromic():
-                        bad.append(f"{label}: tower polynomial {poly} not palindromic")
-                    dim = orbit_dim_multi(space, label)
-                    if poly.degree != dim:
-                        bad.append(f"{label}: tower degree {poly.degree} != orbit dim {dim}")
-                    expect = poly(p)
-                    got = sum(points for points, _ in _row(rows, space, label, budget).values())
-                    if got != expect:
-                        bad.append(f"{label}: {got} points != symbolic {expect}")
+            for label, row in _rows(rows, space, _krange(space.n, only_k), budget).items():
+                poly = resolution_tower(space, label).count_polynomial()
+                # every layer counts with nonnegative coefficients, so
+                # the product does; Poincare duality is the law
+                if not poly.is_palindromic():
+                    bad.append(f"{label}: tower polynomial {poly} not palindromic")
+                dim = orbit_dim_multi(space, label)
+                if poly.degree != dim:
+                    bad.append(f"{label}: tower degree {poly.degree} != orbit dim {dim}")
+                expect = poly(p)
+                got = sum(points for points, _ in row.values())
+                if got != expect:
+                    bad.append(f"{label}: {got} points != symbolic {expect}")
             out.append(_result(
                 f"towers {spec} p={p}", bad, f"isograss verify --space {spec} --primes {p} --suite towers"
             ))
@@ -343,11 +346,12 @@ def _fiber_bijectivity(spec, p, budget, only_k, rows):
     """Over the open stratum every point is hit exactly once: one resolution
     point per target, and one target per point of the stratum."""
     space = build_sum_space(spec, p)
+    table = _rows(rows, space, _krange(space.n, only_k), budget)
     bad = []
     for k in _krange(space.n, only_k):
         sizes = orbit_point_counts(space, k, budget=budget)
         for label in enumerate_multilabels(space, k):
-            points, targets = _row(rows, space, label, budget).get(label, (0, 0))
+            points, targets = table[label].get(label, (0, 0))
             if points != targets:
                 bad.append(f"{label}: {points} points over {targets} open-stratum targets")
             if targets != sizes[label]:
@@ -361,6 +365,7 @@ def _fiber_polynomiality(spec, primes, budget, only_k, rows):
     ref = build_sum_space(spec, 3)
     spaces = {}  # one space per prime, built on first use
     bad = []
+    _rows(rows, ref, _krange(ref.n, only_k), budget)  # every k sized before any walk
     for k in _krange(ref.n, only_k):
         for label, below in closure_relation(spec, k, 3, budget, rows).items():
             dim_x = orbit_dim_multi(ref, label)
@@ -384,15 +389,13 @@ def _cover_components(spec, budget, only_k=None):
     components.  Even ranks use p = 3, odd ranks p = 5 (where the extended
     binary form splits at the canonical representative)."""
     bad = []
-    ref = build_sum_space(spec, 3)
+    ref, five = build_sum_space(spec, 3), build_sum_space(spec, 5)
     for k in _krange(ref.n, only_k):
         for label in enumerate_multilabels(ref, k):
             factors = cover_factors(ref, label)
             if not factors:
                 continue
-            odd = any(int(label.rs[i]) % 2 for i in factors)
-            p = 5 if odd else 3
-            space = build_sum_space(spec, p)
+            space = five if any(int(label.rs[i]) % 2 for i in factors) else ref
             rep = canonical_representative(space, label)
             points, comps, sizes = cover_fiber(space, label, rep, budget=budget)
             want = component_group_order_multi(space, label)
@@ -422,8 +425,7 @@ def closure_relation(spec: str, k: int, p: int, budget, rows: dict):
     # set(row.keys()) adds one label at a time; set(row) would presize its
     # table from the dict and so change the set's iteration order, which is
     # the closure report's edge order until ROADMAP item 7 sorts the edges.
-    return {lab: set(_row(rows, space, lab, budget).keys())
-            for lab in enumerate_multilabels(space, k)}
+    return {lab: set(row.keys()) for lab, row in _rows(rows, space, (k,), budget).items()}
 
 
 def suite_closure(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=None, rows=None):
@@ -433,6 +435,7 @@ def suite_closure(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=
         p = primes[0]
         space = build_sum_space(spec, p)
         bad = []
+        _rows(rows, space, _krange(space.n, only_k), budget)  # every k sized before any walk
         for k in _krange(space.n, only_k):
             rel = closure_relation(spec, k, p, budget, rows)
             for lab, below in rel.items():
@@ -565,7 +568,7 @@ def run_suite(
     only_k=None,
     rows=None,
 ):
-    """One suite, or all of them; "all" makes one ``rows`` table (see _row)
+    """One suite, or all of them; "all" makes one ``rows`` table (see _rows)
     for its towers, fibers and closure suites; without ``primes`` each keeps its own."""
     given = {"primes": primes} if primes else {}
     if name == "partition":

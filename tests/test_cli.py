@@ -100,6 +100,24 @@ def test_resolve_budget_bounds_base_choices(capsys):
     assert "budget refused" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,size,budget", [
+    ("verify --space O2+O4 --k 2 --primes 7 --budget 1000000 --suite closure", 6_865_251, 1_000_000),
+    ("verify --space O2+O4 --k 2 --primes 7 --budget 1000000 --suite towers", 6_865_251, 1_000_000),
+    ("closure --space O2+O4 --k 2 --prime 7 --budget 1000000", 6_865_251, 1_000_000),
+    ("resolve --space O6 --label 3:0p --budget 1000", 33_880, 1000),
+])
+def test_budget_refuses_before_the_first_tower_walk(monkeypatch, capsys, argv, size, budget):
+    # every tower a command walks is sized first, and the refusal names the
+    # largest: the 6,865,251 points of (0:0,2:2), where the walks of the
+    # smaller towers used to come first, or the P~ walk of Gr_3(F_3^6)
+    walks = []
+    monkeypatch.setattr(towers, "_walk", lambda *args: walks.append(args) or iter(()))
+    assert main(argv.split()) == EXIT_BUDGET
+    assert walks == []
+    err = capsys.readouterr().err
+    assert err == f"budget refused: enumeration of ~{size} subspaces exceeds budget {budget}\n"
+
+
 def test_json_determinism(capsys):
     main(["labels", "--space", "Sp2+O2", "--k", "1", "--primes", "3"])
     first = capsys.readouterr().out

@@ -324,6 +324,19 @@ def test_enumeration_budget():
         assert e.estimate == gaussian_binomial(10, 5)(7)
 
 
+def test_budget_rule_bounds_up_to_the_size():
+    # size == budget passes and size == budget + 1 refuses; None bounds nothing
+    assert BudgetExceeded.check(130, 130) == BudgetExceeded.check(130, None) == 130
+    with pytest.raises(BudgetExceeded) as exc:
+        BudgetExceeded.check(131, 130)
+    assert (exc.value.estimate, exc.value.budget) == (131, 130)
+    total = gaussian_binomial(4, 2)(3)
+    assert total == 130 and len(list(enumerate_subspaces(4, 2, 3, budget=total))) == total
+    assert len(list(enumerate_subspaces(4, 2, 3, budget=None))) == total
+    with pytest.raises(BudgetExceeded):
+        list(enumerate_subspaces(4, 2, 3, budget=total - 1))
+
+
 def test_intersect_prefix():
     h = span([[1, 0, 1], [0, 1, 1]], 3, 3)
     got = intersect_prefix(h, 2)

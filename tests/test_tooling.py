@@ -75,6 +75,26 @@ def test_enumerations_name_their_budget():
     assert calls and offenders == []
 
 
+def test_budget_rule_has_one_home():
+    # every refusal comes from one rule: only BudgetExceeded.check raises
+    # the exception, and only within_budget compares a size with a budget,
+    # so `budget=None` is no bound at every site that takes one
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # a class's methods come after it, so a node ends up owned by its method
+        for qualname, node in _package_defs(tree):
+            owner.update({id(inner): qualname for inner in ast.walk(node)})
+        for node in ast.walk(tree):
+            constructs = isinstance(node, ast.Call) and (
+                getattr(node.func, "id", getattr(node.func, "attr", None)) == "BudgetExceeded")
+            compares = isinstance(node, ast.Compare) and any(
+                getattr(side, "id", None) == "budget" for side in (node.left, *node.comparators))
+            if constructs or compares:
+                sites.add((type(node).__name__, owner.get(id(node), path.name)))
+    assert sites == {("Call", "BudgetExceeded.check"), ("Compare", "within_budget")}
+
+
 def test_readme_cli_examples_parse():
     # parse only: the README's CLI block must stay in step with the option table
     block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

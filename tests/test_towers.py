@@ -131,6 +131,24 @@ def test_tower_points_budget_bounds_base_choices():
         tower_points(o6, label, budget=1000)
 
 
+@pytest.mark.parametrize("spec,label,size", [
+    # the P~ walk of Gr_3(F_3^6) is the largest enumeration of a 40-point tower
+    ("O6", "3:0p", 33_880),
+    # a point count above every P~ walk: it bounds each subspaces_between step
+    ("Sp2+O2", "0:0,2:2", 130),
+])
+def test_tower_points_refuses_above_its_tower_size(spec, label, size):
+    # the walk is sized before it starts: size == budget walks it, and one
+    # less is refused with the size
+    space, label = build_sum_space(spec, 3), parse_label_arg(label)
+    assert towers.tower_size(space, label) == size
+    points = tower_points(space, label, budget=size)
+    assert len(points) == resolution_tower(space, label).count_polynomial()(3)
+    with pytest.raises(BudgetExceeded) as exc:
+        tower_points(space, label, budget=size - 1)
+    assert exc.value.estimate == size
+
+
 def test_ruling_filter_classifies_nothing(monkeypatch):
     # a tag r_j keeps the P~_j candidates of its ruling by one same_ruling
     # call per stack, with no label codes

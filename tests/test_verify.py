@@ -17,7 +17,7 @@ from isograss.linalg import (
 )
 from isograss.orbits import DOUBLEPRIME0, PRIME0
 from isograss.polynomials import IntPolynomial
-from isograss.sumspace import MultiLabel, multilabels_of
+from isograss.sumspace import MultiLabel, build_sum_space, multilabels_of, orbit_point_counts
 from isograss import paving, towers, verify
 
 from checks import check_line
@@ -68,6 +68,18 @@ def test_primes_for_degree_refuses_an_exhausted_pool():
     assert verify._primes_for_degree((3, 5, 7), 0) == [3, 5, 7, 11]
     assert verify._primes_for_degree((3, 5, 7), 4) == [3, 5, 7, 11, 13, 17]
     assert verify._primes_for_degree((3, 5, 7), 9) == list(verify.PRIME_POOL)
+
+
+def test_no_budget_bounds_nothing():
+    # budget=None is no bound at every budgeted entry point: each answers
+    # as under the default budget
+    space = build_sum_space("Sp2+O2", 3)
+    label = MultiLabel((0, 2), (0, 2))
+    assert orbit_point_counts(space, 2, budget=None) == orbit_point_counts(space, 2)
+    assert towers.tower_points(space, label, budget=None) == towers.tower_points(space, label)
+    assert towers.closure_labels(space, label, budget=None) == towers.closure_labels(space, label)
+    assert verify.stratum_polynomials("Sp2+O2", 2, budget=None) == verify.stratum_polynomials("Sp2+O2", 2)
+    assert verify.suite_partition(("Sp2+O2",), budget=None) == verify.suite_partition(("Sp2+O2",))
 
 
 def test_run_suite_names():
