@@ -18,14 +18,17 @@ piece and the walk needs no elimination.  Column reversal is a bijection
 of Gr_k(F_p^n), so full-range counts are unchanged.  Both share ``_pack``,
 which ranks the Grams, splits "0p"/"0pp" and packs the label codes.  As in
 FFLAS/FFPACK (Dumas-Giorgi-Pernet, ACM TOMS 2008), exact F_p work is done
-as a few large batched products, reduced mod p within proven int bounds.
+as a few large batched products over contiguous operands, reduced mod p
+within proven int bounds: a walk chunk is built slot-major, (n, k, N), so
+each matrix entry is one contiguous row of N values that the Gram kernel
+multiplies in place.
 
-Entries stay below p <= 997, so int32 holds every intermediate: an
-elimination round reduces mod p (|a - f*piv| < p^2 < 10^6), and a Gram
-entry sums one term z_a[i] * (G_ij z_b[j] mod p) < p^2 per nonzero G_ij,
-at most n^2 <= 256 of them (256 * 996^2 < 2^31).  The 2 x 2 Gram
-determinant is a difference of two products below p^2; the 3 x 3 one is
-taken in int64.
+Entries stay below p <= 997, so int32 holds every intermediate: the walk
+peels its digits from int32 offsets below chunk + p; an elimination round
+reduces mod p (|a - f*piv| < p^2 < 10^6); and a Gram entry sums one term
+z_a[i] * (G_ij z_b[j] mod p) < p^2 per nonzero G_ij, at most n^2 <= 256 of
+them (256 * 996^2 < 2^31).  The 2 x 2 Gram determinant is a difference of
+two products below p^2; the 3 x 3 one is taken in int64.
 """
 
 from __future__ import annotations
@@ -132,21 +135,31 @@ def pattern_matrices(
 
     The free entries are the base-p digits of the code, first slot most
     significant.  This and ``iter_chunks`` fix the enumeration order of
-    Gr_k(F_p^n) for the whole package.
+    Gr_k(F_p^n) for the whole package.  The result, shape (N, k, n), is a
+    view of one slot-major (n, k, N) int32 buffer: each matrix entry is a
+    contiguous row of N values, the layout ``_gram`` reads.
     """
-    base = np.zeros((k, n), dtype=np.int32)
+    buf = np.zeros((n, k, hi - lo), dtype=np.int32)
     for i, piv in enumerate(pattern):
-        base[i, piv] = 1
-    mats = np.repeat(base[None], hi - lo, axis=0)
+        buf[piv, i] = 1
     # Codes can pass 2^63 in budget-free walks, so each code lo + j is kept
-    # as high + low[j]: a Python int shared by the chunk plus a small int64
-    # offset.  Digits are peeled from the last slot by divmod with p, which
-    # keeps low[j] below j + p.
-    high, low = lo, np.arange(hi - lo, dtype=np.int64)
+    # as high + low[j]: a Python int shared by the chunk plus a small int32
+    # offset.  Digits are peeled from the last slot, which keeps low[j]
+    # below j + p.  At each slot high is lo // p^e and top (hi - 1) // p^e;
+    # once they meet, low is 0 and the whole chunk shares this digit and
+    # every one above it.
+    high, top, low = lo, hi - 1, np.arange(hi - lo, dtype=np.int32)
     for r, c in reversed(free_positions(n, pattern)):
-        high, rem = divmod(high, p)
-        low, mats[:, r, c] = np.divmod(low + rem, p)
-    return mats
+        if high == top:
+            high, buf[c, r] = divmod(high, p)
+        else:
+            high, rem = divmod(high, p)
+            low += rem
+            carry = low // p
+            np.subtract(low, carry * p, out=buf[c, r])
+            low = carry
+        top //= p
+    return buf.transpose(2, 1, 0)
 
 
 def iter_chunks(n: int, k: int, p: int, start: int, stop: int, chunk: int):
@@ -171,44 +184,55 @@ def iter_chunks(n: int, k: int, p: int, start: int, stop: int, chunk: int):
 
 def form_terms(gram, p: int) -> tuple:
     """The nonzero terms of a symmetric or alternating Gram matrix G, as
-    ``_gram`` reads them: (rows i, columns j, the values G_ij shaped
-    (terms, 1, 1), or None when all are 1, and 1 if G is alternating,
-    else 0).  Built once per walk or classifier call."""
-    g = np.asarray(gram) % p
-    rows, cols = np.nonzero(g)
-    vals = g[rows, cols].astype(np.int32)
-    # a nonzero alternating G has G_ji = -G_ij != G_ij at its first nonzero
-    skew = int(rows.size > 0 and g[cols[0], rows[0]] != vals[0])
-    return rows, cols, None if (vals == 1).all() else vals[:, None, None], skew
+    ``_gram`` reads them: columns (m, n) and values (m, n, 1), or None when
+    all are 1, where m is the most nonzeros in a row of G and row i's l-th
+    nonzero is G_i,cols[l, i] = vals[l, i] (0 past its last one); and 1 if G
+    is alternating, else 0.  Built once per walk or classifier call."""
+    g = (np.asarray(gram) % p).tolist()
+    terms = [[(j, v) for j, v in enumerate(row) if v] for row in g]
+    layers = np.zeros((max(map(len, terms), default=0), len(g), 2), dtype=np.intp)
+    for i, row in enumerate(terms):
+        if row:
+            layers[: len(row), i] = row
+    vals = layers[:, :, 1:].astype(np.int32)
+    # a nonzero alternating G is not symmetric mod p
+    skew = any(g[i][j] != g[j][i] for i in range(len(g)) for j in range(i))
+    return layers[:, :, 0], None if (vals == 1).all() else vals, int(skew)
 
 
 def _gram(z: np.ndarray, form: tuple, p: int) -> np.ndarray:
     """Gram matrices ``z G z^T mod p`` of a stack of row blocks, shape (N, k, k).
 
-    ``form`` is ``form_terms(G, p)``.  Entry (a, b) sums one product of columns
-    z_a[i] * (G_ij z_b[j] mod p) per nonzero G_ij.  Only the entries a <= b
-    are computed, a < b for an alternating G, whose diagonal is zero; the
-    others are mirrored, with a sign flip for an alternating G.
+    ``form`` is ``form_terms(G, p)``.  Entry (a, b) sums z_a[i] * (G_ij z_b[j]
+    mod p) over the nonzero G_ij, one einsum of the rows z_a[i] against a
+    gather of the z_b[j] per b.  Only the entries a <= b are computed, a < b
+    for an alternating G, whose diagonal is zero; the others are mirrored,
+    with a sign flip for an alternating G.  A slot-major z, a view of an
+    (n, k, N) buffer as ``pattern_matrices`` returns, is read in place.
     """
-    rows, cols, vals, skew = form
+    cols, vals, skew = form
     n_items, k, _ = z.shape
     out = np.zeros((k, k, n_items), dtype=np.int32)
-    if k > skew and rows.size:
-        # laid out (n, k, N), each term's gather copies one contiguous slab,
-        # and einsum sums the products with no temporary
-        zt = np.ascontiguousarray(z.transpose(2, 1, 0), dtype=np.int32)
-        u = zt[rows]
-        w = zt[cols]
-        if vals is not None:
-            w *= vals
-            w %= p
+    if k > skew and cols.size:
+        zt = z.transpose(2, 1, 0)
         for b in range(skew, k):
             a = b + 1 - skew
-            s = np.einsum("tan,tn->an", u[:, :a], w[:, b])
+            w = zt[cols, b]
+            if vals is not None:
+                w *= vals
+                _reduce(w, p)
+            s = np.einsum("ian,lin->an", zt[:, :a], w)
             out[:a, b] = s
             out[b, :a] = -s if skew else s
-        out %= p
+        _reduce(out, p)
     return out.transpose(2, 0, 1)
+
+
+def _reduce(x: np.ndarray, p: int) -> None:
+    """x mod p, in place.  numpy's integer % divides entry by entry, while
+    // by a scalar runs vectorized: x - (x // p) * p is several times faster,
+    and far more so on negative entries."""
+    x -= x // p * p
 
 
 def _gram_rank(g: np.ndarray, p: int, skew: int) -> np.ndarray:
@@ -224,7 +248,8 @@ def _gram_rank(g: np.ndarray, p: int, skew: int) -> np.ndarray:
     if k == 1:
         return (g[:, 0, 0] != 0).astype(np.int64)
     if k == 2:
-        det = (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]) % p
+        det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+        _reduce(det, p)
         return np.where(det != 0, 2, g.any(axis=(1, 2)))
     if k == 3:
         m = g.astype(np.int64)
@@ -258,7 +283,7 @@ def _pack(space, forms, blocks) -> np.ndarray:
     # significant; the radix product is at most 8^n <= 8^16, far inside int64
     packed = 0
     for (k_i, z), form, d, f in zip(blocks, forms, space.dims, space.factors):
-        r_i = _gram_rank(_gram(z, form, p), p, form[3])
+        r_i = _gram_rank(_gram(z, form, p), p, form[2])
         rcode = r_i + 2
         half = d // 2
         # a walk chunk shares one int k_i, so most chunks skip the mask
@@ -297,10 +322,11 @@ def classify_batch(space, mats: np.ndarray) -> np.ndarray:
         block_of = np.repeat(np.arange(len(dims)), dims)  # factor of each column
         row_block = block_of[n - 1 - np.argmax(rev != 0, axis=2)]
         mats = rev[:, :, ::-1]
+    by_slot = mats.transpose(2, 1, 0)  # each piece is built slot-major, as _gram reads it
     blocks = []
     for i in range(len(dims)):
         in_block = row_block == i
-        z = np.where(in_block[:, :, None], mats[:, :, offsets[i] : offsets[i + 1]], 0)
+        z = np.where(in_block.T, by_slot[offsets[i] : offsets[i + 1]], 0).transpose(2, 1, 0)
         blocks.append((in_block.sum(axis=1), z))
     return _pack(space, [form_terms(f.gram, p) for f in space.factors], blocks)
 

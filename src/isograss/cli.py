@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .linalg import DEFAULT_BUDGET, BudgetExceeded, as_prime, span, subspace_intersect
+from .linalg import DEFAULT_BUDGET, BudgetExceeded, as_prime, span, subspace_intersect, subspace_total
 from .orbits import DOUBLEPRIME0, PRIME0, rank_numeric
 from .paving import build_paving
 from .polynomials import IntPolynomial
@@ -119,6 +119,7 @@ def cmd_labels(space_spec: str, k: int, primes=(), budget=DEFAULT_BUDGET, worker
     labels = enumerate_multilabels(ref, k) if 0 <= k <= ref.n else []
     counts_by_p = {}
     if labels:
+        BudgetExceeded.check_largest((subspace_total(ref.n, k, p) for p in primes), budget)
         for p in primes:
             space = build_sum_space(space_spec, p)
             counts_by_p[p] = orbit_point_counts(space, k, budget=budget, workers=workers)
@@ -172,6 +173,8 @@ def cmd_count(space_spec: str, k: int, primes=(), budget=DEFAULT_BUDGET, workers
     ref = build_sum_space(space_spec, 3)
     labels = enumerate_multilabels(ref, k) if 0 <= k <= ref.n else []
     rows = [{"label": label_to_json(lab), "pretty": str(lab), "counts": {}} for lab in labels]
+    if labels:
+        BudgetExceeded.check_largest((subspace_total(ref.n, k, p) for p in primes), budget)
     for p in primes if labels else ():
         space = build_sum_space(space_spec, p)
         counts = orbit_point_counts(space, k, budget=budget, workers=workers)

@@ -45,6 +45,14 @@ class BudgetExceeded(Exception):
             raise BudgetExceeded(size, budget)
         return size
 
+    @staticmethod
+    def check_largest(sizes, budget: int | None) -> None:
+        """``check`` the largest of the sizes of a command's enumerations,
+        before the first of them is walked; no enumeration, no refusal."""
+        sizes = list(sizes)
+        if sizes:
+            BudgetExceeded.check(max(sizes), budget)
+
 
 def within_budget(size: int, budget: int | None) -> bool:
     """The budget rule: a size fits up to the budget, and None bounds nothing."""

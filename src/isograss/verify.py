@@ -99,24 +99,26 @@ def _krange(n: int, only_k):
 
 def suite_partition(specs=GRID_SPACES, primes=(3, 5), budget=DEFAULT_BUDGET, workers=1,
                     only_k=None):
+    spaces = [(spec, p, build_sum_space(spec, p)) for spec in specs for p in primes]
+    BudgetExceeded.check_largest(
+        (subspace_total(s.n, k, p) for _, p, s in spaces for k in _krange(s.n, only_k)), budget
+    )
     out = []
-    for spec in specs:
-        for p in primes:
-            space = build_sum_space(spec, p)
-            bad = []
-            for k in _krange(space.n, only_k):
-                counts = orbit_point_counts(space, k, budget=budget, workers=workers)
-                labels = set(enumerate_multilabels(space, k))
-                if set(counts) != labels:
-                    bad.append(f"k={k}: label sets differ")
-                total = sum(counts.values())
-                expect = gaussian_binomial(space.n, k)(p)
-                if total != expect:
-                    bad.append(f"k={k}: {total} != {expect}")
-            out.append(_result(
-                f"partition {spec} p={p}", bad,
-                f"isograss verify --space {spec} --primes {p} --suite partition",
-            ))
+    for spec, p, space in spaces:
+        bad = []
+        for k in _krange(space.n, only_k):
+            counts = orbit_point_counts(space, k, budget=budget, workers=workers)
+            labels = set(enumerate_multilabels(space, k))
+            if set(counts) != labels:
+                bad.append(f"k={k}: label sets differ")
+            total = sum(counts.values())
+            expect = gaussian_binomial(space.n, k)(p)
+            if total != expect:
+                bad.append(f"k={k}: {total} != {expect}")
+        out.append(_result(
+            f"partition {spec} p={p}", bad,
+            f"isograss verify --space {spec} --primes {p} --suite partition",
+        ))
     return out
 
 
@@ -253,6 +255,10 @@ def _sample_flags(space: BilinearSpace, walks):
 
 
 def suite_paving(primes=(3, 5), budget=DEFAULT_BUDGET):
+    BudgetExceeded.check_largest(
+        (subspace_total(n, k, p) for _, n in PAVING_FORMS for p in primes for k in range(n // 2 + 1)),
+        budget,
+    )
     out = []
     for form, n in PAVING_FORMS:
         for p in primes:
@@ -295,8 +301,7 @@ def _rows(rows: dict, space, ks, budget) -> dict:
     refused at the largest before any walk, then walked once each."""
     labels = [lab for k in ks for lab in enumerate_multilabels(space, k)]
     new = [lab for lab in labels if (space.spec, space.p, lab) not in rows]
-    if new:
-        BudgetExceeded.check(max(tower_size(space, lab) for lab in new), budget)
+    BudgetExceeded.check_largest((tower_size(space, lab) for lab in new), budget)
     for lab in new:
         rows[space.spec, space.p, lab] = closure_labels(space, lab, budget=budget)
     return {lab: rows[space.spec, space.p, lab] for lab in labels}

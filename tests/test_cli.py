@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from isograss import cli, sumspace, towers
+from isograss import _batch, cli, sumspace, towers
 from isograss.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -112,6 +112,27 @@ def test_budget_refuses_before_the_first_tower_walk(monkeypatch, capsys, argv, s
     # smaller towers used to come first, or the P~ walk of Gr_3(F_3^6)
     walks = []
     monkeypatch.setattr(towers, "_walk", lambda *args: walks.append(args) or iter(()))
+    assert main(argv.split()) == EXIT_BUDGET
+    assert walks == []
+    err = capsys.readouterr().err
+    assert err == f"budget refused: enumeration of ~{size} subspaces exceeds budget {budget}\n"
+
+
+@pytest.mark.parametrize("argv,size,budget", [
+    ("count --space O2+O3 --k 2 --primes 3,5,7,11,13 --budget 2000000", 5_259_970, 2_000_000),
+    ("labels --space O2+O3 --k 2 --primes 3,5,7,11,13 --budget 2000000", 5_259_970, 2_000_000),
+    ("verify --space O2+O3 --suite partition --primes 3,5,7,11,31 --budget 2000000",
+     918_041_410, 2_000_000),
+    ("verify --suite paving --primes 3,31 --budget 100000", 918_041_410, 100_000),
+])
+def test_budget_refuses_before_the_first_grassmannian_walk(monkeypatch, capsys, argv, size, budget):
+    # every Gr_k(F_p^n) a command walks is sized first, and the refusal names
+    # the largest: p = 13's Gr_2(F_13^5), or Gr_2(F_31^5), of O2+O3 and of the
+    # paving suite's O5, where the walks at the smaller primes (and forms)
+    # used to come first
+    walks = []
+    monkeypatch.setattr(sumspace, "_COUNTS_CACHE", {})
+    monkeypatch.setattr(_batch, "iter_chunks", lambda *args: walks.append(args) or iter(()))
     assert main(argv.split()) == EXIT_BUDGET
     assert walks == []
     err = capsys.readouterr().err

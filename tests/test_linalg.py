@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import numpy as np
@@ -313,6 +314,51 @@ def test_enumeration_chunking_matches_full_run():
                 assert all(0 < hi - lo <= chunk for _, lo, hi in parts)
                 mats = [pattern_matrices(n, k, p, *part) for part in parts]
                 assert np.array_equal(np.concatenate(mats), full[start:stop])
+
+
+def _pattern_definition(n, k, p, pattern, codes):
+    # each code's base-p digits fill the free slots (row-major: right of the
+    # row's pivot, off every pivot column), first slot most significant;
+    # pivots are 1
+    slots = [(i, j) for i, piv in enumerate(pattern) for j in range(piv + 1, n) if j not in pattern]
+    out = np.zeros((len(codes), k, n), dtype=np.int64)
+    for mat, code in zip(out, codes):
+        mat[range(k), list(pattern)] = 1
+        for i, j in reversed(slots):
+            code, mat[i, j] = divmod(code, p)
+        assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 997])
+def test_pattern_matrices_match_the_digit_definition(p):
+    rng = random.Random(p)  # blocks pass 2^63 at p = 997
+    for n, k, pattern in [(4, 2, (0, 1)), (5, 2, (0, 2)), (6, 3, (0, 2, 3)), (5, 1, (1,)), (3, 0, ())]:
+        block = p ** sum(1 for i, piv in enumerate(pattern) for j in range(piv + 1, n) if j not in pattern)
+        # the first codes, the block's end, slices that carry across several
+        # slots at once, and random ones
+        cuts = [(0, min(block, 40)), (max(block - 40, 0), block)]
+        cuts += [(max(p**e - 3, 0), min(p**e + 4, block)) for e in (1, 2, 3) if p**e < block]
+        cuts += [(lo, min(lo + 9, block)) for lo in (rng.randrange(block) for _ in range(4))]
+        for lo, hi in cuts:
+            mats = pattern_matrices(n, k, p, pattern, lo, hi)
+            assert mats.shape == (hi - lo, k, n) and mats.dtype == np.int32
+            # slot-major: a view of one (n, k, N) buffer
+            assert mats.transpose(2, 1, 0).flags.c_contiguous
+            want = _pattern_definition(n, k, p, pattern, range(lo, hi))
+            assert np.array_equal(mats, want), (n, k, pattern, lo)
+
+
+def test_pattern_matrices_past_int64_codes():
+    # Gr_8(F_997^16) without a budget: the first pattern alone has 997^64
+    # codes, and slices past 2^63, one carrying across two slots, and at the
+    # block's end keep their digits
+    n, k, p, pattern = 16, 8, 997, tuple(range(8))
+    block = p**64
+    for lo in (2**63 - 5, (2**63 // p**2 + 1) * p**2 - 5, block - 7):
+        hi = min(lo + 11, block)
+        mats = pattern_matrices(n, k, p, pattern, lo, hi)
+        assert np.array_equal(mats, _pattern_definition(n, k, p, pattern, range(lo, hi))), lo
 
 
 def test_enumeration_budget():

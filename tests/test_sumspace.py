@@ -477,10 +477,13 @@ def test_gram_matches_definition(p, skew):
         g = _random_gram(rng, n, p, skew)
         form = _batch.form_terms(g, p)
         for k in range(5):
-            # reversed, strided views into a larger stack, as classify_counts
-            # slices the walk's matrices
+            # reversed, strided views into a larger stack, and views of a
+            # slot-major (n, k, N) buffer, as pattern_matrices returns it,
+            # and of its column reversal, as classify_counts slices the walk
             big = rng.integers(0, p, size=(7, k + 2, n + 3)).astype(np.int32)
-            for z in (big[:, 1 : k + 1, 2 : n + 2], big[::-2, k:0:-1, n + 1 : 1 : -1]):
+            slots = np.ascontiguousarray(big.transpose(2, 1, 0)).transpose(2, 1, 0)
+            for z in (big[:, 1 : k + 1, 2 : n + 2], big[::-2, k:0:-1, n + 1 : 1 : -1],
+                      slots[:, 1 : k + 1, 2 : n + 2], slots[:, :, ::-1][:, 1 : k + 1, 1 : n + 1]):
                 got = _batch._gram(z, form, p)
                 assert got.shape == (len(z), k, k)
                 assert (got == _gram_definition(z, g, p)).all(), (n, k)
