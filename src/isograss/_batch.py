@@ -52,49 +52,69 @@ def _inverse_table(p: int) -> np.ndarray:
 
 
 def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
-    """Ranks over F_p of a stack of matrices, shape (N, r, c).  Mutates ``a``."""
+    """Ranks over F_p of a stack of matrices, shape (N, r, c).  Mutates ``a``
+    into the RREF of each matrix, zero rows last (Gauss-Jordan)."""
     n_items, rows, cols = a.shape
     rank = np.zeros(n_items, dtype=np.int64)
     if rows == 0 or cols == 0 or n_items == 0:
         return rank
     inv = _inverse_table(p)
     row_idx = np.arange(rows)
-    full = np.int64(rows)
+    every = np.arange(n_items)
     for col in range(cols):
-        nz = (a[:, :, col] != 0) & (row_idx[None, :] >= rank[:, None])
+        nz = (a[:, :, col] != 0) & (row_idx >= rank[:, None])
         has = nz.any(axis=1)
         if not has.any():
             continue
         if has.all():
-            sub, crow = a, rank
-            prow = np.argmax(nz, axis=1)
+            sub, crow, ar = a, rank, every
         else:
             idx = np.flatnonzero(has)
-            sub = a[idx]
-            crow = rank[idx]
-            prow = np.argmax(nz[idx], axis=1)
-        ar = np.arange(sub.shape[0])
-        swap = prow != crow
-        if swap.any():
-            si, pr, cr = ar[swap], prow[swap], crow[swap]
-            tmp = sub[si, pr, :].copy()
-            sub[si, pr, :] = sub[si, cr, :]
-            sub[si, cr, :] = tmp
-        piv = sub[ar, crow, col]
-        pivrow = sub[ar, crow, :] * inv[piv][:, None] % p
-        sub[ar, crow, :] = pivrow
-        factors = sub[:, :, col].copy()
-        factors[ar, crow] = 0
-        sub -= factors[:, :, None] * pivrow[:, None, :]
+            sub, crow, nz = a[idx], rank[idx], nz[idx]
+            ar = np.arange(len(idx))
+        prow = np.argmax(nz, axis=1)
+        pivrow = sub[ar, prow]
+        pivrow = pivrow * inv[pivrow[:, col]][:, None] % p
+        # eliminate with the pivot row where it stands, which clears it; then
+        # row crow's reduced content moves there, and the pivot row to crow
+        sub -= sub[:, :, col, None] * pivrow[:, None, :]
         sub %= p
+        sub[ar, prow] = sub[ar, crow]
+        sub[ar, crow] = pivrow
         if sub is a:
             rank += 1
         else:
             a[idx] = sub
             rank[idx] += 1
-        if rank.min() == full:
+        if rank.min() == rows:
             break
     return rank
+
+
+def left_kernels(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left kernels {x : x @ a_i = 0 mod p} of a stack (N, r, c) reduced mod
+    p: an (N, r, r) stack with each kernel's RREF basis on top and zero rows
+    below, and the kernel dimensions.
+
+    One ``batch_rank`` of the transposes with their columns reversed, R.
+    Each non-pivot column f of R gives the null vector e_f - sum_i R_if e_g(i),
+    g(i) the pivot of row i, which is nonzero only where g(i) < f; read back
+    in the original column order, that vector starts with a 1 at f's column,
+    is 0 at every other non-pivot one, and so these vectors, in that order,
+    are already RREF.
+    """
+    n_items, r, c = a.shape
+    if r == 0:  # argmax refuses the empty rows of F_p^0
+        return np.zeros((n_items, 0, 0), dtype=np.int32), np.zeros(n_items, dtype=np.int64)
+    red = np.ascontiguousarray(a.transpose(0, 2, 1)[:, :, ::-1], dtype=np.int32)
+    rank = batch_rank(red, p)
+    item, row = np.nonzero(red.any(axis=2))
+    vecs = np.tile(np.eye(r, dtype=np.int32), (n_items, 1, 1))
+    # a pivot column's own vector comes out zero, since R_ig(i) = 1
+    vecs[item, :, np.argmax(red[item, row] != 0, axis=1)] -= red[item, row]
+    vecs = vecs[:, ::-1, ::-1] % p
+    top = np.argsort(~vecs.any(axis=2), axis=1, kind="stable")
+    return np.take_along_axis(vecs, top[:, :, None], axis=1), r - rank
 
 
 def meet_dims(mats: np.ndarray, k, rows: np.ndarray, p: int) -> np.ndarray:

@@ -9,7 +9,9 @@ arithmetic.  Subspaces of F_p^n are kept in reduced row-echelon form, which
 makes equality, hashing and set membership structural, and reduces
 containment and intersection to ``Subspace.residue``.  Enumeration of
 Gr_k(F_p^n) is ordered by (pivot pattern, free entries), both
-lexicographic.
+lexicographic.  The one exception to the scalar path is the step between
+two subspaces, which the tower walks take over whole stacks of pairs:
+``between_stack`` works on int stacks with ``_batch.batch_rank``.
 """
 
 from __future__ import annotations
@@ -339,22 +341,94 @@ def random_subspace(n: int, k: int, p: int, rng: np.random.Generator) -> Subspac
             return Subspace(red, n, p)
 
 
+# no stack of candidate bases in one ``between_stack`` slice passes this many rows
+_STEP_ROWS = 1 << 16
+
+
+def between_stack(
+    lower: np.ndarray, upper: np.ndarray, d, p: int, budget: int | None = DEFAULT_BUDGET
+) -> tuple[np.ndarray, np.ndarray]:
+    """The X with lower_i <= X <= upper_i and dim X = d_i, for a stack of
+    pairs of RREF bases ``lower`` (N, ., n) and ``upper`` (N, ., n), each
+    zero-padded below its own dimension; ``d`` is one dimension for every
+    pair, or one per pair.
+
+    Returns (children, parents): the children's RREF bases, int32 and
+    zero-padded to the largest d, and each one's pair.  Pairs come in order,
+    and each pair's children in the walk order of Gr_{d-u}(F_p^{w-u}), for
+    u = dim lower_i and w = dim upper_i, multiplied into the pair's
+    complement: the upper rows that ``complement_rows`` picks from
+    [lower; upper].  A pair with d = u or d = w has its lower or upper as its
+    one child, and one with d outside [u, w] has none.  Pairs are grouped by
+    (u, d, w); each group's Grassmannian passes ``BudgetExceeded.check``, and
+    its (pair, subspace) items are reduced by one ``batch_rank`` per slice of
+    at most ``_STEP_ROWS`` rows.  Raises ValueError if an upper misses its
+    lower.
+    """
+    lower = np.asarray(lower, dtype=np.int32)
+    upper = np.asarray(upper, dtype=np.int32)
+    n_pairs, _, n = lower.shape
+    width = int(np.max(d, initial=0))
+    d = np.broadcast_to(d, n_pairs)
+    udim, wdim = lower.any(axis=2).sum(axis=1), upper.any(axis=2).sum(axis=1)
+    # lower in upper's coordinates: an RREF basis is the identity on its
+    # pivots, and a zero padding row adds nothing
+    coords = np.take_along_axis(lower, np.argmax(upper != 0, axis=2)[:, None, :], axis=2)
+    if ((lower - coords @ upper) % p).any():
+        raise ValueError("lower is not contained in upper")
+    if n_pairs and (d == udim).all():  # each pair's one child is its lower
+        BudgetExceeded.check(1, budget)
+        return lower[:, :width], np.arange(n_pairs)
+    kids, parents = [], []
+    within = (udim <= d) & (d <= wdim)
+    groups = np.unique(np.stack([udim, d, wdim], axis=1)[within], axis=0).tolist()
+    for u, dim, w in groups:
+        idx = np.flatnonzero(within & (udim == u) & (d == dim) & (wdim == w))
+        low, up = lower[idx, :u], upper[idx, :w]
+        size = BudgetExceeded.check(subspace_total(w - u, dim - u, p), budget)
+        x = np.zeros((len(idx) * size, width, n), dtype=np.int32)
+        parents.append(idx.repeat(size))
+        kids.append(x)
+        if dim in (u, w):  # the one subspace between: no enumeration
+            x[:, :dim] = low if dim == u else up
+            continue
+        # upper row l lies in the span of lower and the upper rows before it
+        # iff some combination of lower ends at coordinate l: these ends are
+        # the pivots of the column-reversed coords, and the rest are picked
+        ends = coords[idx, :u, w - 1 :: -1].copy()
+        _batch.batch_rank(ends, p)
+        picked = np.ones((len(idx), w), dtype=bool)
+        picked[np.arange(len(idx))[:, None], w - 1 - np.argmax(ends != 0, axis=2)] = False
+        comp = up[picked].reshape(len(idx), w - u, n)
+        qs = np.concatenate([
+            _batch.pattern_matrices(w - u, dim - u, p, pattern, lo, hi)
+            for pattern, lo, hi in _batch.iter_chunks(w - u, dim - u, p, 0, size, 1 << 14)
+        ])
+        per = max(1, _STEP_ROWS // dim)
+        for start in range(0, len(x), per):
+            pair, q = np.divmod(np.arange(start, min(start + per, len(x))), size)
+            item = x[start : start + len(pair), :dim]
+            item[:, :u] = low[pair]
+            item[:, u:] = qs[q] @ comp[pair] % p
+            _batch.batch_rank(item, p)
+    if not kids:
+        return np.zeros((0, width, n), dtype=np.int32), np.zeros(0, dtype=np.intp)
+    kids, parents = np.concatenate(kids), np.concatenate(parents)
+    if len(groups) > 1:  # each group keeps its pairs' order, but groups interleave
+        order = np.argsort(parents, kind="stable")
+        kids, parents = kids[order], parents[order]
+    return kids, parents
+
+
 def subspaces_between(
     lower: Subspace, upper: Subspace, d: int, budget: int | None = DEFAULT_BUDGET
 ) -> Iterator[Subspace]:
-    """All X with lower <= X <= upper and dim X = d; for d = dim lower or
-    d = dim upper that is ``lower`` or ``upper`` itself, with no enumeration."""
+    """All X with lower <= X <= upper and dim X = d: ``between_stack`` of the
+    one pair, in its order; for d = dim lower or d = dim upper that is
+    ``lower`` or ``upper`` itself, with no enumeration."""
     lower._check_compatible(upper)
-    u, w = lower.dim, upper.dim
-    if not (u <= d <= w):
+    if not lower.dim <= d <= upper.dim:
         return
-    if not upper.contains(lower):
-        raise ValueError("lower is not contained in upper")
-    if d in (u, w):  # the one subspace between: no enumeration
-        BudgetExceeded.check(1, budget)
-        yield lower if d == u else upper
-        return
-    comp = complement_rows(lower.basis, upper.basis, lower.p)
-    for q in enumerate_subspaces(w - u, d - u, lower.p, budget=budget):
-        mat = np.vstack([lower.basis, q.basis @ comp % lower.p])
-        yield Subspace(rref(mat, lower.p), lower.n, lower.p)
+    kids, _ = between_stack(lower.basis[None], upper.basis[None], d, lower.p, budget=budget)
+    for x in kids:
+        yield Subspace(x, lower.n, lower.p)

@@ -244,9 +244,8 @@ def multilabel_of(space: SumSpace, h: Subspace) -> MultiLabel:
 
 
 def multilabels_of(space: SumSpace, subspaces) -> list[MultiLabel]:
-    """``multilabel_of`` of each subspace, in order, computed by the bulk
-    classifier: one ``_batch.classify_batch`` call per dimension present,
-    and one ``decode`` per distinct code."""
+    """``multilabel_of`` of each subspace, in order: one ``stack_multilabels``
+    call per dimension present."""
     subspaces = list(subspaces)
     if any(h.n != space.n or h.p != space.p for h in subspaces):
         raise ValueError("subspace lives in the wrong ambient space")
@@ -256,12 +255,18 @@ def multilabels_of(space: SumSpace, subspaces) -> list[MultiLabel]:
         by_dim.setdefault(h.dim, []).append(j)
     for k, idx in by_dim.items():
         mats = np.array([subspaces[j].basis for j in idx], dtype=np.int32)
-        codes = _batch.classify_batch(space, mats.reshape(len(idx), k, space.n))
-        codes, inv = np.unique(codes, return_inverse=True)
-        labels = [_multilabel(_batch.decode(space.dims, code)) for code in codes]
-        for j, c in zip(idx, inv.tolist()):
-            out[j] = labels[c]
+        for j, lab in zip(idx, stack_multilabels(space, mats.reshape(len(idx), k, space.n))):
+            out[j] = lab
     return out
+
+
+def stack_multilabels(space: SumSpace, mats: np.ndarray) -> list[MultiLabel]:
+    """The labels of a stack (N, k, n) of full-rank bases reduced mod p, by
+    the bulk classifier: one ``_batch.classify_batch`` call, and one
+    ``decode`` per distinct code."""
+    codes, inv = np.unique(_batch.classify_batch(space, mats), return_inverse=True)
+    labels = [_multilabel(_batch.decode(space.dims, code)) for code in codes]
+    return [labels[c] for c in inv.tolist()]
 
 
 def _multilabel(key) -> MultiLabel:

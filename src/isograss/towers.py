@@ -11,9 +11,13 @@ gives the symbolic point count.
 
 One walk enumerates these points under a ceiling subspace that every H_i
 must lie in.  The whole resolution is the walk under all of B; the fiber
-over a target M is the walk under M itself, since H_i <= H_m = M.  The P~_i
-candidates come as stacks of bases and are pruned against the ceiling in
-bulk, so only the survivors are built as subspaces.
+over a target M is the walk under M itself, since H_i <= H_m = M.  The walk
+runs level by level on int stacks of RREF bases: the P~_i candidates come
+as stacks, their bounds under the ceiling are batched left kernels that
+also prune them, and each P_i and H_i step is one ``linalg.between_stack``
+over every (point, candidate) pair.  The points stay stacks
+(``TowerStack``); a ``FlagDatum`` of Subspaces is built only when a point
+is read one by one.
 
 The covering tower adds, for every symmetric factor with
 max{0, 2k_i - n_i} < r_i, a middle isotropic Q~_i >= P~_i of dim
@@ -25,9 +29,10 @@ choices split the fiber into 2^d components, one pair per such factor.
 
 from __future__ import annotations
 
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,19 +49,18 @@ from .linalg import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     Subspace,
+    between_stack,
     full_subspace,
     intersect_prefix,
-    rref,
     span,
     subspace_intersect,
     subspace_total,
-    subspaces_between,
     zero_subspace,
 )
 from .orbits import DOUBLEPRIME0, PRIME0, component_group_order, rank_numeric
 from .paving import iso_grassmannian_count, isotropic_bases, isotropic_subspaces
 from .polynomials import IntPolynomial, gaussian_binomial
-from .sumspace import MultiLabel, SumSpace, multilabels_of, validate_multilabel
+from .sumspace import MultiLabel, SumSpace, stack_multilabels, validate_multilabel
 
 
 @dataclass(frozen=True)
@@ -65,11 +69,34 @@ class FlagDatum:
 
     ptildes: tuple[Subspace, ...]  # in B_i coordinates
     ps: tuple[Subspace, ...]       # in B, supported on the first blocks
-    hs: tuple[Subspace, ...]
+    hs: tuple[Subspace, ...]      # the last one is the point's target
 
-    @property
-    def target(self) -> Subspace:
-        return self.hs[-1]
+
+class TowerStack:
+    """Resolution points in walk order, as int stacks of RREF bases: per
+    factor i, ``ptildes[i]`` (N, k_i - r_i, n_i) in B_i coordinates, and
+    ``ps[i]``, ``hs[i]`` (N, dim, n) in B.  The walk's consumers read the
+    stacks; indexing or iterating builds a ``FlagDatum`` per point."""
+
+    __slots__ = ("space", "ptildes", "ps", "hs")
+
+    def __init__(self, space: SumSpace, ptildes, ps, hs):
+        self.space = space
+        self.ptildes, self.ps, self.hs = tuple(ptildes), tuple(ps), tuple(hs)
+
+    def __len__(self) -> int:
+        return len(self.hs[-1])
+
+    def __getitem__(self, i: int) -> FlagDatum:
+        i, n, p = operator.index(i), self.space.n, self.space.p
+        return FlagDatum(
+            tuple(Subspace(x[i], f.n, p) for x, f in zip(self.ptildes, self.space.factors)),
+            tuple(Subspace(x[i], n, p) for x in self.ps),
+            tuple(Subspace(x[i], n, p) for x in self.hs),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -142,100 +169,189 @@ def _base_stacks(space: SumSpace, label: MultiLabel, j: int, budget: int):
             yield mats[keep]
 
 
-def _level(space: SumSpace, label: MultiLabel, j: int, ceiling: Subspace,
-           pdim: int, hdim: int, budget: int) -> list:
-    """The triples (P~_j, up, uh) of level j whose bounds up, uh can hold
-    P_j (dim ``pdim``) and H_j (dim ``hdim``).
+class _Level(NamedTuple):
+    """The P~_j candidates of one level that survive, job by job, and the
+    bounds up, uh of P_j and H_j over each: RREF stacks (L, ., n),
+    zero-padded, with the index of each survivor's job."""
+
+    job: np.ndarray
+    ptildes: np.ndarray
+    up: np.ndarray
+    uh: np.ndarray
+
+
+# (job, candidate) items per batched kernel call of a level
+_LEVEL_ITEMS = 1 << 13
+
+
+def _level(space: SumSpace, jobs: list, j: int, pdims: np.ndarray, hdims: np.ndarray,
+           budget: int) -> _Level:
+    """The candidates P~_j of level j of each job (label, ceiling) whose
+    bounds up, uh can hold its P_j (dim ``pdims``) and H_j (dim ``hdims``),
+    with those bounds.
 
     up and uh are B_{<j} + P~_j and B_{<j} + P~_j^perp cut down to the
-    ceiling M; both lie in B_{<=j}, so the cut is to M_le = M cap B_{<=j}.
-    Each contains B_{<j}, so with Mj the block-j projection of M_le
-    (kernel M cap B_{<j}), for P~ of dim t
-        dim up = dim M_le - dim Mj + dim(P~ cap Mj)
-        dim uh = dim M_le - rank <Mj, P~>,
-    two batched ranks per stack, and only survivors are built.  Under the
-    full ceiling every candidate survives (valid labels have
-    n_j >= 2 k_j - r_j) and the cut returns each bound as built.
+    ceiling M.  Both lie in B_{<=j}, so each is a subspace of M_le =
+    M cap B_{<=j}: the x of M_le whose block-j part has zero residue modulo
+    P~_j, and those whose block-j part pairs to zero with P~_j.  So each is
+    a left kernel, taken for every (job, candidate) item in batched calls
+    of at most ``_LEVEL_ITEMS`` items, whose rows times M_le's RREF basis
+    are already the bound's RREF basis; the kernel dimensions prune the
+    items.  Each job's M_le is zero-padded to one row count, and a padded
+    row is in both kernels, ordered after the rest, so it only adds a zero
+    row to each bound.  Jobs with the same (k_j, r_j) share one walk of
+    their candidates, whose survivors are zero-padded to the level's largest
+    k_j - r_j.  Under the full ceiling every candidate survives (valid
+    labels have n_j >= 2 k_j - r_j).
     """
     f, p = space.factors[j], space.p
-    prune = ceiling.dim < space.n
-    if prune:
-        lo, hi = space.offsets[j], space.offsets[j + 1]
-        m_le = intersect_prefix(ceiling, hi)
-        mj = rref(m_le.basis[:, lo:hi], p)
-        mj_gram = mj @ f.gram % p
-    level = []
-    for mats in _base_stacks(space, label, j, budget):
-        if prune:
-            up_dim = (m_le.dim - len(mj)) + _batch.meet_dims(mats, mats.shape[1], mj, p)
-            uh_dim = m_le.dim - _batch.batch_rank(mj_gram @ mats.transpose(0, 2, 1) % p, p)
-            mats = mats[(up_dim >= pdim) & (uh_dim >= hdim)]
-        for basis in mats:
-            ptilde = Subspace(basis, f.n, p)  # pattern matrices are already RREF
-            level.append((
-                ptilde,
-                subspace_intersect(space.prefix_plus(j, ptilde), ceiling),
-                subspace_intersect(space.prefix_plus(j, perp(f, ptilde)), ceiling),
-            ))
-    return level
+    lo, hi = space.offsets[j], space.offsets[j + 1]
+    bases = [intersect_prefix(ceiling, hi).basis for _, ceiling in jobs]
+    rows = max(map(len, bases))
+    m_le = np.zeros((len(jobs), rows, space.n), dtype=np.int32)
+    for x, basis in zip(m_le, bases):
+        x[: len(basis)] = basis
+    padded = rows - np.array([len(basis) for basis in bases])
+    mj = m_le[:, :, lo:hi]
+    mj_gram = mj @ f.gram % p
+    keys = [(label.ks[j], label.rs[j]) for label, _ in jobs]
+    t_max = max(k - rank_numeric(r) for k, r in keys)
+    bounds = np.zeros((0, rows, space.n), dtype=np.int32)
+    kept = [(np.zeros(0, dtype=np.intp), np.zeros((0, t_max, f.n), dtype=np.int32), bounds, bounds)]
+    for key in dict.fromkeys(keys):
+        mine = np.array([c for c, other in enumerate(keys) if other == key])
+        for mats in _base_stacks(space, jobs[mine[0]][0], j, budget):
+            pivots = np.argmax(mats != 0, axis=2)
+            t = mats.shape[1]
+            step = max(1, _LEVEL_ITEMS // len(mats))
+            for first in range(0, len(mine), step):
+                own = mine[first : first + step]
+                shape = (len(own), len(mats), rows)
+                # both kernels in one call: the pairing matrix is zero-padded to n_j columns
+                both = np.zeros((2, *shape, f.n), dtype=np.int32)
+                both[0] = (mj[own, None] - np.moveaxis(mj[own][:, :, pivots], 1, 2) @ mats) % p
+                both[1, ..., :t] = mj_gram[own, None] @ mats.transpose(0, 2, 1) % p
+                ker, dims = _batch.left_kernels(both.reshape(2 * len(own) * len(mats), rows, f.n), p)
+                up_ker, uh_ker = ker.reshape(2, *shape, rows)
+                # a padded row of M_le is in both kernels
+                up_dim, uh_dim = dims.reshape(2, *shape[:2]) - padded[own, None]
+                which, cand = np.nonzero((up_dim >= pdims[own, None]) & (uh_dim >= hdims[own, None]))
+                kept.append((own[which], np.pad(mats[cand], ((0, 0), (0, t_max - t), (0, 0))),
+                             up_ker[which, cand] @ m_le[own[which]] % p,
+                             uh_ker[which, cand] @ m_le[own[which]] % p))
+    job, *rest = (np.concatenate(part) for part in zip(*kept))
+    order = np.argsort(job, kind="stable")  # job by job, candidates in walk order
+    return _Level(job[order], *(part[order] for part in rest))
 
 
-def _walk(space: SumSpace, label: MultiLabel, ceiling: Subspace, budget: int):
-    """Resolution points whose H_j all lie in ``ceiling``, depth first over
-    the levels of ``_level``; an empty level empties the walk."""
-    hdims = [int(x) for x in np.cumsum(label.ks)]
-    pdims = [h - rank_numeric(r) for h, r in zip(hdims, label.rs)]
+def _walk(space: SumSpace, jobs: list, budget: int) -> list[TowerStack]:
+    """Resolution points of each job (label, ceiling): the points whose H_j
+    all lie in the ceiling, for every job level by level at once.
+
+    The points so far are a stack of their last spaces H_{j-1}, job by job;
+    each meets every candidate of level j of its job in turn, and one
+    ``between_stack`` step over all these pairs gives the P_j, a second
+    over the P_j the H_j.  Every step keeps its parents' order and puts each
+    parent's children in walk order, so each job's points come out in the
+    depth-first order of the nested loops over candidates, P_j and H_j; a
+    level left empty for every job ends the walk.
+    """
+    if not jobs:
+        return []
+    p = space.p
+    hdims = np.array([np.cumsum(label.ks) for label, _ in jobs], dtype=np.intp)
+    ranks = np.array([[rank_numeric(r) for r in label.rs] for label, _ in jobs], dtype=np.intp)
+    pdims = hdims - ranks
     levels = []
     for j in range(space.m):
-        level = _level(space, label, j, ceiling, pdims[j], hdims[j], budget)
-        if not level:
-            return
+        level = _level(space, jobs, j, pdims[:, j], hdims[:, j], budget)
+        if not len(level.ptildes):
+            return [_no_points(space, label) for label, _ in jobs]
         levels.append(level)
+    hs = np.zeros((len(jobs), 0, space.n), dtype=np.int32)
+    job = np.arange(len(jobs))  # each point's job
+    steps = []
+    for j, level in enumerate(levels):
+        count = np.bincount(level.job, minlength=len(jobs))
+        per_point = count[job]
+        pair_point = np.repeat(np.arange(len(hs)), per_point)
+        # a point's pairs run over its job's candidates, in order: each pair's
+        # candidate is its job's first one plus the pair's place among its point's
+        first_choice = np.repeat(np.cumsum(count)[job] - per_point, per_point)
+        first_pair = np.repeat(np.cumsum(per_point) - per_point, per_point)
+        pair_choice = first_choice + np.arange(len(pair_point)) - first_pair
+        pair_job = level.job[pair_choice]
+        ps, p_pair = between_stack(hs[pair_point], level.up[pair_choice], pdims[pair_job, j], p,
+                                   budget=budget)
+        hs, h_p = between_stack(ps, level.uh[pair_choice[p_pair]], hdims[pair_job[p_pair], j], p,
+                                budget=budget)
+        job = pair_job[p_pair[h_p]]
+        steps.append((ps, p_pair, hs, h_p, pair_point, pair_choice))
+    # trace each point back through the levels
+    point = np.arange(len(hs))
+    ptildes, pss, hss = [], [], []
+    for level, (ps, p_pair, hs, h_p, pair_point, pair_choice) in zip(levels[::-1], steps[::-1]):
+        hss.append(hs[point])
+        pss.append(ps[h_p[point]])
+        pair = p_pair[h_p[point]]
+        ptildes.append(level.ptildes[pair_choice[pair]])
+        point = pair_point[pair]
+    # the points are ordered job by job; each stack is cut to its job's dims
+    ends = np.cumsum(np.bincount(job, minlength=len(jobs))).tolist()
+    out = []
+    for c, (start, end) in enumerate(zip([0] + ends, ends)):
+        label = jobs[c][0]
+        if start == end:
+            out.append(_no_points(space, label))
+            continue
+        dims = (np.array(label.ks) - ranks[c], pdims[c], hdims[c])
+        out.append(TowerStack(space, *([x[start:end, :dim] for x, dim in zip(stacks[::-1], row)]
+                                       for stacks, row in zip((ptildes, pss, hss), dims))))
+    return out
 
-    def step(j: int, ptildes, ps, hs):
-        if j == space.m:
-            yield FlagDatum(ptildes, ps, hs)
-            return
-        h_prev = hs[-1] if hs else zero_subspace(space.n, space.p)
-        for ptilde, up, uh in levels[j]:
-            for pj in subspaces_between(h_prev, up, pdims[j], budget=budget):
-                for hj in subspaces_between(pj, uh, hdims[j], budget=budget):
-                    yield from step(j + 1, ptildes + (ptilde,), ps + (pj,), hs + (hj,))
 
-    yield from step(0, (), (), ())
+def _no_points(space: SumSpace, label: MultiLabel) -> TowerStack:
+    """The empty walk, with each stack's shape."""
+    hdims = [int(x) for x in np.cumsum(label.ks)]
+    ts = [k - rank_numeric(r) for k, r in zip(label.ks, label.rs)]
+    return TowerStack(
+        space,
+        (np.zeros((0, t, f.n), dtype=np.int32) for t, f in zip(ts, space.factors)),
+        (np.zeros((0, h - k + t, space.n), dtype=np.int32) for h, k, t in zip(hdims, label.ks, ts)),
+        (np.zeros((0, h, space.n), dtype=np.int32) for h in hdims),
+    )
 
 
-def tower_size(space: SumSpace, label: MultiLabel) -> int:
+def tower_size(space: SumSpace, label: MultiLabel, points: int) -> int:
     """The largest enumeration of the whole tower's walk: a level's P~_j walk
-    of Gr_t(F_p^{n_j}), t = k_j - r_j, or the symbolic point count, which
-    bounds each of its ``subspaces_between`` steps."""
-    points = resolution_tower(space, label).count_polynomial()(space.p)
+    of Gr_t(F_p^{n_j}), t = k_j - r_j, or the tower's point count
+    ``points``, which bounds each of its ``between_stack`` steps."""
     return max(points, *(subspace_total(f.n, k - rank_numeric(r), space.p)
                          for f, k, r in zip(space.factors, label.ks, label.rs)))
 
 
 def tower_points(
     space: SumSpace, label: MultiLabel, budget: int | None = DEFAULT_BUDGET
-) -> list[FlagDatum]:
+) -> TowerStack:
     """Exhaustive enumeration of the resolution's points, sized before the walk."""
-    BudgetExceeded.check(tower_size(space, label), budget)
-    return list(_walk(space, label, full_subspace(space.n, space.p), budget))
+    points = resolution_tower(space, label).count_polynomial()(space.p)
+    BudgetExceeded.check(tower_size(space, label, points), budget)
+    return _walk(space, [(label, full_subspace(space.n, space.p))], budget)[0]
 
 
-def fiber_invariants(space: SumSpace, target: Subspace, data: list[FlagDatum]) -> list:
+def fiber_invariants(space: SumSpace, target: Subspace, fiber: TowerStack) -> list:
     """Per point of a fiber over ``target`` M, per factor: dim P_i cap B_{<i},
     dim H_i cap B_{<i}, dim P_i cap (rad pr_i M + B_{<i}).  The two bounds
     are built once for the fiber, and each meet is one batched rank over
-    the stacked P_i or H_i bases."""
-    if not data:
+    the fiber's P_i or H_i stack."""
+    if not len(fiber):
         return []
     p = space.p
     columns = []
     for i, f in enumerate(space.factors):
         prefix = space.prefix_plus(i, zero_subspace(f.n, p)).basis
         enlarged = space.prefix_plus(i, radical(f, space.project_factor(target, i))).basis
-        ps = np.stack([datum.ps[i].basis for datum in data])
-        hs = np.stack([datum.hs[i].basis for datum in data])
+        ps, hs = fiber.ps[i], fiber.hs[i]
         pdim, hdim = ps.shape[1], hs.shape[1]
         columns.append(zip(
             _batch.meet_dims(ps, pdim, prefix, p).tolist(),
@@ -250,15 +366,26 @@ def tower_fiber(
     label: MultiLabel,
     target: Subspace,
     budget: int | None = DEFAULT_BUDGET,
-) -> list[FlagDatum]:
+) -> TowerStack:
     """All resolution points over a fixed target subspace: the walk of
     ``tower_points`` under the ceiling ``target``, since every H_j of a
     point lies in its last space H_m.
     """
-    validate_multilabel(space, label)
-    if target.n != space.n or target.p != space.p:
-        raise ValueError("target lives in the wrong space")
-    return list(_walk(space, label, target, budget)) if target.dim == label.k else []
+    return tower_fibers(space, [(label, target)], budget=budget)[0]
+
+
+def tower_fibers(space: SumSpace, jobs: list, budget: int | None = DEFAULT_BUDGET) -> list[TowerStack]:
+    """``tower_fiber`` of each (label, target) of ``jobs``, from one walk of
+    them all: each level's candidates are walked once per (k_j, r_j), and
+    each step runs over the points of every fiber."""
+    for label, target in jobs:
+        validate_multilabel(space, label)
+        if target.n != space.n or target.p != space.p:
+            raise ValueError("target lives in the wrong space")
+    fibers = iter(_walk(space, [(label, target) for label, target in jobs if target.dim == label.k],
+                        budget))
+    return [next(fibers) if target.dim == label.k else _no_points(space, label)
+            for label, target in jobs]
 
 
 def closure_labels(
@@ -267,13 +394,64 @@ def closure_labels(
     """The resolution's row: label -> (points, distinct targets) over the
     swept targets of that label, in the order the walk first meets them.
     Its keys are the experimental closure of the stratum (finite-field
-    evidence only), and its points sum to the resolution's point count."""
-    hits = Counter(datum.target for datum in tower_points(space, label, budget=budget))
-    row: dict[MultiLabel, tuple[int, int]] = {}
-    for lab, c in zip(multilabels_of(space, hits), hits.values()):
-        points, targets = row.get(lab, (0, 0))
-        row[lab] = (points + c, targets + 1)
-    return row
+    evidence only), and its points sum to the resolution's point count.
+    The one-label view of ``closure_rows``."""
+    return closure_rows(space, [label], budget=budget)[label][1]
+
+
+# whole towers walked together hold at most this many points; a larger one walks alone
+_WALK_POINTS = 1 << 16
+
+
+def _batches(sizes: list[int], bound: int):
+    """Consecutive slices of ``sizes`` that sum to at most ``bound``, each
+    size above it alone."""
+    start, total = 0, 0
+    for c, size in enumerate(sizes):
+        if c > start and total + size > bound:
+            yield slice(start, c)
+            start, total = c, 0
+        total += size
+    if sizes:
+        yield slice(start, len(sizes))
+
+
+def closure_rows(space: SumSpace, labels: list[MultiLabel],
+                 budget: int | None = DEFAULT_BUDGET) -> dict:
+    """label -> (tower count polynomial, ``closure_labels`` row) for each of
+    ``labels``: every tower is built once and sized, refused at the largest
+    before any walk, then walked together with its neighbours in batches of
+    at most ``_WALK_POINTS`` points, so that memory follows the largest
+    tower and not the sum of them all.  A row keys its targets by their
+    RREF rows (``np.unique``, taken in first-seen order), and the distinct
+    targets of a batch's rows of one dimension are labelled in one bulk
+    call."""
+    polys = {label: resolution_tower(space, label).count_polynomial() for label in labels}
+    counts = [polys[label](space.p) for label in labels]
+    BudgetExceeded.check_largest(
+        (tower_size(space, label, count) for label, count in zip(labels, counts)), budget
+    )
+    full = full_subspace(space.n, space.p)
+    rows = {}
+    for part in _batches(counts, _WALK_POINTS):
+        seen = {}  # per label: its distinct targets in first-seen order, and their counts
+        for label, points in zip(labels[part], _walk(space, [(label, full) for label in labels[part]],
+                                                     budget)):
+            targets = points.hs[-1]
+            _, first, hits = np.unique(targets.reshape(len(targets), label.k * space.n), axis=0,
+                                       return_index=True, return_counts=True)
+            order = np.argsort(first)
+            seen[label] = (targets[first[order]], hits[order].tolist())
+        for k in {label.k for label in seen}:
+            mine = [label for label in seen if label.k == k]
+            names = iter(stack_multilabels(space, np.concatenate([seen[label][0] for label in mine])))
+            for label in mine:
+                row: dict[MultiLabel, tuple[int, int]] = {}
+                for count, lab in zip(seen[label][1], names):
+                    points, targets = row.get(lab, (0, 0))
+                    row[lab] = (points + count, targets + 1)
+                rows[label] = (polys[label], row)
+    return {label: rows[label] for label in labels}
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +480,6 @@ def cover_factors(space: SumSpace, label: MultiLabel) -> list[int]:
     return [i for i in range(space.m) if component_group_order(label.factor(space, i)) == 2]
 
 
-def _pad(sub: Subspace, extra: int) -> Subspace:
-    """sub in F_p^(n + extra); zero columns on the right keep its RREF."""
-    if not extra:
-        return sub
-    return Subspace(np.pad(sub.basis, ((0, 0), (0, extra))), sub.n + extra, sub.p)
-
-
 def _extend_space(space: BilinearSpace) -> BilinearSpace:
     """B_i + F with the form extended by <z, z'> = z z' on the new line."""
     g = np.zeros((space.n + 1, space.n + 1), dtype=np.int64)
@@ -327,12 +498,13 @@ def _isotropic_above(space: BilinearSpace, lower: Subspace, d: int, budget: int)
         yield span(np.vstack([lower.basis, x.basis @ comp % p]), space.n, p)
 
 
-def _cover_choices(space: SumSpace, label: MultiLabel, i: int, data: list, budget: int):
+def _cover_choices(space: SumSpace, label: MultiLabel, i: int, data: TowerStack, budget: int):
     """Per tower point in ``data``, the (Q~_i, Q_i) pairs of cover factor i.
 
     With extra = r_i mod 2, Q~_i is an isotropic P~_i <= Q~_i of B_i (+ F), and
     P_i <= Q_i <= H_i (+ F) cap (B_{<i} + Q~_i).  The Q~_i candidates and their
-    B_{<i} + Q~_i depend only on P~_i, so each distinct P~_i is walked once.
+    B_{<i} + Q~_i depend only on P~_i, so each distinct P~_i is walked once;
+    the Q_i of every (point, Q~_i) pair come from one ``between_stack`` step.
     """
     f = space.factors[i]
     p = space.p
@@ -344,10 +516,11 @@ def _cover_choices(space: SumSpace, label: MultiLabel, i: int, data: list, budge
     n = space.n + extra
     lo, end = space.offsets[i], space.offsets[i + 1]
     eye = np.eye(n, dtype=np.int64)
+    pad = ((0, 0), (0, extra))
     above: dict[Subspace, list[tuple[Subspace, Subspace]]] = {}
-    out = []
-    for datum in data:
-        ptilde = _pad(datum.ptildes[i], extra)
+    pairs, uppers = [], []
+    for j in range(len(data)):
+        ptilde = Subspace(np.pad(data.ptildes[i][j], pad), f.n + extra, p)
         if ptilde not in above:
             above[ptilde] = []
             for qt in _isotropic_above(fe, ptilde, qt_dim, budget):
@@ -357,16 +530,24 @@ def _cover_choices(space: SumSpace, label: MultiLabel, i: int, data: list, budge
                 # B_{<i} + Q~_i: qt's columns keep their order, so its RREF rows
                 # under the identity rows of B_{<i} are RREF
                 above[ptilde].append((qt, Subspace(np.vstack([eye[:lo], rows]), n, p)))
-        pi = _pad(datum.ps[i], extra)
         # H_i + F: the F row has its pivot past every padded row, so this is RREF
-        hi_f = Subspace(np.vstack([_pad(datum.hs[i], extra).basis, eye[space.n :]]), n, p)
-        uppers = [(qt, subspace_intersect(hi_f, uq)) for qt, uq in above[ptilde]]
-        out.append([(qt, q) for qt, up in uppers
-                    for q in subspaces_between(pi, up, q_dim, budget=budget)])
+        hi_f = Subspace(np.vstack([np.pad(data.hs[i][j], pad), eye[space.n :]]), n, p)
+        for qt, uq in above[ptilde]:
+            pairs.append((j, qt))
+            uppers.append(subspace_intersect(hi_f, uq).basis)
+    lower = np.pad(data.ps[i], ((0, 0), *pad))[[j for j, _ in pairs]]
+    upper = np.zeros((len(uppers), max(map(len, uppers), default=0), n), dtype=np.int32)
+    for row, basis in zip(upper, uppers):
+        row[: len(basis)] = basis
+    qs, parents = between_stack(lower, upper, q_dim, p, budget=budget)
+    out = [[] for _ in range(len(data))]
+    for q, pair in zip(qs, parents.tolist()):
+        j, qt = pairs[pair]
+        out[j].append((qt, Subspace(q, n, p)))
     return out
 
 
-def _cover_over(space: SumSpace, label: MultiLabel, data: list[FlagDatum], budget: int):
+def _cover_over(space: SumSpace, label: MultiLabel, data: TowerStack, budget: int):
     """Cover points over each tower point in ``data``: every product of the
     per-factor choices."""
     factors = cover_factors(space, label)

@@ -55,13 +55,11 @@ from .sumspace import (
     slice_weights,
 )
 from .towers import (
-    closure_labels,
+    closure_rows,
     cover_factors,
     cover_fiber,
     expected_cover_fiber_space,
-    resolution_tower,
-    tower_fiber,
-    tower_size,
+    tower_fibers,
 )
 
 GRID_SPACES = ("Sp2", "Sp4", "O2", "O3", "O4", "Sp2+O2", "Sp2+Sp2", "O2+O3")
@@ -296,14 +294,15 @@ def suite_paving(primes=(3, 5), budget=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 
 def _rows(rows: dict, space, ks, budget) -> dict:
-    """``closure_labels`` of the labels of each k in ``ks``, kept in one run's
-    table ``rows`` keyed by (spec, p, label): towers not yet in it are sized,
-    refused at the largest before any walk, then walked once each."""
+    """label -> (tower count polynomial, ``closure_labels`` row) of the
+    labels of each k in ``ks``, kept in one run's table ``rows`` keyed by
+    (spec, p, label): the towers not yet in it are built once each, sized,
+    refused at the largest before any walk, then walked together once
+    (``closure_rows``)."""
     labels = [lab for k in ks for lab in enumerate_multilabels(space, k)]
     new = [lab for lab in labels if (space.spec, space.p, lab) not in rows]
-    BudgetExceeded.check_largest((tower_size(space, lab) for lab in new), budget)
-    for lab in new:
-        rows[space.spec, space.p, lab] = closure_labels(space, lab, budget=budget)
+    for lab, entry in closure_rows(space, new, budget=budget).items():
+        rows[space.spec, space.p, lab] = entry
     return {lab: rows[space.spec, space.p, lab] for lab in labels}
 
 
@@ -314,8 +313,7 @@ def suite_towers(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=N
         for p in primes:
             space = build_sum_space(spec, p)
             bad = []
-            for label, row in _rows(rows, space, _krange(space.n, only_k), budget).items():
-                poly = resolution_tower(space, label).count_polynomial()
+            for label, (poly, row) in _rows(rows, space, _krange(space.n, only_k), budget).items():
                 # every layer counts with nonnegative coefficients, so
                 # the product does; Poincare duality is the law
                 if not poly.is_palindromic():
@@ -356,7 +354,7 @@ def _fiber_bijectivity(spec, p, budget, only_k, rows):
     for k in _krange(space.n, only_k):
         sizes = orbit_point_counts(space, k, budget=budget)
         for label in enumerate_multilabels(space, k):
-            points, targets = table[label].get(label, (0, 0))
+            points, targets = table[label][1].get(label, (0, 0))
             if points != targets:
                 bad.append(f"{label}: {points} points over {targets} open-stratum targets")
             if targets != sizes[label]:
@@ -366,26 +364,40 @@ def _fiber_bijectivity(spec, p, budget, only_k, rows):
 
 def _fiber_polynomiality(spec, primes, budget, only_k, rows):
     """Fiber sizes over canonical representatives interpolate exactly; over
-    the label's own, degree 0 carries bijectivity's one point to every prime."""
+    the label's own, degree 0 carries bijectivity's one point to every prime.
+    The closure rows fix every (label, stratum, prime) walked, so each walk's
+    P~ walks are sized, and refused at the largest, before the first walk."""
     ref = build_sum_space(spec, 3)
-    spaces = {}  # one space per prime, built on first use
-    bad = []
     _rows(rows, ref, _krange(ref.n, only_k), budget)  # every k sized before any walk
+    fits = []  # (label, stratum below it, fit degree bound, sampling primes)
     for k in _krange(ref.n, only_k):
         for label, below in closure_relation(spec, k, 3, budget, rows).items():
-            dim_x = orbit_dim_multi(ref, label)
             for sub in sorted(below, key=MultiLabel.sort_key):
-                bound = dim_x - orbit_dim_multi(ref, sub)
-                use = _primes_for_degree(primes, bound)
-                samples = []
-                for p in use:
-                    space = spaces.get(p) or spaces.setdefault(p, build_sum_space(spec, p))
-                    rep = canonical_representative(space, sub)
-                    samples.append((p, len(tower_fiber(space, label, rep, budget=budget))))
-                try:
-                    interpolate_counts(samples, bound)
-                except InterpolationError as e:
-                    bad.append(f"{label} over {sub}: {e}")
+                bound = orbit_dim_multi(ref, label) - orbit_dim_multi(ref, sub)
+                fits.append((label, sub, bound, _primes_for_degree(primes, bound)))
+    BudgetExceeded.check_largest(
+        (subspace_total(f.n, k - rank_numeric(r), p)
+         for label, _, _, use in fits for p in use
+         for f, k, r in zip(ref.factors, label.ks, label.rs)),
+        budget,
+    )
+    # one walk per prime, of every (label, stratum) fiber sampled there
+    walks: dict = {}
+    for label, sub, _, use in fits:
+        for p in use:
+            walks.setdefault(p, []).append((label, sub))
+    sizes = {}
+    for p, pairs in walks.items():
+        space = build_sum_space(spec, p)
+        reps = {sub: canonical_representative(space, sub) for _, sub in pairs}
+        fibers = tower_fibers(space, [(label, reps[sub]) for label, sub in pairs], budget=budget)
+        sizes.update(((label, sub, p), len(fiber)) for (label, sub), fiber in zip(pairs, fibers))
+    bad = []
+    for label, sub, bound, use in fits:
+        try:
+            interpolate_counts([(p, sizes[label, sub, p]) for p in use], bound)
+        except InterpolationError as e:
+            bad.append(f"{label} over {sub}: {e}")
     return [_result(f"fibers polynomial {spec} p={tuple(primes)}", bad)]
 
 
@@ -430,7 +442,7 @@ def closure_relation(spec: str, k: int, p: int, budget, rows: dict):
     # set(row.keys()) adds one label at a time; set(row) would presize its
     # table from the dict and so change the set's iteration order, which is
     # the closure report's edge order until ROADMAP item 7 sorts the edges.
-    return {lab: set(row.keys()) for lab, row in _rows(rows, space, (k,), budget).items()}
+    return {lab: set(row.keys()) for lab, (_, row) in _rows(rows, space, (k,), budget).items()}
 
 
 def suite_closure(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=None, rows=None):

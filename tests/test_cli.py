@@ -5,6 +5,7 @@ import shlex
 import time
 
 import pytest
+from checks import edit_whole_walks, take_points
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -116,6 +117,31 @@ def test_budget_refuses_before_the_first_tower_walk(monkeypatch, capsys, argv, s
     assert walks == []
     err = capsys.readouterr().err
     assert err == f"budget refused: enumeration of ~{size} subspaces exceeds budget {budget}\n"
+
+
+def test_fiber_walks_are_sized_before_the_first(monkeypatch, capsys):
+    # the fibers suite knows every (label, prime) it samples once the closure
+    # rows are in: the largest P~ walk, O4's Gr_2(F_11^4), is refused before
+    # any walk under a target; only the rows' whole-tower walks at p = 3 and
+    # the open-stratum counts come first
+    walks = []
+    real = towers._walk
+    monkeypatch.setattr(towers, "_walk", lambda *args: walks.append(args) or real(*args))
+    argv = "verify --space O4 --suite fibers --budget 130"
+    assert main(argv.split()) == EXIT_BUDGET
+    assert walks and all(c.dim == space.n for space, jobs, _ in walks for _, c in jobs)
+    assert capsys.readouterr().err == "budget refused: enumeration of ~16226 subspaces exceeds budget 130\n"
+
+
+def test_budget_refuses_a_step_above_the_budget(capsys):
+    # a fiber walk sizes its P~ walks (one point each here) but not its
+    # between-steps, whose Grassmannians depend on the target: the P_2 step
+    # walks Gr_1(F_3^2), 4 points
+    argv = "fibers --space O2+O3 --label 1:1,1:1 --target-label 2:2,0:0 --primes 3 --budget"
+    assert main([*argv.split(), "3"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == "budget refused: enumeration of ~4 subspaces exceeds budget 3\n"
+    assert main([*argv.split(), "4"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"][0]["fiber_size"] == 4
 
 
 @pytest.mark.parametrize("argv,size,budget", [
@@ -353,9 +379,9 @@ def test_broken_bijectivity_is_a_failed_check(monkeypatch, capsys):
     # a broken law writes its report and exits 1, in verify and in fibers
     real = towers._walk
 
-    def repeated(space, label, ceiling, budget):
-        points = list(real(space, label, ceiling, budget))
-        return points + points[:1]
+    def repeated(space, jobs, budget):
+        return [take_points(points, [*range(len(points)), *range(len(points))[:1]])
+                for points in real(space, jobs, budget)]
 
     monkeypatch.setattr(towers, "_walk", repeated)
     assert main(["verify", "--space", "O2", "--suite", "fibers"]) == EXIT_CHECK_FAILED
@@ -370,14 +396,11 @@ def test_broken_bijectivity_is_a_failed_check(monkeypatch, capsys):
 def test_one_resolution_row_feeds_towers_and_bijectivity(monkeypatch, capsys):
     # a tower point repeated over the open stratum: the point count and the
     # bijectivity check read the same row, so exactly those two fail
-    real = towers.tower_points
+    def repeated(space, label, points):
+        labels = multilabels_of(space, [datum.hs[-1] for datum in points])
+        return take_points(points, [*range(len(points)), labels.index(label)])
 
-    def repeated(space, label, budget):
-        points = real(space, label, budget=budget)
-        labels = multilabels_of(space, [datum.target for datum in points])
-        return points + [points[labels.index(label)]]
-
-    monkeypatch.setattr(towers, "tower_points", repeated)
+    monkeypatch.setattr(towers, "_walk", edit_whole_walks(towers._walk, repeated))
     assert main(["verify", "--space", "O2"]) == EXIT_CHECK_FAILED
     checks = json.loads(capsys.readouterr().out)["checks"]
     failed = [c["name"] for c in checks if not c["passed"]]

@@ -3,14 +3,16 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from checks import scalar_between
 
 from isograss import linalg
-from isograss._batch import batch_rank, iter_chunks, pattern_matrices
+from isograss._batch import batch_rank, iter_chunks, left_kernels, pattern_matrices
 from isograss.linalg import (
     BudgetExceeded,
     RowSolver,
     Subspace,
     as_prime,
+    between_stack,
     complement_rows,
     det_mod,
     enumerate_subspaces,
@@ -415,10 +417,10 @@ def test_subspaces_between_trivial_steps_skip_elimination(monkeypatch):
     upper = span([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 4, p)
     calls = []
     # a trivial step neither eliminates nor builds the complement of lower in
-    # upper, which only the enumeration uses
-    for name in ("rref", "complement_rows"):
-        real = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda *args, real=real: calls.append(args) or real(*args))
+    # upper, which only the enumeration uses: the batched step's eliminations
+    # are batch_rank calls, and its containment check is a residue
+    real = linalg._batch.batch_rank
+    monkeypatch.setattr(linalg._batch, "batch_rank", lambda *args: calls.append(args) or real(*args))
     assert list(subspaces_between(lower, upper, lower.dim)) == [lower]
     assert list(subspaces_between(lower, upper, upper.dim)) == [upper]
     assert not calls
@@ -427,6 +429,83 @@ def test_subspaces_between_trivial_steps_skip_elimination(monkeypatch):
         list(subspaces_between(lower, upper, lower.dim, budget=0))
     assert len(list(subspaces_between(lower, upper, 2))) == p + 1
     assert calls
+
+
+def _between_pairs(p, rng, n, u):
+    """Pairs lower <= upper in F_p^n, lower of dim u, every upper dimension
+    from u to n, each enumeration Gr_{d-u}(F_p^{w-u}) kept small."""
+    pairs = []
+    for w in range(u, n + 1):
+        if subspace_total(w - u, (w - u) // 2, p) > 1000:
+            continue
+        for _ in range(2):
+            upper = random_subspace(n, w, p, rng)
+            inner = random_subspace(w, u, p, rng).basis if u else np.zeros((0, w), dtype=np.int64)
+            pairs.append((span(inner @ upper.basis % p, n, p), upper))
+    return pairs
+
+
+@pytest.mark.parametrize("p", [3, 5, 997])
+def test_between_stack_keeps_the_scalar_order(p):
+    # one batched step over pairs of mixed upper dimensions yields, pair by
+    # pair, the scalar step's subspaces in its order, d = u and d = w included
+    rng = np.random.default_rng(p)
+    seen = set()
+    for n, u in ((1, 0), (3, 0), (4, 1), (5, 2), (6, 2), (6, 3)):
+        pairs = _between_pairs(p, rng, n, u)
+        rng.shuffle(pairs)
+        upper = np.zeros((len(pairs), n, n), dtype=np.int32)
+        for row, (_, up) in zip(upper, pairs):
+            row[: up.dim] = up.basis
+        lower = np.array([low.basis for low, _ in pairs], dtype=np.int32).reshape(len(pairs), u, n)
+        for d in range(u, n + 1):
+            kids, parents = between_stack(lower, upper, d, p, budget=None)
+            want = [(j, x) for j, (low, up) in enumerate(pairs) for x in scalar_between(low, up, d)]
+            assert parents.tolist() == [j for j, _ in want]
+            assert [Subspace(x, n, p) for x in kids] == [x for _, x in want]
+            for low, up in pairs:
+                assert list(subspaces_between(low, up, d, budget=None)) == list(scalar_between(low, up, d))
+                seen.add(("d=u" if d == u else "d=w" if d == up.dim else "inner") if d <= up.dim else "none")
+            seen.update("u=w" for low, up in pairs if low.dim == up.dim == d)
+    assert seen == {"d=u", "d=w", "inner", "none", "u=w"}
+
+
+def test_between_stack_refuses_a_lower_outside_its_upper():
+    p = 5
+    upper = np.zeros((2, 3, 4), dtype=np.int32)
+    upper[:, :3, :3] = np.eye(3, dtype=np.int32)
+    lower = np.array([[[1, 2, 0, 0]], [[0, 1, 0, 1]]], dtype=np.int32)
+    for d in (1, 2, 3):
+        with pytest.raises(ValueError, match="not contained"):
+            between_stack(lower, upper, d, p)
+    kids, parents = between_stack(lower[:1], upper[:1], 2, p)
+    assert len(kids) == p + 1 and not parents.any()
+
+
+def test_between_stack_checks_each_grassmannian():
+    # a step is sized per upper dimension: Gr_1(F_5^2) has 6 points
+    p = 5
+    upper = np.zeros((2, 3, 4), dtype=np.int32)
+    upper[0, :3, :3] = np.eye(3, dtype=np.int32)
+    upper[1, :2, :2] = np.eye(2, dtype=np.int32)
+    lower = np.array([[[1, 0, 0, 0]]] * 2, dtype=np.int32)
+    assert len(between_stack(lower, upper, 2, p, budget=6)[0]) == 6 + 1
+    with pytest.raises(BudgetExceeded) as exc:
+        between_stack(lower, upper, 2, p, budget=5)
+    assert exc.value.estimate == 6
+
+
+@pytest.mark.parametrize("p", [3, 997])
+def test_left_kernels_match_the_scalar_kernel(p):
+    rng = np.random.default_rng(p)
+    for r in range(6):
+        for c in range(6):
+            for rank in range(min(r, c) + 1):
+                a = rng.integers(0, p, (20, r, rank)) @ rng.integers(0, p, (20, rank, c)) % p
+                ker, dims = left_kernels(a, p)
+                for x, dim, mat in zip(ker, dims, a):
+                    want = left_kernel(mat, p)
+                    assert dim == len(want) and (x[:dim] == want).all() and not x[dim:].any()
 
 
 def test_subspace_repr_and_contains_vector():

@@ -574,7 +574,7 @@ def test_multilabels_of_tower_targets(monkeypatch):
     b = build_sum_space("Sp2+O2", 3)
     for k in range(b.n + 1):
         for label in enumerate_multilabels(b, k):
-            targets = [datum.target for datum in tower_points(b, label)]
+            targets = [datum.hs[-1] for datum in tower_points(b, label)]
             calls.clear()
             got = multilabels_of(b, targets)
             assert len(calls) == len(set(got))

@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from checks import same_points, scalar_between
 
 from isograss import _batch, towers
 from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, perp, radical, standard_space
@@ -10,12 +11,13 @@ from isograss.cli import parse_label_arg
 from isograss.linalg import (
     BudgetExceeded,
     enumerate_subspaces,
+    full_subspace,
     span,
     subspace_intersect,
     subspaces_between,
     zero_subspace,
 )
-from isograss.orbits import DOUBLEPRIME0, PRIME0
+from isograss.orbits import DOUBLEPRIME0, PRIME0, rank_numeric
 from isograss.paving import isotropic_subspaces
 from isograss.polynomials import IntPolynomial, gaussian_binomial, interpolate_counts
 from isograss.sumspace import (
@@ -36,6 +38,7 @@ from isograss.towers import (
     fiber_invariants,
     resolution_tower,
     tower_fiber,
+    tower_fibers,
     tower_points,
 )
 from isograss.verify import GRID_SPACES, closure_relation
@@ -141,9 +144,10 @@ def test_tower_points_refuses_above_its_tower_size(spec, label, size):
     # the walk is sized before it starts: size == budget walks it, and one
     # less is refused with the size
     space, label = build_sum_space(spec, 3), parse_label_arg(label)
-    assert towers.tower_size(space, label) == size
+    count = resolution_tower(space, label).count_polynomial()(3)
+    assert towers.tower_size(space, label, count) == size
     points = tower_points(space, label, budget=size)
-    assert len(points) == resolution_tower(space, label).count_polynomial()(3)
+    assert len(points) == count
     with pytest.raises(BudgetExceeded) as exc:
         tower_points(space, label, budget=size - 1)
     assert exc.value.estimate == size
@@ -171,7 +175,7 @@ def test_empty_label_gives_single_point():
     b = build_sum_space("Sp2+O2", 3)
     pts = tower_points(b, MultiLabel((0, 0), (0, 0)))
     assert len(pts) == 1
-    assert pts[0].target.dim == 0
+    assert pts[0].hs[-1].dim == 0
 
 
 def test_tower_fiber_open_orbit_singleton():
@@ -182,7 +186,7 @@ def test_tower_fiber_open_orbit_singleton():
             fiber = tower_fiber(b, label, rep)
             assert len(fiber) == 1
             datum = fiber[0]
-            assert datum.target == rep
+            assert datum.hs[-1] == rep
             # radical formula: P~_i is the radical of pr_i of the target
             from isograss.bilinear import radical
 
@@ -198,13 +202,13 @@ def test_tower_fiber_is_tower_points_cut_to_target():
             for label in enumerate_multilabels(b, k):
                 by_target: dict = {}
                 for datum in tower_points(b, label):
-                    by_target.setdefault(datum.target, Counter())[datum] += 1
+                    by_target.setdefault(datum.hs[-1], Counter())[datum] += 1
                 for h in enumerate_subspaces(b.n, k, 3):
                     want = by_target.get(h, Counter())
                     assert Counter(tower_fiber(b, label, h)) == want, (spec, str(label), h)
 
 
-def _oracle_level(space, label, j, ceiling, pdim, hdim, budget):
+def _oracle_candidates(space, label, j, ceiling, pdim, hdim, budget):
     """The definitional level of the walk: per candidate P~_j a Subspace, its
     perp and both bounds cut to the ceiling, kept when they can hold P_j and
     H_j; a tag r_j keeps the candidates of its ruling, labelled one by one."""
@@ -227,10 +231,67 @@ def _oracle_level(space, label, j, ceiling, pdim, hdim, budget):
     return level
 
 
+def _oracle_level(space, jobs, j, pdims, hdims, budget):
+    """``_oracle_candidates`` of each job, stacked as the walk reads a level."""
+    def stack(subs, rows, n):
+        out = np.zeros((len(subs), rows, n), dtype=np.int32)
+        for x, sub in zip(out, subs):
+            x[: sub.dim] = sub.basis
+        return out
+
+    level = [(c, *choice) for c, (label, ceiling) in enumerate(jobs)
+             for choice in _oracle_candidates(space, label, j, ceiling, pdims[c], hdims[c], budget)]
+    which, ptildes, ups, uhs = zip(*level) if level else ((), (), (), ())
+    return towers._Level(np.array(which, dtype=np.intp), stack(ptildes, space.factors[j].n, space.factors[j].n),
+                         stack(ups, space.n, space.n), stack(uhs, space.n, space.n))
+
+
+def _scalar_walk(space, label, ceiling):
+    """The walk as nested loops over Subspaces: per level the oracle's
+    candidates, then the scalar between-steps for P_j and H_j."""
+    hdims = [int(x) for x in np.cumsum(label.ks)]
+    pdims = [h - rank_numeric(r) for h, r in zip(hdims, label.rs)]
+    levels = [_oracle_candidates(space, label, j, ceiling, pdims[j], hdims[j], None)
+              for j in range(space.m)]
+
+    def step(j, ptildes, ps, hs):
+        if j == space.m:
+            yield towers.FlagDatum(ptildes, ps, hs)
+            return
+        h_prev = hs[-1] if hs else zero_subspace(space.n, space.p)
+        for ptilde, up, uh in levels[j]:
+            for pj in scalar_between(h_prev, up, pdims[j]):
+                for hj in scalar_between(pj, uh, hdims[j]):
+                    yield from step(j + 1, ptildes + (ptilde,), ps + (pj,), hs + (hj,))
+
+    return list(step(0, (), (), ()))
+
+
+@pytest.mark.parametrize("spec,ks", [
+    *((spec, None) for spec in GRID_SPACES),
+    # the larger k have towers of 10^5 to 10^8 points, too many for the scalar walk
+    ("O4+O3", (0, 1, 6, 7)),
+    ("Sp4+O2+Sp2", (0, 1, 7, 8)),
+])
+def test_closure_rows_keep_the_scalar_walk_order(spec, ks):
+    # a resolution row, item order included, is that of the scalar walk's
+    # targets, counted in the order the walk first meets them
+    space = build_sum_space(spec, 3)
+    for k in range(space.n + 1) if ks is None else ks:
+        for label in enumerate_multilabels(space, k):
+            hits = Counter(d.hs[-1] for d in _scalar_walk(space, label, full_subspace(space.n, 3)))
+            want: dict = {}
+            for lab, c in zip(multilabels_of(space, hits), hits.values()):
+                points, seen = want.get(lab, (0, 0))
+                want[lab] = (points + c, seen + 1)
+            assert list(closure_labels(space, label).items()) == list(want.items()), str(label)
+
+
 def test_walk_matches_per_candidate_oracle(monkeypatch):
     """Every tower_points of the grid at p = 3, and tower_fiber over every
     canonical representative of every label pair (grid at p = 3, Sp2+O2 and
-    O4 at p = 5), give the same points in the same order as the oracle."""
+    O4 at p = 5), one by one and all of a label's in one tower_fibers walk,
+    give the same points in the same order as the oracle."""
     cases = []
     grid = [build_sum_space(spec, 3) for spec in GRID_SPACES]
     for space in grid + [build_sum_space(spec, 5) for spec in ("Sp2+O2", "O4")]:
@@ -240,33 +301,59 @@ def test_walk_matches_per_candidate_oracle(monkeypatch):
             for label in labels:
                 if space.p == 3:
                     cases.append((space, label, None))
-                cases += [(space, label, rep) for rep in reps]
+                cases += [(space, label, rep) for rep in reps] + [(space, label, tuple(reps))]
 
     def walk(space, label, target):
         if target is None:
-            return tower_points(space, label)
-        return tower_fiber(space, label, target)
+            return [tower_points(space, label)]
+        if isinstance(target, tuple):
+            return tower_fibers(space, [(label, rep) for rep in target])
+        return [tower_fiber(space, label, target)]
 
     got = [walk(*case) for case in cases]
     monkeypatch.setattr(towers, "_level", _oracle_level)
     for case, points in zip(cases, got):
-        assert points == walk(*case), (case[0].spec, case[0].p, str(case[1]), case[2])
-    assert sum(map(len, got)) > 0
+        want = walk(*case)
+        assert len(points) == len(want) and all(map(same_points, points, want)), (
+            case[0].spec, case[0].p, str(case[1]), case[2])
+    assert sum(len(points) for walked in got for points in walked) > 0
+
+
+def test_tower_fibers_walk_each_target_as_tower_fiber():
+    # one walk under targets of every dimension: a target of the wrong
+    # dimension has an empty fiber, as in tower_fiber, and the others are
+    # walked together
+    space = build_sum_space("Sp2+O2", 3)
+    targets = [canonical_representative(space, lab) for k in range(space.n + 1)
+               for lab in enumerate_multilabels(space, k)]
+    jobs = [(label, target) for k in (1, 2) for label in enumerate_multilabels(space, k)
+            for target in targets]
+    fibers = tower_fibers(space, jobs)
+    assert len(fibers) == len(jobs)
+    assert all(same_points(f, tower_fiber(space, label, target)) for f, (label, target) in zip(fibers, jobs))
+    assert all(len(f) == 0 for f, (label, t) in zip(fibers, jobs) if t.dim != label.k)
+    assert sum(map(len, fibers)) > 0
 
 
 def test_fiber_builds_only_surviving_candidates(monkeypatch):
-    """Over a lower-stratum target the walk prunes P~ candidates in bulk:
-    perp runs once per survivor, not once per isotropic candidate."""
+    """Over a lower-stratum target the walk prunes P~ candidates in bulk: the
+    level keeps only the survivors, and their bounds come from batched
+    kernels, with no scalar perp or meet per candidate or survivor."""
     p = 5
     o4 = build_sum_space("O4", p)
     target = canonical_representative(o4, MultiLabel((2,), (PRIME0,)))
     calls = []
-    real = towers.perp
-    monkeypatch.setattr(towers, "perp", lambda space, h: calls.append(h) or real(space, h))
+    for name in ("perp", "subspace_intersect"):
+        real = getattr(towers, name)
+        monkeypatch.setattr(towers, name, lambda *args, real=real: calls.append(args) or real(*args))
+    levels = []
+    real_level = towers._level
+    monkeypatch.setattr(towers, "_level", lambda *args: levels.append(real_level(*args)) or levels[-1])
     fiber = tower_fiber(o4, MultiLabel((2,), (1,)), target)
     # survivors are the q + 1 lines of the Lagrangian target, one point each,
     # out of the (q + 1)^2 isotropic lines of O4
-    assert len(fiber) == len(calls) == p + 1
+    assert len(fiber) == len(levels[0].ptildes) == p + 1
+    assert calls == []
     assert sum(1 for _ in isotropic_subspaces(o4.factors[0], 1)) == (p + 1) ** 2
 
 
@@ -294,6 +381,24 @@ def test_tower_fiber_polynomial_o4():
         samples.append((p, len(tower_fiber(o4, MultiLabel((2,), (1,)), rep))))
     poly = interpolate_counts(samples, 1)
     assert poly == IntPolynomial([1, 1])
+
+
+def test_closure_rows_walk_towers_in_bounded_batches(monkeypatch):
+    # towers are walked together only up to _WALK_POINTS points, a larger
+    # one alone, and the rows, item order included, do not depend on it
+    space = build_sum_space("Sp2+O2", 3)
+    labels = [lab for k in range(space.n + 1) for lab in enumerate_multilabels(space, k)]
+    want = towers.closure_rows(space, labels)
+    walks = []
+    real = towers._walk
+    monkeypatch.setattr(towers, "_walk", lambda *args: walks.append(real(*args)) or walks[-1])
+    monkeypatch.setattr(towers, "_WALK_POINTS", 40)
+    got = towers.closure_rows(space, labels)
+    assert [list(got[lab][1].items()) for lab in labels] == [list(want[lab][1].items()) for lab in labels]
+    sizes = [[len(points) for points in walk] for walk in walks]
+    assert sum(map(len, sizes)) == len(labels)
+    assert max(map(len, sizes)) > 1 and max(max(s) for s in sizes) > 40
+    assert all(sum(s) <= 40 or len(s) == 1 for s in sizes)
 
 
 def test_closure_labels_m1_chain():
@@ -348,7 +453,7 @@ def test_cover_points_all_symplectic_equals_tower():
 
 def _cover_points(space, label):
     """The covering tower: the cover fibers over the tower's distinct targets."""
-    targets = dict.fromkeys(datum.target for datum in tower_points(space, label))
+    targets = dict.fromkeys(datum.hs[-1] for datum in tower_points(space, label))
     return [pt for target in targets for pt in cover_fiber(space, label, target)[0]]
 
 
@@ -486,7 +591,7 @@ def scalar_fiber_invariants(space, datum):
     out = []
     for i, f in enumerate(space.factors):
         prefix = space.prefix_plus(i, zero_subspace(f.n, space.p))
-        enlarged = space.prefix_plus(i, radical(f, space.project_factor(datum.target, i)))
+        enlarged = space.prefix_plus(i, radical(f, space.project_factor(datum.hs[-1], i)))
         out.append((
             subspace_intersect(datum.ps[i], prefix).dim,
             subspace_intersect(datum.hs[i], prefix).dim,

@@ -20,7 +20,7 @@ from isograss.polynomials import IntPolynomial
 from isograss.sumspace import MultiLabel, build_sum_space, multilabels_of, orbit_point_counts
 from isograss import paving, towers, verify
 
-from checks import check_line
+from checks import check_line, edit_whole_walks, same_points, take_points
 
 
 def test_stratum_polynomials_sp4():
@@ -76,7 +76,7 @@ def test_no_budget_bounds_nothing():
     space = build_sum_space("Sp2+O2", 3)
     label = MultiLabel((0, 2), (0, 2))
     assert orbit_point_counts(space, 2, budget=None) == orbit_point_counts(space, 2)
-    assert towers.tower_points(space, label, budget=None) == towers.tower_points(space, label)
+    assert same_points(towers.tower_points(space, label, budget=None), towers.tower_points(space, label))
     assert towers.closure_labels(space, label, budget=None) == towers.closure_labels(space, label)
     assert verify.stratum_polynomials("Sp2+O2", 2, budget=None) == verify.stratum_polynomials("Sp2+O2", 2)
     assert verify.suite_partition(("Sp2+O2",), budget=None) == verify.suite_partition(("Sp2+O2",))
@@ -91,15 +91,27 @@ def test_run_suite_names():
 
 
 def test_all_walks_each_resolution_once_per_run(monkeypatch):
-    # towers, fibers and closure share one row per label within a run
-    walks = []
-    real = towers.tower_points
+    # towers, fibers and closure share one row per label within a run: every
+    # walk job under all of B but a fiber's is a row's.  (The fiber of the
+    # k = n label over all of B is a job under all of B too.)
+    walks, fibers = [], []
+    real_walk, real_fibers = towers._walk, towers.tower_fibers
 
-    def counted(space, label, budget):
-        walks.append(label)
-        return real(space, label, budget=budget)
+    def counted(space, jobs, budget):
+        if not fibers:
+            walks.extend(label for label, ceiling in jobs if ceiling.dim == space.n)
+        return real_walk(space, jobs, budget)
 
-    monkeypatch.setattr(towers, "tower_points", counted)
+    def fiber_walk(*args, **kwargs):
+        fibers.append(args)
+        try:
+            return real_fibers(*args, **kwargs)
+        finally:
+            fibers.pop()
+
+    monkeypatch.setattr(towers, "_walk", counted)
+    for module in (towers, verify):
+        monkeypatch.setattr(module, "tower_fibers", fiber_walk)
     verify.run_suite("all", ("Sp2+O2",))
     assert len(walks) == len(set(walks)) == 15
     verify.run_suite("all", ("Sp2+O2",))
@@ -319,12 +331,13 @@ def test_witt_builds_perp_and_radical_once_per_pair(monkeypatch):
 def test_fiber_polynomiality_names_the_pair(monkeypatch):
     # one fiber count off the polynomial fails the check, and the failure
     # names the resolution label and the stratum it lies over
-    real = verify.tower_fiber
+    real = verify.tower_fibers
 
-    def off_at_3(space, label, rep, budget):
-        return real(space, label, rep, budget=budget) + [None] * (space.p == 3)
+    def off_at_3(space, jobs, budget):
+        return [take_points(fiber, [*range(len(fiber)), *range(len(fiber))[: space.p == 3]])
+                for fiber in real(space, jobs, budget=budget)]
 
-    monkeypatch.setattr(verify, "tower_fiber", off_at_3)
+    monkeypatch.setattr(verify, "tower_fibers", off_at_3)
     [result] = verify._fiber_polynomiality("Sp2", (3, 5, 7), verify.DEFAULT_BUDGET, None, {})
     line = MultiLabel((1,), (0,))
     assert not result.passed and f"{line} over {line}: " in result.details
@@ -333,14 +346,14 @@ def test_fiber_polynomiality_names_the_pair(monkeypatch):
 def test_towers_checks_the_tower_degree(monkeypatch):
     # a resolution one Grassmannian layer too big no longer has its
     # stratum's dimension: the failure names the label
-    real = verify.resolution_tower
+    real = towers.resolution_tower
 
     def one_layer_more(space, label):
         tower = real(space, label)
         extra = towers.TowerLayer("grassmannian", (2, 1), verify.gaussian_binomial(2, 1))
         return towers.TowerDescriptor(tower.layers + (extra,))
 
-    monkeypatch.setattr(verify, "resolution_tower", one_layer_more)
+    monkeypatch.setattr(towers, "resolution_tower", one_layer_more)
     [result] = verify.suite_towers(("Sp2",), (3,), only_k=1)
     label = MultiLabel((1,), (0,))
     assert not result.passed and f"{label}: tower degree 2 != orbit dim 1" in result.details
@@ -362,27 +375,25 @@ def test_towers_checks_poincare_duality(monkeypatch):
 
 
 def test_fiber_polynomiality_builds_no_tower(monkeypatch):
-    # the fit's degree bound reads the stratum dimension, not a tower
-    def refused(space, label):
-        raise AssertionError("resolution_tower called")
-
-    monkeypatch.setattr(verify, "resolution_tower", refused)
+    # the fit's degree bound reads the stratum dimension, not a tower: the
+    # only towers built are those of the closure rows, one per label at p = 3
+    built = []
+    real = towers.resolution_tower
+    monkeypatch.setattr(towers, "resolution_tower", lambda space, label: built.append(
+        (space.p, label)) or real(space, label))
     results = verify.suite_fibers(("Sp2+O2",), (3, 5, 7))
     assert results and all(r.passed for r in results)
+    assert len(built) == len(set(built)) == 15 and {p for p, _ in built} == {3}
 
 
 def test_bijectivity_counts_the_whole_open_stratum(monkeypatch):
     # a walk that misses one open-stratum point still hits each of its
     # targets once, so bijectivity sees the loss only in the stratum's size
-    real = towers.tower_points
+    def dropped(space, label, points):
+        labels = multilabels_of(space, [datum.hs[-1] for datum in points])
+        return take_points(points, [j for j in range(len(points)) if j != labels.index(label)])
 
-    def dropped(space, label, budget):
-        points = real(space, label, budget=budget)
-        labels = multilabels_of(space, [datum.target for datum in points])
-        del points[labels.index(label)]
-        return points
-
-    monkeypatch.setattr(towers, "tower_points", dropped)
+    monkeypatch.setattr(towers, "_walk", edit_whole_walks(towers._walk, dropped))
     [result] = verify._fiber_bijectivity("O2", 3, verify.DEFAULT_BUDGET, None, {})
     # split O2 over F_3 has 4 lines, 2 of them isotropic
     open_line = MultiLabel((1,), (1,))
