@@ -279,7 +279,7 @@ def _transitive_reduction(labels, rel):
 
 
 def cmd_closure(space_spec: str, k: int, prime: int = 3, budget=DEFAULT_BUDGET) -> dict:
-    rel = closure_relation(space_spec, k, prime, budget, {})
+    rel = closure_relation(build_sum_space(space_spec, prime), k, budget, {})
     labels = sorted(rel, key=MultiLabel.sort_key)
     edges = _transitive_reduction(labels, rel)
     results = [

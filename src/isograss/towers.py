@@ -16,20 +16,19 @@ runs level by level on int stacks of RREF bases: the P~_i candidates come
 as stacks, their bounds under the ceiling are batched left kernels that
 also prune them, and each P_i and H_i step is one ``linalg.between_stack``
 over every (point, candidate) pair.  The points stay stacks
-(``TowerStack``); a ``FlagDatum`` of Subspaces is built only when a point
-is read one by one.
+(``TowerStack``), and no consumer reads them one by one.
 
 The covering tower adds, for every symmetric factor with
 max{0, 2k_i - n_i} < r_i, a middle isotropic Q~_i >= P~_i of dim
 k_i - r_i//2, inside B_i for even r_i and inside B_i + F for odd r_i, where
 F is an extra line of norm 1.  Its candidates are the isotropic subspaces of
-P~_i^perp / P~_i, walked once per distinct P~_i; over the open stratum these
-choices split the fiber into 2^d components, one pair per such factor.
+P~_i^perp / P~_i, walked once per distinct P~_i, and the cover fiber runs on
+the same stacks as the walk; over the open stratum these choices split the
+fiber into 2^d components, one pair per such factor.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -52,31 +51,19 @@ from .linalg import (
     between_stack,
     full_subspace,
     intersect_prefix,
-    span,
-    subspace_intersect,
     subspace_total,
     zero_subspace,
 )
 from .orbits import DOUBLEPRIME0, PRIME0, component_group_order, rank_numeric
-from .paving import iso_grassmannian_count, isotropic_bases, isotropic_subspaces
+from .paving import iso_grassmannian_count, isotropic_bases
 from .polynomials import IntPolynomial, gaussian_binomial
 from .sumspace import MultiLabel, SumSpace, stack_multilabels, validate_multilabel
-
-
-@dataclass(frozen=True)
-class FlagDatum:
-    """One point of the resolution: per-factor isotropics and the flag chain."""
-
-    ptildes: tuple[Subspace, ...]  # in B_i coordinates
-    ps: tuple[Subspace, ...]       # in B, supported on the first blocks
-    hs: tuple[Subspace, ...]      # the last one is the point's target
 
 
 class TowerStack:
     """Resolution points in walk order, as int stacks of RREF bases: per
     factor i, ``ptildes[i]`` (N, k_i - r_i, n_i) in B_i coordinates, and
-    ``ps[i]``, ``hs[i]`` (N, dim, n) in B.  The walk's consumers read the
-    stacks; indexing or iterating builds a ``FlagDatum`` per point."""
+    ``ps[i]``, ``hs[i]`` (N, dim, n) in B, the last ``hs`` the targets."""
 
     __slots__ = ("space", "ptildes", "ps", "hs")
 
@@ -86,17 +73,6 @@ class TowerStack:
 
     def __len__(self) -> int:
         return len(self.hs[-1])
-
-    def __getitem__(self, i: int) -> FlagDatum:
-        i, n, p = operator.index(i), self.space.n, self.space.p
-        return FlagDatum(
-            tuple(Subspace(x[i], f.n, p) for x, f in zip(self.ptildes, self.space.factors)),
-            tuple(Subspace(x[i], n, p) for x in self.ps),
-            tuple(Subspace(x[i], n, p) for x in self.hs),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -244,6 +220,19 @@ def _level(space: SumSpace, jobs: list, j: int, pdims: np.ndarray, hdims: np.nda
     return _Level(job[order], *(part[order] for part in rest))
 
 
+def _pairs(group: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (point, choice) pair, point by point and each point's choices in
+    order, where point x meets the ``count[group[x]]`` choices of its group
+    and the choices are stored group by group: each pair's point and choice.
+    A pair's choice is its group's first one plus the pair's place among its
+    point's pairs."""
+    per_point = count[group]
+    pair_point = np.repeat(np.arange(len(group)), per_point)
+    first_choice = np.repeat(np.cumsum(count)[group] - per_point, per_point)
+    first_pair = np.repeat(np.cumsum(per_point) - per_point, per_point)
+    return pair_point, first_choice + np.arange(len(pair_point)) - first_pair
+
+
 def _walk(space: SumSpace, jobs: list, budget: int) -> list[TowerStack]:
     """Resolution points of each job (label, ceiling): the points whose H_j
     all lie in the ceiling, for every job level by level at once.
@@ -272,14 +261,7 @@ def _walk(space: SumSpace, jobs: list, budget: int) -> list[TowerStack]:
     job = np.arange(len(jobs))  # each point's job
     steps = []
     for j, level in enumerate(levels):
-        count = np.bincount(level.job, minlength=len(jobs))
-        per_point = count[job]
-        pair_point = np.repeat(np.arange(len(hs)), per_point)
-        # a point's pairs run over its job's candidates, in order: each pair's
-        # candidate is its job's first one plus the pair's place among its point's
-        first_choice = np.repeat(np.cumsum(count)[job] - per_point, per_point)
-        first_pair = np.repeat(np.cumsum(per_point) - per_point, per_point)
-        pair_choice = first_choice + np.arange(len(pair_point)) - first_pair
+        pair_point, pair_choice = _pairs(job, np.bincount(level.job, minlength=len(jobs)))
         pair_job = level.job[pair_choice]
         ps, p_pair = between_stack(hs[pair_point], level.up[pair_choice], pdims[pair_job, j], p,
                                    budget=budget)
@@ -458,22 +440,6 @@ def closure_rows(space: SumSpace, labels: list[MultiLabel],
 # Covering towers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoverDatum:
-    base: FlagDatum
-    qtildes: dict  # factor index -> Subspace (B_i or B_i + F coordinates)
-    qs: dict       # factor index -> Subspace (B or B + F coordinates)
-
-    def __hash__(self):
-        return hash(
-            (
-                self.base,
-                tuple(sorted(self.qtildes.items())),
-                tuple(sorted(self.qs.items())),
-            )
-        )
-
-
 def cover_factors(space: SumSpace, label: MultiLabel) -> list[int]:
     """Factors that carry the extra middle isotropic: those whose stabilizer
     has two components."""
@@ -488,75 +454,55 @@ def _extend_space(space: BilinearSpace) -> BilinearSpace:
     return BilinearSpace(space.n + 1, space.p, SYMMETRIC, g)
 
 
-def _isotropic_above(space: BilinearSpace, lower: Subspace, d: int, budget: int):
-    """Isotropic d-subspaces containing the isotropic ``lower``: they lie in
-    lower^perp, so they are the isotropic subspaces of lower^perp / lower,
-    walked with the batch filter and lifted."""
-    p = space.p
-    comp, quotient = subquotient(space, lower, perp(space, lower))
-    for x in isotropic_subspaces(quotient, d - lower.dim, budget=budget):
-        yield span(np.vstack([lower.basis, x.basis @ comp % p]), space.n, p)
-
-
 def _cover_choices(space: SumSpace, label: MultiLabel, i: int, data: TowerStack, budget: int):
-    """Per tower point in ``data``, the (Q~_i, Q_i) pairs of cover factor i.
+    """Every choice of cover factor i over the tower points ``data``, point
+    by point: stacks of the point it sits over, its Q~_i and its Q_i.
 
     With extra = r_i mod 2, Q~_i is an isotropic P~_i <= Q~_i of B_i (+ F), and
-    P_i <= Q_i <= H_i (+ F) cap (B_{<i} + Q~_i).  The Q~_i candidates and their
-    B_{<i} + Q~_i depend only on P~_i, so each distinct P~_i is walked once;
-    the Q_i of every (point, Q~_i) pair come from one ``between_stack`` step.
+    P_i <= Q_i <= H_i (+ F) cap (B_{<i} + Q~_i).  The Q~_i lie in P~_i^perp, so
+    they are the isotropic subspaces of P~_i^perp / P~_i, walked once per
+    distinct P~_i, lifted under P~_i and brought to RREF by one
+    ``batch_rank``.  H_i lies in B_{<=i}, so x @ (H_i + F) lies in
+    B_{<i} + Q~_i iff the residue of its B_i (+ F) part modulo Q~_i is zero:
+    the bound is one batched left kernel of those residues over every
+    (point, Q~_i) pair, and one ``between_stack`` step gives every Q_i.
     """
-    f = space.factors[i]
-    p = space.p
+    f, p = space.factors[i], space.p
     ki, ri = label.ks[i], int(label.rs[i])
     extra = ri % 2
     fe = _extend_space(f) if extra else f
     qt_dim = ki - ri // 2
-    q_dim = sum(label.ks[:i]) + qt_dim
-    n = space.n + extra
-    lo, end = space.offsets[i], space.offsets[i + 1]
-    eye = np.eye(n, dtype=np.int64)
-    pad = ((0, 0), (0, extra))
-    above: dict[Subspace, list[tuple[Subspace, Subspace]]] = {}
-    pairs, uppers = [], []
-    for j in range(len(data)):
-        ptilde = Subspace(np.pad(data.ptildes[i][j], pad), f.n + extra, p)
-        if ptilde not in above:
-            above[ptilde] = []
-            for qt in _isotropic_above(fe, ptilde, qt_dim, budget):
-                rows = np.zeros((qt.dim, n), dtype=np.int64)
-                rows[:, lo:end] = qt.basis[:, : f.n]
-                rows[:, space.n :] = qt.basis[:, f.n :]
-                # B_{<i} + Q~_i: qt's columns keep their order, so its RREF rows
-                # under the identity rows of B_{<i} are RREF
-                above[ptilde].append((qt, Subspace(np.vstack([eye[:lo], rows]), n, p)))
-        # H_i + F: the F row has its pivot past every padded row, so this is RREF
-        hi_f = Subspace(np.vstack([np.pad(data.hs[i][j], pad), eye[space.n :]]), n, p)
-        for qt, uq in above[ptilde]:
-            pairs.append((j, qt))
-            uppers.append(subspace_intersect(hi_f, uq).basis)
-    lower = np.pad(data.ps[i], ((0, 0), *pad))[[j for j, _ in pairs]]
-    upper = np.zeros((len(uppers), max(map(len, uppers), default=0), n), dtype=np.int32)
-    for row, basis in zip(upper, uppers):
-        row[: len(basis)] = basis
-    qs, parents = between_stack(lower, upper, q_dim, p, budget=budget)
-    out = [[] for _ in range(len(data))]
-    for q, pair in zip(qs, parents.tolist()):
-        j, qt = pairs[pair]
-        out[j].append((qt, Subspace(q, n, p)))
-    return out
-
-
-def _cover_over(space: SumSpace, label: MultiLabel, data: TowerStack, budget: int):
-    """Cover points over each tower point in ``data``: every product of the
-    per-factor choices."""
-    factors = cover_factors(space, label)
-    per_factor = [_cover_choices(space, label, i, data, budget) for i in factors]
-    for j, datum in enumerate(data):
-        for combo in product(*(choices[j] for choices in per_factor)):
-            qtildes = {i: qt for i, (qt, _) in zip(factors, combo)}
-            qs = {i: q for i, (_, q) in zip(factors, combo)}
-            yield CoverDatum(datum, qtildes, qs)
+    pad = ((0, 0), (0, 0), (0, extra))
+    ptildes = np.pad(data.ptildes[i], pad)
+    t = ptildes.shape[1]
+    distinct, owner = np.unique(ptildes.reshape(len(ptildes), t * fe.n), axis=0, return_inverse=True)
+    lifts = [np.zeros((0, qt_dim, fe.n), dtype=np.int32)]
+    count = np.zeros(len(distinct), dtype=np.intp)  # Q~_i candidates per distinct P~_i
+    for c, rows in enumerate(distinct.reshape(len(distinct), t, fe.n)):
+        lower = Subspace(rows, fe.n, p)
+        comp, quotient = subquotient(fe, lower, perp(fe, lower))
+        for mats in isotropic_bases(quotient, qt_dim - t, budget=budget):
+            lift = np.empty((len(mats), qt_dim, fe.n), dtype=np.int32)
+            lift[:, :t] = rows
+            lift[:, t:] = mats @ comp % p
+            lifts.append(lift)
+            count[c] += len(mats)
+    candidates = np.concatenate(lifts)
+    _batch.batch_rank(candidates, p)
+    point, choice = _pairs(owner, count)
+    qtildes = candidates[choice]
+    # H_i + F, with F's row (none for an even r_i) last: its pivot is past
+    # every row of H_i, so this is RREF
+    hdim = data.hs[i].shape[1]
+    hs = np.pad(data.hs[i], ((0, 0), (0, extra), (0, extra)))[point]
+    hs[:, hdim:, space.n :] = 1
+    part = hs[:, :, np.r_[space.offsets[i] : space.offsets[i + 1], space.n : space.n + extra]]
+    pivots = np.argmax(qtildes != 0, axis=2)
+    residue = (part - np.take_along_axis(part, pivots[:, None, :], axis=2) @ qtildes) % p
+    ker, _ = _batch.left_kernels(residue, p)
+    qs, parents = between_stack(np.pad(data.ps[i], pad)[point], ker @ hs % p,
+                                sum(label.ks[:i]) + qt_dim, p, budget=budget)
+    return point[parents], qtildes[parents], qs
 
 
 def cover_fiber(
@@ -567,24 +513,35 @@ def cover_fiber(
 ):
     """Covering-tower fiber over a target, with its structural components.
 
-    Returns (points, component_count, factor_sizes): per cover factor,
-    ``factor_sizes[i]`` is the number of middle-isotropic choices, and the
-    component count is the number of distinct tuples of ruling colors,
-    where two middle isotropics get the same color iff they share a ruling.
+    Returns (size, component_count, factor_sizes).  The cover points over a
+    tower point are every product of its per-factor choices; per cover
+    factor, ``factor_sizes[i]`` is the number of distinct middle isotropics
+    Q~_i among the cover points, and the component count is the number of
+    distinct tuples of ruling colours, where two Q~_i get the same colour
+    iff they share a ruling: a tuple is one iff some tower point has a
+    choice of its colour in every factor.
     """
     fiber = tower_fiber(space, label, target, budget=budget)
-    points = list(_cover_over(space, label, fiber, budget))
+    factors = cover_factors(space, label)
+    choices = [_cover_choices(space, label, i, fiber, budget) for i in factors]
+    counts = np.zeros((len(factors), len(fiber)), dtype=np.int64)
+    for row, (point, _, _) in zip(counts, choices):
+        row += np.bincount(point, minlength=len(fiber))
+    live = counts.all(axis=0)  # the tower points that have cover points
+    held = np.zeros((len(factors), len(fiber), 2), dtype=bool)  # per factor, colours per point
     factor_sizes = {}
-    colors = np.zeros((len(points), 0), dtype=np.int64)  # one column per cover factor
-    for i in cover_factors(space, label):
-        qts = [pt.qtildes[i] for pt in points]
-        factor_sizes[i] = len(set(qts))
-        if qts:
-            # colored against the first point's Q~_i
-            same = _batch.same_ruling(np.stack([qt.basis for qt in qts]), qts[0].dim,
-                                      qts[0].basis, space.p)
-            colors = np.column_stack([colors, same])
-    return points, len(set(map(tuple, colors.tolist()))), factor_sizes
+    for c, (i, (point, qtildes, _)) in enumerate(zip(factors, choices)):
+        mine = live[point]
+        point, qtildes = point[mine], qtildes[mine]
+        factor_sizes[i] = len(np.unique(qtildes, axis=0))
+        if len(qtildes):
+            # coloured against the first cover point's Q~_i
+            same = _batch.same_ruling(qtildes, qtildes.shape[1], qtildes[0], space.p)
+            held[c, point, same.astype(np.intp)] = True
+    d = len(factors)
+    tuples = np.array(list(product((0, 1), repeat=d)), dtype=np.intp).reshape(2**d, d)
+    components = held[np.arange(d), :, tuples].all(axis=1).any(axis=1)
+    return int(counts.prod(axis=0).sum()), int(components.sum()), factor_sizes
 
 
 def expected_cover_fiber_space(space: SumSpace, label: MultiLabel, target: Subspace, i: int) -> BilinearSpace:

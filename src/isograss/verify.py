@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .polynomials import (
 )
 from .sumspace import (
     MultiLabel,
+    SumSpace,
     build_sum_space,
     canonical_representative,
     component_group_order_multi,
@@ -144,38 +146,50 @@ def _primes_for_degree(base_primes, degree, grassmannian=None, budget=DEFAULT_BU
     return usable[:need] + [q for q in usable[need:] if sizes[q] <= SPARE_SAMPLE_CAP][:1]
 
 
-def stratum_polynomials(
-    spec: str,
-    k: int,
-    base_primes=(3, 5, 7, 11),
-    budget=DEFAULT_BUDGET,
-    workers=1,
-) -> dict[MultiLabel, IntPolynomial]:
-    """Exact count polynomial of every stratum of Gr_k for one grid space.
+class SamplingPlan(NamedTuple):
+    """One Gr_k of a grid space to fit: its labels' orbit dimensions, the
+    open label, and the primes whose counts fix every fit."""
 
-    Sampling primes start from ``base_primes`` and are extended until every
-    fit is determined.  The unique top-dimensional label (the open stratum)
-    needs no samples of its own: the classification is a partition, so at
-    every prime its count is the Gaussian binomial minus the other strata,
-    and its polynomial is derived from that identity, then re-checked
-    against all gathered counts.  Every sample must lie on its label's
-    fitted polynomial.
-    """
-    ref = build_sum_space(spec, 3)
+    spec: str
+    ref: SumSpace  # the space at p = 3
+    k: int
+    degrees: dict
+    top: MultiLabel
+    primes: list
+
+
+def sampling_plan(spec: str, ref: SumSpace, k: int, base_primes, budget) -> SamplingPlan:
+    """The plan of Gr_k: sampling primes start from ``base_primes`` and are
+    extended until every fit is determined, within the budget.  They are
+    picked before any count, so a suite that plans every k first refuses
+    before its first walk."""
     labels = enumerate_multilabels(ref, k)
     degrees = {lab: orbit_dim_multi(ref, lab) for lab in labels}
     top = max(labels, key=degrees.get)  # Gr_k is irreducible: one stratum is open
     sample_deg = max((d for lab, d in degrees.items() if lab != top), default=0)
-    primes = _primes_for_degree(base_primes, sample_deg, (ref.n, k), budget)
+    return SamplingPlan(spec, ref, k, degrees, top,
+                        _primes_for_degree(base_primes, sample_deg, (ref.n, k), budget))
+
+
+def stratum_polynomials(plan: SamplingPlan, budget, workers) -> dict[MultiLabel, IntPolynomial]:
+    """Exact count polynomial of every stratum of a plan's Gr_k, from one
+    count of Gr_k at each of its primes.
+
+    The unique top-dimensional label (the open stratum) needs no samples of
+    its own: the classification is a partition, so at every prime its count
+    is the Gaussian binomial minus the other strata, and its polynomial is
+    derived from that identity, then re-checked against all gathered
+    counts.  Every sample must lie on its label's fitted polynomial.
+    """
+    spec, ref, k, degrees, top, primes = plan
     counts = {
         p: orbit_point_counts(build_sum_space(spec, p), k, budget=budget, workers=workers)
         for p in primes
     }
     out = {}
-    for lab in labels:
+    for lab, d in degrees.items():
         if lab == top:
             continue
-        d = degrees[lab]
         samples = [(p, counts[p].get(lab, 0)) for p in primes]
         try:
             out[lab] = interpolate_counts(samples, d, require_nonnegative=False)
@@ -197,31 +211,34 @@ def stratum_polynomials(
 def suite_degrees(
     specs=GRID_SPACES, primes=(3, 5, 7, 11), budget=DEFAULT_BUDGET, workers=1, only_k=None,
 ):
+    # every k's sampling primes, and so every count's size, before the first count
+    plans = [sampling_plan(spec, ref, k, primes, budget)
+             for spec, ref in ((spec, build_sum_space(spec, 3)) for spec in specs)
+             for k in _krange(ref.n, only_k)]
     out = []
-    for spec in specs:
-        ref = build_sum_space(spec, 3)
-        for k in _krange(ref.n, only_k):
-            bad = []
-            try:
-                polys = stratum_polynomials(spec, k, primes, budget, workers)
-            except InterpolationError as e:
-                bad, polys = [str(e)], {}
+    for plan in plans:
+        spec, ref, k = plan.spec, plan.ref, plan.k
+        bad = []
+        try:
+            polys = stratum_polynomials(plan, budget, workers)
+        except InterpolationError as e:
+            bad, polys = [str(e)], {}
+        for lab, poly in polys.items():
+            d = plan.degrees[lab]
+            if poly.is_zero() or poly.degree != d:
+                bad.append(f"{lab}: degree {poly} != {d}")
+        # closures (unions of strata down the rank order) count positively
+        if ref.m == 1:
             for lab, poly in polys.items():
-                d = orbit_dim_multi(ref, lab)
-                if poly.is_zero() or poly.degree != d:
-                    bad.append(f"{lab}: degree {poly} != {d}")
-            # closures (unions of strata down the rank order) count positively
-            if ref.m == 1:
-                for lab, poly in polys.items():
-                    closure_poly = IntPolynomial([])
-                    for other, q in polys.items():
-                        if _single_below(other, lab):
-                            closure_poly = closure_poly + q
-                    if not closure_poly.is_nonnegative():
-                        bad.append(f"closure of {lab} has a negative coefficient")
-            out.append(_result(
-                f"degrees {spec} k={k}", bad, f"isograss verify --space {spec} --k {k} --suite degrees"
-            ))
+                closure_poly = IntPolynomial([])
+                for other, q in polys.items():
+                    if _single_below(other, lab):
+                        closure_poly = closure_poly + q
+                if not closure_poly.is_nonnegative():
+                    bad.append(f"closure of {lab} has a negative coefficient")
+        out.append(_result(
+            f"degrees {spec} k={k}", bad, f"isograss verify --space {spec} --k {k} --suite degrees"
+        ))
     return out
 
 
@@ -371,7 +388,7 @@ def _fiber_polynomiality(spec, primes, budget, only_k, rows):
     _rows(rows, ref, _krange(ref.n, only_k), budget)  # every k sized before any walk
     fits = []  # (label, stratum below it, fit degree bound, sampling primes)
     for k in _krange(ref.n, only_k):
-        for label, below in closure_relation(spec, k, 3, budget, rows).items():
+        for label, below in closure_relation(ref, k, budget, rows).items():
             for sub in sorted(below, key=MultiLabel.sort_key):
                 bound = orbit_dim_multi(ref, label) - orbit_dim_multi(ref, sub)
                 fits.append((label, sub, bound, _primes_for_degree(primes, bound)))
@@ -414,7 +431,7 @@ def _cover_components(spec, budget, only_k=None):
                 continue
             space = five if any(int(label.rs[i]) % 2 for i in factors) else ref
             rep = canonical_representative(space, label)
-            points, comps, sizes = cover_fiber(space, label, rep, budget=budget)
+            size, comps, sizes = cover_fiber(space, label, rep, budget=budget)
             want = component_group_order_multi(space, label)
             if comps != want:
                 bad.append(f"{label}: {comps} components != {want}")
@@ -426,8 +443,8 @@ def _cover_components(spec, budget, only_k=None):
                 if sizes.get(i) != expect:
                     bad.append(f"{label} factor {i}: {sizes.get(i)} choices != {expect}")
                 expect_total *= expect
-            if len(points) != expect_total:
-                bad.append(f"{label}: fiber size {len(points)} != product {expect_total}")
+            if size != expect_total:
+                bad.append(f"{label}: fiber size {size} != product {expect_total}")
     return [_result(f"fibers cover-components {spec}", bad)]
 
 
@@ -435,10 +452,9 @@ def _cover_components(spec, budget, only_k=None):
 # closure
 # ---------------------------------------------------------------------------
 
-def closure_relation(spec: str, k: int, p: int, budget, rows: dict):
+def closure_relation(space: SumSpace, k: int, budget, rows: dict):
     """label -> set of labels in its experimental closure, read off the
     labels' resolution rows in ``rows``."""
-    space = build_sum_space(spec, p)
     # set(row.keys()) adds one label at a time; set(row) would presize its
     # table from the dict and so change the set's iteration order, which is
     # the closure report's edge order until ROADMAP item 7 sorts the edges.
@@ -454,7 +470,7 @@ def suite_closure(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=
         bad = []
         _rows(rows, space, _krange(space.n, only_k), budget)  # every k sized before any walk
         for k in _krange(space.n, only_k):
-            rel = closure_relation(spec, k, p, budget, rows)
+            rel = closure_relation(space, k, budget, rows)
             for lab, below in rel.items():
                 if lab not in below:
                     bad.append(f"k={k} {lab}: not reflexive")

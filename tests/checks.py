@@ -1,5 +1,9 @@
 """Test-side helpers: rendering of verify.CheckResult, the scalar
-between-step oracle, and point selection on tower stacks and walks."""
+between-step oracle, the per-point view of tower stacks, and point
+selection on tower stacks and walks."""
+
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +34,30 @@ def scalar_between(lower: Subspace, upper: Subspace, d: int):
     comp = complement_rows(lower.basis, upper.basis, p)
     for q in enumerate_subspaces(w - u, d - u, p, budget=None):
         yield Subspace(rref(np.vstack([lower.basis, q.basis @ comp % p]), p), lower.n, p)
+
+
+@dataclass(frozen=True)
+class FlagDatum:
+    """One point of the resolution: per-factor isotropics and the flag chain."""
+
+    ptildes: tuple[Subspace, ...]  # in B_i coordinates
+    ps: tuple[Subspace, ...]       # in B, supported on the first blocks
+    hs: tuple[Subspace, ...]      # the last one is the point's target
+
+
+def flag_datum(stack: TowerStack, i) -> FlagDatum:
+    """Point ``i`` of a tower stack as Subspaces."""
+    i, n, p = operator.index(i), stack.space.n, stack.space.p
+    return FlagDatum(
+        tuple(Subspace(x[i], f.n, p) for x, f in zip(stack.ptildes, stack.space.factors)),
+        tuple(Subspace(x[i], n, p) for x in stack.ps),
+        tuple(Subspace(x[i], n, p) for x in stack.hs),
+    )
+
+
+def flag_data(stack: TowerStack) -> list[FlagDatum]:
+    """Every point of a tower stack as Subspaces, in walk order."""
+    return [flag_datum(stack, i) for i in range(len(stack))]
 
 
 def take_points(stack: TowerStack, index) -> TowerStack:

@@ -5,7 +5,7 @@ import shlex
 import time
 
 import pytest
-from checks import edit_whole_walks, take_points
+from checks import edit_whole_walks, flag_data, take_points
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -150,6 +150,9 @@ def test_budget_refuses_a_step_above_the_budget(capsys):
     ("verify --space O2+O3 --suite partition --primes 3,5,7,11,31 --budget 2000000",
      918_041_410, 2_000_000),
     ("verify --suite paving --primes 3,31 --budget 100000", 918_041_410, 100_000),
+    # p = 11's Gr_2(F_11^5) is a sample that k = 2 needs, after k = 0 and 1 had
+    # sampled the smaller primes
+    ("verify --space O2+O3 --suite degrees --budget 1000000", 1_964_810, 1_000_000),
 ])
 def test_budget_refuses_before_the_first_grassmannian_walk(monkeypatch, capsys, argv, size, budget):
     # every Gr_k(F_p^n) a command walks is sized first, and the refusal names
@@ -397,7 +400,7 @@ def test_one_resolution_row_feeds_towers_and_bijectivity(monkeypatch, capsys):
     # a tower point repeated over the open stratum: the point count and the
     # bijectivity check read the same row, so exactly those two fail
     def repeated(space, label, points):
-        labels = multilabels_of(space, [datum.hs[-1] for datum in points])
+        labels = multilabels_of(space, [datum.hs[-1] for datum in flag_data(points)])
         return take_points(points, [*range(len(points)), labels.index(label)])
 
     monkeypatch.setattr(towers, "_walk", edit_whole_walks(towers._walk, repeated))

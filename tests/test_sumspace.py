@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from checks import flag_data
 
 from isograss import _batch, sumspace
 from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, standard_space
@@ -574,7 +575,7 @@ def test_multilabels_of_tower_targets(monkeypatch):
     b = build_sum_space("Sp2+O2", 3)
     for k in range(b.n + 1):
         for label in enumerate_multilabels(b, k):
-            targets = [datum.hs[-1] for datum in tower_points(b, label)]
+            targets = [datum.hs[-1] for datum in flag_data(tower_points(b, label))]
             calls.clear()
             got = multilabels_of(b, targets)
             assert len(calls) == len(set(got))

@@ -361,6 +361,20 @@ def test_verify_results_come_from_one_helper():
     assert len(builds(helper)) == 1 and builds(tree) == builds(helper)
 
 
+def test_towers_imports_no_per_subspace_path():
+    # the walk and the covering tower run on int stacks: no scalar span or
+    # meet, and no walk that hands out one Subspace at a time
+    names = {
+        alias.name
+        for node in ast.walk(ast.parse((SRC / "towers.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    per_subspace = {"span", "subspace_intersect", "subspaces_between", "enumerate_subspaces",
+                    "isotropic_subspaces"}
+    assert names & per_subspace == set()
+
+
 def test_batch_imports_only_polynomials():
     # _batch reads the SumSpace it is given through its attributes; importing
     # sumspace (or a module that imports it) from here would be a cycle

@@ -3,13 +3,14 @@ from itertools import product
 
 import numpy as np
 import pytest
-from checks import same_points, scalar_between
+from checks import FlagDatum, flag_data, flag_datum, same_points, scalar_between
 
 from isograss import _batch, towers
 from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, perp, radical, standard_space
 from isograss.cli import parse_label_arg
 from isograss.linalg import (
     BudgetExceeded,
+    Subspace,
     enumerate_subspaces,
     full_subspace,
     span,
@@ -30,7 +31,6 @@ from isograss.sumspace import (
     multilabels_of,
 )
 from isograss.towers import (
-    CoverDatum,
     closure_labels,
     cover_factors,
     cover_fiber,
@@ -97,7 +97,7 @@ def test_tower_m1_matches_single_resolution():
     pts = tower_points(sp4, label)
     pairs = single_resolution(sp4.factors[0], 2, 0)
     assert len(pts) == len(pairs)
-    assert {(d.ps[0], d.hs[0]) for d in pts} == set(pairs)
+    assert {(d.ps[0], d.hs[0]) for d in flag_data(pts)} == set(pairs)
 
 
 def test_resolution_tower_symbolic_counts():
@@ -121,7 +121,7 @@ def test_tower_points_count_matches_symbolic():
                 symbolic = resolution_tower(b, label).count_polynomial()(3)
                 pts = tower_points(b, label)
                 assert len(pts) == symbolic, (spec, k, str(label))
-                assert len(set(pts)) == len(pts)
+                assert len(set(flag_data(pts))) == len(pts)
 
 
 def test_tower_points_budget_bounds_base_choices():
@@ -175,7 +175,7 @@ def test_empty_label_gives_single_point():
     b = build_sum_space("Sp2+O2", 3)
     pts = tower_points(b, MultiLabel((0, 0), (0, 0)))
     assert len(pts) == 1
-    assert pts[0].hs[-1].dim == 0
+    assert flag_datum(pts, 0).hs[-1].dim == 0
 
 
 def test_tower_fiber_open_orbit_singleton():
@@ -185,7 +185,7 @@ def test_tower_fiber_open_orbit_singleton():
             rep = canonical_representative(b, label)
             fiber = tower_fiber(b, label, rep)
             assert len(fiber) == 1
-            datum = fiber[0]
+            datum = flag_datum(fiber, 0)
             assert datum.hs[-1] == rep
             # radical formula: P~_i is the radical of pr_i of the target
             from isograss.bilinear import radical
@@ -201,11 +201,11 @@ def test_tower_fiber_is_tower_points_cut_to_target():
         for k in ks:
             for label in enumerate_multilabels(b, k):
                 by_target: dict = {}
-                for datum in tower_points(b, label):
+                for datum in flag_data(tower_points(b, label)):
                     by_target.setdefault(datum.hs[-1], Counter())[datum] += 1
                 for h in enumerate_subspaces(b.n, k, 3):
                     want = by_target.get(h, Counter())
-                    assert Counter(tower_fiber(b, label, h)) == want, (spec, str(label), h)
+                    assert Counter(flag_data(tower_fiber(b, label, h))) == want, (spec, str(label), h)
 
 
 def _oracle_candidates(space, label, j, ceiling, pdim, hdim, budget):
@@ -256,7 +256,7 @@ def _scalar_walk(space, label, ceiling):
 
     def step(j, ptildes, ps, hs):
         if j == space.m:
-            yield towers.FlagDatum(ptildes, ps, hs)
+            yield FlagDatum(ptildes, ps, hs)
             return
         h_prev = hs[-1] if hs else zero_subspace(space.n, space.p)
         for ptilde, up, uh in levels[j]:
@@ -338,14 +338,14 @@ def test_tower_fibers_walk_each_target_as_tower_fiber():
 def test_fiber_builds_only_surviving_candidates(monkeypatch):
     """Over a lower-stratum target the walk prunes P~ candidates in bulk: the
     level keeps only the survivors, and their bounds come from batched
-    kernels, with no scalar perp or meet per candidate or survivor."""
+    kernels, with no scalar perp per candidate or survivor (and towers
+    imports no scalar meet, see tests/test_tooling.py)."""
     p = 5
     o4 = build_sum_space("O4", p)
     target = canonical_representative(o4, MultiLabel((2,), (PRIME0,)))
     calls = []
-    for name in ("perp", "subspace_intersect"):
-        real = getattr(towers, name)
-        monkeypatch.setattr(towers, name, lambda *args, real=real: calls.append(args) or real(*args))
+    real_perp = towers.perp
+    monkeypatch.setattr(towers, "perp", lambda *args: calls.append(args) or real_perp(*args))
     levels = []
     real_level = towers._level
     monkeypatch.setattr(towers, "_level", lambda *args: levels.append(real_level(*args)) or levels[-1])
@@ -448,13 +448,37 @@ def test_cover_points_all_symplectic_equals_tower():
     pts = _cover_points(spsp, label)
     base = tower_points(spsp, label)
     assert len(pts) == len(base)
-    assert all(not pt.qtildes for pt in pts)
+    assert all(not qtildes for _, qtildes, _ in pts)
 
 
 def _cover_points(space, label):
-    """The covering tower: the cover fibers over the tower's distinct targets."""
-    targets = dict.fromkeys(datum.hs[-1] for datum in tower_points(space, label))
-    return [pt for target in targets for pt in cover_fiber(space, label, target)[0]]
+    """The covering tower, one point at a time: over each of the tower's
+    distinct targets, every product of the choices that ``_cover_choices``
+    stacks over each point of its fiber, as (tower point, Q~_i by factor,
+    Q_i by factor).  Each fiber's ``cover_fiber`` size is its point count."""
+    p = space.p
+    factors = cover_factors(space, label)
+    targets = dict.fromkeys(datum.hs[-1] for datum in flag_data(tower_points(space, label)))
+    points = []
+    for target in targets:
+        fiber = tower_fiber(space, label, target)
+        per_factor = []
+        for i in factors:
+            point, qtildes, qs = towers._cover_choices(space, label, i, fiber, None)
+            per_factor.append([
+                [(Subspace(qt, qtildes.shape[2], p), Subspace(q, qs.shape[2], p))
+                 for qt, q in zip(qtildes[point == j], qs[point == j])]
+                for j in range(len(fiber))
+            ])
+        mine = [
+            (datum, tuple((i, qt) for i, (qt, _) in zip(factors, combo)),
+             tuple((i, q) for i, (_, q) in zip(factors, combo)))
+            for j, datum in enumerate(flag_data(fiber))
+            for combo in product(*(choices[j] for choices in per_factor))
+        ]
+        assert cover_fiber(space, label, target)[0] == len(mine)
+        points += mine
+    return points
 
 
 def _padded(sub, n):
@@ -485,7 +509,7 @@ def _cover_reference(space, label):
         ]
         walks[i] = (extra, iso, sum(label.ks[:i]) + qt_dim)
     points = []
-    for datum in tower_points(space, label):
+    for datum in flag_data(tower_points(space, label)):
         choice_lists = []
         for i in factors:
             extra, iso, q_dim = walks[i]
@@ -508,8 +532,8 @@ def _cover_reference(space, label):
                 choices += [(qt, q) for q in subspaces_between(pi, upper, q_dim, budget=None)]
             choice_lists.append(choices)
         for combo in product(*choice_lists):
-            qtildes = {i: qt for i, (qt, _) in zip(factors, combo)}
-            points.append(CoverDatum(datum, qtildes, {i: q for i, (_, q) in zip(factors, combo)}))
+            points.append((datum, tuple((i, qt) for i, (qt, _) in zip(factors, combo)),
+                           tuple((i, q) for i, (_, q) in zip(factors, combo))))
     return points
 
 
@@ -536,14 +560,29 @@ def test_cover_points_match_definition(spec, text):
     assert Counter(_cover_points(space, label)) == want
 
 
+@pytest.mark.parametrize("spec, text, target", [
+    ("O4", "2:1", "2:2"),
+    ("O2+O3", "1:1,2:1", "1:1,2:2"),
+])
+def test_cover_fiber_outside_the_closure_is_empty(spec, text, target):
+    # the target's stratum lies outside the label's closure: the tower fiber
+    # has no point, and neither has any cover factor
+    space, label = build_sum_space(spec, 3), parse_label_arg(text)
+    rep = canonical_representative(space, parse_label_arg(target))
+    assert len(tower_fiber(space, label, rep)) == 0
+    factors = cover_factors(space, label)
+    assert factors
+    assert cover_fiber(space, label, rep) == (0, 0, {i: 0 for i in factors})
+
+
 def test_cover_fiber_o4_open():
     o4 = build_sum_space("O4", 3)
     label = MultiLabel((2,), (2,))
     rep = canonical_representative(o4, label)
-    points, comps, sizes = cover_fiber(o4, label, rep)
+    size, comps, sizes = cover_fiber(o4, label, rep)
     assert comps == 2
     assert sizes == {0: 2}
-    assert len(points) == 2
+    assert size == 2
     # the fiber factor is the set of maximal isotropics of pr H / rad
     fib_space = expected_cover_fiber_space(o4, label, rep, 0)
     from isograss.paving import isotropic_subspaces
@@ -560,8 +599,8 @@ def test_cover_fiber_o3_odd_rank():
     label = MultiLabel((1,), (1,))
     counts = []
     for h in _stratum_points(o3, label):
-        points, comps, sizes = cover_fiber(o3, label, h)
-        counts.append((len(points), comps))
+        size, comps, sizes = cover_fiber(o3, label, h)
+        counts.append((size, comps))
     assert (2, 2) in counts  # split-type points realize both rulings
     assert all(n in (0, 2) for n, _ in counts)
 
@@ -572,8 +611,8 @@ def test_cover_fiber_o6_default_budget():
     o6 = build_sum_space("O6", 5)
     label = MultiLabel((3,), (1,))
     rep = canonical_representative(o6, label)
-    points, comps, sizes = cover_fiber(o6, label, rep)
-    assert (len(points), comps, sizes) == (2, 2, {0: 2})
+    size, comps, sizes = cover_fiber(o6, label, rep)
+    assert (size, comps, sizes) == (2, 2, {0: 2})
 
 
 def _stratum_points(space, label):
@@ -607,7 +646,7 @@ def test_fiber_invariants_match_scalar_oracle():
     for spec in GRID_SPACES:
         space = build_sum_space(spec, 3)
         for k in range(space.n + 1):
-            for label, below in closure_relation(spec, k, 3, 10**6, {}).items():
+            for label, below in closure_relation(space, k, 10**6, {}).items():
                 cases += [(space, label, sub) for sub in below]
     big = build_sum_space("O2+O3", 31)
     cases.append((big, parse_label_arg("1:1,2:1"), parse_label_arg("2:2,1:0")))
@@ -615,23 +654,24 @@ def test_fiber_invariants_match_scalar_oracle():
         rep = canonical_representative(space, sub)
         fiber = tower_fiber(space, label, rep)
         got = fiber_invariants(space, rep, fiber)
-        assert got == [scalar_fiber_invariants(space, datum) for datum in fiber], (space, str(label), str(sub))
+        assert got == [scalar_fiber_invariants(space, datum) for datum in flag_data(fiber)], (
+            space, str(label), str(sub))
     assert len(fiber) == 1024 and len(set(got)) == 2
     assert len(cases) > 100
 
 
 def test_fiber_invariants_cost_no_scalar_meet_per_point(monkeypatch):
     # the bounds are built once per fiber: a 1-point and a 1,024-point fiber
-    # make the same subspace_intersect and radical calls
+    # make the same radical calls (towers imports no scalar meet at all, see
+    # tests/test_tooling.py)
     calls = Counter()
-    for name in ("subspace_intersect", "radical"):
-        real = getattr(towers, name)
+    real = towers.radical
 
-        def counted(*args, real=real):
-            calls["meet"] += 1
-            return real(*args)
+    def counted(*args):
+        calls["meet"] += 1
+        return real(*args)
 
-        monkeypatch.setattr(towers, name, counted)
+    monkeypatch.setattr(towers, "radical", counted)
     space = build_sum_space("O2+O3", 31)
     label = parse_label_arg("1:1,2:1")
     made = []
@@ -683,7 +723,7 @@ def test_cover_fiber_component_law_small_grid():
         want = component_group_order_multi(b, label)
         best = 0
         for h in _stratum_points(b, label):
-            points, comps, sizes = cover_fiber(b, label, h)
-            if points:
+            size, comps, sizes = cover_fiber(b, label, h)
+            if size:
                 best = max(best, comps)
         assert best == want, (spec, str(label))

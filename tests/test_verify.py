@@ -20,17 +20,24 @@ from isograss.polynomials import IntPolynomial
 from isograss.sumspace import MultiLabel, build_sum_space, multilabels_of, orbit_point_counts
 from isograss import paving, towers, verify
 
-from checks import check_line, edit_whole_walks, same_points, take_points
+from checks import check_line, edit_whole_walks, flag_data, same_points, take_points
+
+
+def polynomials_of(spec, k, budget=verify.DEFAULT_BUDGET):
+    """The count polynomials of Gr_k of one grid space, sampled from the
+    suite's default base primes on one worker."""
+    plan = verify.sampling_plan(spec, build_sum_space(spec, 3), k, (3, 5, 7, 11), budget)
+    return verify.stratum_polynomials(plan, budget, 1)
 
 
 def test_stratum_polynomials_sp4():
-    polys = verify.stratum_polynomials("Sp4", 2)
+    polys = polynomials_of("Sp4", 2)
     assert polys[MultiLabel((2,), (0,))] == IntPolynomial([1, 1, 1, 1])
     assert polys[MultiLabel((2,), (2,))] == IntPolynomial([0, 0, 1, 0, 1])
 
 
 def test_stratum_polynomials_o2():
-    polys = verify.stratum_polynomials("O2", 1)
+    polys = polynomials_of("O2", 1)
     assert polys[MultiLabel((1,), (PRIME0,))] == IntPolynomial([1])
     assert polys[MultiLabel((1,), (DOUBLEPRIME0,))] == IntPolynomial([1])
     assert polys[MultiLabel((1,), (1,))] == IntPolynomial([-1, 1])
@@ -41,7 +48,7 @@ def test_stratum_polynomials_partition_identity():
     from isograss.polynomials import gaussian_binomial
 
     for k in (1, 2):
-        polys = verify.stratum_polynomials("Sp2+O2", k)
+        polys = polynomials_of("Sp2+O2", k)
         total = IntPolynomial([])
         for poly in polys.values():
             total = total + poly
@@ -78,7 +85,7 @@ def test_no_budget_bounds_nothing():
     assert orbit_point_counts(space, 2, budget=None) == orbit_point_counts(space, 2)
     assert same_points(towers.tower_points(space, label, budget=None), towers.tower_points(space, label))
     assert towers.closure_labels(space, label, budget=None) == towers.closure_labels(space, label)
-    assert verify.stratum_polynomials("Sp2+O2", 2, budget=None) == verify.stratum_polynomials("Sp2+O2", 2)
+    assert polynomials_of("Sp2+O2", 2, budget=None) == polynomials_of("Sp2+O2", 2)
     assert verify.suite_partition(("Sp2+O2",), budget=None) == verify.suite_partition(("Sp2+O2",))
 
 
@@ -116,6 +123,17 @@ def test_all_walks_each_resolution_once_per_run(monkeypatch):
     assert len(walks) == len(set(walks)) == 15
     verify.run_suite("all", ("Sp2+O2",))
     assert len(walks) == 30
+
+
+def test_closure_builds_one_space_per_spec_and_prime(monkeypatch):
+    # closure_relation reads the space it is given: the suite builds each
+    # (spec, prime) once, however many k it checks
+    built = []
+    real = verify.build_sum_space
+    monkeypatch.setattr(verify, "build_sum_space", lambda spec, p: built.append((spec, p)) or real(spec, p))
+    results = verify.suite_closure(("Sp2+O2", "O3"), (3,))
+    assert results and all(r.passed for r in results)
+    assert built == [("Sp2+O2", 3), ("O3", 3)]
 
 
 def test_paving_builds_one_paving_per_space_and_flag(monkeypatch):
@@ -390,7 +408,7 @@ def test_bijectivity_counts_the_whole_open_stratum(monkeypatch):
     # a walk that misses one open-stratum point still hits each of its
     # targets once, so bijectivity sees the loss only in the stratum's size
     def dropped(space, label, points):
-        labels = multilabels_of(space, [datum.hs[-1] for datum in points])
+        labels = multilabels_of(space, [datum.hs[-1] for datum in flag_data(points)])
         return take_points(points, [j for j in range(len(points)) if j != labels.index(label)])
 
     monkeypatch.setattr(towers, "_walk", edit_whole_walks(towers._walk, dropped))
