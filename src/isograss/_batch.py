@@ -21,7 +21,9 @@ FFLAS/FFPACK (Dumas-Giorgi-Pernet, ACM TOMS 2008), exact F_p work is done
 as a few large batched products over contiguous operands, reduced mod p
 within proven int bounds: a walk chunk is built slot-major, (n, k, N), so
 each matrix entry is one contiguous row of N values that the Gram kernel
-multiplies in place.
+multiplies in place.  ``congruence_normal`` and ``batch_det`` serve the
+Witt splits and the transporter of ``bilinear`` in the same way: one
+masked elimination over a whole stack of small matrices.
 
 Entries stay below p <= 997, so int32 holds every intermediate: the walk
 peels its digits from int32 offsets below chunk + p; an elimination round
@@ -115,6 +117,156 @@ def left_kernels(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     vecs = vecs[:, ::-1, ::-1] % p
     top = np.argsort(~vecs.any(axis=2), axis=1, kind="stable")
     return np.take_along_axis(vecs, top[:, :, None], axis=1), r - rank
+
+
+def batch_det(a: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of a stack of square matrices (N, n, n): Gaussian
+    elimination with the first nonzero entry of each column as its pivot,
+    keeping the product of the pivots and the sign of the row swaps."""
+    a = np.array(a, dtype=np.int64) % p
+    n_items, n, _ = a.shape
+    det = np.ones(n_items, dtype=np.int64)
+    inv = _inverse_table(p)
+    for col in range(n):
+        prow = col + np.argmax(a[:, col:, col] != 0, axis=1)
+        swap = np.flatnonzero(prow != col)
+        a[swap, col], a[swap, prow[swap]] = a[swap, prow[swap]], a[swap, col]
+        det[swap] *= -1
+        piv = a[:, col, col]  # 0 where the column has no pivot: det and f vanish
+        det = det * piv % p
+        f = a[:, col + 1 :, col] * inv[piv][:, None]
+        a[:, col + 1 :] -= f[:, :, None] % p * a[:, col, None]
+        a %= p
+    return det
+
+
+@lru_cache(maxsize=None)
+def _square_tables(p: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Lookup tables of ``congruence_normal`` at p: ``root[a]`` the least x
+    with x^2 = a (-1 where a is no square), ``chi[a]`` the Legendre symbol of
+    a (0 at 0), the least nonresidue, and ``first[a, s]``.
+
+    ``first`` solves a x^2 + b y^2 = 1: its x is the least x for which
+    c = 1 - a x^2 is 0 or has the square class of b, so that c / b is a
+    square, and y is the root of c / b.  It depends on b only through
+    s = (chi[b] == -1), which keeps the table at (p, 2) entries.
+    """
+    root = np.full(p, -1, dtype=np.int64)
+    for x in range(p - 1, -1, -1):  # the least root is written last
+        root[x * x % p] = x
+    chi = np.where(root >= 0, 1, -1)
+    chi[0] = 0
+    xs = np.arange(p)
+    c = (1 - xs[:, None] * (xs * xs)[None, :]) % p  # c[a, x]
+    first = np.stack([np.argmax((c == 0) | (chi[c] == want), axis=1) for want in (1, -1)], axis=1)
+    return root, chi, int(np.argmax(chi == -1)), first
+
+
+def congruence_normal(grams: np.ndarray, p: int, skew) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Congruence normal forms of a stack of symmetric (or, with ``skew``,
+    alternating) Gram matrices (N, d, d): (rank, delta, T) per item, with T
+    invertible and T g T^T = diag(n, 0), where n is the normal form of a
+    nondegenerate block of size rank and the last d - rank rows of T span
+    the radical of g.
+
+    Symmetric g: n = diag(1, .., 1, delta), delta 1 or the least nonresidue,
+    the square class of the product of the pivots.  Alternating g: n =
+    antidiag(1, .., 1, -1, .., -1) from hyperbolic pairs u_1..u_h, v_h..v_1,
+    and delta = 1.
+
+    One pass of symmetric Gaussian elimination over the rows of the
+    identity, masked like ``batch_rank``: each step moves its pivot to the
+    front of the rows left, keeping their order, and clears it from them.
+    A symmetric pivot is the first anisotropic row left; when every row
+    left is isotropic, it is u + w for the first pair (u, w) with
+    <u, w> != 0.  An alternating step takes that pair as (u, v) with
+    <u, v> = 1.  Then consecutive norms (a, b) become (1, a b) through
+    (x e + y f, b y e - a x f) with a x^2 + b y^2 = 1, and the last row is
+    scaled to norm delta; ``_square_tables`` gives x, y and the roots.
+    Entries stay below 5 p^3 < 2^33 in size before each reduction, in int64.
+    """
+    g = np.array(grams, dtype=np.int64) % p
+    n_items, d, _ = g.shape
+    t = np.tile(np.eye(d, dtype=np.int64), (n_items, 1, 1))
+    rank = np.zeros(n_items, dtype=np.int64)
+    norms = np.zeros((n_items, d), dtype=np.int64)
+    inv = _inverse_table(p)
+    step = 2 if skew else 1
+    for s in range(0, d - step + 1, step):
+        w = d - s
+        pairs = (g[:, s:, s:] != 0).reshape(n_items, w * w)
+        idx = np.flatnonzero(pairs.any(axis=1))
+        if not idx.size:
+            break
+        gs, ts, ar = g[idx], t[idx], np.arange(len(idx))
+        # the first nonzero <u, w> row by row has u before w
+        i, j = np.divmod(np.argmax(pairs[idx], axis=1), w)
+        if skew:
+            lead = np.stack([i, j], axis=1)
+        else:
+            diag = np.diagonal(gs[:, s:, s:], axis1=1, axis2=2) != 0
+            lead = np.argmax(diag, axis=1)[:, None]
+            iso = np.flatnonzero(~diag.any(axis=1))
+            if iso.size:  # u + w, of norm 2 <u, w>
+                u, v = s + i[iso], s + j[iso]
+                ts[iso, u] += ts[iso, v]
+                gs[iso, u] += gs[iso, v]
+                gs[iso, :, u] += gs[iso, :, v]
+                ts %= p
+                gs %= p
+                lead[iso, 0] = i[iso]
+        rel = np.arange(w)
+        key = np.where(rel == lead[:, :1], -2, rel)
+        if skew:
+            key = np.where(rel == lead[:, 1:], -1, key)
+        order = np.concatenate([np.tile(np.arange(s), (len(idx), 1)),
+                                s + np.argsort(key, axis=1, kind="stable")], axis=1)
+        ts = np.take_along_axis(ts, order[:, :, None], axis=1)
+        gs = np.take_along_axis(np.take_along_axis(gs, order[:, :, None], axis=1), order[:, None, :], axis=2)
+        if skew:
+            # v = w / <u, w>; then each row x left loses <u, x> v - <v, x> u
+            c = inv[gs[ar, s, s + 1]]
+            ts[:, s + 1] = ts[:, s + 1] * c[:, None] % p
+            gs[:, s + 1] *= c[:, None]
+            gs[:, :, s + 1] *= c[:, None]
+            gs %= p
+            fu, fv = -gs[:, s + 1, s + 2 :], gs[:, s, s + 2 :]
+            ts[:, s + 2 :] -= fu[:, :, None] * ts[:, s, None] + fv[:, :, None] * ts[:, s + 1, None]
+            gs[:, s + 2 :] -= fu[:, :, None] * gs[:, s, None] + fv[:, :, None] * gs[:, s + 1, None]
+            gs[:, :, s + 2 :] -= fu[:, None, :] * gs[:, :, s, None] + fv[:, None, :] * gs[:, :, s + 1, None]
+        else:
+            a = gs[ar, s, s]
+            norms[idx, s] = a
+            f = gs[:, s + 1 :, s] * inv[a][:, None] % p
+            ts[:, s + 1 :] -= f[:, :, None] * ts[:, s, None]
+            gs[:, s + 1 :] -= f[:, :, None] * gs[:, s, None]
+            gs[:, :, s + 1 :] -= f[:, None, :] * gs[:, :, s, None]
+        t[idx], g[idx] = ts % p, gs % p
+        rank[idx] += step
+    delta = np.ones(n_items, dtype=np.int64)
+    if skew:
+        # u_1 v_1 u_2 v_2 .. -> u_1 .. u_h v_h .. v_1, then the radical rows
+        q, h = np.arange(d), rank[:, None] // 2
+        src = np.where(q < h, 2 * q, np.where(q < 2 * h, 4 * h - 2 * q - 1, q))
+        return rank, delta, np.take_along_axis(t, src[:, :, None], axis=1)
+    root, chi, nonresidue, first = _square_tables(p)
+    for i in range(d - 1):
+        sel = np.flatnonzero((norms[:, i] != 1) & (norms[:, i + 1] != 0))
+        if not sel.size:
+            continue
+        a, b = norms[sel, i], norms[sel, i + 1]
+        x = first[a, (chi[b] == -1).astype(np.intp)]
+        y = root[(1 - a * x * x) % p * inv[b] % p]
+        e, f = t[sel, i], t[sel, i + 1]
+        t[sel, i] = (x[:, None] * e + y[:, None] * f) % p
+        t[sel, i + 1] = ((b * y)[:, None] * e - (a * x)[:, None] * f) % p
+        norms[sel, i + 1] = a * b % p
+    full = np.flatnonzero(rank)
+    last = rank[full] - 1
+    prod = norms[full, last]
+    delta[full] = np.where(chi[prod] == -1, nonresidue, 1)
+    t[full, last] = t[full, last] * root[delta[full] * inv[prod] % p][:, None] % p
+    return rank, delta, t
 
 
 def meet_dims(mats: np.ndarray, k, rows: np.ndarray, p: int) -> np.ndarray:

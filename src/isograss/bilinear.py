@@ -1,9 +1,10 @@
 """Bilinear spaces over F_p: symmetric or alternating Gram matrices,
 orthogonal complements, radicals, subquotients U/L with their induced
-forms, the four-summand Witt split adapted to a subspace
+forms, the four-summand Witt splits adapted to a stack of subspaces
 (``witt_decompose``, the only place a split is built: its basis is put in
-block normal form once, there), and a constructive isometry transporter
-that reads two such splits and maps one basis onto the other.
+block normal form once, there, by ``_batch.congruence_normal``), and a
+constructive isometry transporter that reads two stacks of splits and maps
+each basis onto its partner.
 
 Everything is for odd p, so 2 is invertible and symmetric forms
 diagonalize.  Over F_p, unlike over an algebraically closed field, two
@@ -16,15 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _batch
 from .linalg import (
-    RowSolver,
     Subspace,
     as_prime,
     complement_rows,
-    det_mod,
     full_subspace,
     inv_mod,
     kernel_span,
@@ -91,10 +92,11 @@ class BilinearSpace:
 
 
 def pairing(space: BilinearSpace, rows_u: np.ndarray, rows_v: np.ndarray) -> np.ndarray:
-    """Matrix of <u_i, v_j> for row stacks u, v."""
-    u = np.asarray(rows_u, dtype=np.int64).reshape(-1, space.n)
-    v = np.asarray(rows_v, dtype=np.int64).reshape(-1, space.n)
-    return u @ space.gram @ v.T % space.p
+    """Matrix of <u_i, v_j> for row stacks u, v; for stacks of them, (N, ., n),
+    one such matrix per item."""
+    u, v = (np.asarray(x, dtype=np.int64) for x in (rows_u, rows_v))
+    u, v = (x if x.ndim == 3 else x.reshape(-1, space.n) for x in (u, v))
+    return u @ space.gram @ np.swapaxes(v, -1, -2) % space.p
 
 
 def check_standard_type(form_type: str, n: int) -> None:
@@ -169,102 +171,96 @@ def subquotient(
     return comp, BilinearSpace(comp.shape[0], space.p, space.form_type, pairing(space, comp, comp))
 
 
-def _legendre(a: int, p: int) -> int:
-    v = pow(a % p, (p - 1) // 2, p)
-    return 1 if v == 1 else -1
-
-
-def smallest_nonresidue(p: int) -> int:
-    for a in range(2, p):
-        if _legendre(a, p) == -1:
-            return a
-    raise ValueError("no nonresidue found")  # unreachable for odd p
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """Any square root of a quadratic residue; brute scan (p <= 997)."""
-    a %= p
-    for x in range(p):
-        if x * x % p == a:
-            return x
-    raise ValueError(f"{a} is not a square mod {p}")
-
-
 # ---------------------------------------------------------------------------
 # Witt-style decomposition adapted to a subspace
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class WittSplit:
-    """A basis of V = M1 + M2 + M3 + M4 adapted to h, as four row stacks:
-    ``m1`` the RREF basis of rad h, ``m2`` and ``m3`` completing it to h and
-    h^perp in ``_normal_basis`` form (square classes ``deltas``), and ``m4``
-    isotropic with <m1, m4> = I.  So the stacked basis has the Gram
-    ``normal_form``, fixed by the dims and deltas."""
+class WittStack(NamedTuple):
+    """Witt splits V = M1 + M2 + M3 + M4 adapted to a stack of N subspaces h.
+    ``bases`` (N, n, n) holds each split's rows, stacked m1, m2, m3, m4: m1
+    (``t`` rows) a basis of rad h; m2 (``r`` rows) and m3 completing it to
+    h and h^perp, in ``congruence_normal`` form with square classes
+    ``deltas`` (N, 2); and m4 (t rows) isotropic with <m1, m4> = I.  So
+    each item's stacked basis has the Gram ``normal_forms``, fixed by its
+    t, r and deltas."""
 
-    m1: np.ndarray
-    m2: np.ndarray
-    m3: np.ndarray
-    m4: np.ndarray
-    deltas: tuple[int, int]
+    bases: np.ndarray
+    t: np.ndarray
+    r: np.ndarray
+    deltas: np.ndarray
 
-    def stacked(self) -> np.ndarray:
-        return np.vstack([self.m1, self.m2, self.m3, self.m4])
+    def take(self, index) -> "WittStack":
+        return WittStack(*(x[index] for x in self))
 
-    def normal_form(self, space: BilinearSpace) -> np.ndarray:
-        blocks = zip((len(self.m2), len(self.m3)), self.deltas)
-        return _normal_gram(space.p, space.form_type == SKEW, len(self.m1), *blocks)
+    def normal_forms(self, space: BilinearSpace) -> np.ndarray:
+        """The block normal form of each item, (N, n, n)."""
+        n, skew = space.n, space.form_type == SKEW
+        keys = list(zip(self.t.tolist(), self.r.tolist(), map(tuple, self.deltas.tolist())))
+        forms = {}
+        for key in keys:
+            if key not in forms:
+                t, r, (d2, d3) = key
+                forms[key] = _normal_gram(space.p, skew, t, (r, d2), (n - 2 * t - r, d3))
+        return np.array([forms[key] for key in keys], dtype=np.int64).reshape(-1, n, n)
 
 
-def witt_decompose(space: BilinearSpace, h: Subspace) -> WittSplit:
-    """The adapted basis of h, in normal form; ambient must be nondegenerate."""
+def witt_decompose(space: BilinearSpace, bases: np.ndarray) -> WittStack:
+    """The adapted bases, in normal form, of the row spaces h of the stack
+    ``bases`` (N, k, n) of independent rows; the ambient must be
+    nondegenerate.
+
+    ``congruence_normal`` of h's Gram gives m2 and, in its radical rows,
+    m1; that of h^perp's Gram (h^perp is one ``left_kernels`` call) gives
+    m3 and rad h^perp = rad h again, in the rows where m4 goes.  m4 is then
+    read off one ``batch_rank``: with B the stacked rows with those last t
+    zeroed, reducing [B G | I] to [R | S] solves B G x^T = e_i for i < t by
+    x at R's pivot columns = column i of S, so x pairs to 1 with the i-th
+    row of m1 and to 0 with the other rows of m1, m2 and m3; subtracting
+    half their pairings times m1 makes those rows isotropic.
+    """
     if not space.is_nondegenerate():
         raise ValueError("witt_decompose needs a nondegenerate ambient form")
-    n, p = space.n, space.p
-    hperp = perp(space, h)
-    b1 = radical(space, h).basis
-    b2 = complement_rows(b1, h.basis, p)
-    b3 = complement_rows(b1, hperp.basis, p)
-    # M4 must pair perfectly with M1 and pair to zero with everything else,
-    # so it is found inside (M2 + M3)^perp as an isotropic complement of M1.
-    c = complement_rows(b1, left_kernel(space.gram @ np.vstack([b2, b3]).T, p), p)
-    b4 = np.zeros((0, n), dtype=np.int64)
-    if b1.size:
-        f0 = RowSolver(pairing(space, b1, c), p).transform.T @ c % p
-        b4 = (f0 - inv_mod(2, p) * pairing(space, f0, f0) @ b1) % p
-    (m2, d2), (m3, d3) = _normalize(space, b2), _normalize(space, b3)
-    return WittSplit(b1, m2, m3, b4, (d2, d3))
-
-
-def _normalize(space: BilinearSpace, rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """``rows`` re-coordinated by ``_normal_basis`` of their Gram, and its delta."""
-    if not rows.size:
-        return rows, 1
-    t, delta = _normal_basis(pairing(space, rows, rows), space.p, space.form_type == SKEW)
-    return t @ rows % space.p, delta
+    n, p, gram, skew = space.n, space.p, space.gram, space.form_type == SKEW
+    h = np.asarray(bases, dtype=np.int64) % p
+    n_items, k, _ = h.shape
+    r, d2, th = _batch.congruence_normal(pairing(space, h, h), p, skew)
+    t = k - r
+    # h^perp = {x : x G h^T = 0}
+    hp, _ = _batch.left_kernels(gram @ h.transpose(0, 2, 1) % p, p)
+    hp = hp[:, : n - k].astype(np.int64)
+    _, d3, tp = _batch.congruence_normal(pairing(space, hp, hp), p, skew)
+    # th h is [m2; m1] and tp hp is [m3; rad h]: rolling the first by r
+    # gives [m1; m2], and rad h sits in the last t rows, where m4 goes
+    q = np.arange(n)
+    roll = (q[None, :k] + r[:, None]) % max(k, 1)
+    stacked = np.concatenate(
+        [np.take_along_axis(th @ h % p, roll[:, :, None], axis=1), tp @ hp % p], axis=1
+    )
+    tail = q[None, :, None] >= n - t[:, None, None]
+    aug = np.zeros((n_items, n, 2 * n), dtype=np.int32)
+    aug[:, :, :n] = np.where(tail, 0, stacked) @ gram % p
+    aug[:, :, n:] = np.eye(n, dtype=np.int32)
+    _batch.batch_rank(aug, p)
+    item, row = np.nonzero(aug[:, :, :n].any(axis=2))
+    x = np.zeros((n_items, n, n), dtype=np.int64)
+    if item.size:  # argmax refuses the empty rows of F_p^0
+        x[item, np.argmax(aug[item, row, :n] != 0, axis=1)] = aug[item, row, n:]
+    head = q[None, :, None] < t[:, None, None]
+    f = np.where(head, x.transpose(0, 2, 1), 0)
+    m4 = (f - inv_mod(2, p) * pairing(space, f, f) @ np.where(head, stacked, 0)) % p
+    # row q >= n - t of the split is row q - (n - t) of m4
+    down = (q[None, :] + t[:, None]) % max(n, 1)
+    stacked = np.where(tail, np.take_along_axis(m4, down[:, :, None], axis=1), stacked)
+    return WittStack(stacked, t, r, np.stack([d2, d3], axis=1))
 
 
 # ---------------------------------------------------------------------------
 # Constructive isometries
 # ---------------------------------------------------------------------------
 
-def _represent_one(a: int, b: int, p: int) -> tuple[int, int]:
-    """(x, y) with a x^2 + b y^2 = 1; exists for nondegenerate a, b, odd p."""
-    for x in range(p):
-        rest = (1 - a * x * x) % p
-        if rest == 0:
-            if x:
-                return x, 0
-            continue
-        val = rest * inv_mod(b, p) % p
-        if _legendre(val, p) == 1:
-            return x, sqrt_mod(val, p)
-    raise ValueError("binary form does not represent 1")  # impossible for p odd
-
-
 def _normal_gram(p: int, skew: bool, t: int, *blocks: tuple[int, int]) -> np.ndarray:
-    """The block normal form: t rows, one ``_normal_basis`` form per (dim,
-    delta) block, then t rows dual to the first t; zero across blocks."""
+    """The block normal form: t rows, one ``congruence_normal`` form per
+    (dim, delta) block, then t rows dual to the first t; zero across blocks."""
     n = 2 * t + sum(d for d, _ in blocks)
     g = np.zeros((n, n), dtype=np.int64)
     g[:t, n - t:] = np.eye(t, dtype=np.int64)
@@ -279,101 +275,48 @@ def _normal_gram(p: int, skew: bool, t: int, *blocks: tuple[int, int]) -> np.nda
     return g % p
 
 
-def _normal_basis(gm: np.ndarray, p: int, skew: bool) -> tuple[np.ndarray, int]:
-    """T with T gm T^T in normal form, from one Gram-Schmidt pass over the
-    rows of the identity; returns (T, delta).
-
-    Alternating gm: hyperbolic pairs <u_i, v_i> = 1 ordered u_1..u_h,
-    v_h..v_1, so T gm T^T = antidiag(1,..,1,-1,..,-1) and delta = 1.
-    Symmetric gm: T gm T^T = diag(1,..,1,delta) with delta 1 or the
-    smallest nonresidue.  Raises ValueError when gm is degenerate.
-    """
-    d = gm.shape[0]
-    g = np.array(gm, dtype=np.int64) % p
-    rest = list(np.eye(d, dtype=np.int64))
-    us, vs, norms = [], [], []
-    while rest:
-        if skew:
-            u = rest.pop(0)
-            ug = u @ g
-            j = next((j for j, w in enumerate(rest) if int(ug @ w) % p), None)
-            if j is None:
-                raise ValueError("form is degenerate")
-            w = rest.pop(j)
-            v = w * inv_mod(int(ug @ w) % p, p) % p
-            vg = v @ g
-            # w - <w, v> u + <w, u> v pairs to zero with u and v
-            rest = [(w + int(vg @ w) % p * u - int(ug @ w) % p * v) % p for w in rest]
-            us.append(u)
-            vs.append(v)
-            continue
-        i = next((i for i, w in enumerate(rest) if int(w @ g @ w) % p), None)
-        if i is None:
-            # all rows isotropic: u + w is anisotropic once <u, w> != 0
-            ug = rest[0] @ g
-            j = next((j for j, w in enumerate(rest) if int(ug @ w) % p), None)
-            if j is None:
-                raise ValueError("form is degenerate")
-            i, rest[0] = 0, (rest[0] + rest[j]) % p
-        u = rest.pop(i)
-        gu = g @ u
-        a = int(u @ gu) % p
-        c = inv_mod(a, p)
-        rest = [(w - int(w @ gu) * c % p * u) % p for w in rest]
-        us.append(u)
-        norms.append(a)
-    for i in range(len(norms) - 1):
-        a, b = norms[i], norms[i + 1]
-        if a != 1:
-            # norms of (x e_i + y e_i+1, b y e_i - a x e_i+1) are (1, a b)
-            x, y = _represent_one(a, b, p)
-            e, f = us[i], us[i + 1]
-            us[i], us[i + 1] = (x * e + y * f) % p, (b * y * e - a * x * f) % p
-            norms[i + 1] = a * b % p
-    delta = 1
-    if norms:
-        last = norms[-1]
-        if _legendre(last, p) == -1:
-            delta = smallest_nonresidue(p)
-        us[-1] = sqrt_mod(delta * inv_mod(last, p), p) * us[-1] % p  # last * s^2 = delta
-    return np.array(us + vs[::-1], dtype=np.int64).reshape(d, d), delta
-
-
-def apply_isometry(g: np.ndarray, h: Subspace) -> Subspace:
-    """Image of h under the isometry matrix g (column-vector convention)."""
-    return span(h.basis @ g.T % h.p, h.n, h.p)
-
-
-def transport_isometry(space: BilinearSpace, a: WittSplit, b: WittSplit) -> np.ndarray:
-    """Isometry g (with g^T gram g = gram) carrying h = span(a.m1, a.m2) onto
-    h2 = span(b.m1, b.m2), given the ``witt_decompose`` splits of h and h2:
-    with equal dims and deltas both stacked bases have the same Gram, so g
-    maps one onto the other, one inverse and one product.
+def transport_isometry(space: BilinearSpace, a: WittStack, b: WittStack) -> np.ndarray:
+    """Isometries g (with g^T gram g = gram), one per item, each carrying
+    h = span(a.m1, a.m2) onto h2 = span(b.m1, b.m2), given the
+    ``witt_decompose`` splits of h and h2: with equal dims and deltas both
+    stacked bases have the same Gram, so g maps one onto the other.  All
+    inverses are one ``batch_rank`` of [A | I].
 
     Requires equal dimension and equal rank invariant; over F_p the
     restricted nondegenerate parts must also lie in the same discriminant
     class (equal deltas) or DiscriminantMismatch is raised.  In the
     symmetric case the determinant is normalized to 1 whenever a twist is
-    available (r > 0 or n - 2k + r > 0); for the two families of maximal
-    isotropics no such twist exists and det g = -1 transports between them.
+    available (r > 0 or n - 2k + r > 0, that is 2t < n); for the two
+    families of maximal isotropics no such twist exists and det g = -1
+    transports between them.
     """
     if not space.is_nondegenerate():
         raise ValueError("transport needs a nondegenerate ambient form")
-    t, r = len(a.m1), len(a.m2)
-    k, k2 = t + r, len(b.m1) + len(b.m2)
-    if k != k2:
-        raise InvariantMismatch(f"dims differ: {k} vs {k2}")
-    if r != len(b.m2):
-        raise InvariantMismatch(f"rank invariants differ: {r} vs {len(b.m2)}")
-    if a.deltas != b.deltas:
-        raise DiscriminantMismatch(f"restricted forms have discriminant classes {a.deltas} vs {b.deltas}")
-    p = space.p
-    src_inv = RowSolver(a.stacked(), p).transform
-    img = b.stacked()
+    for what, x, y in (("dims", a.t + a.r, b.t + b.r), ("rank invariants", a.r, b.r)):
+        if (x != y).any():
+            i = np.argmax(x != y)
+            raise InvariantMismatch(f"{what} differ: {x[i]} vs {y[i]}")
+    mismatch = (a.deltas != b.deltas).any(axis=1)
+    if mismatch.any():
+        i = np.argmax(mismatch)
+        raise DiscriminantMismatch(
+            f"restricted forms have discriminant classes {tuple(a.deltas[i].tolist())} "
+            f"vs {tuple(b.deltas[i].tolist())}"
+        )
+    n, p = space.n, space.p
+    aug = np.zeros((len(a.bases), n, 2 * n), dtype=np.int32)
+    aug[:, :, :n] = a.bases
+    aug[:, :, n:] = np.eye(n, dtype=np.int32)
+    _batch.batch_rank(aug, p)
+    if (aug[:, :, :n] != np.eye(n, dtype=np.int32)).any():
+        raise ValueError("split rows are dependent")
+    src_inv = aug[:, :, n:].astype(np.int64)
+    img = np.array(b.bases, dtype=np.int64)
     g_rows = src_inv @ img % p
-    if space.form_type == SYMMETRIC and (r or len(a.m3)) and det_mod(g_rows, p) != 1:
+    if space.form_type == SYMMETRIC:
         # row t is the first M2 image row when r > 0, else the first M3 one;
         # negating one row of a diagonal block keeps the Gram
-        img[t] *= -1
-        g_rows = src_inv @ img % p
-    return g_rows.T % p
+        twist = np.flatnonzero((2 * a.t < n) & (_batch.batch_det(g_rows, p) != 1))
+        img[twist, a.t[twist]] *= -1
+        g_rows[twist] = src_inv[twist] @ img[twist] % p
+    return g_rows.transpose(0, 2, 1)

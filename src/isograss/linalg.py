@@ -2,8 +2,8 @@
 
 Matrices are numpy int64 arrays with entries reduced mod p at the API, but
 elimination runs on lists of Python-int rows: ``_eliminate`` is the one
-Gauss-Jordan loop, behind ``rref``, ``rank_mod``, ``det_mod``,
-``left_kernel`` and ``complement_rows``.  The matrices here have a few rows
+Gauss-Jordan loop, behind ``rref``, ``rank_mod``, ``left_kernel``
+and ``complement_rows``.  The matrices here have a few rows
 and columns, so per-element numpy indexing would cost more than the
 arithmetic.  Subspaces of F_p^n are kept in reduced row-echelon form, which
 makes equality, hashing and set membership structural, and reduces
@@ -76,15 +76,13 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def _eliminate(rows: list[list[int]], p: int) -> tuple[int, int]:
+def _eliminate(rows: list[list[int]], p: int) -> int:
     """Gauss-Jordan elimination in place on Python-int rows reduced mod p.
 
-    Leaves the first ``rank`` rows in RREF and the rest zero; returns
-    (rank, det) with det = (-1)^swaps * (product of the pivots) mod p, the
-    determinant of a square input of full rank.
+    Leaves the first ``rank`` rows in RREF and the rest zero; returns the rank.
     """
     n_rows = len(rows)
-    rank, det = 0, 1
+    rank = 0
     for col in range(len(rows[0]) if rows else 0):
         for r in range(rank, n_rows):
             if rows[r][col]:
@@ -94,9 +92,7 @@ def _eliminate(rows: list[list[int]], p: int) -> tuple[int, int]:
         piv = rows[r]
         if r != rank:
             rows[r] = rows[rank]
-            det = -det
         x = piv[col]
-        det = det * x % p
         if x != 1:
             inv = pow(x, p - 2, p)
             piv = [v * inv % p for v in piv]
@@ -108,7 +104,7 @@ def _eliminate(rows: list[list[int]], p: int) -> tuple[int, int]:
         rank += 1
         if rank == n_rows:
             break
-    return rank, det
+    return rank
 
 
 def _int_rows(mat, p: int) -> tuple[list[list[int]], int]:
@@ -122,21 +118,12 @@ def _int_rows(mat, p: int) -> tuple[list[list[int]], int]:
 def rref(mat: np.ndarray, p: int) -> np.ndarray:
     """Reduced row-echelon form mod p with zero rows dropped."""
     rows, cols = _int_rows(mat, p)
-    rank, _ = _eliminate(rows, p)
+    rank = _eliminate(rows, p)
     return np.array(rows[:rank], dtype=np.int64).reshape(rank, cols)
 
 
 def rank_mod(mat: np.ndarray, p: int) -> int:
-    return _eliminate(_int_rows(mat, p)[0], p)[0]
-
-
-def det_mod(mat: np.ndarray, p: int) -> int:
-    """Determinant mod p of a square matrix: 0 when its rows are dependent."""
-    rows, cols = _int_rows(mat, p)
-    if len(rows) != cols:
-        raise ValueError("expected a square matrix")
-    rank, det = _eliminate(rows, p)
-    return det if rank == cols else 0
+    return _eliminate(_int_rows(mat, p)[0], p)
 
 
 class Subspace:
@@ -230,7 +217,7 @@ def left_kernel(mat: np.ndarray, p: int) -> np.ndarray:
     for i, row in enumerate(rows):
         row += [0] * m
         row[w + i] = 1
-    rank, _ = _eliminate(rows, p)
+    rank = _eliminate(rows, p)
     ker = [row[w:] for row in rows[:rank] if not any(row[:w])]
     return np.array(ker, dtype=np.int64).reshape(len(ker), m)
 
@@ -289,7 +276,7 @@ def complement_rows(inner: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:
     # iff column j is a pivot column of the RREF of the transpose.  A pivot
     # is the first 1 of its RREF row, since everything before it is 0.
     cols = [list(c) for c in zip(*inner_rows, *outer_rows)]
-    rank, _ = _eliminate(cols, p)
+    rank = _eliminate(cols, p)
     pivots = (row.index(1) for row in cols[:rank])
     first = len(inner_rows)
     picked = [outer_rows[j - first] for j in pivots if j >= first]

@@ -16,12 +16,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._batch import meet_dims
+from ._batch import batch_rank, meet_dims
 from .bilinear import (
     SKEW,
     SYMMETRIC,
     BilinearSpace,
-    apply_isometry,
+    WittStack,
     pairing,
     standard_space,
     transport_isometry,
@@ -32,8 +32,6 @@ from .linalg import (
     BudgetExceeded,
     Subspace,
     random_subspace,
-    span,
-    subspace_sum,
     subspace_total,
     within_budget,
 )
@@ -171,9 +169,10 @@ def sampling_plan(spec: str, ref: SumSpace, k: int, base_primes, budget) -> Samp
                         _primes_for_degree(base_primes, sample_deg, (ref.n, k), budget))
 
 
-def stratum_polynomials(plan: SamplingPlan, budget, workers) -> dict[MultiLabel, IntPolynomial]:
+def stratum_polynomials(plan: SamplingPlan, spaces: dict, budget, workers) -> dict[MultiLabel, IntPolynomial]:
     """Exact count polynomial of every stratum of a plan's Gr_k, from one
-    count of Gr_k at each of its primes.
+    count of Gr_k at each of its primes; ``spaces`` holds the SumSpace of
+    each (spec, prime).
 
     The unique top-dimensional label (the open stratum) needs no samples of
     its own: the classification is a partition, so at every prime its count
@@ -183,7 +182,7 @@ def stratum_polynomials(plan: SamplingPlan, budget, workers) -> dict[MultiLabel,
     """
     spec, ref, k, degrees, top, primes = plan
     counts = {
-        p: orbit_point_counts(build_sum_space(spec, p), k, budget=budget, workers=workers)
+        p: orbit_point_counts(spaces[spec, p], k, budget=budget, workers=workers)
         for p in primes
     }
     out = {}
@@ -212,15 +211,19 @@ def suite_degrees(
     specs=GRID_SPACES, primes=(3, 5, 7, 11), budget=DEFAULT_BUDGET, workers=1, only_k=None,
 ):
     # every k's sampling primes, and so every count's size, before the first count
-    plans = [sampling_plan(spec, ref, k, primes, budget)
-             for spec, ref in ((spec, build_sum_space(spec, 3)) for spec in specs)
-             for k in _krange(ref.n, only_k)]
+    spaces = {(spec, 3): build_sum_space(spec, 3) for spec in specs}  # one per (spec, prime)
+    plans = [sampling_plan(spec, spaces[spec, 3], k, primes, budget)
+             for spec in specs for k in _krange(spaces[spec, 3].n, only_k)]
+    for plan in plans:
+        for p in plan.primes:
+            if (plan.spec, p) not in spaces:
+                spaces[plan.spec, p] = build_sum_space(plan.spec, p)
     out = []
     for plan in plans:
         spec, ref, k = plan.spec, plan.ref, plan.k
         bad = []
         try:
-            polys = stratum_polynomials(plan, budget, workers)
+            polys = stratum_polynomials(plan, spaces, budget, workers)
         except InterpolationError as e:
             bad, polys = [str(e)], {}
         for lab, poly in polys.items():
@@ -498,24 +501,26 @@ def suite_closure(specs=GRID_SPACES, primes=(3,), budget=DEFAULT_BUDGET, only_k=
 # transporter / Witt checks
 # ---------------------------------------------------------------------------
 
-def _witt_table_ok(space, h, ws) -> bool:
-    """The stacked basis has the block normal form as its Gram, and m1, m2
-    span h.  That fixes the rest of the table:
+def _witt_table_ok(space, hs, split) -> np.ndarray:
+    """Per item of the stack: the stacked basis has the block normal form as
+    its Gram, and m1, m2 span h, the row space of ``hs`` (N, k, n).  The
+    normal form is nondegenerate, so the n stacked rows are independent:
+    m1, m2 span h exactly when t + r = k and rank[m1; m2; h] = k.  That
+    fixes the rest of the table:
 
-    - the normal form is nondegenerate, so the n stacked rows are a basis;
     - m1 pairs to zero with m1, m2 and m3, and the block of m2 is
       nondegenerate, so the radical of h = span(m1, m2) is span(m1);
     - span(m1, m3) lies in h^perp and has dimension n - dim h, which is
       dim h^perp on the nondegenerate ambient that witt_decompose requires,
       so it is h^perp.
     """
-    n, p = space.n, space.p
-    stacked = ws.stacked()
-    if stacked.shape[0] != n:
-        return False
-    if not np.array_equal(pairing(space, stacked, stacked), ws.normal_form(space)):
-        return False
-    return subspace_sum(span(ws.m1, n, p), span(ws.m2, n, p)) == h
+    n, k = space.n, hs.shape[1]
+    bases, t, r = split.bases, split.t, split.r
+    table = (pairing(space, bases, bases) == split.normal_forms(space)).all(axis=(1, 2))
+    stack = np.zeros((len(hs), n + k, n), dtype=np.int32)
+    stack[:, :n] = np.where(np.arange(n)[None, :, None] < (t + r)[:, None, None], bases, 0)
+    stack[:, n:] = hs
+    return table & (t + r == k) & (batch_rank(stack, space.p) == k)
 
 
 def _transport_spaces(spec: str, p: int) -> list[BilinearSpace]:
@@ -535,34 +540,77 @@ def suite_witt(specs=GRID_SPACES, primes=(3, 5), pairs_per_space=1000, seed=2024
         for p in primes:
             fails = []
             for amb in _transport_spaces(spec, p):
-                n = amb.n
                 buckets: dict = {}
                 done = 0
                 while done < pairs_per_space:
-                    k = int(rng.integers(0, n + 1))
-                    h = random_subspace(n, k, p, rng)
-                    ws = witt_decompose(amb, h)
-                    if not _witt_table_ok(amb, h, ws):
-                        fails.append(f"pairing table fails for {h}")
-                        done += 1
-                        continue
-                    # the table identity makes delta_2 the discriminant class of
-                    # h / rad h, and with k and r it fixes delta_3: these are
-                    # the (k, r, class) buckets, where transport cannot refuse
-                    key = (k, len(ws.m2), ws.deltas)
-                    prev = buckets.get(key)
-                    buckets[key] = (h, ws)
-                    if prev is None:
-                        continue
-                    other, other_ws = prev
-                    g = transport_isometry(amb, other_ws, ws)
-                    if ((g.T @ amb.gram @ g - amb.gram) % p).any():
-                        fails.append("not an isometry")
-                    if apply_isometry(g, other) != h:
-                        fails.append("does not transport")
-                    done += 1
+                    # each draw adds at most one to done, so a round of as many
+                    # draws as are missing ends no later than a loop of one draw
+                    # at a time: the draws, and the generator's stream, are its
+                    hs = []
+                    for _ in range(pairs_per_space - done):
+                        k = int(rng.integers(0, amb.n + 1))
+                        hs.append(random_subspace(amb.n, k, p, rng))
+                    done += _witt_round(amb, hs, buckets, fails)
             out.append(_result(f"witt/transport {spec} p={p} ({pairs_per_space} pairs)", fails))
     return out
+
+
+def _witt_round(space, hs, buckets: dict, fails: list) -> int:
+    """Decompose and table-check the subspaces ``hs`` of one round, one stack
+    per dimension; pair each with the last one of its (k, r, deltas) bucket,
+    in draw order, and transport every pair in one stack.  Appends the
+    failures to ``fails`` in draw order; returns how many draws count as
+    done: one per pair, and one per failed table check.
+
+    The table identity makes delta_2 the discriminant class of h / rad h,
+    and with k and r it fixes delta_3: these are the (k, r, class) buckets,
+    where transport cannot refuse.  A split that fails its table check
+    joins no bucket."""
+    n, p = space.n, space.p
+    dims = np.array([h.dim for h in hs])
+    padded = np.zeros((len(hs), n, n), dtype=np.int64)  # RREF bases, zero rows below
+    split = WittStack(np.zeros((len(hs), n, n), dtype=np.int64), np.zeros_like(dims),
+                      np.zeros_like(dims), np.ones((len(hs), 2), dtype=np.int64))
+    ok = np.zeros(len(hs), dtype=bool)
+    for k in np.unique(dims).tolist():
+        idx = np.flatnonzero(dims == k)
+        bases = np.array([hs[i].basis for i in idx]).reshape(len(idx), k, n)
+        padded[idx, :k] = bases
+        part = witt_decompose(space, bases)
+        for whole, x in zip(split, part):
+            whole[idx] = x
+        ok[idx] = _witt_table_ok(space, bases, part)
+    events, firsts, seconds = [], [], []  # an event: a failed draw's message, or a pair's number
+    for i, h in enumerate(hs):
+        if not ok[i]:
+            events.append(f"pairing table fails for {h}")
+            continue
+        key = (h.dim, int(split.r[i]), tuple(split.deltas[i].tolist()))
+        entry = (padded[i], split.take(i))
+        prev = buckets.get(key)
+        buckets[key] = entry
+        if prev is not None:
+            events.append(len(firsts))
+            firsts.append(prev)
+            seconds.append(entry)
+    if firsts:
+        src, dst = (np.stack([pad for pad, _ in side]) for side in (firsts, seconds))
+        a, b = (WittStack(*map(np.stack, zip(*(one for _, one in side)))) for side in (firsts, seconds))
+        g = transport_isometry(space, a, b)
+        isometry = ~((g.transpose(0, 2, 1) @ space.gram @ g - space.gram) % p).any(axis=(1, 2))
+        # the RREF of each first subspace's image against the second's RREF basis
+        image = (src @ g.transpose(0, 2, 1) % p).astype(np.int32)
+        batch_rank(image, p)
+        onto = (image == dst).all(axis=(1, 2))
+    for event in events:
+        if isinstance(event, str):
+            fails.append(event)
+            continue
+        if not isometry[event]:
+            fails.append("not an isometry")
+        if not onto[event]:
+            fails.append("does not transport")
+    return len(events)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,24 @@
 """Test-side helpers: rendering of verify.CheckResult, the scalar
-between-step oracle, the per-point view of tower stacks, and point
-selection on tower stacks and walks."""
+between-step oracle, the scalar congruence normal form, the per-item view
+of Witt split stacks with the scalar Witt suite loop, the per-point view of
+tower stacks, and point selection on tower stacks and walks."""
 
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from isograss.linalg import Subspace, complement_rows, enumerate_subspaces, rref
+from isograss import verify
+from isograss.bilinear import WittStack, transport_isometry, witt_decompose
+from isograss.linalg import (
+    Subspace,
+    complement_rows,
+    enumerate_subspaces,
+    inv_mod,
+    random_subspace,
+    rref,
+    span,
+)
 from isograss.towers import TowerStack
 
 
@@ -83,3 +94,157 @@ def edit_whole_walks(real, edit):
                 for (label, ceiling), points in zip(jobs, real(space, jobs, budget))]
 
     return walk
+
+
+def legendre(a: int, p: int) -> int:
+    v = pow(a % p, (p - 1) // 2, p)
+    return 1 if v == 1 else -1
+
+
+def smallest_nonresidue(p: int) -> int:
+    return next(a for a in range(2, p) if legendre(a, p) == -1)
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """The least square root of a quadratic residue; brute scan (p <= 997)."""
+    a %= p
+    for x in range(p):
+        if x * x % p == a:
+            return x
+    raise ValueError(f"{a} is not a square mod {p}")
+
+
+def represent_one(a: int, b: int, p: int) -> tuple[int, int]:
+    """(x, y) with a x^2 + b y^2 = 1, x the least that works; exists for
+    nonzero a, b and odd p."""
+    for x in range(p):
+        rest = (1 - a * x * x) % p
+        if rest == 0:
+            if x:
+                return x, 0
+            continue
+        val = rest * inv_mod(b, p) % p
+        if legendre(val, p) == 1:
+            return x, sqrt_mod(val, p)
+    raise ValueError("binary form does not represent 1")  # impossible for p odd
+
+
+def normal_basis(gm: np.ndarray, p: int, skew: bool) -> tuple[np.ndarray, int]:
+    """The scalar oracle of ``_batch.congruence_normal`` on a nondegenerate
+    Gram: T with T gm T^T in normal form, from one Gram-Schmidt pass over the
+    rows of the identity; returns (T, delta).
+
+    Alternating gm: hyperbolic pairs <u_i, v_i> = 1 ordered u_1..u_h,
+    v_h..v_1, so T gm T^T = antidiag(1,..,1,-1,..,-1) and delta = 1.
+    Symmetric gm: T gm T^T = diag(1,..,1,delta) with delta 1 or the
+    smallest nonresidue.  Raises ValueError when gm is degenerate.
+    """
+    d = gm.shape[0]
+    g = np.array(gm, dtype=np.int64) % p
+    rest = list(np.eye(d, dtype=np.int64))
+    us, vs, norms = [], [], []
+    while rest:
+        if skew:
+            u = rest.pop(0)
+            ug = u @ g
+            j = next((j for j, w in enumerate(rest) if int(ug @ w) % p), None)
+            if j is None:
+                raise ValueError("form is degenerate")
+            w = rest.pop(j)
+            v = w * inv_mod(int(ug @ w) % p, p) % p
+            vg = v @ g
+            # w - <w, v> u + <w, u> v pairs to zero with u and v
+            rest = [(w + int(vg @ w) % p * u - int(ug @ w) % p * v) % p for w in rest]
+            us.append(u)
+            vs.append(v)
+            continue
+        i = next((i for i, w in enumerate(rest) if int(w @ g @ w) % p), None)
+        if i is None:
+            # all rows isotropic: u + w is anisotropic once <u, w> != 0
+            ug = rest[0] @ g
+            j = next((j for j, w in enumerate(rest) if int(ug @ w) % p), None)
+            if j is None:
+                raise ValueError("form is degenerate")
+            i, rest[0] = 0, (rest[0] + rest[j]) % p
+        u = rest.pop(i)
+        gu = g @ u
+        a = int(u @ gu) % p
+        c = inv_mod(a, p)
+        rest = [(w - int(w @ gu) * c % p * u) % p for w in rest]
+        us.append(u)
+        norms.append(a)
+    for i in range(len(norms) - 1):
+        a, b = norms[i], norms[i + 1]
+        if a != 1:
+            # norms of (x e_i + y e_i+1, b y e_i - a x e_i+1) are (1, a b)
+            x, y = represent_one(a, b, p)
+            e, f = us[i], us[i + 1]
+            us[i], us[i + 1] = (x * e + y * f) % p, (b * y * e - a * x * f) % p
+            norms[i + 1] = a * b % p
+    delta = 1
+    if norms:
+        last = norms[-1]
+        if legendre(last, p) == -1:
+            delta = smallest_nonresidue(p)
+        us[-1] = sqrt_mod(delta * inv_mod(last, p), p) * us[-1] % p  # last * s^2 = delta
+    return np.array(us + vs[::-1], dtype=np.int64).reshape(d, d), delta
+
+
+def apply_isometry(g: np.ndarray, h: Subspace) -> Subspace:
+    """Image of h under the isometry matrix g (column-vector convention)."""
+    return span(h.basis @ g.T % h.p, h.n, h.p)
+
+
+def witt_parts(split: WittStack, i: int) -> tuple[np.ndarray, ...]:
+    """Item i of a split stack as its four row stacks m1, m2, m3, m4."""
+    n, t, r = len(split.bases[i]), int(split.t[i]), int(split.r[i])
+    return tuple(np.split(split.bases[i], [t, t + r, n - t]))
+
+
+def witt_stack(parts, deltas) -> WittStack:
+    """The one-item split stack of the row stacks m1, m2, m3, m4."""
+    m1, m2 = parts[:2]
+    return WittStack(np.vstack(parts)[None], np.array([len(m1)]), np.array([len(m2)]),
+                     np.array([deltas]))
+
+
+def witt_split(space, h: Subspace) -> WittStack:
+    """The one-item ``witt_decompose`` stack of one subspace."""
+    return witt_decompose(space, h.basis[None])
+
+
+def scalar_suite_witt(specs, primes, pairs_per_space, seed):
+    """``verify.suite_witt`` as a loop of one draw at a time: each subspace
+    is decomposed, checked and transported on its own, through one-item
+    stacks."""
+    out = []
+    rng = np.random.default_rng(seed)
+    for spec in specs:
+        for p in primes:
+            fails = []
+            for amb in verify._transport_spaces(spec, p):
+                n = amb.n
+                buckets: dict = {}
+                done = 0
+                while done < pairs_per_space:
+                    k = int(rng.integers(0, n + 1))
+                    h = random_subspace(n, k, p, rng)
+                    ws = witt_split(amb, h)
+                    if not verify._witt_table_ok(amb, h.basis[None], ws)[0]:
+                        fails.append(f"pairing table fails for {h}")
+                        done += 1
+                        continue
+                    key = (k, int(ws.r[0]), tuple(ws.deltas[0].tolist()))
+                    prev = buckets.get(key)
+                    buckets[key] = (h, ws)
+                    if prev is None:
+                        continue
+                    other, other_ws = prev
+                    [g] = transport_isometry(amb, other_ws, ws)
+                    if ((g.T @ amb.gram @ g - amb.gram) % p).any():
+                        fails.append("not an isometry")
+                    if apply_isometry(g, other) != h:
+                        fails.append("does not transport")
+                    done += 1
+            out.append(verify._result(f"witt/transport {spec} p={p} ({pairs_per_space} pairs)", fails))
+    return out

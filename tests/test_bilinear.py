@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
+from checks import apply_isometry, normal_basis, smallest_nonresidue, witt_parts, witt_split
+
+from isograss import _batch
 from isograss.bilinear import (
     SKEW,
     SYMMETRIC,
     BilinearSpace,
     DiscriminantMismatch,
     InvariantMismatch,
-    _normal_basis,
-    apply_isometry,
+    WittStack,
     pairing,
     perp,
     radical,
-    smallest_nonresidue,
     standard_space,
     subquotient,
     transport_isometry,
@@ -20,9 +21,9 @@ from isograss.bilinear import (
 )
 from isograss.linalg import (
     complement_rows,
-    det_mod,
     enumerate_subspaces,
     full_subspace,
+    left_kernel,
     random_subspace,
     rank_mod,
     span,
@@ -35,7 +36,7 @@ from isograss.linalg import (
 def discriminant_class(space: BilinearSpace, rows: np.ndarray) -> int:
     """Square class (+1 residue / -1 nonresidue) of det of the restricted
     Gram, which must be nondegenerate."""
-    d = det_mod(pairing(space, rows, rows), space.p)
+    d = int(_batch.batch_det(pairing(space, rows, rows)[None], space.p)[0])
     assert d, "restricted form is degenerate"
     return 1 if pow(d, (space.p - 1) // 2, space.p) == 1 else -1
 
@@ -148,7 +149,7 @@ def test_radical_parity_skew_exhaustive():
 
 def _check_witt(space, h, split):
     n, p = space.n, space.p
-    m = [span(rows, n, p) for rows in (split.m1, split.m2, split.m3, split.m4)]
+    m = [span(rows, n, p) for rows in witt_parts(split, 0)]
     hperp = perp(space, h)
     assert m[0] == subspace_intersect(h, hperp)
     assert subspace_sum(m[0], m[1]) == h
@@ -167,8 +168,6 @@ def _check_witt(space, h, split):
                 continue
             block = pairing(space, bi, bj)
             if {i, j} == {0, 3} or (i == j == 1) or (i == j == 2):
-                from isograss.linalg import rank_mod
-
                 assert m[i].dim == m[j].dim or i == j
                 assert rank_mod(block, p) == min(m[i].dim, m[j].dim)
                 if i == j or {i, j} == {0, 3}:
@@ -177,16 +176,20 @@ def _check_witt(space, h, split):
                 assert not block.any()
 
 
+def _part_sizes(split):
+    return tuple(len(rows) for rows in witt_parts(split, 0))
+
+
 def test_witt_forced_dimensions():
     sp4 = standard_space(SKEW, 4, 3)
     lag = span([[1, 0, 0, 0], [0, 1, 0, 0]], 4, 3)
-    ws = witt_decompose(sp4, lag)
-    assert tuple(len(rows) for rows in (ws.m1, ws.m2, ws.m3, ws.m4)) == (2, 0, 0, 2)
+    ws = witt_split(sp4, lag)
+    assert _part_sizes(ws) == (2, 0, 0, 2)
     _check_witt(sp4, lag, ws)
 
     hyp = span([[1, 0, 0, 0], [0, 0, 0, 1]], 4, 3)
-    ws = witt_decompose(sp4, hyp)
-    assert tuple(len(rows) for rows in (ws.m1, ws.m2, ws.m3, ws.m4)) == (0, 2, 2, 0)
+    ws = witt_split(sp4, hyp)
+    assert _part_sizes(ws) == (0, 2, 2, 0)
     _check_witt(sp4, hyp, ws)
 
 
@@ -194,8 +197,8 @@ def test_witt_generic_rank_one():
     o4 = standard_space(SYMMETRIC, 4, 3)
     h = span([[1, 0, 0, 0], [0, 1, 1, 0]], 4, 3)  # rad = e1, anisotropic part
     assert rank_mod(pairing(o4, h.basis, h.basis), 3) == 1
-    ws = witt_decompose(o4, h)
-    assert tuple(len(rows) for rows in (ws.m1, ws.m2, ws.m3, ws.m4)) == (1, 1, 1, 1)
+    ws = witt_split(o4, h)
+    assert _part_sizes(ws) == (1, 1, 1, 1)
     _check_witt(o4, h, ws)
 
 
@@ -206,7 +209,7 @@ def test_witt_random_pairing_table():
             space = standard_space(form, n, 5)
             for _ in range(40):
                 h = random_subspace(n, int(rng.integers(0, n + 1)), 5, rng)
-                _check_witt(space, h, witt_decompose(space, h))
+                _check_witt(space, h, witt_split(space, h))
 
 
 def _normal_form_inputs():
@@ -230,14 +233,31 @@ def test_witt_split_is_in_normal_form():
     # and delta2 is the square class of the restriction to m2
     classes = set()
     for space, h in _normal_form_inputs():
-        ws = witt_decompose(space, h)
-        stacked = ws.stacked()
-        assert np.array_equal(pairing(space, stacked, stacked), ws.normal_form(space))
-        assert span(ws.m1, space.n, space.p) == radical(space, h)
-        if space.form_type == SYMMETRIC and len(ws.m2):
-            assert (ws.deltas[0] == 1) == (discriminant_class(space, ws.m2) == 1)
-            classes.add((space.n, ws.deltas[0] == 1))
+        ws = witt_split(space, h)
+        m1, m2, _, _ = witt_parts(ws, 0)
+        stacked = ws.bases[0]
+        assert np.array_equal(pairing(space, stacked, stacked), ws.normal_forms(space)[0])
+        assert span(m1, space.n, space.p) == radical(space, h)
+        if space.form_type == SYMMETRIC and len(m2):
+            assert (ws.deltas[0, 0] == 1) == (discriminant_class(space, m2) == 1)
+            classes.add((space.n, ws.deltas[0, 0] == 1))
     assert {(3, True), (3, False), (4, True), (4, False), (5, True), (5, False)} <= classes
+
+
+def test_witt_decompose_stacks_agree_with_one_item_stacks():
+    # a stack of subspaces of one dimension, with mixed radical dimensions,
+    # splits item by item as one-item stacks do
+    rng = np.random.default_rng(30)
+    mixed = 0
+    for form, n, p in ((SKEW, 4, 3), (SYMMETRIC, 4, 3), (SYMMETRIC, 5, 5), (SKEW, 6, 3)):
+        space = standard_space(form, n, p)
+        for k in range(n + 1):
+            hs = [random_subspace(n, k, p, rng) for _ in range(40)]
+            whole = witt_decompose(space, np.stack([h.basis for h in hs]).reshape(40, k, n))
+            mixed += len(set(whole.t.tolist())) > 1
+            for i, h in enumerate(hs):
+                assert all(np.array_equal(x[i], y[0]) for x, y in zip(whole, witt_split(space, h))), h
+    assert mixed >= 6
 
 
 @pytest.mark.parametrize("form", [SKEW, SYMMETRIC])
@@ -245,32 +265,37 @@ def test_witt_split_of_the_zero_space(form):
     # width-0 stacks all the way down: complement_rows takes (0, 0) inputs
     empty = np.zeros((0, 0), dtype=np.int64)
     assert complement_rows(empty, empty, 3).shape == (0, 0)
-    ws = witt_decompose(standard_space(form, 0, 3), zero_subspace(0, 3))
-    assert [part.shape for part in (ws.m1, ws.m2, ws.m3, ws.m4)] == [(0, 0)] * 4
-    assert ws.deltas == (1, 1)
+    ws = witt_split(standard_space(form, 0, 3), zero_subspace(0, 3))
+    assert [part.shape for part in witt_parts(ws, 0)] == [(0, 0)] * 4
+    assert ws.deltas.tolist() == [[1, 1]]
 
 
 def test_witt_rejects_degenerate_space():
     degenerate = BilinearSpace(2, 3, SYMMETRIC, np.zeros((2, 2), dtype=np.int64))
     with pytest.raises(ValueError):
-        witt_decompose(degenerate, span([[1, 0]], 2, 3))
+        witt_split(degenerate, span([[1, 0]], 2, 3))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_normal_basis_random_grams(p):
-    # T is invertible, T gm T^T is the normal form, and delta is the square
-    # class that the determinant of gm gives
+    # the scalar oracle and the batched kernel: T is invertible, T gm T^T is
+    # the normal form, and delta is the square class that the determinant of
+    # gm gives
     rng = np.random.default_rng(p)
     nu = smallest_nonresidue(p)
     for form, dims in ((SKEW, (2, 4)), (SYMMETRIC, (1, 2, 3, 4))):
         for d in dims:
-            checked = 0
-            while checked < 25:
+            grams = []
+            while len(grams) < 25:
                 a = rng.integers(0, p, (d, d))
                 gm = (a - a.T) % p if form == SKEW else (a + a.T) % p
-                if rank_mod(gm, p) < d:
-                    continue
-                t, delta = _normal_basis(gm, p, form == SKEW)
+                if rank_mod(gm, p) == d:
+                    grams.append(gm)
+            rank, deltas, ts = _batch.congruence_normal(np.array(grams), p, form == SKEW)
+            assert rank.tolist() == [d] * len(grams)
+            for gm, t_batch, delta_batch in zip(grams, ts, deltas):
+                t, delta = normal_basis(gm, p, form == SKEW)
+                assert np.array_equal(t, t_batch) and delta == delta_batch
                 assert rank_mod(t, p) == d
                 if form == SKEW:
                     want = standard_space(SKEW, d, p).gram
@@ -280,7 +305,6 @@ def test_normal_basis_random_grams(p):
                     disc = discriminant_class(BilinearSpace(d, p, form, gm), np.eye(d, dtype=np.int64))
                     assert delta in (1, nu) and (delta == 1) == (disc == 1)
                 assert (t @ gm @ t.T % p == want).all()
-                checked += 1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -288,9 +312,11 @@ def test_normal_basis_all_isotropic_rows(p):
     # both rows are isotropic, so the first anisotropic vector is e1 + e2;
     # det = -1 is a square exactly when p = 1 mod 4
     gm = np.array([[0, 1], [1, 0]])
-    t, delta = _normal_basis(gm, p, False)
+    t, delta = normal_basis(gm, p, False)
     assert delta == (1 if p % 4 == 1 else smallest_nonresidue(p))
     assert (t @ gm @ t.T % p == np.diag([1, delta])).all()
+    rank, deltas, ts = _batch.congruence_normal(gm[None], p, False)
+    assert rank.tolist() == [2] and deltas.tolist() == [delta] and np.array_equal(ts[0], t)
 
 
 @pytest.mark.parametrize(
@@ -303,14 +329,79 @@ def test_normal_basis_all_isotropic_rows(p):
     ],
 )
 def test_normal_basis_rejects_degenerate_gram(gm, skew):
+    # the oracle refuses a degenerate Gram; the kernel ranks it below d
     with pytest.raises(ValueError):
-        _normal_basis(np.array(gm), 3, skew)
+        normal_basis(np.array(gm), 3, skew)
+    rank, _, _ = _batch.congruence_normal(np.array(gm)[None], 3, skew)
+    assert rank[0] == rank_mod(np.array(gm), 3) < len(gm)
+
+
+def _gram_of_rank(rng, d, rank, p, skew):
+    """A random Gram of size d and the given rank: a random nondegenerate
+    block, padded with zeros and moved by a random invertible matrix."""
+    while True:
+        a = rng.integers(0, p, (rank, rank))
+        block = (a - a.T) % p if skew else (a + a.T) % p
+        if rank_mod(block, p) == rank:
+            break
+    c = rng.integers(0, p, (d, d))
+    while rank_mod(c, p) < d:
+        c = rng.integers(0, p, (d, d))
+    g = np.zeros((d, d), dtype=np.int64)
+    g[:rank, :rank] = block
+    return c.T @ g @ c % p
+
+
+def _check_congruence_normal(grams, p, skew):
+    """congruence_normal of a stack against the scalar oracle: the rank, T
+    invertible with T g T^T the normal form of size rank padded with zeros,
+    and delta the oracle's delta of g restricted to a complement of its
+    radical; on a nondegenerate g, T is the oracle's T."""
+    grams = np.array(grams, dtype=np.int64)
+    d = grams.shape[1]
+    ranks, deltas, ts = _batch.congruence_normal(grams, p, skew)
+    for g, rank, delta, t in zip(grams, ranks.tolist(), deltas.tolist(), ts):
+        assert rank == rank_mod(g, p) and rank_mod(t, p) == d, g
+        comp = complement_rows(left_kernel(g, p), np.eye(d, dtype=np.int64), p)
+        want_t, want_delta = normal_basis(comp @ g @ comp.T % p, p, skew)
+        assert delta == want_delta, g
+        if rank == d:
+            assert np.array_equal(t, want_t), g
+        want = np.zeros((d, d), dtype=np.int64)
+        want[:rank, :rank] = want_t @ (comp @ g @ comp.T) @ want_t.T % p
+        assert np.array_equal(t @ g @ t.T % p, want), g
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 997])
+def test_congruence_normal_matches_the_scalar_oracle(p):
+    # every rank from 0 (the zero Gram) to d, symmetric and alternating
+    rng = np.random.default_rng(p)
+    for d in (1, 2, 3, 4, 6):
+        for skew in (False, True):
+            grams = [_gram_of_rank(rng, d, rank, p, skew)
+                     for rank in range(0, d + 1, 1 + skew) for _ in range(12)]
+            _check_congruence_normal(grams, p, skew)
+
+
+def test_congruence_normal_at_the_int_bound():
+    # entries at p - 1 = 996 and just below it: every product of the
+    # elimination is near its largest
+    p, rng = 997, np.random.default_rng(997)
+    for skew in (False, True):
+        for d in (2, 3, 4, 6):
+            grams = [np.full((d, d), p - 1)]
+            for _ in range(20):
+                a = rng.integers(p - 3, p, (d, d))
+                grams.append((a - a.T) % p if skew else (a + a.T) % p)
+            if skew:  # p - 1 above the diagonal, 1 below it
+                grams[0] = (np.triu(grams[0], 1) - np.triu(grams[0], 1).T) % p
+            _check_congruence_normal(grams, p, skew)
 
 
 def _transport(space, h, h2):
     """transport_isometry between the splits of h and h2, held to both of its
     laws: g is an isometry, and g maps h onto h2."""
-    g = transport_isometry(space, witt_decompose(space, h), witt_decompose(space, h2))
+    [g] = transport_isometry(space, witt_split(space, h), witt_split(space, h2))
     assert not ((g.T @ space.gram @ g - space.gram) % space.p).any(), "not an isometry"
     assert apply_isometry(g, h) == h2, "does not transport"
     return g
@@ -375,24 +466,27 @@ def _refuse(*args, **kwargs):
 
 def test_transport_reads_the_splits(monkeypatch):
     # the transporter builds no split of its own and normalizes nothing:
-    # perp, complement_rows, _normal_basis and span are never called once
-    # both splits exist
+    # perp, complement_rows, span, left_kernels and congruence_normal are
+    # never called once both splits exist; it takes the pairs as one stack
     rng = np.random.default_rng(5)
     for form, n in ((SYMMETRIC, 4), (SYMMETRIC, 5), (SKEW, 4)):
         space = standard_space(form, n, 3)
         pairs = []
         while len(pairs) < 10:
             h, h2 = (random_subspace(n, 2, 3, rng) for _ in range(2))
-            a, b = witt_decompose(space, h), witt_decompose(space, h2)
-            if len(a.m2) == len(b.m2) and (
-                not len(a.m2) or form == SKEW
-                or discriminant_class(space, a.m2) == discriminant_class(space, b.m2)
+            a, b = witt_split(space, h), witt_split(space, h2)
+            m2, m2b = witt_parts(a, 0)[1], witt_parts(b, 0)[1]
+            if len(m2) == len(m2b) and (
+                not len(m2) or form == SKEW
+                or discriminant_class(space, m2) == discriminant_class(space, m2b)
             ):
                 pairs.append((h, h2, a, b))
+        a, b = (WittStack(*map(np.concatenate, zip(*(pair[side] for pair in pairs)))) for side in (2, 3))
         with monkeypatch.context() as m:
-            for name in ("perp", "complement_rows", "_normal_basis", "span"):
-                m.setattr(f"isograss.bilinear.{name}", _refuse)
-            gs = [transport_isometry(space, a, b) for _, _, a, b in pairs]
+            for name in ("bilinear.perp", "bilinear.complement_rows", "bilinear.span",
+                         "_batch.left_kernels", "_batch.congruence_normal"):
+                m.setattr(f"isograss.{name}", _refuse)
+            gs = transport_isometry(space, a, b)
         for (h, h2, _, _), g in zip(pairs, gs):
             assert not ((g.T @ space.gram @ g - space.gram) % 3).any()
             assert apply_isometry(g, h) == h2

@@ -6,7 +6,7 @@ import pytest
 from checks import scalar_between
 
 from isograss import linalg
-from isograss._batch import batch_rank, iter_chunks, left_kernels, pattern_matrices
+from isograss._batch import batch_det, batch_rank, iter_chunks, left_kernels, pattern_matrices
 from isograss.linalg import (
     BudgetExceeded,
     RowSolver,
@@ -14,7 +14,6 @@ from isograss.linalg import (
     as_prime,
     between_stack,
     complement_rows,
-    det_mod,
     enumerate_subspaces,
     full_subspace,
     intersect_prefix,
@@ -41,7 +40,7 @@ def test_prime_field_validation():
 
 
 def _reference_det(mat, p):
-    """Determinant mod p by permutation expansion, independent of ``_eliminate``."""
+    """Determinant mod p by permutation expansion, independent of ``batch_det``."""
     n = len(mat)
     total = 0
     for perm in permutations(range(n)):
@@ -53,7 +52,7 @@ def _reference_det(mat, p):
     return total % p
 
 
-def test_det_mod_matches_permutation_expansion():
+def test_batch_det_matches_permutation_expansion():
     rng = np.random.default_rng(14)
     for p in (3, 5, 7, 997):
         for d in range(6):
@@ -68,11 +67,9 @@ def test_det_mod_matches_permutation_expansion():
                 zero_col = rng.integers(0, p, size=(d, d))
                 zero_col[:, d // 2] = 0
                 cases += [swap, dup, zero_col]
-            for mat in cases:
-                assert det_mod(mat, p) == _reference_det(mat, p), (p, mat)
-    assert det_mod(np.zeros((0, 0), dtype=np.int64), 3) == 1
-    with pytest.raises(ValueError):
-        det_mod(np.zeros((2, 3), dtype=np.int64), 3)
+            dets = batch_det(np.array(cases), p)
+            assert dets.tolist() == [_reference_det(mat, p) for mat in cases], (p, d)
+    assert batch_det(np.zeros((1, 0, 0), dtype=np.int64), 3).tolist() == [1]
 
 
 def _reference_rref(mat, p):

@@ -8,10 +8,10 @@ from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, radical, standard_
 from isograss.linalg import (
     RowSolver,
     Subspace,
-    det_mod,
     enumerate_subspaces,
     full_subspace,
     left_kernel,
+    rank_mod,
     span,
     subspace_intersect,
     zero_subspace,
@@ -118,7 +118,7 @@ def _rebased(mats, p, rng):
     n_items, k, _ = mats.shape
     g = rng.integers(0, p, size=(n_items, k, k))
     for i in range(n_items):
-        while det_mod(g[i], p) == 0:
+        while rank_mod(g[i], p) < k:
             g[i] = rng.integers(0, p, size=(k, k))
     return g @ mats % p
 

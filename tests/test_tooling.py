@@ -150,8 +150,9 @@ def test_package_names_have_package_callers():
     # so a local variable that shares a method's name does not reach it.
     # Also exempt: subspaces_between and closure_labels, the one-pair view of
     # linalg.between_stack and the one-label view of towers.closure_rows,
-    # which tests and perfbench/tracer.py read by name.
-    exempt = {"multilabel_of", "subspaces_between", "closure_labels"}
+    # which tests and perfbench/tracer.py read by name; and subspace_sum, a
+    # package export that perfbench/tracer.py wraps by name.
+    exempt = {"multilabel_of", "subspaces_between", "closure_labels", "subspace_sum"}
     paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     trees = [ast.parse(path.read_text()) for path in paths]
     names: dict[str, set[int]] = {}
@@ -373,6 +374,23 @@ def test_towers_imports_no_per_subspace_path():
     per_subspace = {"span", "subspace_intersect", "subspaces_between", "enumerate_subspaces",
                     "isotropic_subspaces"}
     assert names & per_subspace == set()
+
+
+def test_witt_suite_calls_no_per_subspace_path():
+    # the Witt suite draws scalar subspaces, then decomposes, checks and
+    # transports them on int stacks: no scalar span, sum, perp, radical,
+    # solver or rref in its rounds or its table check
+    tree = ast.parse((SRC / "verify.py").read_text())
+    bodies = [node for node in tree.body
+              if getattr(node, "name", None) in ("suite_witt", "_witt_round", "_witt_table_ok")]
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for body in bodies
+        for node in ast.walk(body)
+        if isinstance(node, ast.Call)
+    }
+    per_subspace = {"span", "subspace_sum", "perp", "radical", "RowSolver", "rref"}
+    assert len(bodies) == 3 and called & per_subspace == set()
 
 
 def test_batch_imports_only_polynomials():

@@ -1,11 +1,10 @@
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from isograss import bilinear
-from isograss.bilinear import SKEW, SYMMETRIC, pairing, perp, standard_space, witt_decompose
+from isograss import _batch, bilinear, linalg
+from isograss.bilinear import SKEW, SYMMETRIC, pairing, perp, standard_space
 from isograss.linalg import (
     BudgetExceeded,
     enumerate_subspaces,
@@ -20,14 +19,25 @@ from isograss.polynomials import IntPolynomial
 from isograss.sumspace import MultiLabel, build_sum_space, multilabels_of, orbit_point_counts
 from isograss import paving, towers, verify
 
-from checks import check_line, edit_whole_walks, flag_data, same_points, take_points
+from checks import (
+    check_line,
+    edit_whole_walks,
+    flag_data,
+    same_points,
+    scalar_suite_witt,
+    take_points,
+    witt_parts,
+    witt_split,
+    witt_stack,
+)
 
 
 def polynomials_of(spec, k, budget=verify.DEFAULT_BUDGET):
     """The count polynomials of Gr_k of one grid space, sampled from the
     suite's default base primes on one worker."""
     plan = verify.sampling_plan(spec, build_sum_space(spec, 3), k, (3, 5, 7, 11), budget)
-    return verify.stratum_polynomials(plan, budget, 1)
+    spaces = {(spec, p): build_sum_space(spec, p) for p in plan.primes}
+    return verify.stratum_polynomials(plan, spaces, budget, 1)
 
 
 def test_stratum_polynomials_sp4():
@@ -183,13 +193,29 @@ def test_paving_failure_details_are_frozen(monkeypatch, form, n, details):
     assert not result.passed and result.details == details
 
 
+def test_degrees_builds_each_space_once(monkeypatch):
+    # one SumSpace per (spec, prime) of the run, shared by every k; the
+    # counts are stubbed out, since only the builds are counted here
+    built = Counter()
+    real = verify.build_sum_space
+
+    def counted(spec, p):
+        built[spec, p] += 1
+        return real(spec, p)
+
+    monkeypatch.setattr(verify, "build_sum_space", counted)
+    monkeypatch.setattr(verify, "orbit_point_counts", lambda space, k, budget, workers: {})
+    verify.suite_degrees()
+    assert len(built) == 41 and set(built.values()) == {1}
+
+
 def test_witt_reports_a_broken_transport(monkeypatch):
     # the transporter returns whatever it built; the suite judges it
     real = verify.transport_isometry
 
     def one_column_zeroed(space, a, b):
         g = real(space, a, b).copy()
-        g[:, 0] = 0
+        g[:, :, 0] = 0
         return g
 
     monkeypatch.setattr(verify, "transport_isometry", one_column_zeroed)
@@ -201,10 +227,19 @@ def test_witt_reports_a_broken_normal_basis(monkeypatch):
     # every normal basis of a symmetric block ends in a row scaled by a
     # "square root" of 0: its Gram misses the normal form, and the table
     # check reports it instead of an exception ending the run
-    monkeypatch.setattr(bilinear, "sqrt_mod", lambda a, p: 0)
+    real = _batch._square_tables
+    monkeypatch.setattr(_batch, "_square_tables", lambda p: (0 * real(p)[0], *real(p)[1:]))
     [result] = verify.suite_witt(("O3",), (3,), 20)
     assert not result.passed and "pairing table fails" in result.details
     assert result.details.count(";") == 3  # the first four failures
+
+
+def _table_ok(space, h, parts, deltas) -> bool:
+    """``verify._witt_table_ok`` of one split given as its four row stacks;
+    a split of other than n rows does not fit a stack, and is refused."""
+    if sum(map(len, parts)) != space.n:
+        return False
+    return bool(verify._witt_table_ok(space, h.basis[None], witt_stack(parts, deltas))[0])
 
 
 @pytest.mark.parametrize("part", ["m2", "m4"])
@@ -212,41 +247,44 @@ def test_witt_table_refuses_rref_rows(part):
     # RREF rows span the same parts as the split's own, so only the Gram
     # identity of the table check can refuse them
     space = standard_space(SYMMETRIC, 4, 5)
+    at = {"m2": 1, "m4": 3}[part]
 
     def refused(h):
-        ws = witt_decompose(space, h)
-        assert verify._witt_table_ok(space, h, ws)
-        rows = getattr(ws, part)
-        return len(rows) and not verify._witt_table_ok(space, h, replace(ws, **{part: rref(rows, 5)}))
+        ws = witt_split(space, h)
+        parts, deltas = list(witt_parts(ws, 0)), ws.deltas[0]
+        assert _table_ok(space, h, parts, deltas)
+        rows = parts[at]
+        parts[at] = rref(rows, 5)
+        return len(rows) and not _table_ok(space, h, parts, deltas)
 
     assert any(refused(h) for k in (1, 2, 3) for h in enumerate_subspaces(4, k, 5))
 
 
-def _four_subspace_table_ok(space, h, ws):
+def _four_subspace_table_ok(space, h, parts, deltas):
     """The table check with every part rebuilt: span(m1, m2) = h,
     span(m1, m3) = h^perp and span(m1) = h cap h^perp, then the Gram
     identity.  The reference for the derived check in verify."""
     n, p = space.n, space.p
-    stacked = ws.stacked()
+    stacked = np.vstack(parts)
     if stacked.shape[0] != n:
         return False
-    m1, m2, m3 = (span(rows, n, p) for rows in (ws.m1, ws.m2, ws.m3))
+    m1, m2, m3 = (span(rows, n, p) for rows in parts[:3])
     if subspace_sum(m1, m2) != h:
         return False
     hperp = perp(space, h)
     if subspace_sum(m1, m3) != hperp or m1 != subspace_intersect(h, hperp):
         return False
-    return np.array_equal(pairing(space, stacked, stacked), ws.normal_form(space))
+    return np.array_equal(pairing(space, stacked, stacked), witt_stack(parts, deltas).normal_forms(space)[0])
 
 
 WITT_FORMS = [(SKEW, n) for n in (2, 4, 6)] + [(SYMMETRIC, n) for n in range(1, 7)]
 
 
-def _mutated(ws, rng, p):
-    """The split with 0-2 random row edits, swaps or scalings of its
+def _mutated(parts, deltas, rng, p):
+    """The split's parts with 0-2 random row edits, swaps or scalings of its
     stacked rows (each part keeps its length) and, one time in ten each,
     random deltas and the last row of one part dropped."""
-    parts = [ws.m1, ws.m2, ws.m3, ws.m4]
+    parts = list(parts)
     if rng.random() < 0.1:
         i = int(rng.integers(4))
         parts[i] = parts[i][:-1]
@@ -261,11 +299,10 @@ def _mutated(ws, rng, p):
             rows[[i, j]] = rows[[j, i]]
         else:
             rows[i] = rows[i] * c % p
-    m1, m2, m3, m4 = np.split(rows, np.cumsum([len(part) for part in parts])[:-1])
-    deltas = ws.deltas
+    parts = np.split(rows, np.cumsum([len(part) for part in parts])[:-1])
     if rng.random() < 0.1:
         deltas = tuple(int(d) for d in rng.integers(1, p, size=2))
-    return replace(ws, m1=m1, m2=m2, m3=m3, m4=m4, deltas=deltas)
+    return parts, deltas
 
 
 def test_witt_table_check_agrees_with_the_four_subspace_check():
@@ -278,34 +315,35 @@ def test_witt_table_check_agrees_with_the_four_subspace_check():
             for p in (3, 5, 7):
                 space = standard_space(form, n, p)
                 h = random_subspace(n, int(rng.integers(0, n + 1)), p, rng)
-                ws = witt_decompose(space, h)
+                ws = witt_split(space, h)
                 for _ in range(3):
-                    split = _mutated(ws, rng, p)
-                    ok = verify._witt_table_ok(space, h, split)
-                    assert ok == _four_subspace_table_ok(space, h, split), (form, n, p, h, split)
+                    parts, deltas = _mutated(witt_parts(ws, 0), tuple(ws.deltas[0].tolist()), rng, p)
+                    ok = _table_ok(space, h, parts, deltas)
+                    assert ok == _four_subspace_table_ok(space, h, parts, deltas), (form, n, p, h, parts)
                     verdicts[ok] += 1
     assert verdicts[True] and verdicts[False]
 
 
-def _named_mutations(ws, h, rng, p):
-    """(name, split, subspace to check it against) for each named mutation
-    whose parts are not empty."""
-    if len(ws.m1) and len(ws.m3):
-        m1 = ws.m1.copy()
-        m1[0] = (m1[0] + ws.m3[0]) % p
-        yield "m3 row added to an m1 row", replace(ws, m1=m1), h
-    if len(ws.m2) and len(ws.m3):
+def _named_mutations(parts, deltas, h, rng, p):
+    """(name, parts, deltas, subspace to check them against) for each named
+    mutation whose parts are not empty."""
+    m1, m2, m3, m4 = parts
+    if len(m1) and len(m3):
+        bent = m1.copy()
+        bent[0] = (bent[0] + m3[0]) % p
+        yield "m3 row added to an m1 row", (bent, m2, m3, m4), deltas, h
+    if len(m2) and len(m3):
         # with the deltas swapped too, the Gram identity holds: only the sum refuses
-        yield "m2 and m3 swapped", replace(ws, m2=ws.m3, m3=ws.m2, deltas=ws.deltas[::-1]), h
-    if len(ws.m4):
-        m4 = ws.m4.copy()
-        m4[0] = 2 * m4[0] % p
-        yield "one m4 row doubled", replace(ws, m4=m4), h
+        yield "m2 and m3 swapped", (m1, m3, m2, m4), deltas[::-1], h
+    if len(m4):
+        bent = m4.copy()
+        bent[0] = 2 * bent[0] % p
+        yield "one m4 row doubled", (m1, m2, m3, bent), deltas, h
     if 0 < h.dim < h.n:
         other = h
         while other == h:
             other = random_subspace(h.n, h.dim, p, rng)
-        yield "another subspace of the same dimension", ws, other
+        yield "another subspace of the same dimension", parts, deltas, other
 
 
 def test_witt_table_refuses_named_mutations():
@@ -317,16 +355,19 @@ def test_witt_table_refuses_named_mutations():
             for k in range(n + 1):
                 for _ in range(2):
                     h = random_subspace(n, k, p, rng)
-                    for name, split, against in _named_mutations(witt_decompose(space, h), h, rng, p):
-                        assert not verify._witt_table_ok(space, against, split), (name, h)
+                    ws = witt_split(space, h)
+                    mutations = _named_mutations(witt_parts(ws, 0), tuple(ws.deltas[0].tolist()), h, rng, p)
+                    for name, parts, deltas, against in mutations:
+                        assert not _table_ok(space, against, parts, deltas), (name, h)
                         refused[name] += 1
     assert len(refused) == 4 and min(refused.values()) >= 10, refused
 
 
-def test_witt_builds_perp_and_radical_once_per_pair(monkeypatch):
-    # witt_decompose builds h^perp and rad h = h cap h^perp; the table check
-    # derives them from the Gram identity and reads only the sum span(m1) + span(m2)
-    calls = Counter()
+def test_witt_decomposes_once_per_stack(monkeypatch):
+    # each round decomposes one stack per dimension drawn, and neither the
+    # decompose, the table check nor the transport builds a scalar perp,
+    # radical, span or sum
+    calls, stacks, rounds = Counter(), [], []
 
     def count(module, name):
         real = getattr(module, name)
@@ -337,13 +378,56 @@ def test_witt_builds_perp_and_radical_once_per_pair(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((bilinear, "perp"), (bilinear, "radical"),
-                         (verify, "subspace_sum"), (verify, "witt_decompose")):
+    for module, name in ((bilinear, "perp"), (bilinear, "radical"), (bilinear, "span"),
+                         (linalg, "subspace_sum"), (linalg, "span")):
         count(module, name)
+    real_decompose, real_round = verify.witt_decompose, verify._witt_round
+
+    def decompose(space, bases):
+        stacks.append(bases.shape)
+        return real_decompose(space, bases)
+
+    def one_round(space, hs, buckets, fails):
+        rounds.append(sorted({h.dim for h in hs}))
+        return real_round(space, hs, buckets, fails)
+
+    monkeypatch.setattr(verify, "witt_decompose", decompose)
+    monkeypatch.setattr(verify, "_witt_round", one_round)
     results = verify.suite_witt(("Sp4", "O3"), (3,), 20, seed=1)
     assert all(r.passed for r in results)
-    assert calls["perp"] == calls["radical"] == calls["subspace_sum"] == calls["witt_decompose"]
-    assert calls["witt_decompose"] >= 40
+    assert [k for _, k, _ in stacks] == [k for dims in rounds for k in dims]
+    assert sum(n_items for n_items, _, _ in stacks) >= 40
+    assert not calls, calls
+
+
+def test_stacked_witt_suite_keeps_the_scalar_results_and_draws(monkeypatch):
+    # the same CheckResults as the loop of one draw at a time, and the
+    # generator in the same state after each ambient space
+    made = []
+    real_rng = np.random.default_rng
+
+    def recorded_rng(seed):
+        made.append(real_rng(seed))
+        return made[-1]
+
+    states = []
+    real_spaces = verify._transport_spaces
+
+    def spaces(spec, p):
+        for amb in real_spaces(spec, p):
+            yield amb
+            states.append(made[-1].bit_generator.state)
+
+    monkeypatch.setattr(np.random, "default_rng", recorded_rng)
+    monkeypatch.setattr(verify, "_transport_spaces", spaces)
+    for seed in (1, 20240817):
+        stacked = verify.suite_witt(verify.GRID_SPACES, (3, 5), 60, seed=seed)
+        stacked_states, states[:] = states[:], []
+        scalar = scalar_suite_witt(verify.GRID_SPACES, (3, 5), 60, seed)
+        assert stacked == scalar and all(r.passed for r in stacked)
+        assert stacked_states == states
+        assert len(states) == sum(len(real_spaces(spec, p)) for spec in verify.GRID_SPACES for p in (3, 5))
+        states.clear()
 
 
 def test_fiber_polynomiality_names_the_pair(monkeypatch):
