@@ -32,12 +32,12 @@ import numpy as np
 from . import _batch
 from .bilinear import (
     SKEW,
+    SYMMETRIC,
     BilinearSpace,
     check_standard_type,
     pairing,
     perp,
     radical,
-    standard_space,
     subquotient,
 )
 from .linalg import (
@@ -51,7 +51,7 @@ from .linalg import (
     subspace_intersect,
     subspace_total,
 )
-from .polynomials import IntPolynomial, monomial
+from .polynomials import IntPolynomial, gaussian_binomial, monomial
 
 
 @dataclass(frozen=True)
@@ -251,17 +251,26 @@ def _choose_line(space: BilinearSpace, flag) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 
 def iso_grassmannian_count(form_type: str, n: int, k: int) -> IntPolynomial:
-    """Point-count polynomial of Gr_k^iso of the split standard form.
+    """Point-count polynomial of Gr_k^iso of the split standard form, by the
+    classical product formula (Taylor, The Geometry of the Classical Groups,
+    1992; Wan, Geometry of Classical Groups over Finite Fields, 1993): with
+    Witt index m,
 
-    The paving recursion of a split form has the same shape over every odd
-    prime, so the sum of q^dim over its pieces is a single polynomial; the
-    reference construction uses p = 3.  Gr_0 is one point, counted
-    without building the form.
+        Sp_{2m}, O_{2m+1}:  [m, k]_q * prod_{i=m-k+1}^{m} (q^i + 1)
+        split O_{2m}:       [m, k]_q * prod_{i=m-k}^{m-1} (q^i + 1)
+
+    and 0 for k < 0 or k > m.  It builds no form and no paving; the paving's
+    own count polynomial is the same (tests/test_paving.py checks both).
     """
-    if k == 0:
-        check_standard_type(form_type, n)
-        return IntPolynomial([1])
-    return build_paving(standard_space(form_type, n, 3)).count_polynomial(k)
+    check_standard_type(form_type, n)
+    m = n // 2
+    if not 0 <= k <= m:
+        return IntPolynomial([])
+    shift = 0 if form_type == SYMMETRIC and n % 2 == 0 else 1
+    total = gaussian_binomial(m, k)
+    for i in range(m - k + shift, m + shift):
+        total = total * (monomial(i) + IntPolynomial([1]))
+    return total
 
 
 def isotropic_bases(space: BilinearSpace, k: int, budget: int | None = DEFAULT_BUDGET):

@@ -129,20 +129,20 @@ def resolution_tower(space: SumSpace, label: MultiLabel) -> TowerDescriptor:
     return TowerDescriptor(tuple(layers))
 
 
-def _base_stacks(space: SumSpace, label: MultiLabel, j: int, budget: int):
-    """P~_j candidates as stacks (N, t, n_j) of RREF bases, in enumeration
-    order: isotropic of dim t = k_j - r_j, one ruling only for a tag r_j."""
+def _candidates(space: SumSpace, j: int, key, budget: int) -> np.ndarray:
+    """The P~_j candidates of one walk as a stack (N, t, n_j) of RREF bases,
+    in enumeration order: for a key t, the isotropic t-subspaces; for a key
+    (k_j, r_j) with a tag r_j, the isotropic k_j-subspaces of its ruling."""
     f = space.factors[j]
-    kj, rj = label.ks[j], label.rs[j]
-    if rj not in (PRIME0, DOUBLEPRIME0):
-        yield from isotropic_bases(f, kj - rj, budget=budget)
-        return
+    if not isinstance(key, tuple):
+        return np.concatenate([np.zeros((0, key, f.n), dtype=np.int32),
+                               *isotropic_bases(f, key, budget=budget)])
+    kj, rj = key
     if f.witness is None:
         raise ValueError("split witness required to separate the two components")
-    for mats in isotropic_bases(f, kj, budget=budget):
-        keep = _batch.same_ruling(mats, kj, f.witness.basis, space.p) == (rj == PRIME0)
-        if keep.any():
-            yield mats[keep]
+    chunks = [mats[_batch.same_ruling(mats, kj, f.witness.basis, space.p) == (rj == PRIME0)]
+              for mats in isotropic_bases(f, kj, budget=budget)]
+    return np.concatenate([np.zeros((0, kj, f.n), dtype=np.int32), *chunks])
 
 
 class _Level(NamedTuple):
@@ -156,68 +156,73 @@ class _Level(NamedTuple):
     uh: np.ndarray
 
 
-# (job, candidate) items per batched kernel call of a level
-_LEVEL_ITEMS = 1 << 13
+# (job, candidate) items per batched kernel call of a level: it bounds the
+# call's temporaries, which a level of all its jobs' items would let grow
+_LEVEL_ITEMS = 1 << 10
 
 
 def _level(space: SumSpace, jobs: list, j: int, pdims: np.ndarray, hdims: np.ndarray,
            budget: int) -> _Level:
     """The candidates P~_j of level j of each job (label, ceiling) whose
     bounds up, uh can hold its P_j (dim ``pdims``) and H_j (dim ``hdims``),
-    with those bounds.
+    with those bounds, job by job and each job's in walk order.
 
     up and uh are B_{<j} + P~_j and B_{<j} + P~_j^perp cut down to the
     ceiling M.  Both lie in B_{<=j}, so each is a subspace of M_le =
     M cap B_{<=j}: the x of M_le whose block-j part has zero residue modulo
-    P~_j, and those whose block-j part pairs to zero with P~_j.  So each is
-    a left kernel, taken for every (job, candidate) item in batched calls
-    of at most ``_LEVEL_ITEMS`` items, whose rows times M_le's RREF basis
-    are already the bound's RREF basis; the kernel dimensions prune the
-    items.  Each job's M_le is zero-padded to one row count, and a padded
-    row is in both kernels, ordered after the rest, so it only adds a zero
-    row to each bound.  Jobs with the same (k_j, r_j) share one walk of
-    their candidates, whose survivors are zero-padded to the level's largest
-    k_j - r_j.  Under the full ceiling every candidate survives (valid
-    labels have n_j >= 2 k_j - r_j).
+    P~_j, and those whose block-j part pairs to zero with P~_j.  M_le is
+    cut once per distinct ceiling, and every job with the same
+    t = k_j - r_j shares one walk of its candidates (a tag r_j walks its
+    ruling alone); the candidates are zero-padded to the level's largest t,
+    which adds zero rows to P~_j and zero columns to the pairing.  Every
+    (job, candidate) item of the level goes through one left kernel call per
+    ``_LEVEL_ITEMS`` items, both kernels in the same call; their rows times
+    M_le's RREF basis are already the bounds' RREF bases, and the kernel
+    dimensions prune the items.  M_le is zero-padded to one row count, and
+    a padded row is in both kernels, ordered after the rest, so it only adds
+    a zero row to each bound.  Under the full ceiling every candidate
+    survives (valid labels have n_j >= 2 k_j - r_j).
     """
     f, p = space.factors[j], space.p
     lo, hi = space.offsets[j], space.offsets[j + 1]
-    bases = [intersect_prefix(ceiling, hi).basis for _, ceiling in jobs]
+    ceilings = {c: i for i, c in enumerate(dict.fromkeys(c for _, c in jobs))}  # one M_le per ceiling
+    ceiling = np.array([ceilings[c] for _, c in jobs], dtype=np.intp)
+    bases = [intersect_prefix(c, hi).basis for c in ceilings]
     rows = max(map(len, bases))
-    m_le = np.zeros((len(jobs), rows, space.n), dtype=np.int32)
+    m_le = np.zeros((len(bases), rows, space.n), dtype=np.int32)
     for x, basis in zip(m_le, bases):
         x[: len(basis)] = basis
     padded = rows - np.array([len(basis) for basis in bases])
     mj = m_le[:, :, lo:hi]
-    mj_gram = mj @ f.gram % p
-    keys = [(label.ks[j], label.rs[j]) for label, _ in jobs]
-    t_max = max(k - rank_numeric(r) for k, r in keys)
+    mj_gram = (mj @ f.gram % p).astype(np.int32)
+    keys = [(k, r) if r in (PRIME0, DOUBLEPRIME0) else k - r
+            for k, r in ((label.ks[j], label.rs[j]) for label, _ in jobs)]
+    walks = {key: w for w, key in enumerate(dict.fromkeys(keys))}  # one candidate walk per key
+    stacks = [_candidates(space, j, key, budget) for key in walks]
+    t_max = max(s.shape[1] for s in stacks)
+    cands = np.concatenate([np.pad(s, ((0, 0), (0, t_max - s.shape[1]), (0, 0))) for s in stacks])
+    pivots = np.argmax(cands != 0, axis=2)
+    item_job, item_cand = _pairs(np.array([walks[key] for key in keys], dtype=np.intp),
+                                 np.array([len(s) for s in stacks]))
     bounds = np.zeros((0, rows, space.n), dtype=np.int32)
-    kept = [(np.zeros(0, dtype=np.intp), np.zeros((0, t_max, f.n), dtype=np.int32), bounds, bounds)]
-    for key in dict.fromkeys(keys):
-        mine = np.array([c for c, other in enumerate(keys) if other == key])
-        for mats in _base_stacks(space, jobs[mine[0]][0], j, budget):
-            pivots = np.argmax(mats != 0, axis=2)
-            t = mats.shape[1]
-            step = max(1, _LEVEL_ITEMS // len(mats))
-            for first in range(0, len(mine), step):
-                own = mine[first : first + step]
-                shape = (len(own), len(mats), rows)
-                # both kernels in one call: the pairing matrix is zero-padded to n_j columns
-                both = np.zeros((2, *shape, f.n), dtype=np.int32)
-                both[0] = (mj[own, None] - np.moveaxis(mj[own][:, :, pivots], 1, 2) @ mats) % p
-                both[1, ..., :t] = mj_gram[own, None] @ mats.transpose(0, 2, 1) % p
-                ker, dims = _batch.left_kernels(both.reshape(2 * len(own) * len(mats), rows, f.n), p)
-                up_ker, uh_ker = ker.reshape(2, *shape, rows)
-                # a padded row of M_le is in both kernels
-                up_dim, uh_dim = dims.reshape(2, *shape[:2]) - padded[own, None]
-                which, cand = np.nonzero((up_dim >= pdims[own, None]) & (uh_dim >= hdims[own, None]))
-                kept.append((own[which], np.pad(mats[cand], ((0, 0), (0, t_max - t), (0, 0))),
-                             up_ker[which, cand] @ m_le[own[which]] % p,
-                             uh_ker[which, cand] @ m_le[own[which]] % p))
-    job, *rest = (np.concatenate(part) for part in zip(*kept))
-    order = np.argsort(job, kind="stable")  # job by job, candidates in walk order
-    return _Level(job[order], *(part[order] for part in rest))
+    kept = [(item_job[:0], cands[:0], bounds, bounds)]
+    for first in range(0, len(item_job), _LEVEL_ITEMS):
+        job, cand = item_job[first : first + _LEVEL_ITEMS], item_cand[first : first + _LEVEL_ITEMS]
+        mats, c = cands[cand], ceiling[job]
+        # both kernels in one call: the pairing matrix is zero-padded to n_j columns
+        both = np.zeros((2, len(job), rows, f.n), dtype=np.int32)
+        both[0] = mj[c]
+        both[0] -= np.take_along_axis(both[0], pivots[cand, None, :], axis=2) @ mats
+        both[1, ..., :t_max] = mj_gram[c] @ mats.transpose(0, 2, 1)
+        both %= p
+        ker, dims = _batch.left_kernels(both.reshape(2 * len(job), rows, f.n), p)
+        up_ker, uh_ker = ker.reshape(2, len(job), rows, rows)
+        # a padded row of M_le is in both kernels
+        up_dim, uh_dim = dims.reshape(2, len(job)) - padded[c]
+        keep = np.flatnonzero((up_dim >= pdims[job]) & (uh_dim >= hdims[job]))
+        kept.append((job[keep], mats[keep], up_ker[keep] @ m_le[c[keep]] % p,
+                     uh_ker[keep] @ m_le[c[keep]] % p))
+    return _Level(*(np.concatenate(part) for part in zip(*kept)))
 
 
 def _pairs(group: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,8 +363,9 @@ def tower_fiber(
 
 def tower_fibers(space: SumSpace, jobs: list, budget: int | None = DEFAULT_BUDGET) -> list[TowerStack]:
     """``tower_fiber`` of each (label, target) of ``jobs``, from one walk of
-    them all: each level's candidates are walked once per (k_j, r_j), and
-    each step runs over the points of every fiber."""
+    them all: each level's candidates are walked once per t = k_j - r_j
+    (and once per tag r_j), and each step runs over the points of every
+    fiber."""
     for label, target in jobs:
         validate_multilabel(space, label)
         if target.n != space.n or target.p != space.p:
@@ -404,10 +410,11 @@ def closure_rows(space: SumSpace, labels: list[MultiLabel],
     ``labels``: every tower is built once and sized, refused at the largest
     before any walk, then walked together with its neighbours in batches of
     at most ``_WALK_POINTS`` points, so that memory follows the largest
-    tower and not the sum of them all.  A row keys its targets by their
-    RREF rows (``np.unique``, taken in first-seen order), and the distinct
-    targets of a batch's rows of one dimension are labelled in one bulk
-    call."""
+    tower and not the sum of them all.  The targets of a batch's towers of
+    one dimension k are told apart by one ``np.unique`` of their (job, RREF
+    rows) keys, taken in first-seen order, so each row lists its distinct
+    targets in the order its walk first meets them; the distinct targets are
+    labelled in one bulk call."""
     polys = {label: resolution_tower(space, label).count_polynomial() for label in labels}
     counts = [polys[label](space.p) for label in labels]
     BudgetExceeded.check_largest(
@@ -416,22 +423,24 @@ def closure_rows(space: SumSpace, labels: list[MultiLabel],
     full = full_subspace(space.n, space.p)
     rows = {}
     for part in _batches(counts, _WALK_POINTS):
-        seen = {}  # per label: its distinct targets in first-seen order, and their counts
-        for label, points in zip(labels[part], _walk(space, [(label, full) for label in labels[part]],
-                                                     budget)):
-            targets = points.hs[-1]
-            _, first, hits = np.unique(targets.reshape(len(targets), label.k * space.n), axis=0,
-                                       return_index=True, return_counts=True)
-            order = np.argsort(first)
-            seen[label] = (targets[first[order]], hits[order].tolist())
-        for k in {label.k for label in seen}:
-            mine = [label for label in seen if label.k == k]
-            names = iter(stack_multilabels(space, np.concatenate([seen[label][0] for label in mine])))
-            for label in mine:
+        jobs = [(label, full) for label in labels[part]]
+        # only the targets are kept, so the walk's other stacks are freed before the dedup
+        walked = {label: points.hs[-1] for (label, _), points in zip(jobs, _walk(space, jobs, budget))}
+        for k in {label.k for label in walked}:
+            mine = [label for label in walked if label.k == k]
+            targets = np.concatenate([walked[label] for label in mine])
+            job = np.repeat(np.arange(len(mine), dtype=targets.dtype), [len(walked[label]) for label in mine])
+            keys = np.concatenate([job[:, None], targets.reshape(len(targets), k * space.n)], axis=1)
+            _, first, hits = np.unique(keys, axis=0, return_index=True, return_counts=True)
+            order = np.argsort(first)  # job by job, each job's targets in first-seen order
+            first, hits = first[order], hits[order].tolist()
+            names = stack_multilabels(space, targets[first])
+            ends = np.cumsum(np.bincount(job[first], minlength=len(mine))).tolist()
+            for label, start, end in zip(mine, [0] + ends, ends):
                 row: dict[MultiLabel, tuple[int, int]] = {}
-                for count, lab in zip(seen[label][1], names):
-                    points, targets = row.get(lab, (0, 0))
-                    row[lab] = (points + count, targets + 1)
+                for count, lab in zip(hits[start:end], names[start:end]):
+                    points, seen = row.get(lab, (0, 0))
+                    row[lab] = (points + count, seen + 1)
                 rows[label] = (polys[label], row)
     return {label: rows[label] for label in labels}
 

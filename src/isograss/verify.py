@@ -424,9 +424,11 @@ def _fiber_polynomiality(spec, primes, budget, only_k, rows):
 def _cover_components(spec, budget, only_k=None):
     """Covering fibers over split-type open points: product structure and 2^d
     components.  Even ranks use p = 3, odd ranks p = 5 (where the extended
-    binary form splits at the canonical representative)."""
-    bad = []
+    binary form splits at the canonical representative).  Every label's
+    walks (``_cover_sizes``) are sized, and refused at the largest, before
+    the first."""
     ref, five = build_sum_space(spec, 3), build_sum_space(spec, 5)
+    cases = []  # (label, space, representative, expected fiber space per cover factor)
     for k in _krange(ref.n, only_k):
         for label in enumerate_multilabels(ref, k):
             factors = cover_factors(ref, label)
@@ -434,21 +436,40 @@ def _cover_components(spec, budget, only_k=None):
                 continue
             space = five if any(int(label.rs[i]) % 2 for i in factors) else ref
             rep = canonical_representative(space, label)
-            size, comps, sizes = cover_fiber(space, label, rep, budget=budget)
-            want = component_group_order_multi(space, label)
-            if comps != want:
-                bad.append(f"{label}: {comps} components != {want}")
-            expect_total = 1
-            for i in factors:
-                fib_space = expected_cover_fiber_space(space, label, rep, i)
-                half = fib_space.n // 2
-                expect = sum(1 for _ in isotropic_subspaces(fib_space, half, budget=budget))
-                if sizes.get(i) != expect:
-                    bad.append(f"{label} factor {i}: {sizes.get(i)} choices != {expect}")
-                expect_total *= expect
-            if size != expect_total:
-                bad.append(f"{label}: fiber size {size} != product {expect_total}")
+            cases.append((label, space, rep,
+                          {i: expected_cover_fiber_space(space, label, rep, i) for i in factors}))
+    BudgetExceeded.check_largest(
+        (size for label, space, _, fib_spaces in cases for size in _cover_sizes(space, label, fib_spaces)),
+        budget,
+    )
+    bad = []
+    for label, space, rep, fib_spaces in cases:
+        size, comps, sizes = cover_fiber(space, label, rep, budget=budget)
+        want = component_group_order_multi(space, label)
+        if comps != want:
+            bad.append(f"{label}: {comps} components != {want}")
+        expect_total = 1
+        for i, fib_space in fib_spaces.items():
+            expect = sum(1 for _ in isotropic_subspaces(fib_space, fib_space.n // 2, budget=budget))
+            if sizes.get(i) != expect:
+                bad.append(f"{label} factor {i}: {sizes.get(i)} choices != {expect}")
+            expect_total *= expect
+        if size != expect_total:
+            bad.append(f"{label}: fiber size {size} != product {expect_total}")
     return [_result(f"fibers cover-components {spec}", bad)]
+
+
+def _cover_sizes(space, label, fib_spaces):
+    """The walks of one label's cover check: the P~_j walks of its fiber,
+    then per cover factor i the Q~_i walk of Gr_{r_i - r_i//2} in
+    P~_i^perp / P~_i (dimension n_i + (r_i mod 2) - 2(k_i - r_i)) and the
+    count walk of its expected fiber space."""
+    for f, k, r in zip(space.factors, label.ks, label.rs):
+        yield subspace_total(f.n, k - rank_numeric(r), space.p)
+    for i, fib in fib_spaces.items():
+        k, r = label.ks[i], int(label.rs[i])
+        yield subspace_total(space.factors[i].n + r % 2 - 2 * (k - r), r - r // 2, space.p)
+        yield subspace_total(fib.n, fib.n // 2, fib.p)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from checks import edit_whole_walks, flag_data, take_points
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from isograss import _batch, cli, sumspace, towers
+from isograss import _batch, cli, paving, sumspace, towers
 from isograss.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -27,6 +27,7 @@ from isograss.cli import (
     parse_label_arg,
 )
 from isograss.bilinear import InvariantMismatch
+from isograss.linalg import subspace_total
 from isograss.orbits import PRIME0
 from isograss.polynomials import InterpolationError
 from isograss.sumspace import MultiLabel, build_sum_space, enumerate_multilabels, multilabels_of
@@ -494,6 +495,20 @@ def test_domain_edge_answers_or_refuses_within_seconds(tmp_path, capsys):
         if "Sp16+O1" in argv:
             assert code == EXIT_USAGE and "n=17" in err, argv
         assert elapsed < 5, (argv, elapsed)
+
+
+def test_o16_tower_refusals_build_no_paving(monkeypatch, capsys):
+    # every tower a suite reads is sized from the closed-form isotropic
+    # counts, so the largest refusals at n = 16 choose no paving line
+    def refuse(*args):
+        raise AssertionError("a paving line was chosen")
+
+    monkeypatch.setattr(paving, "_choose_line", refuse)
+    want = f"budget refused: enumeration of ~{subspace_total(16, 8, 3)} subspaces exceeds budget 0"
+    for suite in ("towers", "closure", "fibers"):
+        argv = ["verify", "--space", "O16", "--suite", suite, "--primes", "3", "--budget", "0"]
+        assert main(argv) == EXIT_BUDGET, suite
+        assert capsys.readouterr().err.strip() == want, suite
 
 
 FACTORS = {"Sp2": 2, "Sp4": 4, "Sp6": 6, "O1": 1, "O2": 2, "O3": 3, "O4": 4, "O5": 5, "O6": 6}

@@ -186,15 +186,33 @@ def test_iso_count_at_k0_builds_no_form(monkeypatch):
         assert iso_grassmannian_count(form, n, 0) == want == IntPolynomial([1])
 
     def refuse(*args):
-        raise AssertionError("standard_space called at k = 0")
+        raise AssertionError("build_paving called at k = 0")
 
-    monkeypatch.setattr(paving, "standard_space", refuse)
+    monkeypatch.setattr(paving, "build_paving", refuse)
     for form, n in forms:
         assert iso_grassmannian_count(form, n, 0) == IntPolynomial([1])
     # what standard_space refuses is still refused
     for form, n in ((SKEW, 3), ("hermitian", 2), (SYMMETRIC, -1)):
         with pytest.raises(ValueError):
             iso_grassmannian_count(form, n, 0)
+
+
+def test_iso_count_closed_form_is_the_paving_count():
+    # the product formula is the paving's sum of q^dim for every split form
+    # with n <= 10 and every k, including k > n where both are 0
+    for form in (SKEW, SYMMETRIC):
+        for n in range(0, 11, 2) if form == SKEW else range(11):
+            whole = build_paving(standard_space(form, n, 3))
+            for k in range(n + 2):
+                assert iso_grassmannian_count(form, n, k) == whole.count_polynomial(k), (form, n, k)
+    assert iso_grassmannian_count(SYMMETRIC, 4, -1) == IntPolynomial([])
+    # it refuses what standard_space refuses, with the same message, at every k
+    for form, n in ((SKEW, 1), (SKEW, 3), (SKEW, 9), (SYMMETRIC, -1), (SKEW, -2), ("hermitian", 2)):
+        with pytest.raises(ValueError) as want:
+            standard_space(form, n, 3)
+        for k in (0, 1, 2):
+            with pytest.raises(ValueError, match=f"^{want.value}$"):
+                iso_grassmannian_count(form, n, k)
 
 
 def test_iso_count_matches_brute_force():
@@ -209,18 +227,19 @@ def test_iso_count_matches_brute_force():
                 assert poly(p) == brute, (form, n, k, p)
 
 
-def test_counts_at_k_zero_and_above_n_compute_no_step(monkeypatch):
-    # most counts a resolution tower asks for are at k = 0: they, and k > n,
-    # have their pieces without a line, a subquotient or a solver
+def test_counts_at_every_k_compute_no_level_step(monkeypatch):
+    # a resolution tower asks for many counts: the closed form answers each
+    # without a paving, so without a line, a subquotient or a solver
     def no_step(*args):
         raise AssertionError("a level step was computed")
 
-    monkeypatch.setattr("isograss.paving._choose_line", no_step)
-    for form, n in ((SKEW, 2), (SKEW, 4), (SYMMETRIC, 1), (SYMMETRIC, 4)):
-        assert iso_grassmannian_count(form, n, 0) == IntPolynomial([1])
-        assert iso_grassmannian_count(form, n, n + 1) == IntPolynomial([])
-    with pytest.raises(AssertionError, match="level step"):
-        iso_grassmannian_count(SKEW, 4, 1)
+    monkeypatch.setattr(paving, "_choose_line", no_step)
+    monkeypatch.setattr(paving, "build_paving", no_step)
+    for form, n in ((SKEW, 2), (SKEW, 4), (SKEW, 16), (SYMMETRIC, 1), (SYMMETRIC, 4), (SYMMETRIC, 16)):
+        for k in range(n + 2):
+            iso_grassmannian_count(form, n, k)
+    # the maximal isotropics of split O16 number prod_{i<8} (q^i + 1)
+    assert iso_grassmannian_count(SYMMETRIC, 16, 8)(3) == 2 * 4 * 10 * 28 * 82 * 244 * 730 * 2188
 
 
 def test_flagless_level_walks_one_chunk_for_its_line(monkeypatch):

@@ -319,6 +319,90 @@ def test_walk_matches_per_candidate_oracle(monkeypatch):
     assert sum(len(points) for walked in got for points in walked) > 0
 
 
+def _mixed_jobs(space, ks):
+    """Every label of each k in ``ks`` under the full ceiling, which they all
+    share, and under each canonical representative of dimension at least its
+    k: in one walk, keys that share t = k_j - r_j, tag keys, and shared and
+    distinct ceilings."""
+    labels = [lab for k in ks for lab in enumerate_multilabels(space, k)]
+    reps = [canonical_representative(space, lab) for lab in labels]
+    full = full_subspace(space.n, space.p)
+    return [(lab, full) for lab in labels] + [(lab, rep) for lab in labels for rep in reps if rep.dim >= lab.k]
+
+
+BATCHED = [("O4", 3, None), ("O4", 5, None), ("Sp2+O2", 3, None), ("Sp2+O2", 5, None),
+           ("O2+O3", 3, None), ("O2+O3", 5, None), ("O4+O3", 3, (0, 1, 6, 7))]
+
+
+@pytest.mark.parametrize("spec,p,ks", BATCHED)
+def test_walk_of_many_jobs_is_each_job_walked_alone(spec, p, ks):
+    # a level shares candidate walks, cut ceilings and kernel calls between
+    # its jobs; no job's points, nor their order, depend on its neighbours
+    space = build_sum_space(spec, p)
+    jobs = _mixed_jobs(space, range(space.n + 1) if ks is None else ks)
+    keys = {(j, label.ks[j], label.rs[j]) for label, _ in jobs for j in range(space.m)}
+    ts = Counter((j, k - rank_numeric(r)) for j, k, r in keys if r not in (PRIME0, DOUBLEPRIME0))
+    assert max(ts.values()) > 1  # two keys of one level share a walk
+    assert spec == "O4+O3" or any(r in (PRIME0, DOUBLEPRIME0) for _, _, r in keys)
+    assert len({ceiling for _, ceiling in jobs}) < len(jobs)
+    together = towers._walk(space, jobs, None)
+    assert len(together) == len(jobs)
+    for (label, ceiling), points in zip(jobs, together):
+        alone = towers._walk(space, [(label, ceiling)], None)[0]
+        assert same_points(points, alone), (str(label), ceiling)
+    assert sum(map(len, together)) > 0
+
+
+@pytest.mark.parametrize("spec,p,ks", BATCHED)
+def test_closure_rows_of_a_batch_are_each_label_alone(spec, p, ks):
+    # one np.unique per (batch, k) keys the targets by (job, rows): each row,
+    # its item order included, is that of the label walked alone
+    space = build_sum_space(spec, p)
+    labels = [lab for k in (range(space.n + 1) if ks is None else ks)
+              for lab in enumerate_multilabels(space, k)]
+    together = towers.closure_rows(space, labels)
+    assert list(together) == labels
+    for label in labels:
+        poly, row = towers.closure_rows(space, [label])[label]
+        assert together[label][0] == poly
+        assert list(together[label][1].items()) == list(row.items()), str(label)
+
+
+def test_level_kernel_calls_are_bounded_and_batched(monkeypatch):
+    # every (job, candidate) item of a level, over all its jobs and walks,
+    # goes through one left_kernels call per _LEVEL_ITEMS items (two
+    # matrices an item): a level whose items fit makes exactly one call,
+    # and no call passes the bound
+    calls, levels = [], []
+    real, real_level = _batch.left_kernels, towers._level
+
+    def spy(a, p):
+        calls.append(len(a))
+        return real(a, p)
+
+    def counted_level(*args):
+        start = len(calls)
+        out = real_level(*args)
+        levels.append(calls[start:])
+        return out
+
+    monkeypatch.setattr(_batch, "left_kernels", spy)
+    monkeypatch.setattr(towers, "_level", counted_level)
+    space = build_sum_space("O2+O3", 5)
+    jobs = _mixed_jobs(space, (2, 3))
+    want = [len(points) for points in towers._walk(space, jobs, None)]
+    sliced = []
+    for bound in (towers._LEVEL_ITEMS, 64):
+        levels.clear()
+        monkeypatch.setattr(towers, "_LEVEL_ITEMS", bound)
+        assert [len(points) for points in towers._walk(space, jobs, None)] == want
+        for level in levels:
+            assert len(level) == -(-sum(level) // (2 * bound))
+            assert all(0 < size <= 2 * bound for size in level)
+        sliced.append(max(map(len, levels)))
+    assert sliced[0] == 1 < sliced[1]
+
+
 def test_tower_fibers_walk_each_target_as_tower_fiber():
     # one walk under targets of every dimension: a target of the wrong
     # dimension has an empty fiber, as in tower_fiber, and the others are

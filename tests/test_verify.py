@@ -589,3 +589,31 @@ def test_check_result_line():
     bad = verify.CheckResult("thing", False, "broken")
     assert check_line(ok).startswith("PASS")
     assert "broken" in check_line(bad)
+
+
+@pytest.mark.parametrize("spec", ["O4", "O2+O3"])
+def test_cover_walks_are_sized_before_the_first(monkeypatch, spec):
+    # the cover-components check sizes every label's P~, Q~ and count walks
+    # up front: a budget just below the largest walk refuses before any
+    sizes, walked = [], []
+    real_bases, real_cover, real_count = towers.isotropic_bases, verify.cover_fiber, verify.isotropic_subspaces
+
+    def bases(space, k, budget):
+        sizes.append(linalg.subspace_total(space.n, k, space.p))
+        return real_bases(space, k, budget=budget)
+
+    def count(space, k, budget):
+        sizes.append(linalg.subspace_total(space.n, k, space.p))
+        walked.append(space)
+        return real_count(space, k, budget=budget)
+
+    monkeypatch.setattr(towers, "isotropic_bases", bases)
+    monkeypatch.setattr(verify, "isotropic_subspaces", count)
+    monkeypatch.setattr(verify, "cover_fiber", lambda *a, **kw: walked.append(a) or real_cover(*a, **kw))
+    assert verify._cover_components(spec, None)[0].passed
+    assert walked and len(set(sizes)) > 1
+    walked.clear()
+    with pytest.raises(BudgetExceeded) as refused:
+        verify._cover_components(spec, max(sizes) - 1)
+    assert refused.value.estimate == max(sizes)
+    assert walked == []
