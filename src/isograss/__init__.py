@@ -42,7 +42,6 @@ from .sumspace import (
     component_group_order_multi,
     enumerate_multilabels,
     multilabel_of,
-    multilabels_of,
     orbit_dim_multi,
     orbit_point_counts,
     slice_weights,

@@ -21,9 +21,9 @@ FFLAS/FFPACK (Dumas-Giorgi-Pernet, ACM TOMS 2008), exact F_p work is done
 as a few large batched products over contiguous operands, reduced mod p
 within proven int bounds: a walk chunk is built slot-major, (n, k, N), so
 each matrix entry is one contiguous row of N values that the Gram kernel
-multiplies in place.  ``congruence_normal`` and ``batch_det`` serve the
-Witt splits and the transporter of ``bilinear`` in the same way: one
-masked elimination over a whole stack of small matrices.
+multiplies in place.  ``congruence_normal`` serves the Witt splits of
+``bilinear`` in the same way: one masked elimination over a whole stack of
+small Grams; the transporter needs only ``batch_rank``.
 
 Entries stay below p <= 997, so int32 holds every intermediate: the walk
 peels its digits from int32 offsets below chunk + p; an elimination round
@@ -117,27 +117,6 @@ def left_kernels(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     vecs = vecs[:, ::-1, ::-1] % p
     top = np.argsort(~vecs.any(axis=2), axis=1, kind="stable")
     return np.take_along_axis(vecs, top[:, :, None], axis=1), r - rank
-
-
-def batch_det(a: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a stack of square matrices (N, n, n): Gaussian
-    elimination with the first nonzero entry of each column as its pivot,
-    keeping the product of the pivots and the sign of the row swaps."""
-    a = np.array(a, dtype=np.int64) % p
-    n_items, n, _ = a.shape
-    det = np.ones(n_items, dtype=np.int64)
-    inv = _inverse_table(p)
-    for col in range(n):
-        prow = col + np.argmax(a[:, col:, col] != 0, axis=1)
-        swap = np.flatnonzero(prow != col)
-        a[swap, col], a[swap, prow[swap]] = a[swap, prow[swap]], a[swap, col]
-        det[swap] *= -1
-        piv = a[:, col, col]  # 0 where the column has no pivot: det and f vanish
-        det = det * piv % p
-        f = a[:, col + 1 :, col] * inv[piv][:, None]
-        a[:, col + 1 :] -= f[:, :, None] % p * a[:, col, None]
-        a %= p
-    return det
 
 
 @lru_cache(maxsize=None)

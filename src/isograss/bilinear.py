@@ -314,9 +314,13 @@ def transport_isometry(space: BilinearSpace, a: WittStack, b: WittStack) -> np.n
     img = np.array(b.bases, dtype=np.int64)
     g_rows = src_inv @ img % p
     if space.form_type == SYMMETRIC:
-        # row t is the first M2 image row when r > 0, else the first M3 one;
-        # negating one row of a diagonal block keeps the Gram
-        twist = np.flatnonzero((2 * a.t < n) & (_batch.batch_det(g_rows, p) != 1))
+        # an orthogonal g is a product of rank(g - 1) reflections, or of two
+        # more (Scherk; Taylor, The Geometry of the Classical Groups, 1992),
+        # so det g = (-1)^rank(g - 1).  Row t is the first M2 image row when
+        # r > 0, else the first M3 one; negating one row of a diagonal block
+        # keeps the Gram
+        moved = ((g_rows - np.eye(n, dtype=np.int64)) % p).astype(np.int32)
+        twist = np.flatnonzero((2 * a.t < n) & (_batch.batch_rank(moved, p) % 2 == 1))
         img[twist, a.t[twist]] *= -1
         g_rows[twist] = src_inv[twist] @ img[twist] % p
     return g_rows.transpose(0, 2, 1)

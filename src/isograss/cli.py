@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import DEFAULT_BUDGET, BudgetExceeded, as_prime, span, subspace_intersect, subspace_total
 from .orbits import DOUBLEPRIME0, PRIME0, rank_numeric
-from .paving import build_paving
+from .paving import build_paving, iso_grassmannian_count
 from .polynomials import IntPolynomial
 from .sumspace import (
     MultiLabel,
@@ -29,9 +29,9 @@ from .sumspace import (
     canonical_representative,
     component_group_order_multi,
     enumerate_multilabels,
-    multilabels_of,
     orbit_dim_multi,
     orbit_point_counts,
+    stack_multilabels,
     validate_multilabel,
 )
 from .towers import fiber_invariants, resolution_tower, tower_fiber, tower_points
@@ -110,19 +110,28 @@ def poly_json(poly: IntPolynomial):
 # commands
 # ---------------------------------------------------------------------------
 
+def _label_counts(space_spec: str, k: int, primes, budget, workers):
+    """The p = 3 reference space, the labels of Gr_k (none for an out-of-range
+    k) and, when there are labels, each prime's counts by label; every
+    prime's Gr_k is sized, and refused at the largest, before the first
+    count."""
+    ref = build_sum_space(space_spec, 3)
+    labels = enumerate_multilabels(ref, k) if 0 <= k <= ref.n else []
+    if not labels:
+        return ref, labels, {}
+    BudgetExceeded.check_largest((subspace_total(ref.n, k, p) for p in primes), budget)
+    return ref, labels, {
+        p: orbit_point_counts(build_sum_space(space_spec, p), k, budget=budget, workers=workers)
+        for p in primes
+    }
+
+
 def cmd_labels(space_spec: str, k: int, primes=(), budget=DEFAULT_BUDGET, workers=1) -> dict:
     """Catalog of all labels for Gr_k with dims, component orders, counts.
 
     An out-of-range k yields a valid empty catalog.
     """
-    ref = build_sum_space(space_spec, 3)
-    labels = enumerate_multilabels(ref, k) if 0 <= k <= ref.n else []
-    counts_by_p = {}
-    if labels:
-        BudgetExceeded.check_largest((subspace_total(ref.n, k, p) for p in primes), budget)
-        for p in primes:
-            space = build_sum_space(space_spec, p)
-            counts_by_p[p] = orbit_point_counts(space, k, budget=budget, workers=workers)
+    ref, labels, counts_by_p = _label_counts(space_spec, k, primes, budget, workers)
     rows = []
     for label in labels:
         row = {
@@ -150,7 +159,7 @@ def cmd_classify(space_spec: str, rows_text: str, prime: int) -> dict:
         raise CliError(
             f"rows are dependent: {rows.shape[0]} rows span a {h.dim}-dimensional space"
         )
-    label = multilabels_of(space, [h])[0]
+    label = stack_multilabels(space, h.basis[None].astype(np.int32))[0]
     factors = []
     for i, (f, k_i, r_i) in enumerate(zip(space.factors, label.ks, label.rs)):
         detail = {"factor": i + 1, "k": k_i, "r": r_i, "radical_dim": k_i - rank_numeric(r_i)}
@@ -170,16 +179,12 @@ def cmd_classify(space_spec: str, rows_text: str, prime: int) -> dict:
 
 
 def cmd_count(space_spec: str, k: int, primes=(), budget=DEFAULT_BUDGET, workers=1) -> dict:
-    ref = build_sum_space(space_spec, 3)
-    labels = enumerate_multilabels(ref, k) if 0 <= k <= ref.n else []
-    rows = [{"label": label_to_json(lab), "pretty": str(lab), "counts": {}} for lab in labels]
-    if labels:
-        BudgetExceeded.check_largest((subspace_total(ref.n, k, p) for p in primes), budget)
-    for p in primes if labels else ():
-        space = build_sum_space(space_spec, p)
-        counts = orbit_point_counts(space, k, budget=budget, workers=workers)
-        for label, row in zip(labels, rows):
-            row["counts"][str(p)] = counts.get(label, 0)
+    _, labels, counts_by_p = _label_counts(space_spec, k, primes, budget, workers)
+    rows = [
+        {"label": label_to_json(lab), "pretty": str(lab),
+         "counts": {str(p): counts.get(lab, 0) for p, counts in counts_by_p.items()}}
+        for lab in labels
+    ]
     return bundle(
         "count", {"space": space_spec, "k": k, "primes": list(primes)}, rows, []
     )
@@ -189,13 +194,16 @@ def cmd_paving(space_spec: str, k: int, prime: int = 3) -> dict:
     space = build_sum_space(space_spec, prime)
     if space.m != 1:
         raise CliError("paving applies to a single-factor space")
-    paving = build_paving(space.factors[0])
+    form = space.factors[0]
+    paving = build_paving(form)
     rows = [{"piece": pc.piece_id, "affine_dim": pc.affine_dim} for pc in paving.pieces(k)]
+    poly = paving.count_polynomial(k)
+    passed = poly == iso_grassmannian_count(form.form_type, form.n, k)
     return bundle(
         "paving",
         {"space": space_spec, "k": k, "prime": prime},
         rows,
-        [asdict(CheckResult("count polynomial", True, str(paving.count_polynomial(k))))],
+        [asdict(CheckResult("count polynomial", passed, str(poly)))],
     )
 
 

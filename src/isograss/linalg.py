@@ -315,19 +315,6 @@ def intersect_prefix(h: Subspace, c: int) -> Subspace:
     return kernel_span(left_kernel(h.basis[:, c:], h.p), h)
 
 
-def random_matrix(rows: int, cols: int, p: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(0, p, size=(rows, cols), dtype=np.int64)
-
-
-def random_subspace(n: int, k: int, p: int, rng: np.random.Generator) -> Subspace:
-    """Uniform-ish random k-subspace via random matrices of full rank."""
-    while True:
-        mat = random_matrix(k, n, p, rng)
-        red = rref(mat, p)
-        if red.shape[0] == k:
-            return Subspace(red, n, p)
-
-
 # no stack of candidate bases in one ``between_stack`` slice passes this many rows
 _STEP_ROWS = 1 << 16
 

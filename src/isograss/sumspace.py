@@ -243,23 +243,6 @@ def multilabel_of(space: SumSpace, h: Subspace) -> MultiLabel:
     return MultiLabel(tuple(ks), tuple(rs))
 
 
-def multilabels_of(space: SumSpace, subspaces) -> list[MultiLabel]:
-    """``multilabel_of`` of each subspace, in order: one ``stack_multilabels``
-    call per dimension present."""
-    subspaces = list(subspaces)
-    if any(h.n != space.n or h.p != space.p for h in subspaces):
-        raise ValueError("subspace lives in the wrong ambient space")
-    out: list = [None] * len(subspaces)
-    by_dim: dict[int, list[int]] = {}
-    for j, h in enumerate(subspaces):
-        by_dim.setdefault(h.dim, []).append(j)
-    for k, idx in by_dim.items():
-        mats = np.array([subspaces[j].basis for j in idx], dtype=np.int32)
-        for j, lab in zip(idx, stack_multilabels(space, mats.reshape(len(idx), k, space.n))):
-            out[j] = lab
-    return out
-
-
 def stack_multilabels(space: SumSpace, mats: np.ndarray) -> list[MultiLabel]:
     """The labels of a stack (N, k, n) of full-rank bases reduced mod p, by
     the bulk classifier: one ``_batch.classify_batch`` call, and one

@@ -309,12 +309,19 @@ def _no_points(space: SumSpace, label: MultiLabel) -> TowerStack:
     )
 
 
+def ptilde_sizes(space: SumSpace, label: MultiLabel, p: int) -> list[int]:
+    """The size of each level's P~_j walk, of Gr_t(F_p^{n_j}) for t = k_j -
+    r_j, at the prime p: the space's own, or another, since only the factor
+    dimensions are read."""
+    return [subspace_total(f.n, k - rank_numeric(r), p)
+            for f, k, r in zip(space.factors, label.ks, label.rs)]
+
+
 def tower_size(space: SumSpace, label: MultiLabel, points: int) -> int:
     """The largest enumeration of the whole tower's walk: a level's P~_j walk
-    of Gr_t(F_p^{n_j}), t = k_j - r_j, or the tower's point count
-    ``points``, which bounds each of its ``between_stack`` steps."""
-    return max(points, *(subspace_total(f.n, k - rank_numeric(r), space.p)
-                         for f, k, r in zip(space.factors, label.ks, label.rs)))
+    or the tower's point count ``points``, which bounds each of its
+    ``between_stack`` steps."""
+    return max(points, *ptilde_sizes(space, label, space.p))
 
 
 def tower_points(

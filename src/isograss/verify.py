@@ -31,7 +31,6 @@ from .linalg import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     Subspace,
-    random_subspace,
     subspace_total,
     within_budget,
 )
@@ -59,6 +58,7 @@ from .towers import (
     cover_factors,
     cover_fiber,
     expected_cover_fiber_space,
+    ptilde_sizes,
     tower_fibers,
 )
 
@@ -396,9 +396,7 @@ def _fiber_polynomiality(spec, primes, budget, only_k, rows):
                 bound = orbit_dim_multi(ref, label) - orbit_dim_multi(ref, sub)
                 fits.append((label, sub, bound, _primes_for_degree(primes, bound)))
     BudgetExceeded.check_largest(
-        (subspace_total(f.n, k - rank_numeric(r), p)
-         for label, _, _, use in fits for p in use
-         for f, k, r in zip(ref.factors, label.ks, label.rs)),
+        (size for label, _, _, use in fits for p in use for size in ptilde_sizes(ref, label, p)),
         budget,
     )
     # one walk per prime, of every (label, stratum) fiber sampled there
@@ -464,8 +462,7 @@ def _cover_sizes(space, label, fib_spaces):
     then per cover factor i the Q~_i walk of Gr_{r_i - r_i//2} in
     P~_i^perp / P~_i (dimension n_i + (r_i mod 2) - 2(k_i - r_i)) and the
     count walk of its expected fiber space."""
-    for f, k, r in zip(space.factors, label.ks, label.rs):
-        yield subspace_total(f.n, k - rank_numeric(r), space.p)
+    yield from ptilde_sizes(space, label, space.p)
     for i, fib in fib_spaces.items():
         k, r = label.ks[i], int(label.rs[i])
         yield subspace_total(space.factors[i].n + r % 2 - 2 * (k - r), r - r // 2, space.p)
@@ -564,49 +561,61 @@ def suite_witt(specs=GRID_SPACES, primes=(3, 5), pairs_per_space=1000, seed=2024
                 buckets: dict = {}
                 done = 0
                 while done < pairs_per_space:
-                    # each draw adds at most one to done, so a round of as many
-                    # draws as are missing ends no later than a loop of one draw
-                    # at a time: the draws, and the generator's stream, are its
-                    hs = []
-                    for _ in range(pairs_per_space - done):
-                        k = int(rng.integers(0, amb.n + 1))
-                        hs.append(random_subspace(amb.n, k, p, rng))
-                    done += _witt_round(amb, hs, buckets, fails)
+                    # each draw adds at most one to done, so a round of as
+                    # many draws as are missing never overshoots
+                    padded, dims = _draw(amb.n, p, pairs_per_space - done, rng)
+                    done += _witt_round(amb, padded, dims, buckets, fails)
             out.append(_result(f"witt/transport {spec} p={p} ({pairs_per_space} pairs)", fails))
     return out
 
 
-def _witt_round(space, hs, buckets: dict, fails: list) -> int:
-    """Decompose and table-check the subspaces ``hs`` of one round, one stack
-    per dimension; pair each with the last one of its (k, r, deltas) bucket,
-    in draw order, and transport every pair in one stack.  Appends the
-    failures to ``fails`` in draw order; returns how many draws count as
-    done: one per pair, and one per failed table check.
+def _draw(n: int, p: int, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` uniform random subspaces of F_p^n: a uniform dimension k per
+    item, then a uniform k x n matrix, drawn again (with the same k) until
+    it has rank k.  One ``batch_rank`` per round of draws ranks them and
+    leaves their RREF in place.  Returns the (count, n, n) stack of RREF
+    bases, zero rows below each dimension, and the dimensions."""
+    dims = rng.integers(0, n + 1, size=count)
+    padded = np.zeros((count, n, n), dtype=np.int32)
+    todo = np.arange(count)
+    while todo.size:
+        mats = rng.integers(0, p, size=(todo.size, n, n), dtype=np.int32)
+        mats[np.arange(n)[None, :] >= dims[todo, None]] = 0
+        short = batch_rank(mats, p) < dims[todo]
+        padded[todo] = mats
+        todo = todo[short]
+    return padded, dims
+
+
+def _witt_round(space, padded, dims, buckets: dict, fails: list) -> int:
+    """Decompose and table-check one round of draws, the ``_draw`` stack
+    ``padded`` with its ``dims``, one stack per dimension; pair each with the
+    last one of its (k, r, deltas) bucket, in draw order, and transport every
+    pair in one stack.  Appends the failures to ``fails`` in draw order;
+    returns how many draws count as done: one per pair, and one per failed
+    table check.
 
     The table identity makes delta_2 the discriminant class of h / rad h,
     and with k and r it fixes delta_3: these are the (k, r, class) buckets,
     where transport cannot refuse.  A split that fails its table check
     joins no bucket."""
     n, p = space.n, space.p
-    dims = np.array([h.dim for h in hs])
-    padded = np.zeros((len(hs), n, n), dtype=np.int64)  # RREF bases, zero rows below
-    split = WittStack(np.zeros((len(hs), n, n), dtype=np.int64), np.zeros_like(dims),
-                      np.zeros_like(dims), np.ones((len(hs), 2), dtype=np.int64))
-    ok = np.zeros(len(hs), dtype=bool)
+    split = WittStack(np.zeros((len(dims), n, n), dtype=np.int64), np.zeros_like(dims),
+                      np.zeros_like(dims), np.ones((len(dims), 2), dtype=np.int64))
+    ok = np.zeros(len(dims), dtype=bool)
     for k in np.unique(dims).tolist():
         idx = np.flatnonzero(dims == k)
-        bases = np.array([hs[i].basis for i in idx]).reshape(len(idx), k, n)
-        padded[idx, :k] = bases
+        bases = padded[idx, :k]
         part = witt_decompose(space, bases)
         for whole, x in zip(split, part):
             whole[idx] = x
         ok[idx] = _witt_table_ok(space, bases, part)
     events, firsts, seconds = [], [], []  # an event: a failed draw's message, or a pair's number
-    for i, h in enumerate(hs):
+    for i, k in enumerate(dims.tolist()):
         if not ok[i]:
-            events.append(f"pairing table fails for {h}")
+            events.append(f"pairing table fails for {Subspace(padded[i, :k], n, p)}")
             continue
-        key = (h.dim, int(split.r[i]), tuple(split.deltas[i].tolist()))
+        key = (k, int(split.r[i]), tuple(split.deltas[i].tolist()))
         entry = (padded[i], split.take(i))
         prev = buckets.get(key)
         buckets[key] = entry

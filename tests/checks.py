@@ -1,24 +1,26 @@
-"""Test-side helpers: rendering of verify.CheckResult, the scalar
-between-step oracle, the scalar congruence normal form, the per-item view
-of Witt split stacks with the scalar Witt suite loop, the per-point view of
-tower stacks, and point selection on tower stacks and walks."""
+"""Test-side helpers: rendering of verify.CheckResult, random matrices and
+subspaces, the determinant oracle, labels of subspaces of mixed dimensions,
+the scalar between-step oracle, the scalar congruence normal form, the
+per-item view of Witt split stacks with the scalar Witt suite loop, the
+per-point view of tower stacks, and point selection on tower stacks and
+walks."""
 
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from isograss import verify
+from isograss import _batch, verify
 from isograss.bilinear import WittStack, transport_isometry, witt_decompose
 from isograss.linalg import (
     Subspace,
     complement_rows,
     enumerate_subspaces,
     inv_mod,
-    random_subspace,
     rref,
     span,
 )
+from isograss.sumspace import stack_multilabels
 from isograss.towers import TowerStack
 
 
@@ -27,6 +29,52 @@ def check_line(result) -> str:
     status = "PASS" if result.passed else "FAIL"
     extra = f"  [{result.details}]" if result.details and not result.passed else ""
     return f"{status}  {result.name}{extra}"
+
+
+def random_matrix(rows: int, cols: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+
+
+def random_subspace(n: int, k: int, p: int, rng: np.random.Generator) -> Subspace:
+    """A uniform random k-subspace: random k x n matrices until one has full rank."""
+    while True:
+        red = rref(random_matrix(k, n, p, rng), p)
+        if red.shape[0] == k:
+            return Subspace(red, n, p)
+
+
+def batch_det(a: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of a stack of square matrices (N, n, n): Gaussian
+    elimination with the first nonzero entry of each column as its pivot,
+    keeping the product of the pivots and the sign of the row swaps."""
+    a = np.array(a, dtype=np.int64) % p
+    n_items, n, _ = a.shape
+    det = np.ones(n_items, dtype=np.int64)
+    inv = _batch._inverse_table(p)
+    for col in range(n):
+        prow = col + np.argmax(a[:, col:, col] != 0, axis=1)
+        swap = np.flatnonzero(prow != col)
+        a[swap, col], a[swap, prow[swap]] = a[swap, prow[swap]], a[swap, col]
+        det[swap] *= -1
+        piv = a[:, col, col]  # 0 where the column has no pivot: det and f vanish
+        det = det * piv % p
+        f = a[:, col + 1 :, col] * inv[piv][:, None]
+        a[:, col + 1 :] -= f[:, :, None] % p * a[:, col, None]
+        a %= p
+    return det
+
+
+def stack_labels(space, hs) -> list:
+    """The labels of Subspaces of mixed dimensions, in order: one
+    ``stack_multilabels`` call per dimension present."""
+    hs = list(hs)
+    out = [None] * len(hs)
+    for k in {h.dim for h in hs}:
+        idx = [j for j, h in enumerate(hs) if h.dim == k]
+        mats = np.array([hs[j].basis for j in idx], dtype=np.int32).reshape(len(idx), k, space.n)
+        for j, label in zip(idx, stack_multilabels(space, mats)):
+            out[j] = label
+    return out
 
 
 def scalar_between(lower: Subspace, upper: Subspace, d: int):
@@ -214,9 +262,9 @@ def witt_split(space, h: Subspace) -> WittStack:
 
 
 def scalar_suite_witt(specs, primes, pairs_per_space, seed):
-    """``verify.suite_witt`` as a loop of one draw at a time: each subspace
-    is decomposed, checked and transported on its own, through one-item
-    stacks."""
+    """``verify.suite_witt`` as a loop over one draw at a time of the same
+    ``verify._draw`` rounds: each subspace is decomposed, checked and
+    transported on its own, through one-item stacks."""
     out = []
     rng = np.random.default_rng(seed)
     for spec in specs:
@@ -227,24 +275,25 @@ def scalar_suite_witt(specs, primes, pairs_per_space, seed):
                 buckets: dict = {}
                 done = 0
                 while done < pairs_per_space:
-                    k = int(rng.integers(0, n + 1))
-                    h = random_subspace(n, k, p, rng)
-                    ws = witt_split(amb, h)
-                    if not verify._witt_table_ok(amb, h.basis[None], ws)[0]:
-                        fails.append(f"pairing table fails for {h}")
+                    padded, dims = verify._draw(n, p, pairs_per_space - done, rng)
+                    for basis, k in zip(padded, dims.tolist()):
+                        h = Subspace(basis[:k], n, p)
+                        ws = witt_split(amb, h)
+                        if not verify._witt_table_ok(amb, h.basis[None], ws)[0]:
+                            fails.append(f"pairing table fails for {h}")
+                            done += 1
+                            continue
+                        key = (k, int(ws.r[0]), tuple(ws.deltas[0].tolist()))
+                        prev = buckets.get(key)
+                        buckets[key] = (h, ws)
+                        if prev is None:
+                            continue
+                        other, other_ws = prev
+                        [g] = transport_isometry(amb, other_ws, ws)
+                        if ((g.T @ amb.gram @ g - amb.gram) % p).any():
+                            fails.append("not an isometry")
+                        if apply_isometry(g, other) != h:
+                            fails.append("does not transport")
                         done += 1
-                        continue
-                    key = (k, int(ws.r[0]), tuple(ws.deltas[0].tolist()))
-                    prev = buckets.get(key)
-                    buckets[key] = (h, ws)
-                    if prev is None:
-                        continue
-                    other, other_ws = prev
-                    [g] = transport_isometry(amb, other_ws, ws)
-                    if ((g.T @ amb.gram @ g - amb.gram) % p).any():
-                        fails.append("not an isometry")
-                    if apply_isometry(g, other) != h:
-                        fails.append("does not transport")
-                    done += 1
             out.append(verify._result(f"witt/transport {spec} p={p} ({pairs_per_space} pairs)", fails))
     return out

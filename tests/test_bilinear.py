@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from checks import apply_isometry, normal_basis, smallest_nonresidue, witt_parts, witt_split
+from checks import (
+    apply_isometry,
+    batch_det,
+    normal_basis,
+    random_subspace,
+    smallest_nonresidue,
+    witt_parts,
+    witt_split,
+)
 
 from isograss import _batch
 from isograss.bilinear import (
@@ -23,8 +31,8 @@ from isograss.linalg import (
     complement_rows,
     enumerate_subspaces,
     full_subspace,
+    inv_mod,
     left_kernel,
-    random_subspace,
     rank_mod,
     span,
     subspace_intersect,
@@ -36,7 +44,7 @@ from isograss.linalg import (
 def discriminant_class(space: BilinearSpace, rows: np.ndarray) -> int:
     """Square class (+1 residue / -1 nonresidue) of det of the restricted
     Gram, which must be nondegenerate."""
-    d = int(_batch.batch_det(pairing(space, rows, rows)[None], space.p)[0])
+    d = int(batch_det(pairing(space, rows, rows)[None], space.p)[0])
     assert d, "restricted form is degenerate"
     return 1 if pow(d, (space.p - 1) // 2, space.p) == 1 else -1
 
@@ -458,6 +466,56 @@ def test_transport_twists_m3_row_for_isotropics(n, k):
     for h2 in iso:
         g = _transport(o, iso[0], h2)
         assert round(float(np.linalg.det(g.astype(float)))) % 3 == 1
+
+
+def _reflection(space, v):
+    """The reflection x -> x - 2 <x, v> / <v, v> v in an anisotropic v, as a
+    matrix acting on columns."""
+    c = 2 * inv_mod(int(pairing(space, v, v)[0, 0]), space.p)
+    return (np.eye(space.n, dtype=np.int64) - c * np.outer(v, v @ space.gram)) % space.p
+
+
+def _det_parity_holds(g, p):
+    """det g, by the elimination oracle, is (-1)^rank(g - 1)."""
+    moved = ((g - np.eye(len(g), dtype=np.int64)) % p).astype(np.int32)[None]
+    return int(batch_det(g[None], p)[0]) == (-1) ** int(_batch.batch_rank(moved, p)[0]) % p
+
+
+def test_isometry_determinant_is_the_parity_of_rank_g_minus_1():
+    # an orthogonal g is a product of rank(g - 1) reflections, or of two
+    # more (Scherk), the rule transport_isometry reads its twist from: on
+    # products of reflections and on transporter outputs, det g (by the
+    # elimination oracle) is (-1)^rank(g - 1)
+    rng = np.random.default_rng(20240817)
+    products = transported = 0
+    for n in range(1, 8):
+        for p in (3, 5, 7, 11):
+            space = standard_space(SYMMETRIC, n, p)
+            for _ in range(12):
+                g, sign = np.eye(n, dtype=np.int64), 1
+                for _ in range(int(rng.integers(0, n + 3))):
+                    v = rng.integers(0, p, size=n)
+                    if pairing(space, v, v)[0, 0]:
+                        g, sign = _reflection(space, v) @ g % p, -sign
+                assert not ((g.T @ space.gram @ g - space.gram) % p).any()
+                assert int(batch_det(g[None], p)[0]) == sign % p
+                assert _det_parity_holds(g, p), (n, p, g)
+                products += 1
+            if n > 6 or p > 7:
+                continue
+            last: dict = {}
+            for _ in range(60):
+                h = random_subspace(n, int(rng.integers(0, n + 1)), p, rng)
+                ws = witt_split(space, h)
+                key = (h.dim, int(ws.r[0]), tuple(ws.deltas[0].tolist()))
+                if key in last:
+                    [g] = transport_isometry(space, last[key], ws)
+                    assert _det_parity_holds(g, p), (n, p, h)
+                    if 2 * int(ws.t[0]) < n:
+                        assert int(batch_det(g[None], p)[0]) == 1
+                    transported += 1
+                last[key] = ws
+    assert products == 336 and transported >= 800
 
 
 def _refuse(*args, **kwargs):

@@ -5,7 +5,7 @@ import shlex
 import time
 
 import pytest
-from checks import edit_whole_walks, flag_data, take_points
+from checks import edit_whole_walks, flag_data, stack_labels, take_points
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +29,8 @@ from isograss.cli import (
 from isograss.bilinear import InvariantMismatch
 from isograss.linalg import subspace_total
 from isograss.orbits import PRIME0
-from isograss.polynomials import InterpolationError
-from isograss.sumspace import MultiLabel, build_sum_space, enumerate_multilabels, multilabels_of
+from isograss.polynomials import IntPolynomial, InterpolationError
+from isograss.sumspace import MultiLabel, build_sum_space, enumerate_multilabels
 
 
 def test_parse_label_arg():
@@ -208,6 +208,19 @@ def test_count_out_of_range_is_empty():
 
     report = cmd_count("Sp4", 9, primes=(3,))
     assert report["results"] == []
+
+
+def test_paving_count_polynomial_check_can_fail(monkeypatch, capsys):
+    # the paving's count polynomial is checked against the closed form: a
+    # wrong closed form fails the check, and the report keeps its details
+    assert main(["paving", "--space", "Sp4", "--k", "2"]) == EXIT_OK
+    good = json.loads(capsys.readouterr().out)
+    real = cli.iso_grassmannian_count
+    monkeypatch.setattr(cli, "iso_grassmannian_count", lambda *args: real(*args) + IntPolynomial([1]))
+    assert main(["paving", "--space", "Sp4", "--k", "2"]) == EXIT_CHECK_FAILED
+    [check] = json.loads(capsys.readouterr().out)["checks"]
+    [want] = good["checks"]
+    assert check == {**want, "passed": False} and want["passed"]
 
 
 def test_export_roundtrip_file(tmp_path, capsys):
@@ -401,7 +414,7 @@ def test_one_resolution_row_feeds_towers_and_bijectivity(monkeypatch, capsys):
     # a tower point repeated over the open stratum: the point count and the
     # bijectivity check read the same row, so exactly those two fail
     def repeated(space, label, points):
-        labels = multilabels_of(space, [datum.hs[-1] for datum in flag_data(points)])
+        labels = stack_labels(space, [datum.hs[-1] for datum in flag_data(points)])
         return take_points(points, [*range(len(points)), labels.index(label)])
 
     monkeypatch.setattr(towers, "_walk", edit_whole_walks(towers._walk, repeated))

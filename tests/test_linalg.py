@@ -3,10 +3,10 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from checks import scalar_between
+from checks import batch_det, random_matrix, random_subspace, scalar_between
 
 from isograss import linalg
-from isograss._batch import batch_det, batch_rank, iter_chunks, left_kernels, pattern_matrices
+from isograss._batch import batch_rank, iter_chunks, left_kernels, pattern_matrices
 from isograss.linalg import (
     BudgetExceeded,
     RowSolver,
@@ -18,8 +18,6 @@ from isograss.linalg import (
     full_subspace,
     intersect_prefix,
     left_kernel,
-    random_matrix,
-    random_subspace,
     rank_mod,
     rref,
     span,

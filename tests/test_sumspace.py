@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from checks import flag_data
+from checks import flag_data, random_subspace, stack_labels
 
 from isograss import _batch, sumspace
 from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, standard_space
 from isograss.linalg import (
     _SMALL_PRIMES,
     enumerate_subspaces,
-    random_subspace,
     rank_mod,
     span,
     subspace_intersect,
@@ -32,11 +31,11 @@ from isograss.sumspace import (
     enumerate_multilabels,
     format_space_spec,
     multilabel_of,
-    multilabels_of,
     orbit_dim_multi,
     orbit_point_counts,
     parse_space_spec,
     slice_weights,
+    stack_multilabels,
 )
 from isograss.towers import tower_points
 from isograss.verify import GRID_SPACES
@@ -559,11 +558,11 @@ def test_missing_witness_refused():
     with pytest.raises(ValueError, match="split witness required"):
         orbit_point_counts(b, 1)
     with pytest.raises(ValueError, match="split witness required"):
-        multilabels_of(b, [span([[1, 0]], 2, 3)])
+        stack_labels(b, [span([[1, 0]], 2, 3)])
     with pytest.raises(ValueError, match="split witness required"):
         multilabel_of(b, span([[1, 0]], 2, 3))
     # an anisotropic line and the other dimensions need no witness
-    assert multilabels_of(b, [span([[1, 1]], 2, 3)]) == [MultiLabel((1,), (1,))]
+    assert stack_labels(b, [span([[1, 1]], 2, 3)]) == [MultiLabel((1,), (1,))]
     assert sum(orbit_point_counts(b, 2).values()) == 1
 
 
@@ -577,7 +576,7 @@ def test_multilabels_of_tower_targets(monkeypatch):
         for label in enumerate_multilabels(b, k):
             targets = [datum.hs[-1] for datum in flag_data(tower_points(b, label))]
             calls.clear()
-            got = multilabels_of(b, targets)
+            got = stack_labels(b, targets)
             assert len(calls) == len(set(got))
             assert got == [multilabel_of(b, h) for h in targets]
 
@@ -597,7 +596,7 @@ def test_multilabels_of_random_subspaces(spec, p):
     hs = [random_subspace(b.n, int(rng.integers(0, b.n + 1)), p, rng) for _ in range(60)]
     hs += [canonical_representative(b, lab)
            for k in range(b.n + 1) for lab in enumerate_multilabels(b, k)]
-    assert multilabels_of(b, hs) == [multilabel_of(b, h) for h in hs]
+    assert stack_labels(b, hs) == [multilabel_of(b, h) for h in hs]
     # classify_batch needs full-rank bases, not RREF ones: g @ basis gives the same codes
     for k in range(b.n + 1):
         same_k = [h for h in hs if h.dim == k]
@@ -613,14 +612,14 @@ def test_multilabels_of_random_subspaces(spec, p):
 
 def test_multilabels_of_edge_cases():
     b = build_sum_space("Sp2+O2", 3)
-    assert multilabels_of(b, []) == []
-    assert multilabels_of(b, [zero_subspace(4, 3)]) == [MultiLabel((0, 0), (0, 0))]
+    assert stack_multilabels(b, np.zeros((0, 2, 4), dtype=np.int32)) == []
+    assert stack_multilabels(b, np.zeros((1, 0, 4), dtype=np.int32)) == [MultiLabel((0, 0), (0, 0))]
     codes = _batch.classify_batch(b, np.zeros((3, 0, 4), dtype=np.int32))
     assert [_batch.decode(b.dims, c) for c in codes] == [((0, 0), (0, 0))] * 3
     assert _batch.classify_batch(b, np.zeros((0, 2, 4), dtype=np.int32)).shape == (0,)
     for wrong in (span([[1, 0, 0]], 3, 3), span([[1, 0, 0, 0]], 4, 5)):
         with pytest.raises(ValueError, match="wrong ambient"):
-            multilabels_of(b, [span([[1, 0, 0, 0]], 4, 3), wrong])
+            multilabel_of(b, wrong)
 
 
 def test_canonical_representative_hits_every_label():

@@ -377,20 +377,20 @@ def test_towers_imports_no_per_subspace_path():
 
 
 def test_witt_suite_calls_no_per_subspace_path():
-    # the Witt suite draws scalar subspaces, then decomposes, checks and
-    # transports them on int stacks: no scalar span, sum, perp, radical,
-    # solver or rref in its rounds or its table check
+    # the Witt suite draws, decomposes, checks and transports its subspaces
+    # on int stacks: no scalar draw, span, sum, perp, radical, solver or
+    # rref in its draws, its rounds or its table check
     tree = ast.parse((SRC / "verify.py").read_text())
     bodies = [node for node in tree.body
-              if getattr(node, "name", None) in ("suite_witt", "_witt_round", "_witt_table_ok")]
+              if getattr(node, "name", None) in ("suite_witt", "_draw", "_witt_round", "_witt_table_ok")]
     called = {
         getattr(node.func, "id", getattr(node.func, "attr", None))
         for body in bodies
         for node in ast.walk(body)
         if isinstance(node, ast.Call)
     }
-    per_subspace = {"span", "subspace_sum", "perp", "radical", "RowSolver", "rref"}
-    assert len(bodies) == 3 and called & per_subspace == set()
+    per_subspace = {"random_subspace", "span", "subspace_sum", "perp", "radical", "RowSolver", "rref"}
+    assert len(bodies) == 4 and called & per_subspace == set()
 
 
 def test_batch_imports_only_polynomials():

@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from checks import FlagDatum, flag_data, flag_datum, same_points, scalar_between
+from checks import FlagDatum, flag_data, flag_datum, same_points, scalar_between, stack_labels
 
 from isograss import _batch, towers
 from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, perp, radical, standard_space
@@ -28,7 +28,6 @@ from isograss.sumspace import (
     canonical_representative,
     enumerate_multilabels,
     multilabel_of,
-    multilabels_of,
 )
 from isograss.towers import (
     closure_labels,
@@ -216,7 +215,7 @@ def _oracle_candidates(space, label, j, ceiling, pdim, hdim, budget):
     kj, rj = label.ks[j], label.rs[j]
     if rj in (PRIME0, DOUBLEPRIME0):
         xs = list(isotropic_subspaces(f, kj, budget=budget))
-        labels = multilabels_of(SumSpace((f,)), xs)
+        labels = stack_labels(SumSpace((f,)), xs)
         choices = [x for x, lab in zip(xs, labels) if lab.rs[0] == rj]
     else:
         choices = isotropic_subspaces(f, kj - rj, budget=budget)
@@ -281,7 +280,7 @@ def test_closure_rows_keep_the_scalar_walk_order(spec, ks):
         for label in enumerate_multilabels(space, k):
             hits = Counter(d.hs[-1] for d in _scalar_walk(space, label, full_subspace(space.n, 3)))
             want: dict = {}
-            for lab, c in zip(multilabels_of(space, hits), hits.values()):
+            for lab, c in zip(stack_labels(space, hits), hits.values()):
                 points, seen = want.get(lab, (0, 0))
                 want[lab] = (points + c, seen + 1)
             assert list(closure_labels(space, label).items()) == list(want.items()), str(label)

@@ -8,7 +8,6 @@ from isograss.bilinear import SKEW, SYMMETRIC, pairing, perp, standard_space
 from isograss.linalg import (
     BudgetExceeded,
     enumerate_subspaces,
-    random_subspace,
     rref,
     span,
     subspace_intersect,
@@ -16,15 +15,17 @@ from isograss.linalg import (
 )
 from isograss.orbits import DOUBLEPRIME0, PRIME0
 from isograss.polynomials import IntPolynomial
-from isograss.sumspace import MultiLabel, build_sum_space, multilabels_of, orbit_point_counts
+from isograss.sumspace import MultiLabel, build_sum_space, orbit_point_counts
 from isograss import paving, towers, verify
 
 from checks import (
     check_line,
     edit_whole_walks,
     flag_data,
+    random_subspace,
     same_points,
     scalar_suite_witt,
+    stack_labels,
     take_points,
     witt_parts,
     witt_split,
@@ -387,9 +388,9 @@ def test_witt_decomposes_once_per_stack(monkeypatch):
         stacks.append(bases.shape)
         return real_decompose(space, bases)
 
-    def one_round(space, hs, buckets, fails):
-        rounds.append(sorted({h.dim for h in hs}))
-        return real_round(space, hs, buckets, fails)
+    def one_round(space, padded, dims, buckets, fails):
+        rounds.append(sorted(set(dims.tolist())))
+        return real_round(space, padded, dims, buckets, fails)
 
     monkeypatch.setattr(verify, "witt_decompose", decompose)
     monkeypatch.setattr(verify, "_witt_round", one_round)
@@ -398,6 +399,36 @@ def test_witt_decomposes_once_per_stack(monkeypatch):
     assert [k for _, k, _ in stacks] == [k for dims in rounds for k in dims]
     assert sum(n_items for n_items, _, _ in stacks) >= 40
     assert not calls, calls
+
+
+def test_draw_gives_uniform_rref_bases_of_their_dims(monkeypatch):
+    # each item is the RREF basis of a subspace of its dim, zero below it,
+    # and each round draws again exactly the items the last left short of
+    # full rank, keeping their dims
+    ranks = []
+    real_rank = verify.batch_rank
+    monkeypatch.setattr(verify, "batch_rank", lambda mats, p: ranks.append(real_rank(mats, p)) or ranks[-1])
+    rng = np.random.default_rng(3)
+    rounds = []
+    for n, p in ((0, 3), (1, 3), (3, 3), (4, 5), (5, 3)):
+        ranks.clear()
+        padded, dims = verify._draw(n, p, 300, rng)
+        assert padded.shape == (300, n, n) and set(dims.tolist()) == set(range(n + 1))
+        for basis, k in zip(padded, dims.tolist()):
+            assert not basis[k:].any() and np.array_equal(rref(basis, p), basis[:k])
+        todo = np.arange(300)
+        for got in ranks:
+            assert len(got) == len(todo)
+            todo = todo[got < dims[todo]]
+        assert not todo.size
+        rounds.append(len(ranks))
+    assert max(rounds) > 1
+    # the law is uniform on each Gr_k: the 13 lines and the 13 planes of
+    # F_3^3 are hit evenly
+    padded, dims = verify._draw(3, 3, 30000, np.random.default_rng(4))
+    for k in (1, 2):
+        hits = Counter(map(bytes, padded[dims == k, :k].reshape(-1, 3 * k).astype(np.int8)))
+        assert len(hits) == 13 and max(hits.values()) < 1.3 * min(hits.values()), hits
 
 
 def test_stacked_witt_suite_keeps_the_scalar_results_and_draws(monkeypatch):
@@ -492,7 +523,7 @@ def test_bijectivity_counts_the_whole_open_stratum(monkeypatch):
     # a walk that misses one open-stratum point still hits each of its
     # targets once, so bijectivity sees the loss only in the stratum's size
     def dropped(space, label, points):
-        labels = multilabels_of(space, [datum.hs[-1] for datum in flag_data(points)])
+        labels = stack_labels(space, [datum.hs[-1] for datum in flag_data(points)])
         return take_points(points, [j for j in range(len(points)) if j != labels.index(label)])
 
     monkeypatch.setattr(towers, "_walk", edit_whole_walks(towers._walk, dropped))
