@@ -16,14 +16,16 @@ labels the column-reversed images of the walk's RREF matrices: those are
 already in reverse echelon form, so the pivot pattern fixes every graded
 piece and the walk needs no elimination.  Column reversal is a bijection
 of Gr_k(F_p^n), so full-range counts are unchanged.  Both share ``_pack``,
-which ranks the Grams, splits "0p"/"0pp" and packs the label codes.  As in
-FFLAS/FFPACK (Dumas-Giorgi-Pernet, ACM TOMS 2008), exact F_p work is done
-as a few large batched products over contiguous operands, reduced mod p
-within proven int bounds: a walk chunk is built slot-major, (n, k, N), so
-each matrix entry is one contiguous row of N values that the Gram kernel
-multiplies in place.  ``congruence_normal`` serves the Witt splits of
-``bilinear`` in the same way: one masked elimination over a whole stack of
-small Grams; the transporter needs only ``batch_rank``.
+which ranks the Grams, splits "0p"/"0pp" and packs the label codes.  A Gram
+is read through its form's nonzero terms, which ``BilinearSpace.terms``
+builds once per space.  As in FFLAS/FFPACK (Dumas-Giorgi-Pernet, ACM TOMS
+2008), exact F_p work is done as a few large batched products over
+contiguous operands, reduced mod p within proven int bounds: a walk chunk is
+built slot-major, (n, k, N), so each matrix entry is one contiguous row of N
+values that the Gram kernel multiplies in place.  ``congruence_normal``
+serves the Witt splits of ``bilinear`` in the same way: one masked
+elimination over a whole stack of small Grams; the transporter needs only
+``batch_rank``.
 
 Entries stay below p <= 997, so int32 holds every intermediate: the walk
 peels its digits from int32 offsets below chunk + p; an elimination round
@@ -80,7 +82,7 @@ def batch_rank(a: np.ndarray, p: int) -> np.ndarray:
         # eliminate with the pivot row where it stands, which clears it; then
         # row crow's reduced content moves there, and the pivot row to crow
         sub -= sub[:, :, col, None] * pivrow[:, None, :]
-        sub %= p
+        _reduce(sub, p)
         sub[ar, prow] = sub[ar, crow]
         sub[ar, crow] = pivrow
         if sub is a:
@@ -338,7 +340,7 @@ def form_terms(gram, p: int) -> tuple:
     ``_gram`` reads them: columns (m, n) and values (m, n, 1), or None when
     all are 1, where m is the most nonzeros in a row of G and row i's l-th
     nonzero is G_i,cols[l, i] = vals[l, i] (0 past its last one); and 1 if G
-    is alternating, else 0.  Built once per walk or classifier call."""
+    is alternating, else 0.  Built once per form, as ``BilinearSpace.terms``."""
     g = (np.asarray(gram) % p).tolist()
     terms = [[(j, v) for j, v in enumerate(row) if v] for row in g]
     layers = np.zeros((max(map(len, terms), default=0), len(g), 2), dtype=np.intp)
@@ -354,11 +356,11 @@ def form_terms(gram, p: int) -> tuple:
 def _gram(z: np.ndarray, form: tuple, p: int) -> np.ndarray:
     """Gram matrices ``z G z^T mod p`` of a stack of row blocks, shape (N, k, k).
 
-    ``form`` is ``form_terms(G, p)``.  Entry (a, b) sums z_a[i] * (G_ij z_b[j]
-    mod p) over the nonzero G_ij, one einsum of the rows z_a[i] against a
-    gather of the z_b[j] per b.  Only the entries a <= b are computed, a < b
-    for an alternating G, whose diagonal is zero; the others are mirrored,
-    with a sign flip for an alternating G.  A slot-major z, a view of an
+    ``form`` is ``form_terms(G, p)``, a space's ``terms``.  Entry (a, b)
+    sums z_a[i] * (G_ij z_b[j] mod p) over the nonzero G_ij, one einsum of
+    the rows z_a[i] against a gather of the z_b[j] per b.  Only the entries
+    a <= b are computed, a < b for an alternating G, whose diagonal is zero;
+    the others are mirrored, with a sign flip for an alternating G.  A slot-major z, a view of an
     (n, k, N) buffer as ``pattern_matrices`` returns, is read in place.
     """
     cols, vals, skew = form
@@ -417,24 +419,24 @@ def _gram_rank(g: np.ndarray, p: int, skew: int) -> np.ndarray:
     return batch_rank(g, p)
 
 
-def _pack(space, forms, blocks) -> np.ndarray:
+def _pack(space, blocks) -> np.ndarray:
     """Label codes from each factor's graded piece.
 
-    ``forms[i]`` is ``form_terms`` of factor i's Gram matrix.  ``blocks[i]`` is
-    ``(k_i, z_i)``: the dimension of graded piece i (an int shared by the
-    stack, or one int per item) and a stack (N, rows, n_i) of block-i rows
-    spanning it, any other rows zero.  r_i is the rank of their Gram
-    matrix; the witness rank that splits "0p" from "0pp" is taken only
-    on the items with k_i = n_i / 2 and r_i = 0, and a factor that needs it
-    but has no witness is refused, as ``orbits.label_of`` refuses it.
+    ``blocks[i]`` is ``(k_i, z_i)``: the dimension of graded piece i (an
+    int shared by the stack, or one int per item) and a stack (N, rows, n_i)
+    of block-i rows spanning it, any other rows zero.  r_i is the rank of
+    their Gram matrix, read through the factor's ``terms``; the witness rank
+    that splits "0p" from "0pp" is taken only on the items with
+    k_i = n_i / 2 and r_i = 0, and a factor that needs it but has no witness
+    is refused, as ``orbits.label_of`` refuses it.
     """
     p = space.p
     # per-factor digit k_i * (n_i + 3) + rcode_i, with k_i <= n_i and
     # rcode_i <= n_i + 2, packed mixed-radix with the first factor most
     # significant; the radix product is at most 8^n <= 8^16, far inside int64
     packed = 0
-    for (k_i, z), form, d, f in zip(blocks, forms, space.dims, space.factors):
-        r_i = _gram_rank(_gram(z, form, p), p, form[2])
+    for (k_i, z), d, f in zip(blocks, space.dims, space.factors):
+        r_i = _gram_rank(_gram(z, f.terms, p), p, f.terms[2])
         rcode = r_i + 2
         half = d // 2
         # a walk chunk shares one int k_i, so most chunks skip the mask
@@ -453,9 +455,9 @@ def classify_batch(space, mats: np.ndarray) -> np.ndarray:
 
     ``mats`` has shape (N, k, n): one full-rank basis per subspace, entries
     reduced mod p, in any basis (they need not be RREF).  ``space`` is read
-    only through ``.p``, ``.dims`` and ``.factors`` (each with ``gram``,
-    ``form_type`` and ``witness``).  Returns one int64 code per subspace;
-    ``decode`` turns it into ((k_1, r_1), ..., (k_m, r_m)).
+    only through ``.p``, ``.dims``, ``.offsets`` and ``.factors`` (each with
+    ``terms``, ``form_type`` and ``witness``).  Returns one int64 code per
+    subspace; ``decode`` turns it into ((k_1, r_1), ..., (k_m, r_m)).
 
     Gauss-Jordan on the column-reversed bases makes each row's pivot its
     last nonzero column, so the k_i rows ending in block i span H cap B_{<=i}
@@ -463,9 +465,8 @@ def classify_batch(space, mats: np.ndarray) -> np.ndarray:
     piece (one factor, or k = 0, needs no elimination).  ``_pack`` takes
     each piece's rows with the others zeroed.
     """
-    p, dims = space.p, tuple(space.dims)
+    p, dims, offsets = space.p, space.dims, space.offsets
     n_items, k, n = mats.shape
-    offsets = np.cumsum((0,) + dims)
     row_block = np.zeros((n_items, k), dtype=np.int64)
     if len(dims) > 1 and k > 0:
         rev = mats[:, :, ::-1].copy()
@@ -479,7 +480,7 @@ def classify_batch(space, mats: np.ndarray) -> np.ndarray:
         in_block = row_block == i
         z = np.where(in_block.T, by_slot[offsets[i] : offsets[i + 1]], 0).transpose(2, 1, 0)
         blocks.append((in_block.sum(axis=1), z))
-    return _pack(space, [form_terms(f.gram, p) for f in space.factors], blocks)
+    return _pack(space, blocks)
 
 
 def decode(dims: Sequence[int], code) -> tuple[tuple[int, int | str], ...]:
@@ -512,13 +513,11 @@ def classify_counts(
     elimination is needed, and ``batch_rank`` runs only on witness stacks,
     on singular 3 x 3 Grams and on Grams with k_i >= 4.
     """
-    p, dims = space.p, tuple(space.dims)
-    n = sum(dims)
+    p, dims, offsets = space.p, space.dims, space.offsets
+    n = offsets[-1]
     if stop is None:
         stop = gaussian_binomial(n, k)(p)
-    offsets = np.cumsum((0,) + dims)
     block_of = np.repeat(np.arange(len(dims)), dims)
-    forms = [form_terms(f.gram, p) for f in space.factors]
     raw: Counter = Counter()
     held, size = [], 0  # codes not tallied yet: one np.unique per 2^16 of them
     for pattern, lo, hi in iter_chunks(n, k, p, start, stop, chunk):
@@ -532,7 +531,7 @@ def classify_counts(
         for i in reversed(range(len(dims))):
             blocks[i] = (ks[i], mats[:, row : row + ks[i], offsets[i] : offsets[i + 1]])
             row += ks[i]
-        held.append(_pack(space, forms, blocks))
+        held.append(_pack(space, blocks))
         size += hi - lo
         if size >= 1 << 16:
             _tally(raw, held)
@@ -549,5 +548,5 @@ def _tally(raw: Counter, held: list) -> None:
 
 def isotropic_filter(mats: np.ndarray, form: tuple, p: int) -> np.ndarray:
     """Boolean mask of batch items whose row space is isotropic for the form
-    with ``form_terms`` ``form``."""
+    with terms ``form`` (a space's ``terms``)."""
     return ~_gram(mats, form, p).any(axis=(1, 2))

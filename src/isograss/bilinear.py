@@ -90,6 +90,11 @@ class BilinearSpace:
         # the Gram is frozen, so it is ranked once per space
         return rank_mod(self.gram, self.p) == self.n
 
+    @cached_property
+    def terms(self) -> tuple:
+        """The Gram's ``_batch.form_terms``, built once per space."""
+        return _batch.form_terms(self.gram, self.p)
+
 
 def pairing(space: BilinearSpace, rows_u: np.ndarray, rows_v: np.ndarray) -> np.ndarray:
     """Matrix of <u_i, v_j> for row stacks u, v; for stacks of them, (N, ., n),

@@ -99,7 +99,7 @@ class Paving:
         mats = mats % p
         if (_batch.batch_rank(mats.copy(), p) != mats.shape[1]).any():
             raise ValueError("basis rows are dependent")
-        if not _batch.isotropic_filter(mats, _batch.form_terms(space.gram, p), p).all():
+        if not _batch.isotropic_filter(mats, space.terms, p).all():
             raise NotIsotropic("subspace is not isotropic")
         return self._root.classify(mats, p)
 
@@ -273,32 +273,24 @@ def iso_grassmannian_count(form_type: str, n: int, k: int) -> IntPolynomial:
     return total
 
 
-def isotropic_bases(space: BilinearSpace, k: int, budget: int | None = DEFAULT_BUDGET):
-    """Stacks (N, k, n) of the RREF bases of all isotropic k-subspaces, in
-    enumeration order, each of at least 2^14 items but the last.
+def isotropic_bases(space: BilinearSpace, k: int, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
+    """The RREF bases of all isotropic k-subspaces, one (N, k, n) int32 stack
+    in enumeration order: (0, k, n) when there are none, (1, 0, n) at k = 0.
 
-    The isotropy test runs on each chunk of candidate bases at once, from
-    the form's terms built once per walk.
+    The budget is checked at the call.  The isotropy test runs on each walk
+    chunk of 2^14 candidate bases as it is made.
     """
     n, p = space.n, space.p
     total = BudgetExceeded.check(subspace_total(n, k, p), budget)
-    form = _batch.form_terms(space.gram, p)
-    chunk, held, size = 1 << 14, [], 0
-    for pattern, lo, hi in _batch.iter_chunks(n, k, p, 0, total, chunk):
-        mats = _batch.pattern_matrices(n, k, p, pattern, lo, hi)
-        held.append(mats[_batch.isotropic_filter(mats, form, p)])
-        size += len(held[-1])
-        if size >= chunk:
-            yield np.concatenate(held)
-            held, size = [], 0
-    if size:
-        yield np.concatenate(held)
+    chunks = (_batch.pattern_matrices(n, k, p, *chunk)
+              for chunk in _batch.iter_chunks(n, k, p, 0, total, 1 << 14))
+    return np.concatenate([np.zeros((0, k, n), dtype=np.int32),
+                           *(mats[_batch.isotropic_filter(mats, space.terms, p)] for mats in chunks)])
 
 
 def isotropic_subspaces(
     space: BilinearSpace, k: int, budget: int | None = DEFAULT_BUDGET
 ):
     """All isotropic k-subspaces, in enumeration order."""
-    for mats in isotropic_bases(space, k, budget=budget):
-        for mat in mats:
-            yield Subspace(mat, space.n, space.p)  # pattern matrices are already RREF
+    for mat in isotropic_bases(space, k, budget=budget):
+        yield Subspace(mat, space.n, space.p)  # pattern matrices are already RREF

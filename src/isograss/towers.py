@@ -129,22 +129,6 @@ def resolution_tower(space: SumSpace, label: MultiLabel) -> TowerDescriptor:
     return TowerDescriptor(tuple(layers))
 
 
-def _candidates(space: SumSpace, j: int, key, budget: int) -> np.ndarray:
-    """The P~_j candidates of one walk as a stack (N, t, n_j) of RREF bases,
-    in enumeration order: for a key t, the isotropic t-subspaces; for a key
-    (k_j, r_j) with a tag r_j, the isotropic k_j-subspaces of its ruling."""
-    f = space.factors[j]
-    if not isinstance(key, tuple):
-        return np.concatenate([np.zeros((0, key, f.n), dtype=np.int32),
-                               *isotropic_bases(f, key, budget=budget)])
-    kj, rj = key
-    if f.witness is None:
-        raise ValueError("split witness required to separate the two components")
-    chunks = [mats[_batch.same_ruling(mats, kj, f.witness.basis, space.p) == (rj == PRIME0)]
-              for mats in isotropic_bases(f, kj, budget=budget)]
-    return np.concatenate([np.zeros((0, kj, f.n), dtype=np.int32), *chunks])
-
-
 class _Level(NamedTuple):
     """The P~_j candidates of one level that survive, job by job, and the
     bounds up, uh of P_j and H_j over each: RREF stacks (L, ., n),
@@ -172,8 +156,8 @@ def _level(space: SumSpace, jobs: list, j: int, pdims: np.ndarray, hdims: np.nda
     M cap B_{<=j}: the x of M_le whose block-j part has zero residue modulo
     P~_j, and those whose block-j part pairs to zero with P~_j.  M_le is
     cut once per distinct ceiling, and every job with the same
-    t = k_j - r_j shares one walk of its candidates (a tag r_j walks its
-    ruling alone); the candidates are zero-padded to the level's largest t,
+    t = k_j - r_j shares one walk of its candidates, from which a tag r_j
+    keeps its ruling; the candidates are zero-padded to the level's largest t,
     which adds zero rows to P~_j and zero columns to the pairing.  Every
     (job, candidate) item of the level goes through one left kernel call per
     ``_LEVEL_ITEMS`` items, both kernels in the same call; their rows times
@@ -195,10 +179,18 @@ def _level(space: SumSpace, jobs: list, j: int, pdims: np.ndarray, hdims: np.nda
     padded = rows - np.array([len(basis) for basis in bases])
     mj = m_le[:, :, lo:hi]
     mj_gram = (mj @ f.gram % p).astype(np.int32)
-    keys = [(k, r) if r in (PRIME0, DOUBLEPRIME0) else k - r
+    keys = [(k - rank_numeric(r), r if r in (PRIME0, DOUBLEPRIME0) else None)
             for k, r in ((label.ks[j], label.rs[j]) for label, _ in jobs)]
-    walks = {key: w for w, key in enumerate(dict.fromkeys(keys))}  # one candidate walk per key
-    stacks = [_candidates(space, j, key, budget) for key in walks]
+    walks = {key: w for w, key in enumerate(dict.fromkeys(keys))}  # one stack per key
+    walked = {t: isotropic_bases(f, t, budget=budget) for t in dict.fromkeys(t for t, _ in walks)}
+    stacks = []
+    for t, tag in walks:
+        mats = walked[t]
+        if tag is not None:
+            if f.witness is None:
+                raise ValueError("split witness required to separate the two components")
+            mats = mats[_batch.same_ruling(mats, t, f.witness.basis, p) == (tag == PRIME0)]
+        stacks.append(mats)
     t_max = max(s.shape[1] for s in stacks)
     cands = np.concatenate([np.pad(s, ((0, 0), (0, t_max - s.shape[1]), (0, 0))) for s in stacks])
     pivots = np.argmax(cands != 0, axis=2)
@@ -370,9 +362,8 @@ def tower_fiber(
 
 def tower_fibers(space: SumSpace, jobs: list, budget: int | None = DEFAULT_BUDGET) -> list[TowerStack]:
     """``tower_fiber`` of each (label, target) of ``jobs``, from one walk of
-    them all: each level's candidates are walked once per t = k_j - r_j
-    (and once per tag r_j), and each step runs over the points of every
-    fiber."""
+    them all: each level's candidates are walked once per t = k_j - r_j,
+    and each step runs over the points of every fiber."""
     for label, target in jobs:
         validate_multilabel(space, label)
         if target.n != space.n or target.p != space.p:
@@ -493,16 +484,15 @@ def _cover_choices(space: SumSpace, label: MultiLabel, i: int, data: TowerStack,
     t = ptildes.shape[1]
     distinct, owner = np.unique(ptildes.reshape(len(ptildes), t * fe.n), axis=0, return_inverse=True)
     lifts = [np.zeros((0, qt_dim, fe.n), dtype=np.int32)]
-    count = np.zeros(len(distinct), dtype=np.intp)  # Q~_i candidates per distinct P~_i
-    for c, rows in enumerate(distinct.reshape(len(distinct), t, fe.n)):
+    for rows in distinct.reshape(len(distinct), t, fe.n):
         lower = Subspace(rows, fe.n, p)
         comp, quotient = subquotient(fe, lower, perp(fe, lower))
-        for mats in isotropic_bases(quotient, qt_dim - t, budget=budget):
-            lift = np.empty((len(mats), qt_dim, fe.n), dtype=np.int32)
-            lift[:, :t] = rows
-            lift[:, t:] = mats @ comp % p
-            lifts.append(lift)
-            count[c] += len(mats)
+        mats = isotropic_bases(quotient, qt_dim - t, budget=budget)
+        lift = np.empty((len(mats), qt_dim, fe.n), dtype=np.int32)
+        lift[:, :t] = rows
+        lift[:, t:] = mats @ comp % p
+        lifts.append(lift)
+    count = np.array([len(lift) for lift in lifts[1:]], dtype=np.intp)  # Q~_i per distinct P~_i
     candidates = np.concatenate(lifts)
     _batch.batch_rank(candidates, p)
     point, choice = _pairs(owner, count)

@@ -262,9 +262,8 @@ def _sample_flags(space: BilinearSpace, walks):
     isotropic planes holding one of the first three lines, each with the
     first such line: all read off ``walks``, the isotropic bases per k."""
     def walk(k):
-        stacks = walks[k] if k < len(walks) else []
         # pattern matrices are already RREF
-        return (Subspace(mat, space.n, space.p) for mats in stacks for mat in mats)
+        return (Subspace(mat, space.n, space.p) for mat in (walks[k] if k < len(walks) else ()))
 
     lines = list(islice(walk(1), 3))
     planes = ((next((line for line in lines if plane.contains(line)), None), plane) for plane in walk(2))
@@ -282,25 +281,21 @@ def suite_paving(primes=(3, 5), budget=DEFAULT_BUDGET):
         for p in primes:
             space = standard_space(form, n, p)
             # one walk of the isotropic k-subspaces serves every flag
-            walks = [list(isotropic_bases(space, k, budget=budget)) for k in range(n // 2 + 1)]
+            walks = [isotropic_bases(space, k, budget=budget) for k in range(n // 2 + 1)]
             bad = []
             for flag in _sample_flags(space, walks):
                 paving = build_paving(space, flag)
-                for k, walk in enumerate(walks):
+                for k, mats in enumerate(walks):
                     pieces = paving.pieces(k)
                     want = np.array([pc.invariants for pc in pieces], dtype=np.int64).reshape(
                         len(pieces), len(flag)
                     )
-                    counts = np.zeros(len(pieces), dtype=np.int64)
-                    varies = 0
-                    for mats in walk:
-                        idx = paving.classify(mats)
-                        counts += np.bincount(idx, minlength=len(pieces))
-                        off = np.zeros(len(mats), dtype=bool)
-                        for c, m in enumerate(flag):
-                            off |= meet_dims(mats, k, m.basis, p) != want[idx, c]
-                        varies += int(off.sum())
-                    bad += [f"k={k} flag-len={len(flag)}: invariants vary"] * varies
+                    idx = paving.classify(mats)
+                    counts = np.bincount(idx, minlength=len(pieces))
+                    off = np.zeros(len(mats), dtype=bool)
+                    for c, m in enumerate(flag):
+                        off |= meet_dims(mats, k, m.basis, p) != want[idx, c]
+                    bad += [f"k={k} flag-len={len(flag)}: invariants vary"] * int(off.sum())
                     for piece, c in zip(pieces, counts.tolist()):
                         if c != p**piece.affine_dim:
                             bad.append(f"k={k} piece {piece.piece_id}: {c} != p^{piece.affine_dim}")

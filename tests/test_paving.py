@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from isograss import paving
-from isograss.bilinear import SKEW, SYMMETRIC, BilinearSpace, radical, standard_space, subquotient
+from isograss.bilinear import (
+    SKEW,
+    SYMMETRIC,
+    BilinearSpace,
+    pairing,
+    radical,
+    standard_space,
+    subquotient,
+)
 from isograss.linalg import (
+    BudgetExceeded,
     RowSolver,
     Subspace,
     enumerate_subspaces,
@@ -344,3 +353,35 @@ def test_fibered_mixed_degenerate():
     m1 = span([[1, 0, 0]], 3, p)
     pieces = fibered_partition_counts(space, (m1,), 1, 1)
     assert sum(pieces) == 1  # only H = rad itself
+
+
+@pytest.mark.parametrize("form,n,p", [(SKEW, 4, 3), (SYMMETRIC, 4, 3), (SYMMETRIC, 3, 5), (SYMMETRIC, 5, 5)])
+def test_isotropic_bases_is_the_filtered_walk(form, n, p):
+    # one int32 stack per walk, in enumeration order: the subspaces of the
+    # whole walk whose bases pair to zero.  Gr_2 and Gr_3 of F_5^5 hold
+    # 20,306 subspaces each, more than one walk chunk of 2^14
+    space = standard_space(form, n, p)
+    for k in range(n + 1):
+        got = paving.isotropic_bases(space, k, budget=None)
+        want = [h.basis for h in enumerate_subspaces(n, k, p, budget=None)
+                if not pairing(space, h.basis, h.basis).any()]
+        assert isinstance(got, np.ndarray) and got.dtype == np.int32
+        assert got.shape == (len(want), k, n)
+        assert (got == np.array(want, dtype=np.int32).reshape(got.shape)).all()
+
+
+def test_isotropic_bases_shapes():
+    o1, o4 = standard_space(SYMMETRIC, 1, 3), standard_space(SYMMETRIC, 4, 3)
+    assert paving.isotropic_bases(o1, 1).shape == (0, 1, 1)  # an anisotropic line
+    assert paving.isotropic_bases(o4, 3).shape == (0, 3, 4)
+    assert paving.isotropic_bases(o4, 0).shape == (1, 0, 4)
+    assert paving.isotropic_bases(o4, 2).shape == (8, 2, 4)  # 2 (q + 1) planes
+
+
+def test_isotropic_bases_refuses_at_the_call():
+    space = standard_space(SYMMETRIC, 4, 3)
+    total = gaussian_binomial(4, 2)(3)
+    with pytest.raises(BudgetExceeded) as refused:
+        paving.isotropic_bases(space, 2, budget=total - 1)
+    assert refused.value.estimate == total
+    assert len(paving.isotropic_bases(space, 2, budget=total)) == 8

@@ -1,4 +1,5 @@
 import os
+import pickle
 from collections import Counter
 from concurrent.futures import Future
 
@@ -20,6 +21,7 @@ from isograss.linalg import (
     zero_subspace,
 )
 from isograss.orbits import DOUBLEPRIME0, PRIME0
+from isograss.paving import build_paving, isotropic_bases
 from isograss.polynomials import gaussian_binomial, interpolate_counts
 from isograss.sumspace import (
     MultiLabel,
@@ -290,14 +292,35 @@ def test_chunked_counts_merge():
     assert merged == orbit_point_counts(b, 2)
 
 
-def test_workers_match_serial():
+def test_workers_match_serial(monkeypatch):
+    # the serial count caches each factor's terms, and a pickled space, as
+    # the pool sends it, carries them
+    monkeypatch.setattr(sumspace, "_COUNTS_CACHE", {})
     b = build_sum_space("O2+O3", 7)
     serial = orbit_point_counts(b, 2)
-    from isograss.sumspace import _COUNTS_CACHE
-
-    _COUNTS_CACHE.clear()
+    for f, copy in zip(b.factors, pickle.loads(pickle.dumps(b)).factors):
+        assert "terms" in vars(copy)
+        assert all(np.array_equal(x, y) for x, y in zip(f.terms, copy.terms))
+    sumspace._COUNTS_CACHE.clear()
     parallel = orbit_point_counts(b, 2, workers=2)
     assert serial == parallel
+
+
+def test_form_terms_are_built_once_per_space(monkeypatch):
+    # counts, classifier calls, isotropic walks and paving classifies all
+    # read the terms each factor built on first use
+    built = []
+    real = _batch.form_terms
+    monkeypatch.setattr(_batch, "form_terms", lambda g, p: built.append(len(g)) or real(g, p))
+    space = build_sum_space("Sp2+O3", 3)
+    for k in range(space.n + 1):
+        _batch.classify_counts(space, k)
+    rows = np.stack([h.basis for h in enumerate_subspaces(5, 2, 3, budget=None)])
+    _batch.classify_batch(space, rows)
+    for f in space.factors:
+        for k in range(f.n // 2 + 1):
+            build_paving(f).classify(isotropic_bases(f, k, budget=None))
+    assert sorted(built) == [2, 3]
 
 
 @pytest.mark.parametrize("m", [7, 8])

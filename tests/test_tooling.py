@@ -346,6 +346,22 @@ def test_internal_invariants_are_named():
     assert sites == []
 
 
+def test_form_terms_have_one_home():
+    # a form's terms are built once per space: BilinearSpace.terms is the
+    # one package caller of _batch.form_terms, and every Gram reader takes
+    # a space's terms
+    callers = [
+        (path.name, qualname)
+        for path in sorted(SRC.glob("*.py"))
+        for qualname, node in _package_defs(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Call)
+        and getattr(inner.func, "id", getattr(inner.func, "attr", None)) == "form_terms"
+    ]
+    assert callers == [("bilinear.py", "BilinearSpace.terms")]
+
+
 def test_verify_results_come_from_one_helper():
     # one failure-detail policy: every check of a suite is built by
     # verify._result, which keeps the first four failures

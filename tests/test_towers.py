@@ -170,6 +170,22 @@ def test_ruling_filter_classifies_nothing(monkeypatch):
         tower_points(bare, MultiLabel((1,), (PRIME0,)))
 
 
+def test_rulings_share_one_walk_per_ptilde_dimension(monkeypatch):
+    # the two rulings of a tag take their P~ from one walk of their t: on
+    # O4 at k = 2 the labels 0', 0'', 1 and 2 walk t = 2, 1 and 0 once each
+    walks = Counter()
+    real = towers.isotropic_bases
+    monkeypatch.setattr(towers, "isotropic_bases",
+                        lambda f, t, budget: walks.update([(f.n, t)]) or real(f, t, budget=budget))
+    space = build_sum_space("O4", 3)
+    labels = enumerate_multilabels(space, 2)
+    assert {label.rs[0] for label in labels} == {PRIME0, DOUBLEPRIME0, 1, 2}
+    rows = towers.closure_rows(space, labels)
+    assert walks == Counter({(4, 2): 1, (4, 1): 1, (4, 0): 1})
+    assert rows[MultiLabel((2,), (PRIME0,))][1] == {MultiLabel((2,), (PRIME0,)): (4, 4)}
+    assert rows[MultiLabel((2,), (DOUBLEPRIME0,))][1] == {MultiLabel((2,), (DOUBLEPRIME0,)): (4, 4)}
+
+
 def test_empty_label_gives_single_point():
     b = build_sum_space("Sp2+O2", 3)
     pts = tower_points(b, MultiLabel((0, 0), (0, 0)))
