@@ -25,13 +25,13 @@ from . import _batch
 from .linalg import (
     Subspace,
     as_prime,
-    complement_rows,
     full_subspace,
     inv_mod,
     kernel_span,
     left_kernel,
     rank_mod,
     span,
+    zero_at,
 )
 
 SYMMETRIC = "symmetric"
@@ -166,14 +166,26 @@ def subquotient(
 ) -> tuple[np.ndarray, BilinearSpace]:
     """upper / lower with its induced form, for lower <= rad(upper).
 
-    Returns (comp, quotient): ``comp`` holds rows of ``upper``'s basis that
-    complete ``lower`` to ``upper``, and the quotient's Gram is the pairing
-    of those rows.  Raises ValueError unless lower <= rad(upper).
+    Returns (comp, quotient): ``comp`` is the RREF basis of the part of
+    upper that is zero at lower's pivots, and the quotient's Gram is the
+    pairing of its rows.  lower's RREF basis is the identity on its pivots,
+    so no nonzero vector of lower is zero there, and comp has
+    dim upper - dim lower rows: a complement.  ``quotient_coords`` reads
+    coordinates in it.  Raises ValueError unless lower <= rad(upper).
     """
     if not upper.contains(lower) or pairing(space, lower.basis, upper.basis).any():
         raise ValueError("lower is not contained in the radical of upper")
-    comp = complement_rows(lower.basis, upper.basis, space.p)
+    comp = zero_at(upper, lower.pivots).basis
     return comp, BilinearSpace(comp.shape[0], space.p, space.form_type, pairing(space, comp, comp))
+
+
+def quotient_coords(rows, lower: Subspace, comp_pivots) -> np.ndarray:
+    """Coordinates in ``subquotient``'s comp, whose pivots are ``comp_pivots``,
+    of the images in upper/lower of the vectors v of upper in ``rows``, a
+    stack of any leading shape.  v = v[pivots] @ lower.basis + w with w in
+    span(comp), and comp is RREF, so w = ``lower.residue(v)`` read at comp's
+    pivots is the image's coordinates."""
+    return lower.residue(rows)[..., comp_pivots]
 
 
 # ---------------------------------------------------------------------------

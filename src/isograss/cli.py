@@ -402,9 +402,13 @@ def _to_csv(report: dict) -> str:
 
 def _parse_primes(text: str):
     try:
-        return tuple(as_prime(x) for x in text.split(",") if x)
+        primes = tuple(as_prime(x) for x in text.split(",") if x)
     except ValueError as e:
         raise CliError(f"bad prime list {text!r}: {e}") from None
+    for i, p in enumerate(primes):
+        if p in primes[:i]:
+            raise CliError(f"bad prime list {text!r}: {p} is listed twice")
+    return primes
 
 
 def _check_workers(workers: int) -> int:

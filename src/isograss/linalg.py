@@ -2,8 +2,8 @@
 
 Matrices are numpy int64 arrays with entries reduced mod p at the API, but
 elimination runs on lists of Python-int rows: ``_eliminate`` is the one
-Gauss-Jordan loop, behind ``rref``, ``rank_mod``, ``left_kernel``
-and ``complement_rows``.  The matrices here have a few rows
+Gauss-Jordan loop, behind ``rref``, ``rank_mod`` and ``left_kernel``
+only.  The matrices here have a few rows
 and columns, so per-element numpy indexing would cost more than the
 arithmetic.  Subspaces of F_p^n are kept in reduced row-echelon form, which
 makes equality, hashing and set membership structural, and reduces
@@ -239,48 +239,13 @@ def kernel_span(ker: np.ndarray, h: Subspace) -> Subspace:
     return Subspace(ker @ h.basis % h.p, h.n, h.p)
 
 
-class RowSolver:
-    """Solves x @ M = v for v in the row space of a fixed matrix M, whose
-    rows must be independent (else ValueError).  ``transform @ M`` is the
-    RREF of M, so ``transform`` is the inverse of a square M."""
-
-    def __init__(self, mat: np.ndarray, p: int):
-        self.p = p
-        self.mat = np.asarray(mat, dtype=np.int64) % p
-        m = self.mat.shape[0]
-        aug = np.hstack([self.mat, np.eye(m, dtype=np.int64)])
-        red = rref(aug, p)
-        w = self.mat.shape[1]
-        if red.shape[0] != m or not red[:, :w].any(axis=1).all():
-            raise ValueError("matrix rows are dependent")
-        self.row_space = Subspace(red[:, :w], w, p)
-        self.transform = red[:, w:]  # transform @ mat == row_space.basis
-        self.pivots = self.row_space.pivots
-
-    def solve_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Coefficients x with x @ mat == v for every vector v in ``rows``, a
-        stack of any leading shape; raises if some v is outside the row space."""
-        rows = np.asarray(rows, dtype=np.int64) % self.p
-        if self.row_space.residue(rows).any():
-            raise ValueError("vector not in row space")
-        return rows[..., self.pivots] @ self.transform % self.p
-
-
-def complement_rows(inner: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:
-    """Greedy pivot-completion: rows of ``outer`` extending span(inner) to
-    span(inner)+span(outer); the returned rows span a complement.  Both are
-    2-d stacks of the same width."""
-    inner_rows, _ = _int_rows(inner, p)
-    outer_rows, width = _int_rows(outer, p)
-    # Row j of [inner; outer] lies outside the span of the rows before it
-    # iff column j is a pivot column of the RREF of the transpose.  A pivot
-    # is the first 1 of its RREF row, since everything before it is 0.
-    cols = [list(c) for c in zip(*inner_rows, *outer_rows)]
-    rank = _eliminate(cols, p)
-    pivots = (row.index(1) for row in cols[:rank])
-    first = len(inner_rows)
-    picked = [outer_rows[j - first] for j in pivots if j >= first]
-    return np.array(picked, dtype=np.int64).reshape(len(picked), width)
+def zero_at(h: Subspace, cols) -> Subspace:
+    """The part of h that is zero at the columns ``cols`` (any numpy index):
+    the left kernel of those columns of h's basis, applied to h's rows."""
+    part = h.basis[:, cols]
+    if not part.any():
+        return h
+    return kernel_span(left_kernel(part, h.p), h)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +273,6 @@ def enumerate_subspaces(
             yield Subspace(mat, n, p)  # pattern matrices are already RREF
 
 
-def intersect_prefix(h: Subspace, c: int) -> Subspace:
-    """h intersected with the span of the first c coordinates."""
-    if c >= h.n:
-        return h
-    return kernel_span(left_kernel(h.basis[:, c:], h.p), h)
-
-
 # no stack of candidate bases in one ``between_stack`` slice passes this many rows
 _STEP_ROWS = 1 << 16
 
@@ -331,13 +289,13 @@ def between_stack(
     zero-padded to the largest d, and each one's pair.  Pairs come in order,
     and each pair's children in the walk order of Gr_{d-u}(F_p^{w-u}), for
     u = dim lower_i and w = dim upper_i, multiplied into the pair's
-    complement: the upper rows that ``complement_rows`` picks from
-    [lower; upper].  A pair with d = u or d = w has its lower or upper as its
-    one child, and one with d outside [u, w] has none.  Pairs are grouped by
-    (u, d, w); each group's Grassmannian passes ``BudgetExceeded.check``, and
-    its (pair, subspace) items are reduced by one ``batch_rank`` per slice of
-    at most ``_STEP_ROWS`` rows.  Raises ValueError if an upper misses its
-    lower.
+    complement: the rows of upper, in order, that are not in the span of
+    lower and the upper rows before them.  A pair with d = u or d = w has
+    its lower or upper as its one child, and one with d outside [u, w] has
+    none.  Pairs are grouped by (u, d, w); each group's Grassmannian passes
+    ``BudgetExceeded.check``, and its (pair, subspace) items are reduced by
+    one ``batch_rank`` per slice of at most ``_STEP_ROWS`` rows.  Raises
+    ValueError if an upper misses its lower.
     """
     lower = np.asarray(lower, dtype=np.int32)
     upper = np.asarray(upper, dtype=np.int32)

@@ -9,9 +9,12 @@ is degenerate, inside the first flag member otherwise) and splits
     X3 = {H : H not <= Lp}        ~ affine bundle over the X2-analogue in
                                     dimension k-1 (nondegenerate case only)
 
-where W is a complement of L in Lp = L^perp.  L, W and the flag's image in
-W do not depend on k, so a paving is a chain of levels (space, flag) ->
-(W, flag in W) -> ..., each computing its step once and shared by every k.
+where W = {x in Lp : x_c = 0}, for Lp = L^perp and c the pivot of L, is
+the complement of L that ``bilinear.subquotient`` takes: a vector v of Lp
+has W-coordinates v - v_c L, read at W's pivots.  L, W and the flag's
+image in W do not depend on k, so a paving is a chain of levels
+(space, flag) -> (W, flag in W) -> ..., each computing its step once and
+shared by every k.
 Pieces carry their affine dimension and the vector of intersection
 dimensions with the flag; a stack of points is classified by replaying the
 case split on all of them at once.
@@ -37,13 +40,13 @@ from .bilinear import (
     check_standard_type,
     pairing,
     perp,
+    quotient_coords,
     radical,
     subquotient,
 )
 from .linalg import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    RowSolver,
     Subspace,
     enumerate_subspaces,
     full_subspace,
@@ -67,75 +70,11 @@ class NotIsotropic(Exception):
 
 class Paving:
     """Ordered affine pavings of Gr_k(space)^iso relative to a flag, for
-    every k: one chain of levels, each built on first use."""
+    every k: one level of the recursion, whose step holds the next level.
+    The step and the pieces of each k are computed once, on first use, so
+    k = 0 and k > n never build the step."""
 
     def __init__(self, space: BilinearSpace, flag: tuple[Subspace, ...]):
-        _validate_flag(space, flag)
-        self.space = space
-        self._root = _Level(space, flag)
-
-    def pieces(self, k: int) -> list[PavingPiece]:
-        return self._root.pieces(k)
-
-    def count_polynomial(self, k: int) -> IntPolynomial:
-        total = IntPolynomial([])
-        for piece in self.pieces(k):
-            total = total + monomial(piece.affine_dim)
-        return total
-
-    def classify(self, mats: np.ndarray) -> np.ndarray:
-        """Piece indices of a stack of isotropic k-subspaces, k = mats.shape[1].
-
-        ``mats`` has shape (N, k, n): one full-rank basis per subspace, not
-        necessarily RREF, as for ``_batch.classify_batch``.  Raises ValueError
-        on a wrong shape or dependent rows, and NotIsotropic if any item is
-        not isotropic.
-        """
-        space = self.space
-        p = space.p
-        mats = np.asarray(mats, dtype=np.int64)
-        if mats.ndim != 3 or mats.shape[2] != space.n:
-            raise ValueError("subspace lives in the wrong space")
-        mats = mats % p
-        if (_batch.batch_rank(mats.copy(), p) != mats.shape[1]).any():
-            raise ValueError("basis rows are dependent")
-        if not _batch.isotropic_filter(mats, space.terms, p).all():
-            raise NotIsotropic("subspace is not isotropic")
-        return self._root.classify(mats, p)
-
-
-def build_paving(space: BilinearSpace, flag=()) -> Paving:
-    return Paving(space, tuple(flag))
-
-
-def _validate_flag(space: BilinearSpace, flag):
-    prev = None
-    for m in flag:
-        if m.n != space.n or m.p != space.p:
-            raise ValueError("flag member lives in the wrong space")
-        if pairing(space, m.basis, m.basis).any():
-            raise NotIsotropic("flag member is not isotropic")
-        if prev is not None and not m.contains(prev):
-            raise ValueError("flag members are not nested")
-        prev = m
-
-
-@dataclass(frozen=True)
-class _Step:
-    """The case split at a level, for every k."""
-
-    gram_line: np.ndarray  # <v, L> = v @ gram_line
-    solver: RowSolver  # coordinates in the basis [L; W] of Lp
-    l_in_flag: tuple[int, ...]  # 1 for each flag member that contains L
-    sub: _Level  # W with the W-coordinates of the flag
-
-
-class _Level:
-    """A space with a flag: one level of the recursion.  Its step and the
-    pieces of each k are computed once, on first use, so k = 0 and k > n
-    never build the step."""
-
-    def __init__(self, space: BilinearSpace, flag):
         self.space = space
         self.flag = flag
         self._pieces: dict[int, list[PavingPiece]] = {}
@@ -149,19 +88,26 @@ class _Level:
             return None
         lspan = span(line.reshape(1, -1), space.n, p)
         w_rows, w_space = subquotient(space, lspan, perp(space, lspan))
-        solver = RowSolver(np.vstack([line.reshape(1, -1), w_rows]), p)
-        flag_w = tuple(span(solver.solve_rows(m.basis)[:, 1:], w_space.n, p) for m in flag)
+        w_pivots = np.argmax(w_rows != 0, axis=1)
+        flag_w = tuple(span(quotient_coords(m.basis, lspan, w_pivots), w_space.n, p) for m in flag)
         return _Step(
             space.gram @ line % p,
-            solver,
+            lspan,
+            w_pivots,
             tuple(int(m.contains(lspan)) for m in flag),
-            _Level(w_space, flag_w),
+            Paving(w_space, flag_w),
         )
 
     def pieces(self, k: int) -> list[PavingPiece]:
         if k not in self._pieces:
             self._pieces[k] = self._split(k)
         return self._pieces[k]
+
+    def count_polynomial(self, k: int) -> IntPolynomial:
+        total = IntPolynomial([])
+        for piece in self.pieces(k):
+            total = total + monomial(piece.affine_dim)
+        return total
 
     def _split(self, k: int) -> list[PavingPiece]:
         space = self.space
@@ -190,13 +136,34 @@ class _Level:
             ]
         return pieces
 
-    def classify(self, mats: np.ndarray, p: int) -> np.ndarray:
-        """Piece indices of a stack (N, k, n) of bases of isotropic subspaces.
+    def classify(self, mats: np.ndarray) -> np.ndarray:
+        """Piece indices of a stack of isotropic k-subspaces, k = mats.shape[1].
 
-        Items are routed down the chain in masked sub-stacks.  ``solver``
-        writes a vector of Lp in the basis [L; W], so the W-coordinates of a
-        basis of H <= Lp span its image in W.
+        ``mats`` has shape (N, k, n): one full-rank basis per subspace, not
+        necessarily RREF, as for ``_batch.classify_batch``.  Raises ValueError
+        on a wrong shape or dependent rows, and NotIsotropic if any item is
+        not isotropic.
         """
+        space = self.space
+        p = space.p
+        mats = np.asarray(mats, dtype=np.int64)
+        if mats.ndim != 3 or mats.shape[2] != space.n:
+            raise ValueError("subspace lives in the wrong space")
+        mats = mats % p
+        if (_batch.batch_rank(mats.copy(), p) != mats.shape[1]).any():
+            raise ValueError("basis rows are dependent")
+        if not _batch.isotropic_filter(mats, space.terms, p).all():
+            raise NotIsotropic("subspace is not isotropic")
+        return self._route(mats)
+
+    def _route(self, mats: np.ndarray) -> np.ndarray:
+        """Piece indices of a stack (N, k, n) of bases of isotropic subspaces,
+        reduced mod p.
+
+        Items are routed down the chain in masked sub-stacks.  The
+        W-coordinates of a basis of H <= Lp span its image in W.
+        """
+        p = self.space.p
         out = np.zeros(len(mats), dtype=np.int64)
         k = mats.shape[1]
         if k == 0 or not len(mats):
@@ -212,10 +179,10 @@ class _Level:
             # An isotropic H <= Lp contains L iff its W-coordinates have rank
             # k - 1 (X1), and then the leading rows of their RREF span its
             # image; otherwise the image has dimension k (X2).
-            w = np.ascontiguousarray(step.solver.solve_rows(mats[on])[:, :, 1:])
+            w = quotient_coords(mats[on], step.line, step.w_pivots)
             has_l = _batch.batch_rank(w, p) < k
-            out[on[has_l]] = sub.classify(w[has_l, : k - 1], p)
-            out[on[~has_l]] = len1 + sub.classify(w[~has_l], p)
+            out[on[has_l]] = sub._route(w[has_l, : k - 1])
+            out[on[~has_l]] = len1 + sub._route(w[~has_l])
         if off.any():
             # H cap Lp is spanned by v_j row_i - v_i row_j (i != j), for the
             # first row j with v_j != 0; it misses L, as H is not in Lp
@@ -224,9 +191,36 @@ class _Level:
             ar = np.arange(len(h))
             f = (v[ar, j][:, None, None] * h - v[:, :, None] * h[ar, j][:, None, :]) % p
             f = f[np.arange(k)[None, :] != j[:, None]].reshape(len(h), k - 1, h.shape[2])
-            w = step.solver.solve_rows(f)[:, :, 1:]
-            out[off] = len1 + len(sub.pieces(k)) + sub.classify(w, p)
+            w = quotient_coords(f, step.line, step.w_pivots)
+            out[off] = len1 + len(sub.pieces(k)) + sub._route(w)
         return out
+
+
+def build_paving(space: BilinearSpace, flag=()) -> Paving:
+    """The paving of ``space`` relative to ``flag``, nested isotropic
+    subspaces: the one place the flag is checked."""
+    flag = tuple(flag)
+    prev = None
+    for m in flag:
+        if m.n != space.n or m.p != space.p:
+            raise ValueError("flag member lives in the wrong space")
+        if pairing(space, m.basis, m.basis).any():
+            raise NotIsotropic("flag member is not isotropic")
+        if prev is not None and not m.contains(prev):
+            raise ValueError("flag members are not nested")
+        prev = m
+    return Paving(space, flag)
+
+
+@dataclass(frozen=True)
+class _Step:
+    """The case split at a level, for every k."""
+
+    gram_line: np.ndarray  # <v, L> = v @ gram_line
+    line: Subspace  # L
+    w_pivots: np.ndarray  # with L, they read W-coordinates by quotient_coords
+    l_in_flag: tuple[int, ...]  # 1 for each flag member that contains L
+    sub: Paving  # W with the W-coordinates of the flag
 
 
 def _choose_line(space: BilinearSpace, flag) -> np.ndarray | None:

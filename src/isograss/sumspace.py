@@ -25,10 +25,10 @@ from .linalg import (
     BudgetExceeded,
     Subspace,
     as_prime,
-    intersect_prefix,
     rref,
     span,
     subspace_total,
+    zero_at,
     zero_subspace,
 )
 from .orbits import (
@@ -136,7 +136,7 @@ class SumSpace:
         """pr_i h = (h cap B_{<=i}) / (h cap B_{<i}), in B_i coordinates: the
         block-i columns of h cap B_{<=i}, whose kernel is h cap B_{<i}."""
         lo, hi = self.offsets[i], self.offsets[i + 1]
-        return Subspace(rref(intersect_prefix(h, hi).basis[:, lo:hi], self.p), self.dims[i], self.p)
+        return Subspace(rref(zero_at(h, slice(hi, None)).basis[:, lo:hi], self.p), self.dims[i], self.p)
 
     def __repr__(self):
         if self.spec:

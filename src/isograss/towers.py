@@ -50,8 +50,8 @@ from .linalg import (
     Subspace,
     between_stack,
     full_subspace,
-    intersect_prefix,
     subspace_total,
+    zero_at,
     zero_subspace,
 )
 from .orbits import DOUBLEPRIME0, PRIME0, component_group_order, rank_numeric
@@ -171,7 +171,7 @@ def _level(space: SumSpace, jobs: list, j: int, pdims: np.ndarray, hdims: np.nda
     lo, hi = space.offsets[j], space.offsets[j + 1]
     ceilings = {c: i for i, c in enumerate(dict.fromkeys(c for _, c in jobs))}  # one M_le per ceiling
     ceiling = np.array([ceilings[c] for _, c in jobs], dtype=np.intp)
-    bases = [intersect_prefix(c, hi).basis for c in ceilings]
+    bases = [zero_at(c, slice(hi, None)).basis for c in ceilings]
     rows = max(map(len, bases))
     m_le = np.zeros((len(bases), rows, space.n), dtype=np.int32)
     for x, basis in zip(m_le, bases):

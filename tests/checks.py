@@ -1,9 +1,9 @@
 """Test-side helpers: rendering of verify.CheckResult, random matrices and
 subspaces, the determinant oracle, labels of subspaces of mixed dimensions,
-the scalar between-step oracle, the scalar congruence normal form, the
-per-item view of Witt split stacks with the scalar Witt suite loop, the
-per-point view of tower stacks, and point selection on tower stacks and
-walks."""
+the greedy complement and the scalar between-step oracle, the scalar
+congruence normal form, the per-item view of Witt split stacks with the
+scalar Witt suite loop, the per-point view of tower stacks, and point
+selection on tower stacks and walks."""
 
 import operator
 from dataclasses import dataclass
@@ -14,7 +14,8 @@ from isograss import _batch, verify
 from isograss.bilinear import WittStack, transport_isometry, witt_decompose
 from isograss.linalg import (
     Subspace,
-    complement_rows,
+    _eliminate,
+    _int_rows,
     enumerate_subspaces,
     inv_mod,
     rref,
@@ -75,6 +76,23 @@ def stack_labels(space, hs) -> list:
         for j, label in zip(idx, stack_multilabels(space, mats)):
             out[j] = label
     return out
+
+
+def complement_rows(inner: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:
+    """Greedy pivot-completion: rows of ``outer`` extending span(inner) to
+    span(inner)+span(outer); the returned rows span a complement.  Both are
+    2-d stacks of the same width."""
+    inner_rows, _ = _int_rows(inner, p)
+    outer_rows, width = _int_rows(outer, p)
+    # Row j of [inner; outer] lies outside the span of the rows before it
+    # iff column j is a pivot column of the RREF of the transpose.  A pivot
+    # is the first 1 of its RREF row, since everything before it is 0.
+    cols = [list(c) for c in zip(*inner_rows, *outer_rows)]
+    rank = _eliminate(cols, p)
+    pivots = (row.index(1) for row in cols[:rank])
+    first = len(inner_rows)
+    picked = [outer_rows[j - first] for j in pivots if j >= first]
+    return np.array(picked, dtype=np.int64).reshape(len(picked), width)
 
 
 def scalar_between(lower: Subspace, upper: Subspace, d: int):

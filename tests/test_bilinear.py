@@ -4,6 +4,7 @@ import pytest
 from checks import (
     apply_isometry,
     batch_det,
+    complement_rows,
     normal_basis,
     random_subspace,
     smallest_nonresidue,
@@ -21,6 +22,7 @@ from isograss.bilinear import (
     WittStack,
     pairing,
     perp,
+    quotient_coords,
     radical,
     standard_space,
     subquotient,
@@ -28,12 +30,12 @@ from isograss.bilinear import (
     witt_decompose,
 )
 from isograss.linalg import (
-    complement_rows,
     enumerate_subspaces,
     full_subspace,
     inv_mod,
     left_kernel,
     rank_mod,
+    rref,
     span,
     subspace_intersect,
     subspace_sum,
@@ -524,8 +526,8 @@ def _refuse(*args, **kwargs):
 
 def test_transport_reads_the_splits(monkeypatch):
     # the transporter builds no split of its own and normalizes nothing:
-    # perp, complement_rows, span, left_kernels and congruence_normal are
-    # never called once both splits exist; it takes the pairs as one stack
+    # perp, span, left_kernels and congruence_normal are never called once
+    # both splits exist; it takes the pairs as one stack
     rng = np.random.default_rng(5)
     for form, n in ((SYMMETRIC, 4), (SYMMETRIC, 5), (SKEW, 4)):
         space = standard_space(form, n, 3)
@@ -541,8 +543,8 @@ def test_transport_reads_the_splits(monkeypatch):
                 pairs.append((h, h2, a, b))
         a, b = (WittStack(*map(np.concatenate, zip(*(pair[side] for pair in pairs)))) for side in (2, 3))
         with monkeypatch.context() as m:
-            for name in ("bilinear.perp", "bilinear.complement_rows", "bilinear.span",
-                         "_batch.left_kernels", "_batch.congruence_normal"):
+            for name in ("bilinear.perp", "bilinear.span", "_batch.left_kernels",
+                         "_batch.congruence_normal"):
                 m.setattr(f"isograss.{name}", _refuse)
             gs = transport_isometry(space, a, b)
         for (h, h2, _, _), g in zip(pairs, gs):
@@ -615,3 +617,32 @@ def test_subquotient_of_isotropic_line(p):
         assert quotient.n == comp.shape[0] == 2 and quotient.is_nondegenerate()
         assert quotient.form_type == SYMMETRIC
         assert subspace_sum(line, span(comp, 4, p)) == upper
+
+
+@pytest.mark.parametrize("p", [3, 997])
+def test_subquotient_complement_is_zero_at_the_lower_pivots(p):
+    # random lower <= rad(upper), symmetric and skew, degenerate forms
+    # included: comp is RREF, zero at lower's pivots and completes lower to
+    # upper, and quotient_coords reads x back from x @ comp plus any vector
+    # of lower
+    rng = np.random.default_rng(p)
+    nonzero = 0
+    for _ in range(200):
+        skew = bool(rng.integers(0, 2))
+        n = int(rng.integers(1, 7))
+        rank = int(rng.integers(0, n + 1))
+        rank -= skew * (rank % 2)  # an alternating Gram has even rank
+        space = BilinearSpace(n, p, SKEW if skew else SYMMETRIC, _gram_of_rank(rng, n, rank, p, skew))
+        upper = random_subspace(n, int(rng.integers(0, n + 1)), p, rng)
+        rad = radical(space, upper)
+        lower = span(rng.integers(0, p, (int(rng.integers(0, rad.dim + 1)), rad.dim)) @ rad.basis % p, n, p)
+        nonzero += lower.dim > 0
+        comp, quotient = subquotient(space, lower, upper)
+        assert np.array_equal(rref(comp, p), comp) and len(comp) == upper.dim - lower.dim
+        assert not comp[:, lower.pivots].any()
+        assert span(np.vstack([lower.basis, comp]), n, p) == upper
+        assert np.array_equal(quotient.gram, pairing(space, comp, comp))
+        x = rng.integers(0, p, (4, len(comp)))
+        v = (x @ comp + rng.integers(0, p, (4, lower.dim)) @ lower.basis) % p
+        assert np.array_equal(quotient_coords(v, lower, np.argmax(comp != 0, axis=1)), x)
+    assert nonzero >= 40

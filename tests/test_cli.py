@@ -334,6 +334,10 @@ def test_unread_options_are_usage_errors(argv, capsys):
         # every prime is checked, even where an out-of-range k counts nothing
         ["count", "--space", "O2", "--k", "5", "--primes", "4"],
         ["labels", "--space", "O2", "--k", "5", "--primes", "3,4"],
+        # a prime listed twice would be reported twice, with its checks
+        ["fibers", "--space", "O4", "--label", "2:1", "--primes", "3,3"],
+        ["verify", "--space", "O2", "--suite", "partition", "--primes", "3,3"],
+        ["count", "--space", "O2", "--k", "1", "--primes", "5,3,05"],
     ],
 )
 def test_bad_values_are_usage_errors(argv, capsys):

@@ -3,20 +3,17 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from checks import batch_det, random_matrix, random_subspace, scalar_between
+from checks import batch_det, complement_rows, random_matrix, random_subspace, scalar_between
 
 from isograss import linalg
 from isograss._batch import batch_rank, iter_chunks, left_kernels, pattern_matrices
 from isograss.linalg import (
     BudgetExceeded,
-    RowSolver,
     Subspace,
     as_prime,
     between_stack,
-    complement_rows,
     enumerate_subspaces,
     full_subspace,
-    intersect_prefix,
     left_kernel,
     rank_mod,
     rref,
@@ -25,6 +22,7 @@ from isograss.linalg import (
     subspace_sum,
     subspace_total,
     subspaces_between,
+    zero_at,
     zero_subspace,
 )
 from isograss.polynomials import gaussian_binomial
@@ -380,10 +378,21 @@ def test_budget_rule_bounds_up_to_the_size():
         list(enumerate_subspaces(4, 2, 3, budget=total - 1))
 
 
-def test_intersect_prefix():
+def test_zero_at():
     h = span([[1, 0, 1], [0, 1, 1]], 3, 3)
-    got = intersect_prefix(h, 2)
-    assert got == span([[1, 2, 0]], 3, 3)
+    assert zero_at(h, slice(2, None)) == span([[1, 2, 0]], 3, 3)  # h cap span(e_1, e_2)
+    assert zero_at(h, [1]) == span([[1, 0, 1]], 3, 3)
+    assert zero_at(h, [0, 2]) == zero_subspace(3, 3)
+    assert zero_at(h, []) is h
+    # h cap the span of the unit vectors off the columns, on random subspaces
+    rng = np.random.default_rng(35)
+    for p in (3, 997):
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            h = random_subspace(n, int(rng.integers(0, n + 1)), p, rng)
+            cols = np.flatnonzero(rng.random(n) < 0.4)
+            others = span(np.delete(np.eye(n, dtype=np.int64), cols, axis=0), n, p)
+            assert zero_at(h, cols) == subspace_intersect(h, others)
 
 
 def test_subspaces_between():
@@ -508,18 +517,3 @@ def test_subspace_repr_and_contains_vector():
     assert "Subspace" in repr(s)
     assert s.contains(span([[2, 1]], 2, 3))
     assert not s.contains(span([[1, 1]], 2, 3))
-
-
-def test_row_solver_solves_stacks():
-    p = 5
-    rng = np.random.default_rng(7)
-    mat = np.array([[1, 2, 0, 4], [0, 1, 3, 1], [2, 0, 1, 1]])
-    solver = RowSolver(mat, p)
-    coefs = rng.integers(0, p, size=(2, 3, 3))
-    assert (solver.solve_rows(coefs @ mat % p) == coefs).all()
-    assert solver.solve_rows(mat[0]).tolist() == [1, 0, 0]
-    outside = np.zeros((2, 3, 4), dtype=np.int64)
-    outside[1, 2] = [1, 0, 0, 0]
-    assert rank_mod(np.vstack([mat, [1, 0, 0, 0]]), p) == 4
-    with pytest.raises(ValueError, match="not in row space"):
-        solver.solve_rows(outside)

@@ -9,13 +9,14 @@ from isograss.bilinear import (
     SYMMETRIC,
     BilinearSpace,
     pairing,
+    perp,
+    quotient_coords,
     radical,
     standard_space,
     subquotient,
 )
 from isograss.linalg import (
     BudgetExceeded,
-    RowSolver,
     Subspace,
     enumerate_subspaces,
     full_subspace,
@@ -100,26 +101,51 @@ def test_classify_refuses_any_bad_item_in_a_stack():
 def oracle_classify(level, h: Subspace) -> int:
     """Piece index of one subspace by the definitional case split of a paving
     level: the per-subspace recursion that the bulk ``Paving.classify`` must
-    reproduce.  ``step.solver`` solves in the basis [L; W] of L^perp."""
+    reproduce.  ``quotient_coords`` reads W-coordinates in L^perp."""
     k = h.dim
     if k == 0:
         return 0
     step = level.step
-    p, line, w_dim = h.p, step.solver.mat[0], step.solver.mat.shape[0] - 1
+    p, w_dim = h.p, step.sub.space.n
 
     def project(rows):
-        coords = step.solver.solve_rows(rows)
-        return span(coords[:, 1:], w_dim, p) if w_dim else zero_subspace(0, p)
+        coords = quotient_coords(rows, step.line, step.w_pivots)
+        return span(coords, w_dim, p) if w_dim else zero_subspace(0, p)
 
     len1 = len(step.sub.pieces(k - 1))
     vals = h.basis @ step.gram_line % p
-    if h.contains(span(line.reshape(1, -1), h.n, p)):
+    if h.contains(step.line):
         return oracle_classify(step.sub, project(h.basis))
     if not vals.any():
         return len1 + oracle_classify(step.sub, project(h.basis))
     ker = left_kernel(vals.reshape(-1, 1), p)
     len2 = len(step.sub.pieces(k))
     return len1 + len2 + oracle_classify(step.sub, project(ker @ h.basis % p))
+
+
+def test_each_level_reads_w_coordinates_by_the_quotient_rule():
+    # at every level of a chain, the W-coordinates of L are 0, and those of
+    # a lift x @ comp are x, for comp the subquotient's basis of W, whose
+    # pivots the level keeps and whose pairing is W's form
+    rng = np.random.default_rng(35)
+    forms = ((SKEW, 6), (SYMMETRIC, 5), (SYMMETRIC, 6))
+    spaces = [standard_space(form, n, 3) for form, n in forms]
+    spaces.append(BilinearSpace(4, 3, SYMMETRIC, np.diag([0, 1, 1, 0]).astype(np.int64)))
+    cases = [(space, flag) for space in spaces for flag in _standard_flags(space)]
+    cases += [(standard_space(form, n, 997), ()) for form, n in forms]
+    levels = 0
+    for space, flag in cases:
+        level = build_paving(space, flag)
+        while level.space.n and level.step is not None:
+            step, p = level.step, level.space.p
+            comp, quotient = subquotient(level.space, step.line, perp(level.space, step.line))
+            assert np.array_equal(np.argmax(comp != 0, axis=1), step.w_pivots)
+            assert np.array_equal(quotient.gram, step.sub.space.gram)
+            assert not quotient_coords(step.line.basis, step.line, step.w_pivots).any()
+            x = rng.integers(0, p, size=(5, len(comp)))
+            assert np.array_equal(quotient_coords(x @ comp % p, step.line, step.w_pivots), x)
+            level, levels = step.sub, levels + 1
+    assert levels >= 20
 
 
 def _rebased(mats, p, rng):
@@ -169,7 +195,7 @@ def test_paving_laws_exhaustive(form, n):
                 hs = list(isotropic_subspaces(space, k))
                 mats = np.stack([h.basis for h in hs])
                 got = paving.classify(mats)
-                assert got.tolist() == [oracle_classify(paving._root, h) for h in hs]
+                assert got.tolist() == [oracle_classify(paving, h) for h in hs]
                 assert (paving.classify(_rebased(mats, p, rng)) == got).all()
                 tallies = Counter(got.tolist())
                 pieces = paving.pieces(k)
@@ -298,9 +324,9 @@ def fibered_partition_counts(space, flag, r, k):
         rsub = span(rq.basis @ base.basis % p, space.n, p) if rq.dim else zero_subspace(space.n, p)
         n_base += 1
         comp, quotient = subquotient(space, rsub, full_subspace(space.n, p))
-        # (M + R)/R in quotient coordinates: solve in the basis [R; comp], drop R's part
-        solver = RowSolver(np.vstack([rsub.basis, comp]), p)
-        image = [span(solver.solve_rows(m.basis)[:, r:], quotient.n, p) for m in flag]
+        # (M + R)/R in quotient coordinates
+        comp_pivots = np.argmax(comp != 0, axis=1)
+        image = [span(quotient_coords(m.basis, rsub, comp_pivots), quotient.n, p) for m in flag]
         paving = build_paving(quotient, image)
         sig = [(pc.affine_dim, pc.invariants, pc.piece_id) for pc in paving.pieces(k - r)]
         if ref_sig is None:

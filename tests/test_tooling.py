@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import inspect
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -105,6 +106,64 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+# backticked words of README's module table that name no code: math
+# notation, numpy calls and parameter names
+README_NOTATION = {
+    "B_i", "Gr_k", "H_i", "H_j", "P_i", "P_j", "Q_i", "r_i", "m1", "m2", "m3", "m4",
+    "diag", "antidiag", "np.unique", "lower", "upper", "ref",
+}
+
+
+def _bound_names(body):
+    """The names a module or class body defines: functions, classes and
+    assigned names."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name):
+                    yield target.id
+
+
+def test_readme_names_exist():
+    # every backticked name, name(...), module.name or Class.name in the
+    # module table is defined in src/: a bare name anywhere (a CLI command
+    # counts), module.name in that module, Class.name in that class, and
+    # variable.name (as `b.residue(...)`) in some class.  One-letter words
+    # are variables
+    table = README.read_text().split("| module | contents |", 1)[1].split("\n\n", 1)[0]
+    defined, members = {}, {}
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined[path.stem] = set(_bound_names(tree.body))
+        members.update((node.name, set(_bound_names(node.body)))
+                       for node in tree.body if isinstance(node, ast.ClassDef))
+    modules = set(defined) - {"__init__"}
+    any_member = set().union(*members.values())
+    anywhere = set().union({"isograss"}, modules, (name for name, *_ in _COMMANDS),
+                           any_member, *defined.values())
+    missing = []
+    for word in re.findall(r"`([^`]+)`", table):
+        match = re.fullmatch(r"(?:(\w+)\.)?(\w+)(\(.*\))?", word)
+        if not match or word in README_NOTATION:
+            continue
+        owner, name, call = match.groups()
+        if owner is None:
+            found = name in anywhere or name in README_NOTATION or (len(name) == 1 and not call)
+        elif owner == "isograss":
+            found = name in modules
+        elif owner in modules:
+            found = name in defined[owner]
+        elif owner in members:
+            found = name in members[owner]
+        else:
+            found = owner[0].islower() and name in any_member
+        if not found:
+            missing.append(word)
+    assert missing == [], missing
 
 
 def test_traced_layers_exist(monkeypatch):
@@ -394,8 +453,8 @@ def test_towers_imports_no_per_subspace_path():
 
 def test_witt_suite_calls_no_per_subspace_path():
     # the Witt suite draws, decomposes, checks and transports its subspaces
-    # on int stacks: no scalar draw, span, sum, perp, radical, solver or
-    # rref in its draws, its rounds or its table check
+    # on int stacks: no scalar draw, span, sum, perp, radical or rref in its
+    # draws, its rounds or its table check
     tree = ast.parse((SRC / "verify.py").read_text())
     bodies = [node for node in tree.body
               if getattr(node, "name", None) in ("suite_witt", "_draw", "_witt_round", "_witt_table_ok")]
@@ -405,7 +464,7 @@ def test_witt_suite_calls_no_per_subspace_path():
         for node in ast.walk(body)
         if isinstance(node, ast.Call)
     }
-    per_subspace = {"random_subspace", "span", "subspace_sum", "perp", "radical", "RowSolver", "rref"}
+    per_subspace = {"random_subspace", "span", "subspace_sum", "perp", "radical", "rref"}
     assert len(bodies) == 4 and called & per_subspace == set()
 
 
